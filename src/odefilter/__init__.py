@@ -2,7 +2,7 @@
 
 Models the solution and its first q derivatives as an integrated
 Brownian-motion (or Ornstein-Uhlenbeck) process and conditions it on
-vector-field evaluations step by step.  Ships closed-form prior
+vector-field evaluations step by step.  Ships exact prior
 transitions, configurable measurement-noise models, steady-state
 analysis of the covariance recursion, benchmark problems, and an
 experiment harness for convergence-order and calibration studies.
@@ -50,13 +50,13 @@ from .priors import (
     IOUP,
     DimensionMismatch,
     MultiDimDrift,
-    NonConvergence,
     PriorSpec,
     TransitionModel,
     companion_matrix,
     ibm_transition,
     ioup_transition,
     kron_extend,
+    lti_transition,
     transition_oracle,
 )
 from .problems import (

@@ -17,10 +17,8 @@ are best-effort extras.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -210,12 +208,8 @@ def _execute(spec: RunSpec, cfg: RunConfig) -> dict:
 
 
 def _run_sweep(specs: Sequence[RunSpec], cfg: RunConfig) -> list:
-    """Fan runs out over a thread pool; aggregate in deterministic order."""
-    workers = min(len(specs), os.cpu_count() or 1) or 1
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda s: _execute(s, cfg), specs))
-    order = sorted(range(len(specs)), key=lambda k: specs[k].sort_key())
-    return [rows[k] for k in order]
+    """Run every spec in turn; rows come back in deterministic sort order."""
+    return [_execute(spec, cfg) for spec in sorted(specs, key=RunSpec.sort_key)]
 
 
 # ---------------------------------------------------------------------------

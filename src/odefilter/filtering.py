@@ -19,7 +19,7 @@ can replay predictive quantities, gains, residuals, and posteriors.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -236,16 +236,12 @@ def solve(
     h: float,
     noise: NoiseModel,
     mode: InitMode = ExactInit(),
-    sigmas: Optional[Sequence[float]] = None,
-    share_covariance: Optional[bool] = None,
 ) -> Trajectory:
     """Run the filter over the uniform mesh {h, 2h, ..., T}.
 
-    ``sigmas`` optionally overrides the prior scale per output dimension;
-    by default every dimension shares ``prior.sigma``.  Since the
-    covariance recursion never sees the data, dimensions with equal sigma
-    share one covariance track unless ``share_covariance=False`` forces
-    per-dimension bookkeeping.
+    The covariance recursion never sees the data, and every dimension
+    shares the prior and the initial covariance, so one covariance track
+    serves all d dimensions.
 
     A non-finite vector-field value aborts the run and returns the partial
     trajectory with ``diverged=True``.
@@ -260,23 +256,7 @@ def solve(
         raise NonIntegerMesh(f"T/h = {n_float!r} is not an integer mesh count")
 
     d = problem.d
-    if sigmas is None:
-        sigmas = [prior.sigma] * d
-    sigmas = [float(s) for s in sigmas]
-    if len(sigmas) != d:
-        raise ValueError(f"need {d} sigma values, got {len(sigmas)}")
-
-    # One covariance track per distinct sigma (the recursion is data-free).
-    if share_covariance is None or share_covariance:
-        track_sigmas = sorted(set(sigmas))
-    else:
-        track_sigmas = sigmas
-    track_of_dim = (
-        [track_sigmas.index(s) for s in sigmas]
-        if share_covariance is None or share_covariance
-        else list(range(d))
-    )
-    transitions = [prior.with_sigma(s).transition(h) for s in track_sigmas]
+    tm = prior.transition(h)
     R = noise.evaluate(h)
 
     initial = initialize(problem, prior, h, mode)
@@ -285,7 +265,7 @@ def solve(
         "q": prior.q,
         "prior": prior.kind,
         "theta": prior.theta,
-        "sigma": sigmas[0] if len(set(sigmas)) == 1 else tuple(sigmas),
+        "sigma": prior.sigma,
         "h": h,
         "R": R,
         "noise": noise,
@@ -295,17 +275,14 @@ def solve(
 
     m = initial.m
     # Both init modes give every dimension the same initial covariance.
-    track_P = [initial.P[0].copy() for _ in track_sigmas]
+    P = initial.P[0].copy()
     records = []
     diverged = False
-    A = transitions[0].A
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
             t_next = n * h
-            m_pred = A @ m
-            track_P_pred = [
-                predict_covariance(P, tm) for P, tm in zip(track_P, transitions)
-            ]
+            m_pred = tm.A @ m
+            P_pred = predict_covariance(P, tm)
             if not np.all(np.isfinite(m_pred)):
                 diverged = True
                 break
@@ -314,24 +291,22 @@ def solve(
             except DivergedEvaluation:
                 diverged = True
                 break
-            track_beta = [gain(Pp, R) for Pp in track_P_pred]
-            betas = np.stack([track_beta[k] for k in track_of_dim], axis=1)
+            P, beta = update_covariance(P_pred, R)
+            betas = np.repeat(beta[:, None], d, axis=1)
             r = y - m_pred[1]
             m = m_pred + betas * r[None, :]
-            track_post = [update_covariance(Pp, R)[0] for Pp in track_P_pred]
             records.append(
                 StepRecord(
                     t_next=t_next,
                     m_pred=m_pred,
-                    P_pred=np.stack([track_P_pred[k] for k in track_of_dim]),
+                    P_pred=np.stack([P_pred] * d),
                     y=y,
                     r=r,
                     beta=betas,
                     m_post=m,
-                    P_post=np.stack([track_post[k] for k in track_of_dim]),
+                    P_post=np.stack([P] * d),
                 )
             )
-            track_P = track_post
     return Trajectory(
         problem=problem.name,
         config=config,

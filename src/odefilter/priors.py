@@ -4,13 +4,15 @@ The solver models the IVP solution and its first ``q`` derivatives as a
 ``q``-times integrated Brownian motion (IBM) or integrated
 Ornstein-Uhlenbeck process (IOUP).  Both are linear SDEs with a companion
 drift matrix, so the state mean and covariance propagate over a step ``h``
-through a closed-form matrix pair ``(A(h), Q(h))``:
+through an exact matrix pair ``(A(h), Q(h))``:
 
     m(t + h) = A(h) m(t),        P(t + h) = A(h) P(t) A(h)^T + Q(h).
 
 This module builds the continuous-time model (drift ``F``, diffusion ``L``)
-and the discrete pair, exposes a quadrature-based oracle used to
-cross-check the closed forms, and extends the model to coupled output
+and the discrete pair: IBM uses its polynomial closed form, and every other
+prior the generic ``lti_transition`` (a Van Loan block exponential over a
+short step, then exact doubling).  It also exposes a quadrature-based
+oracle used to cross-check both, and extends the model to coupled output
 dimensions via Kronecker products.
 """
 
@@ -27,25 +29,18 @@ __all__ = [
     "IOUP",
     "DimensionMismatch",
     "MultiDimDrift",
-    "NonConvergence",
     "PriorSpec",
     "TransitionModel",
     "companion_matrix",
     "ibm_transition",
     "ioup_transition",
     "kron_extend",
+    "lti_transition",
     "transition_oracle",
 ]
 
 IBM = "ibm"
 IOUP = "ioup"
-
-#: Hard cap on the number of series orders summed for the IOUP covariance.
-MAX_SERIES_TERMS = 1000
-
-
-class NonConvergence(RuntimeError):
-    """IOUP covariance series did not converge (theta*h far too large)."""
 
 
 class DimensionMismatch(ValueError):
@@ -89,14 +84,11 @@ class PriorSpec:
         L[self.q] = 1.0
         return L
 
-    def transition(self, h: float, tol: float = 1e-12) -> "TransitionModel":
-        """Closed-form (A, Q) for a step of size h."""
+    def transition(self, h: float) -> "TransitionModel":
+        """(A, Q) for a step of size h: IBM in closed form, others by Van Loan."""
         if self.kind == IBM:
             return ibm_transition(self.q, self.sigma, h)
-        return ioup_transition(self.q, self.theta, self.sigma, h, tol)
-
-    def with_sigma(self, sigma: float) -> "PriorSpec":
-        return dataclasses.replace(self, sigma=sigma)
+        return lti_transition(self.drift_matrix(), self.diffusion_vector(), self.sigma, h)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,34 +146,53 @@ def ibm_transition(q: int, sigma: float, h: float) -> TransitionModel:
     return TransitionModel(h=h, A=A, Q=Q)
 
 
-def ioup_transition(
-    q: int, theta: float, sigma: float, h: float, tol: float = 1e-12
-) -> TransitionModel:
+def ioup_transition(q: int, theta: float, sigma: float, h: float) -> TransitionModel:
     """(A, Q) for the q-times integrated Ornstein-Uhlenbeck process.
 
-    A matches the IBM form except in its last column, which carries the
-    exponential decay of the top derivative; it is evaluated through the
-    tail of the exponential series (cancellation-free for small theta*h).
-    Q is summed from its convergent double series, truncated once the
-    order increments fall below ``tol`` relative to the partial sum.
-
-    Raises NonConvergence if more than ``MAX_SERIES_TERMS`` orders would be
-    needed, which signals theta*h far outside the regime the model is
-    meant for.
+    A thin caller of ``lti_transition`` on the IOUP drift and diffusion.
     """
-    if not theta > 0.0:
-        raise ValueError("IOUP requires theta > 0 (use ibm_transition for theta = 0)")
-    if not 0.0 < tol <= 1e-8:
-        raise ValueError("tol must lie in (0, 1e-8]")
+    return PriorSpec(q, IOUP, theta, sigma).transition(h)
+
+
+def lti_transition(F: np.ndarray, L: np.ndarray, sigma: float, h: float) -> TransitionModel:
+    """(A, Q) for the linear time-invariant SDE dx = F x dt + sigma L dW.
+
+    Van Loan (1978): the block exponential of ``[[F, L L^T], [0, -F^T]] tau``
+    holds ``A(tau)`` and ``Q(tau) A(tau)^(-T)``.  Over a whole step the
+    ``-F^T`` block grows like ``exp(|F| h)`` and forming Q from it cancels,
+    so the unit-sigma block is only exponentiated over a short step
+    ``tau = h / 2^s`` that brings its 1-norm below 1/4 (``_expm`` then does
+    no squaring), and the pair is doubled s times, ``Q <- A Q A^T + Q``,
+    ``A <- A A``.  For companion drifts with non-negative off-diagonal
+    entries (IBM, IOUP) A and Q are entrywise non-negative, so doubling
+    only adds non-negative terms and keeps every entry to float64 relative
+    accuracy.  Q is built for unit sigma and scaled by sigma^2 at the end,
+    so sigma never sets s.
+
+    Raises ValueError if (A, Q) is not finite (h |F| far too large).
+    """
     _check_step(sigma, h)
-    n = q + 1
-    A = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n - 1):
-            A[i, j] = h ** (j - i) / math.factorial(j - i)
-    for i in range(n):
-        A[i, q] = _exp_series_tail(q - i, -theta * h) / (-theta) ** (q - i)
-    Q = _ioup_covariance_series(q, theta, sigma, h, tol)
+    F = np.asarray(F, dtype=float)
+    n = F.shape[0]
+    L = np.asarray(L, dtype=float).reshape(n, -1)
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = F
+    block[:n, n:] = L @ L.T
+    block[n:, n:] = -F.T
+    norm = h * float(np.max(np.sum(np.abs(block), axis=0)))
+    if not math.isfinite(norm):
+        raise ValueError(f"step h = {h:g} is too large for this drift")
+    s = max(0, math.frexp(norm)[1] + 2)  # norm / 2^s < 1/4, exactly
+    E = _expm(block * math.ldexp(h, -s))
+    A = E[:n, :n]
+    Q = E[:n, n:] @ A.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            Q = A @ Q @ A.T + Q
+            A = A @ A
+        Q = sigma**2 * (0.5 * (Q + Q.T))
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(Q))):
+        raise ValueError(f"(A, Q) overflows at h = {h:g}")
     return TransitionModel(h=h, A=A, Q=Q)
 
 
@@ -194,7 +205,8 @@ def transition_oracle(
     expm(F(h-tau))^T over [0, h] with Gauss-Legendre quadrature.  The
     default 50 nodes are exact for the polynomial IBM integrand up to
     q = 4 and converged for IOUP at the tested theta*h <= 5.  This path is
-    deliberately independent of the closed forms above.
+    deliberately independent of the closed form and of the Van Loan block
+    above; it shares only ``_expm``.
     """
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
@@ -241,76 +253,14 @@ def _check_step(sigma: float, h: float) -> None:
         raise ValueError("sigma must be positive")
 
 
-def _exp_series_tail(m: int, z: float) -> float:
-    """sum_{k>=m} z^k / k!, accurate for both small and large |z|.
-
-    For |z| <= 1 the tail is summed directly (its leading term dominates,
-    so no cancellation); for larger |z| the complement exp(z) minus the
-    degree-(m-1) partial sum is cheaper and stable.
-    """
-    if abs(z) <= 1.0:
-        term = z**m / math.factorial(m)
-        total = term
-        k = m
-        while abs(term) > 1e-20 * (abs(total) + 1e-300) and k < m + 60:
-            k += 1
-            term *= z / k
-            total += term
-        return total
-    partial = sum(z**k / math.factorial(k) for k in range(m))
-    return math.exp(z) - partial
-
-
-def _ioup_covariance_series(q: int, theta: float, sigma: float, h: float, tol: float) -> np.ndarray:
-    """Sum the IOUP process-noise double series, grouped by total order."""
-    n = q + 1
-    Q = np.zeros((n, n))
-    previous_norm = math.inf
-    quiet_orders = 0
-    for s in range(MAX_SERIES_TERMS):
-        M = np.zeros((n, n))
-        try:
-            for i in range(n):
-                for j in range(n):
-                    inner = 0.0
-                    for u in range(s + 1):
-                        v = s - u
-                        inner += 1.0 / (
-                            (2 * q + 1 - i - j + s)
-                            * math.factorial(q - i + u)
-                            * math.factorial(q - j + v)
-                        )
-                    M[i, j] = sigma**2 * (-theta * h) ** s * h ** (2 * q + 1 - i - j) * inner
-        except OverflowError:
-            raise NonConvergence(
-                f"IOUP covariance series overflowed at order {s} (theta*h = {theta * h:g})"
-            ) from None
-        if not np.all(np.isfinite(M)):
-            raise NonConvergence(
-                f"IOUP covariance series overflowed at order {s} (theta*h = {theta * h:g})"
-            )
-        Q += M
-        norm = float(np.linalg.norm(M))
-        # Converged once two consecutive orders are negligible and decaying.
-        if norm < 0.5 * tol * np.linalg.norm(Q) and norm <= previous_norm:
-            quiet_orders += 1
-            if quiet_orders >= 2:
-                return 0.5 * (Q + Q.T)
-        else:
-            quiet_orders = 0
-        previous_norm = norm
-    raise NonConvergence(
-        f"IOUP covariance series needs more than {MAX_SERIES_TERMS} orders "
-        f"(theta*h = {theta * h:g})"
-    )
-
-
 def _expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential of a (stack of) small matrices.
 
-    Scaling-and-squaring with a degree-12 Taylor polynomial; after scaling
-    the 1-norm below 0.25 the truncation error is ~1e-18 relative, ample
-    for the (q+1)-sized companion matrices this module handles.
+    Scaling-and-squaring with a Taylor polynomial.  After scaling the
+    1-norm below 0.25 the k-th term is below 0.25^k / k!, and terms are
+    summed until one no longer changes any entry, so the tiny entries of a
+    Van Loan block on a short step keep their float64 relative accuracy
+    (a fixed degree would only bound the error relative to the norm).
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[-1]
@@ -320,9 +270,12 @@ def _expm(M: np.ndarray) -> np.ndarray:
     eye = np.broadcast_to(np.eye(n), M.shape).copy()
     result = eye.copy()
     term = eye
-    for k in range(1, 13):
+    for k in range(1, 200):  # the terms underflow to zero long before k = 200
         term = term @ X / k
-        result = result + term
+        updated = result + term
+        if np.array_equal(updated, result):
+            break
+        result = updated
     for _ in range(squarings):
         result = result @ result
     return result

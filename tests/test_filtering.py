@@ -278,24 +278,6 @@ class TestSolve:
             np.testing.assert_array_equal(rec.P_post[0], rec.P_post[1])
             np.testing.assert_array_equal(rec.P_pred[0], rec.P_pred[1])
 
-    def test_share_covariance_switch_changes_nothing(self):
-        problem = get_problem("linear")
-        noise = PowerLawNoise(K_R=1.0, p=1.0)
-        shared = solve(problem, PriorSpec(1, sigma=1.0), 0.1, noise, share_covariance=True)
-        split = solve(problem, PriorSpec(1, sigma=1.0), 0.1, noise, share_covariance=False)
-        for a, b in zip(shared.records, split.records):
-            np.testing.assert_array_equal(a.m_post, b.m_post)
-            np.testing.assert_array_equal(a.P_post, b.P_post)
-
-    def test_per_dimension_sigmas(self):
-        problem = get_problem("linear")
-        traj = solve(problem, PriorSpec(1, sigma=1.0), 0.1, ZeroNoise(), sigmas=[1.0, 3.0])
-        rec = traj.records[0]
-        # Q scales with sigma^2 and the first prediction starts from P = 0.
-        np.testing.assert_allclose(rec.P_pred[1], 9.0 * rec.P_pred[0], rtol=1e-12)
-        with pytest.raises(ValueError):
-            solve(problem, PriorSpec(1), 0.1, ZeroNoise(), sigmas=[1.0])
-
 
 class TestTrajectoryInvariants:
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from odefilter.priors import (
     IBM,
     IOUP,
     DimensionMismatch,
-    NonConvergence,
     PriorSpec,
     companion_matrix,
     ibm_transition,
@@ -122,13 +122,57 @@ class TestIoupTransition:
         np.testing.assert_allclose(t12.A, t2.A @ t1.A, rtol=1e-10)
         np.testing.assert_allclose(t12.Q, t2.A @ t1.Q @ t2.A.T + t2.Q, rtol=1e-10)
 
-    def test_non_convergence_far_outside_regime(self):
-        with pytest.raises(NonConvergence):
-            ioup_transition(1, 1e4, 1.0, 1.0)
-
-    def test_rejects_bad_tol(self):
+    def test_non_finite_result_raises(self):
         with pytest.raises(ValueError):
-            ioup_transition(1, 1.0, 1.0, 0.1, tol=1e-6)
+            ioup_transition(3, 1.0, 1.0, 1e200)  # Q ~ h^7 overflows
+        with pytest.raises(ValueError):
+            ioup_transition(1, 1e10, 1.0, 1e300)  # the step norm overflows
+
+
+def vanloan_reference(q, theta, h):
+    """(A, Q) of the unit-sigma IOUP from the full-step Van Loan block in mpmath.
+
+    Over a whole step the block's -F^T part grows like exp(theta h) and Q
+    loses digits to cancellation: at 120 digits the worst case here,
+    q = 5 and theta h = 100, still agrees with a 200-digit run to 1e-71.
+    """
+    n = q + 1
+    with mpmath.workdps(120):
+        B = mpmath.zeros(2 * n, 2 * n)
+        for i in range(q):
+            B[i, i + 1] = 1
+            B[n + i + 1, n + i] = -1
+        B[q, q] = -mpmath.mpf(theta)
+        B[2 * n - 1, 2 * n - 1] = mpmath.mpf(theta)
+        B[q, n + q] = 1
+        E = mpmath.expm(B * mpmath.mpf(h))
+        A = E[:n, :n]
+        Q = E[:n, n:] * A.T
+        return (
+            np.array(A.tolist(), dtype=float),
+            np.array(Q.tolist(), dtype=float),
+        )
+
+
+class TestIoupAgainstMpmath:
+    """Entrywise float64 accuracy of the IOUP (A, Q) up to theta h = 100."""
+
+    @pytest.mark.parametrize("theta_h", [1e-8, 0.01, 0.5, 2.0, 10.0, 20.0, 100.0])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("h", [0.1, None], ids=["h=0.1", "theta=1"])
+    def test_entrywise_relative_error(self, q, theta_h, h):
+        theta, h = (theta_h / h, h) if h else (1.0, theta_h)
+        A_ref, Q_ref = vanloan_reference(q, theta, h)
+        tm = ioup_transition(q, theta, 1.0, h)
+        bound = 1e-13 if theta_h <= 20.0 else 1e-12
+        nonzero = A_ref != 0.0
+        assert np.all(tm.A[~nonzero] == 0.0)
+        assert np.max(np.abs(tm.A[nonzero] / A_ref[nonzero] - 1.0)) <= bound
+        assert np.all(Q_ref > 0.0)
+        assert np.max(np.abs(tm.Q / Q_ref - 1.0)) <= bound
+        assert np.array_equal(tm.Q, tm.Q.T)
+        scale = 1.0 / np.sqrt(np.diag(tm.Q))
+        np.linalg.cholesky(tm.Q * np.outer(scale, scale))  # raises unless PD
 
 
 class TestTransitionOracle:
