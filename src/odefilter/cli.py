@@ -313,14 +313,16 @@ def cmd_solve(cfg: RunConfig) -> int:
     header += [f"m{i}_d{j}" for j in range(d) for i in range(q + 1)]
     header += [f"sqrt_P00_d{j}" for j in range(d)]
     header += ["residual_norm"]
-    rows = []
-    for rec in traj.records:
-        row = [rec.t_next]
-        row += [rec.m_post[i, j] for j in range(d) for i in range(q + 1)]
-        row += [math.sqrt(max(rec.P_post[j, 0, 0], 0.0)) for j in range(d)]
-        row += [float(np.linalg.norm(rec.r))]
-        rows.append(row)
-    _write_csv(cfg.out, header, rows)
+    std = np.sqrt(np.maximum(traj.P_post[:, 0, 0], 0.0))
+    table = np.column_stack(
+        (
+            traj.times()[1:],
+            traj.m_post.transpose(0, 2, 1).reshape(len(traj.y), d * (q + 1)),
+            np.repeat(std[:, None], d, axis=1),
+            traj.residual_norms(),
+        )
+    )
+    _write_csv(cfg.out, header, table.tolist())
     return 2 if traj.diverged else 0
 
 

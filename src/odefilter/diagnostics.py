@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .filtering import Trajectory
+from .filtering import Trajectory, _row_norms
 from .problems import IVProblem, MissingDerivative  # noqa: F401  (re-exported error)
 
 __all__ = [
@@ -60,13 +60,15 @@ def global_error(traj: Trajectory, problem: IVProblem) -> ErrorSeries:
     derivative_maps = [problem.derivative(i) for i in range(q + 1)]
     times = traj.times()
     means = traj.means()
-    eps = np.empty_like(means)
+    truth = np.empty_like(means)
     for n, t in enumerate(times):
         x = np.asarray(problem.exact(t), dtype=float)
-        truth = np.stack([derivative_maps[i](x) for i in range(q + 1)])
-        eps[n] = means[n] - truth
+        for i, g in enumerate(derivative_maps):
+            truth[n, i] = g(x)
+    eps = means - truth
     eps0 = np.linalg.norm(eps[:, 0, :], axis=1)
-    h_norms = np.array([h_norm(e, traj.h) for e in eps])
+    weights = traj.h ** np.arange(q + 1, dtype=float)
+    h_norms = np.sum(weights * np.linalg.norm(eps, axis=2), axis=1)
     return ErrorSeries(
         times=times, eps=eps, max_eps0=float(eps0.max()), h_norm_series=h_norms
     )
@@ -90,10 +92,10 @@ def misalignment(traj: Trajectory, problem: IVProblem, i: int) -> np.ndarray:
     """
     g_i = problem.derivative(i)
     means = traj.means()
-    out = np.empty(len(means))
-    for n, m in enumerate(means):
-        out[n] = np.linalg.norm(m[i] - np.asarray(g_i(m[0]), dtype=float))
-    return out
+    implied = np.empty_like(means[:, 0])
+    for n, m0 in enumerate(means[:, 0]):
+        implied[n] = g_i(m0)
+    return _row_norms(means[:, i] - implied)
 
 
 @dataclasses.dataclass

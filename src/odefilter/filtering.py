@@ -12,8 +12,12 @@ predicted value as data on the first derivative and conditions on it:
     m      = m_pred + beta r          P      = P_pred - outer / (P_pred[1, 1] + R)
 
 All steps of a solve share one (A, Q) pair (the mesh is uniform) and one
-measurement variance R.  Every step is recorded in full, so diagnostics
-can replay predictive quantities, gains, residuals, and posteriors.
+measurement variance R, and the covariance recursion never sees the data,
+so one covariance track serves every dimension.  ``solve`` writes each
+step into preallocated arrays (means and data per dimension; covariances
+and gains once), from which diagnostics replay predictive quantities,
+gains, residuals and posteriors; ``Trajectory.records`` rebuilds the
+per-step StepRecord view from them on demand.
 """
 
 from __future__ import annotations
@@ -122,12 +126,28 @@ class StepRecord:
 
 @dataclasses.dataclass
 class Trajectory:
-    """A full solve: initial belief plus one StepRecord per mesh point."""
+    """A full solve: the initial belief plus the per-step arrays of the run.
+
+    Row n of each array is the step that ends at t = (n + 1) h.  Means and
+    data are per dimension; covariances and gains are stored once, because
+    one covariance track serves every dimension:
+
+        m_pred (N, q+1, d)    P_pred (N, q+1, q+1)    y    (N, d)
+        m_post (N, q+1, d)    P_post (N, q+1, q+1)    beta (N, q+1)
+
+    N is ``n_steps``, or the number of steps completed when the run
+    diverged.  The arrays are read-only.
+    """
 
     problem: str
     config: dict
     initial: Belief
-    records: list
+    m_pred: np.ndarray
+    y: np.ndarray
+    P_pred: np.ndarray
+    P_post: np.ndarray
+    beta: np.ndarray
+    m_post: np.ndarray
     diverged: bool = False
 
     @property
@@ -142,19 +162,44 @@ class Trajectory:
     def d(self) -> int:
         return self.initial.d
 
+    @property
+    def records(self) -> tuple:
+        """One StepRecord per step, built from the arrays on each access.
+
+        Covariances and gains come back in their per-dimension shapes,
+        (d, q+1, q+1) and (q+1, d), as read-only broadcasts of the shared
+        track.
+        """
+        q, d = self.q, self.d
+        return tuple(
+            StepRecord(
+                t_next=(n + 1) * self.h,
+                m_pred=self.m_pred[n],
+                P_pred=np.broadcast_to(self.P_pred[n], (d, q + 1, q + 1)),
+                y=self.y[n],
+                r=self.y[n] - self.m_pred[n, 1],
+                beta=np.broadcast_to(self.beta[n][:, None], (q + 1, d)),
+                m_post=self.m_post[n],
+                P_post=np.broadcast_to(self.P_post[n], (d, q + 1, q + 1)),
+            )
+            for n in range(len(self.y))
+        )
+
     def times(self) -> np.ndarray:
-        return np.concatenate(([self.initial.t], [rec.t_next for rec in self.records]))
+        steps = np.arange(1, len(self.y) + 1)
+        return np.concatenate(([self.initial.t], steps * self.h))
 
     def means(self) -> np.ndarray:
         """(N+1, q+1, d) stack of posterior means, t = 0 included."""
-        return np.stack([self.initial.m] + [rec.m_post for rec in self.records])
+        return np.concatenate((self.initial.m[None], self.m_post))
 
     def covariances(self) -> np.ndarray:
         """(N+1, d, q+1, q+1) stack of posterior covariances."""
-        return np.stack([self.initial.P] + [rec.P_post for rec in self.records])
+        shared = np.broadcast_to(self.P_post[:, None], (len(self.y),) + self.initial.P.shape)
+        return np.concatenate((self.initial.P[None], shared))
 
     def residual_norms(self) -> np.ndarray:
-        return np.array([np.linalg.norm(rec.r) for rec in self.records])
+        return _row_norms(self.y - self.m_pred[:, 1])
 
 
 def initialize(
@@ -191,7 +236,7 @@ def predict(belief: Belief, tm: TransitionModel) -> Belief:
 def evaluate_data(f: Callable[[np.ndarray], np.ndarray], m_pred: np.ndarray) -> np.ndarray:
     """One vector-field evaluation at the predicted value: the step's data."""
     y = np.asarray(f(m_pred[0]), dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise DivergedEvaluation(f"vector field returned a non-finite value: {y}")
     return y
 
@@ -241,10 +286,11 @@ def solve(
 
     The covariance recursion never sees the data, and every dimension
     shares the prior and the initial covariance, so one covariance track
-    serves all d dimensions.
+    serves all d dimensions.  Each step is written into arrays allocated
+    for the whole mesh.
 
-    A non-finite vector-field value aborts the run and returns the partial
-    trajectory with ``diverged=True``.
+    A non-finite predicted mean or vector-field value ends the run; the
+    trajectory then holds the steps completed, with ``diverged=True``.
     """
     if prior.q < 1:
         raise ValueError("the solver requires q >= 1 (q = 0 models no derivative)")
@@ -255,7 +301,7 @@ def solve(
     if n_steps < 1 or abs(n_float - n_steps) > 1e-9:
         raise NonIntegerMesh(f"T/h = {n_float!r} is not an integer mesh count")
 
-    d = problem.d
+    q, d = prior.q, problem.d
     tm = prior.transition(h)
     R = noise.evaluate(h)
 
@@ -273,47 +319,36 @@ def solve(
         "n_steps": n_steps,
     }
 
+    m_pred = np.empty((n_steps, q + 1, d))
+    y = np.empty((n_steps, d))
+    P_pred = np.empty((n_steps, q + 1, q + 1))
+    P_post = np.empty((n_steps, q + 1, q + 1))
+    beta = np.empty((n_steps, q + 1))
+    m_post = np.empty((n_steps, q + 1, d))
+
+    A, f = tm.A, problem.f
     m = initial.m
     # Both init modes give every dimension the same initial covariance.
-    P = initial.P[0].copy()
-    records = []
-    diverged = False
+    P = initial.P[0]
+    reached = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_steps + 1):
-            t_next = n * h
-            m_pred = tm.A @ m
-            P_pred = predict_covariance(P, tm)
-            if not np.all(np.isfinite(m_pred)):
-                diverged = True
+        for n in range(n_steps):
+            mp = A @ m
+            Pp = predict_covariance(P, tm)
+            if not np.isfinite(mp).all():
                 break
             try:
-                y = evaluate_data(problem.f, m_pred)
+                yn = evaluate_data(f, mp)
             except DivergedEvaluation:
-                diverged = True
                 break
-            P, beta = update_covariance(P_pred, R)
-            betas = np.repeat(beta[:, None], d, axis=1)
-            r = y - m_pred[1]
-            m = m_pred + betas * r[None, :]
-            records.append(
-                StepRecord(
-                    t_next=t_next,
-                    m_pred=m_pred,
-                    P_pred=np.stack([P_pred] * d),
-                    y=y,
-                    r=r,
-                    beta=betas,
-                    m_post=m,
-                    P_post=np.stack([P] * d),
-                )
-            )
-    return Trajectory(
-        problem=problem.name,
-        config=config,
-        initial=initial,
-        records=records,
-        diverged=diverged,
-    )
+            P, b = update_covariance(Pp, R)
+            m = mp + b[:, None] * (yn - mp[1])[None, :]
+            m_pred[n], y[n], P_pred[n], P_post[n], beta[n], m_post[n] = mp, yn, Pp, P, b, m
+            reached = n + 1
+    arrays = [a[:reached] for a in (m_pred, y, P_pred, P_post, beta, m_post)]
+    for a in arrays:
+        a.setflags(write=False)
+    return Trajectory(problem.name, config, initial, *arrays, diverged=reached < n_steps)
 
 
 def predict_covariance(P: np.ndarray, tm: TransitionModel) -> np.ndarray:
@@ -327,6 +362,18 @@ def update_covariance(P_pred: np.ndarray, R: float):
     beta = gain(P_pred, R)
     P = P_pred - np.outer(P_pred[:, 1], P_pred[:, 1]) / (P_pred[1, 1] + R)
     return _psd_floor(P), beta
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, equal bit for bit to np.linalg.norm(row).
+
+    For one vector np.linalg.norm takes the BLAS dot, which vecdot also
+    calls (``norm(x, axis=1)`` sums the squares in another order).  An
+    overflowing square gives inf without a RuntimeWarning: the rows of a
+    diverging run are expected to overflow.
+    """
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.vecdot(x, x))
 
 
 def _psd_floor(P: np.ndarray) -> np.ndarray:

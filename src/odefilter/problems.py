@@ -16,6 +16,7 @@ oracle for anything a test does not want to trust.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Optional
 
@@ -178,13 +179,21 @@ PROBLEMS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def get_problem(name: str) -> IVProblem:
+    """The packaged problem ``name``, built and validated once per process.
+
+    Every call with the same name returns the same instance, so its ``x0``
+    is made read-only.
+    """
     try:
         factory = PROBLEMS[name]
     except KeyError:
         known = ", ".join(sorted(PROBLEMS))
         raise KeyError(f"unknown problem {name!r}; known problems: {known}") from None
-    return factory()
+    problem = factory()
+    problem.x0.setflags(write=False)
+    return problem
 
 
 @dataclasses.dataclass

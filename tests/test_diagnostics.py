@@ -18,7 +18,7 @@ from odefilter.diagnostics import (
 from odefilter.filtering import solve
 from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise
 from odefilter.priors import PriorSpec
-from odefilter.problems import IVProblem, logistic, riccati
+from odefilter.problems import IVProblem, get_problem, logistic, riccati
 
 SQRT10 = math.sqrt(10.0)
 
@@ -61,6 +61,15 @@ class TestGlobalError:
         coarse = global_error(solve(problem, prior, 0.1, ZeroNoise()), problem)
         fine = global_error(solve(problem, prior, 0.05, ZeroNoise()), problem)
         assert fine.max_eps0 < coarse.max_eps0
+
+    @pytest.mark.parametrize("name,q", [("logistic", 2), ("linear", 3)])
+    def test_h_norm_series_matches_h_norm(self, name, q):
+        problem = get_problem(name)
+        traj = solve(problem, PriorSpec(q, sigma=1.0), 0.05, PowerLawNoise(K_R=1.0, p=q))
+        series = global_error(traj, problem)
+        assert len(series.h_norm_series) == len(traj.times())
+        for n, eps in enumerate(series.eps):
+            assert series.h_norm_series[n] == h_norm(eps, traj.h)
 
     def test_missing_exact(self):
         problem = constant_problem()
@@ -116,6 +125,14 @@ class TestMisalignment:
         problem = logistic()
         traj = solve(problem, PriorSpec(2, sigma=1.0), 0.1, PowerLawNoise(K_R=1.0, p=2.0))
         assert np.all(misalignment(traj, problem, 0) == 0.0)
+
+    @pytest.mark.parametrize("name,q,i", [("logistic", 3, 1), ("logistic", 3, 3), ("linear", 2, 2)])
+    def test_matches_per_point_loop(self, name, q, i):
+        problem = get_problem(name)
+        traj = solve(problem, PriorSpec(q, sigma=1.0), 0.05, ConstantNoise(R=0.01))
+        g_i = problem.derivative(i)
+        oracle = [np.linalg.norm(m[i] - np.asarray(g_i(m[0]))) for m in traj.means()]
+        np.testing.assert_allclose(misalignment(traj, problem, i), oracle, rtol=1e-15, atol=0.0)
 
     def test_constant_field_has_no_misalignment(self):
         problem = constant_problem()

@@ -19,7 +19,7 @@ from odefilter.filtering import (
     solve,
     update,
 )
-from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise
+from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise, parse_noise
 from odefilter.priors import PriorSpec, ibm_transition
 from odefilter.problems import IVProblem, MissingDerivative, get_problem, logistic, riccati
 
@@ -271,6 +271,31 @@ class TestSolve:
         traj = solve(blowup, PriorSpec(1, sigma=1.0), 0.5, ZeroNoise())
         assert traj.diverged
         assert len(traj.records) < 100
+        reached = len(traj.y)
+        arrays = (traj.m_pred, traj.y, traj.P_pred, traj.P_post, traj.beta, traj.m_post)
+        assert [len(a) for a in arrays] == [reached] * 6
+        assert len(traj.records) == len(traj.residual_norms()) == reached
+        assert len(traj.times()) == len(traj.means()) == len(traj.covariances()) == reached + 1
+        assert np.all(np.isfinite(traj.m_post))
+
+    def test_records_view_matches_arrays(self):
+        q, d = 2, 2
+        traj = solve(get_problem("linear"), PriorSpec(q, sigma=1.0), 0.1, ConstantNoise(R=0.3))
+        times = traj.times()
+        for n, rec in enumerate(traj.records):
+            assert rec.t_next == times[n + 1]
+            assert rec.P_pred.shape == rec.P_post.shape == (d, q + 1, q + 1)
+            assert rec.beta.shape == (q + 1, d)
+            for j in range(d):
+                np.testing.assert_array_equal(rec.P_pred[j], traj.P_pred[n])
+                np.testing.assert_array_equal(rec.P_post[j], traj.P_post[n])
+                np.testing.assert_array_equal(rec.beta[:, j], traj.beta[n])
+            np.testing.assert_array_equal(rec.r, traj.y[n] - traj.m_pred[n, 1])
+            np.testing.assert_array_equal(rec.m_post, traj.m_post[n])
+        with pytest.raises(ValueError):
+            traj.m_post[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            traj.records[0].P_post[0, 0, 0] = 1.0
 
     def test_covariances_identical_across_dims(self):
         traj = solve(get_problem("linear"), PriorSpec(1, sigma=1.0), 0.1, ZeroNoise())
@@ -327,3 +352,44 @@ class TestTrajectoryInvariants:
         w = np.linalg.eigvalsh(posterior.P[0])
         assert w.min() >= -1e-10 * max(np.trace(posterior.P[0]), 1.0)
         assert np.abs(posterior.P[0] - posterior.P[0].T).max() <= 1e-12
+
+
+def replay(problem, prior, h, noise):
+    """The step kernel driven by hand: initialize, then predict / evaluate / update."""
+    tm = prior.transition(h)
+    R = noise.evaluate(h)
+    belief = initialize(problem, prior, h)
+    records = []
+    for _ in range(round(problem.T / h)):
+        pred = predict(belief, tm)
+        y = evaluate_data(problem.f, pred.m)
+        belief, record = update(pred, y, R)
+        records.append(record)
+    return records
+
+
+class TestOneKernelReplay:
+    @pytest.mark.parametrize(
+        "name,q", [("logistic", 1), ("logistic", 2), ("logistic", 3), ("logistic", 4), ("linear", 2)]
+    )
+    @pytest.mark.parametrize("noise_spec", ["zero", "power:{q}:1"])
+    def test_solve_arrays_equal_replay(self, name, q, noise_spec):
+        problem = get_problem(name)
+        prior = PriorSpec(q, sigma=1.0)
+        noise = parse_noise(noise_spec.format(q=q))
+        h = 0.1
+        traj = solve(problem, prior, h, noise)
+        records = replay(problem, prior, h, noise)
+        assert not traj.diverged
+        assert len(traj.y) == len(records)
+        stacked = {
+            field: np.stack([getattr(rec, field) for rec in records])
+            for field in ("m_pred", "y", "P_pred", "P_post", "beta", "m_post")
+        }
+        np.testing.assert_array_equal(traj.m_pred, stacked["m_pred"])
+        np.testing.assert_array_equal(traj.y, stacked["y"])
+        np.testing.assert_array_equal(traj.m_post, stacked["m_post"])
+        for j in range(problem.d):
+            np.testing.assert_array_equal(traj.P_pred, stacked["P_pred"][:, j])
+            np.testing.assert_array_equal(traj.P_post, stacked["P_post"][:, j])
+            np.testing.assert_array_equal(traj.beta, stacked["beta"][:, :, j])

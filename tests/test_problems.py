@@ -173,6 +173,19 @@ class TestRegistry:
     def test_lookup(self):
         assert get_problem("riccati").name == "riccati"
 
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_lookup_is_memoized(self, name):
+        assert get_problem(name) is get_problem(name)
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_shared_x0_is_read_only(self, name):
+        problem = get_problem(name)
+        with pytest.raises(ValueError):
+            problem.x0[0] = 0.5
+
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            get_problem("van-der-pol")
+        cached = get_problem.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                get_problem("van-der-pol")
+        assert get_problem.cache_info().currsize == cached
