@@ -18,7 +18,6 @@ from .diagnostics import (
     fit_order,
     global_error,
     h_norm,
-    loglog_slope,
     misalignment,
 )
 from .filtering import (
@@ -30,6 +29,7 @@ from .filtering import (
     SingularInnovation,
     StepRecord,
     Trajectory,
+    covariance_pass,
     evaluate_data,
     gain,
     initialize,
@@ -48,26 +48,20 @@ from .noise import (
 from .priors import (
     IBM,
     IOUP,
-    DimensionMismatch,
-    MultiDimDrift,
     PriorSpec,
     TransitionModel,
     companion_matrix,
     ibm_transition,
     ioup_transition,
-    kron_extend,
     lti_transition,
-    transition_oracle,
 )
 from .problems import (
     IVProblem,
     MissingDerivative,
-    OracleNotConverged,
     PROBLEMS,
     get_problem,
     linear_rotation,
     logistic,
-    reference_solve,
     riccati,
 )
 from .steady_state import (

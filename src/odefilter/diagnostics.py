@@ -26,7 +26,6 @@ __all__ = [
     "fit_order",
     "global_error",
     "h_norm",
-    "loglog_slope",
     "misalignment",
 ]
 
@@ -115,11 +114,11 @@ def credible_width(traj: Trajectory, problem: Optional[IVProblem] = None) -> Cre
 
     Ratios |eps0| / sqrt(P00) per dimension are included when a problem
     with an exact solution is supplied (0/0 counts as 1, the calibrated
-    value of an exactly pinned state).
+    value of an exactly pinned state).  Every dimension shares the
+    covariance, so sqrt(P00) is taken once per mesh point and repeated.
     """
     times = traj.times()
-    covs = traj.covariances()
-    widths = np.sqrt(covs[:, :, 0, 0])
+    widths = np.repeat(np.sqrt(traj.covariances()[:, 0, 0])[:, None], traj.d, axis=1)
     ratios = None
     if problem is not None:
         if problem.exact is None:
@@ -183,8 +182,3 @@ def fit_order(
         intercept=float(intercept),
         r_squared=r_squared,
     )
-
-
-def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Plain least-squares slope of log y against log x (no guards)."""
-    return float(np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ys)), 1)[0])

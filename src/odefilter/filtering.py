@@ -1,10 +1,11 @@
 """The Gaussian ODE filter: initialize, predict, measure, update, iterate.
 
 The belief at time t is a Gaussian over the solution value and its first
-q derivatives, held per output dimension (the prior treats dimensions as
-independent).  A step of size h first pushes mean and covariance through
-the prior transition, then treats a single vector-field evaluation at the
-predicted value as data on the first derivative and conditions on it:
+q derivatives: a mean per output dimension and one covariance that every
+dimension shares (the prior treats dimensions as independent and alike).
+A step of size h first pushes mean and covariance through the prior
+transition, then treats a single vector-field evaluation at the predicted
+value as data on the first derivative and conditions on it:
 
     m_pred = A m                      P_pred = A P A^T + Q
     y      = f(m_pred[0])             beta   = P_pred[:, 1] / (P_pred[1, 1] + R)
@@ -12,18 +13,20 @@ predicted value as data on the first derivative and conditions on it:
     m      = m_pred + beta r          P      = P_pred - outer / (P_pred[1, 1] + R)
 
 All steps of a solve share one (A, Q) pair (the mesh is uniform) and one
-measurement variance R, and the covariance recursion never sees the data,
-so one covariance track serves every dimension.  ``solve`` writes each
-step into preallocated arrays (means and data per dimension; covariances
-and gains once), from which diagnostics replay predictive quantities,
-gains, residuals and posteriors; ``Trajectory.records`` rebuilds the
-per-step StepRecord view from them on demand.
+measurement variance R, and the covariance recursion never sees the data.
+``covariance_pass`` is that recursion, and the only loop that runs it:
+``solve`` zips it with its mesh loop of mean updates, and the steady-state
+orbits of ``steady_state`` iterate it alone.  ``solve`` writes each step
+into preallocated arrays (means and data per dimension; covariances and
+gains once), from which diagnostics replay predictive quantities, gains,
+residuals and posteriors; ``Trajectory.records`` rebuilds the per-step
+StepRecord view from them on demand.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -41,6 +44,7 @@ __all__ = [
     "SingularInnovation",
     "StepRecord",
     "Trajectory",
+    "covariance_pass",
     "evaluate_data",
     "gain",
     "initialize",
@@ -88,7 +92,7 @@ InitMode = Union[ExactInit, PerturbedInit]
 
 @dataclasses.dataclass(frozen=True)
 class Belief:
-    """Filtering state: mean stack m (q+1, d) and covariances P (d, q+1, q+1)."""
+    """Filtering state: mean stack m (q+1, d) and the shared covariance P (q+1, q+1)."""
 
     t: float
     m: np.ndarray
@@ -104,15 +108,19 @@ class Belief:
 
     def validate(self) -> None:
         assert np.all(np.isfinite(self.m)), "mean must be finite"
-        for Pj in self.P:
-            assert np.max(np.abs(Pj - Pj.T)) <= 1e-12, "covariance must be symmetric"
-            floor = -1e-10 * max(np.trace(Pj), 0.0)
-            assert np.linalg.eigvalsh(Pj).min() >= floor, "covariance must be PSD"
+        P = self.P
+        assert np.max(np.abs(P - P.T)) <= 1e-12, "covariance must be symmetric"
+        floor = -1e-10 * max(np.trace(P), 0.0)
+        assert np.linalg.eigvalsh(P).min() >= floor, "covariance must be PSD"
 
 
 @dataclasses.dataclass(frozen=True)
 class StepRecord:
-    """Everything one filter step computed, for audit and diagnostics."""
+    """Everything one filter step computed, for audit and diagnostics.
+
+    Means, data and residuals are (q+1, d) or (d,); the covariances
+    P_pred, P_post (q+1, q+1) and the gain beta (q+1,) serve every dimension.
+    """
 
     t_next: float
     m_pred: np.ndarray
@@ -164,23 +172,17 @@ class Trajectory:
 
     @property
     def records(self) -> tuple:
-        """One StepRecord per step, built from the arrays on each access.
-
-        Covariances and gains come back in their per-dimension shapes,
-        (d, q+1, q+1) and (q+1, d), as read-only broadcasts of the shared
-        track.
-        """
-        q, d = self.q, self.d
+        """One StepRecord per step, built from (read-only) array rows on each access."""
         return tuple(
             StepRecord(
                 t_next=(n + 1) * self.h,
                 m_pred=self.m_pred[n],
-                P_pred=np.broadcast_to(self.P_pred[n], (d, q + 1, q + 1)),
+                P_pred=self.P_pred[n],
                 y=self.y[n],
                 r=self.y[n] - self.m_pred[n, 1],
-                beta=np.broadcast_to(self.beta[n][:, None], (q + 1, d)),
+                beta=self.beta[n],
                 m_post=self.m_post[n],
-                P_post=np.broadcast_to(self.P_post[n], (d, q + 1, q + 1)),
+                P_post=self.P_post[n],
             )
             for n in range(len(self.y))
         )
@@ -194,9 +196,8 @@ class Trajectory:
         return np.concatenate((self.initial.m[None], self.m_post))
 
     def covariances(self) -> np.ndarray:
-        """(N+1, d, q+1, q+1) stack of posterior covariances."""
-        shared = np.broadcast_to(self.P_post[:, None], (len(self.y),) + self.initial.P.shape)
-        return np.concatenate((self.initial.P[None], shared))
+        """(N+1, q+1, q+1) stack of posterior covariances, t = 0 included."""
+        return np.concatenate((self.initial.P[None], self.P_post))
 
     def residual_norms(self) -> np.ndarray:
         return _row_norms(self.y - self.m_pred[:, 1])
@@ -215,22 +216,19 @@ def initialize(
     q, d = prior.q, problem.d
     x0 = np.asarray(problem.x0, dtype=float)
     m = np.stack([np.asarray(problem.derivative(i)(x0), dtype=float) for i in range(q + 1)])
-    P = np.zeros((d, q + 1, q + 1))
+    P = np.zeros((q + 1, q + 1))
     if isinstance(mode, PerturbedInit):
         rng = np.random.default_rng(mode.seed)
         bounds = mode.k0 * h ** (q + 1 - np.arange(q + 1, dtype=float))
         m = m + rng.uniform(-1.0, 1.0, size=(q + 1, d)) * bounds[:, None]
         scale = h ** (q - np.arange(q + 1, dtype=float))
-        P0 = _psd_floor(mode.k0 * h * np.outer(scale, scale))
-        P = np.broadcast_to(P0, (d, q + 1, q + 1)).copy()
+        P = _psd_floor(mode.k0 * h * np.outer(scale, scale))
     return Belief(t=0.0, m=m, P=P)
 
 
 def predict(belief: Belief, tm: TransitionModel) -> Belief:
     """Push the belief through the prior transition: the predictive belief."""
-    m_pred = tm.A @ belief.m
-    P_pred = np.stack([predict_covariance(Pj, tm) for Pj in belief.P])
-    return Belief(t=belief.t + tm.h, m=m_pred, P=P_pred)
+    return Belief(t=belief.t + tm.h, m=tm.A @ belief.m, P=predict_covariance(belief.P, tm))
 
 
 def evaluate_data(f: Callable[[np.ndarray], np.ndarray], m_pred: np.ndarray) -> np.ndarray:
@@ -258,9 +256,8 @@ def update(pred: Belief, y: np.ndarray, R: float):
     """
     y = np.asarray(y, dtype=float)
     r = y - pred.m[1]
-    betas = np.stack([gain(Pj, R) for Pj in pred.P], axis=1)  # (q+1, d)
-    m_post = pred.m + betas * r[None, :]
-    P_post = np.stack([update_covariance(Pj, R)[0] for Pj in pred.P])
+    P_post, beta = update_covariance(pred.P, R)
+    m_post = pred.m + beta[:, None] * r[None, :]
     posterior = Belief(t=pred.t, m=m_post, P=P_post)
     record = StepRecord(
         t_next=pred.t,
@@ -268,7 +265,7 @@ def update(pred: Belief, y: np.ndarray, R: float):
         P_pred=pred.P,
         y=y,
         r=r,
-        beta=betas,
+        beta=beta,
         m_post=m_post,
         P_post=P_post,
     )
@@ -284,7 +281,8 @@ def solve(
 ) -> Trajectory:
     """Run the filter over the uniform mesh {h, 2h, ..., T}.
 
-    The covariance recursion never sees the data, and every dimension
+    The mesh loop runs the mean arithmetic of each step and takes the
+    step's covariances and gain from ``covariance_pass``; every dimension
     shares the prior and the initial covariance, so one covariance track
     serves all d dimensions.  Each step is written into arrays allocated
     for the whole mesh.
@@ -328,20 +326,17 @@ def solve(
 
     A, f = tm.A, problem.f
     m = initial.m
-    # Both init modes give every dimension the same initial covariance.
-    P = initial.P[0]
     reached = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
+        # zip asks range first, so the pass runs no step beyond the mesh.
+        for n, (Pp, P, b) in zip(range(n_steps), covariance_pass(tm, R, initial.P)):
             mp = A @ m
-            Pp = predict_covariance(P, tm)
             if not np.isfinite(mp).all():
                 break
             try:
                 yn = evaluate_data(f, mp)
             except DivergedEvaluation:
                 break
-            P, b = update_covariance(Pp, R)
             m = mp + b[:, None] * (yn - mp[1])[None, :]
             m_pred[n], y[n], P_pred[n], P_post[n], beta[n], m_post[n] = mp, yn, Pp, P, b, m
             reached = n + 1
@@ -349,6 +344,18 @@ def solve(
     for a in arrays:
         a.setflags(write=False)
     return Trajectory(problem.name, config, initial, *arrays, diverged=reached < n_steps)
+
+
+def covariance_pass(tm: TransitionModel, R: float, P: np.ndarray) -> Iterator[tuple]:
+    """The data-free covariance recursion from P: yields (P_pred, P_post, beta) per step.
+
+    Each step is ``predict_covariance`` then ``update_covariance``, looked
+    up at call time.  The generator never ends; callers bound it.
+    """
+    while True:
+        P_pred = predict_covariance(P, tm)
+        P, beta = update_covariance(P_pred, R)
+        yield P_pred, P, beta
 
 
 def predict_covariance(P: np.ndarray, tm: TransitionModel) -> np.ndarray:

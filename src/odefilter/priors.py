@@ -11,9 +11,8 @@ through an exact matrix pair ``(A(h), Q(h))``:
 This module builds the continuous-time model (drift ``F``, diffusion ``L``)
 and the discrete pair: IBM uses its polynomial closed form, and every other
 prior the generic ``lti_transition`` (a Van Loan block exponential over a
-short step, then exact doubling).  It also exposes a quadrature-based
-oracle used to cross-check both, and extends the model to coupled output
-dimensions via Kronecker products.
+short step, then exact doubling).  The quadrature oracle that
+cross-checks both lives with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -27,24 +26,16 @@ import numpy as np
 __all__ = [
     "IBM",
     "IOUP",
-    "DimensionMismatch",
-    "MultiDimDrift",
     "PriorSpec",
     "TransitionModel",
     "companion_matrix",
     "ibm_transition",
     "ioup_transition",
-    "kron_extend",
     "lti_transition",
-    "transition_oracle",
 ]
 
 IBM = "ibm"
 IOUP = "ioup"
-
-
-class DimensionMismatch(ValueError):
-    """Kronecker factor matrices disagree in size."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,16 +89,6 @@ class TransitionModel:
     h: float
     A: np.ndarray
     Q: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True)
-class MultiDimDrift:
-    """Kronecker-coupled drift/diffusion for dependent output dimensions."""
-
-    Kx: np.ndarray
-    Keps: np.ndarray
-    F_big: np.ndarray
-    L_big: np.ndarray
 
 
 def companion_matrix(q: int, a: Sequence[float]) -> np.ndarray:
@@ -194,56 +175,6 @@ def lti_transition(F: np.ndarray, L: np.ndarray, sigma: float, h: float) -> Tran
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(Q))):
         raise ValueError(f"(A, Q) overflows at h = {h:g}")
     return TransitionModel(h=h, A=A, Q=Q)
-
-
-def transition_oracle(
-    F: np.ndarray, L: np.ndarray, sigma: float, h: float, nodes: int = 50
-) -> TransitionModel:
-    """Numerical (A, Q) straight from the SDE definition; test oracle only.
-
-    A = expm(h F), and Q integrates expm(F(h-tau)) sigma^2 L L^T
-    expm(F(h-tau))^T over [0, h] with Gauss-Legendre quadrature.  The
-    default 50 nodes are exact for the polynomial IBM integrand up to
-    q = 4 and converged for IOUP at the tested theta*h <= 5.  This path is
-    deliberately independent of the closed form and of the Van Loan block
-    above; it shares only ``_expm``.
-    """
-    F = np.asarray(F, dtype=float)
-    if F.ndim != 2 or F.shape[0] != F.shape[1]:
-        raise ValueError("F must be square")
-    L = np.asarray(L, dtype=float)
-    if L.ndim == 1:
-        L = L[:, None]
-    if L.shape[0] != F.shape[0]:
-        raise ValueError("L must conform with F")
-    A = _expm(h * F)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    taus = 0.5 * h * (x + 1.0)
-    weights = 0.5 * h * w
-    S = sigma**2 * (L @ L.T)
-    E = _expm(F[None, :, :] * (h - taus)[:, None, None])
-    Q = np.einsum("k,kij,jl,kml->im", weights, E, S, E)
-    return TransitionModel(h=h, A=A, Q=0.5 * (Q + Q.T))
-
-
-def kron_extend(Kx: np.ndarray, Keps: np.ndarray, prior: PriorSpec) -> MultiDimDrift:
-    """Couple d output dimensions through Kronecker products.
-
-    Returns the enlarged drift ``Kx (x) F`` and diffusion ``Keps (x) L``;
-    identity factors reproduce d independent copies of the scalar model.
-    """
-    Kx = np.asarray(Kx, dtype=float)
-    Keps = np.asarray(Keps, dtype=float)
-    for name, K in (("Kx", Kx), ("Keps", Keps)):
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise DimensionMismatch(f"{name} must be square, got shape {K.shape}")
-    if Kx.shape != Keps.shape:
-        raise DimensionMismatch(
-            f"Kx and Keps must have the same size, got {Kx.shape} and {Keps.shape}"
-        )
-    F = prior.drift_matrix()
-    L = prior.diffusion_vector()[:, None]
-    return MultiDimDrift(Kx=Kx, Keps=Keps, F_big=np.kron(Kx, F), L_big=np.kron(Keps, L))
 
 
 def _check_step(sigma: float, h: float) -> None:

@@ -1,4 +1,4 @@
-"""Benchmark initial value problems and a classical reference integrator.
+"""Benchmark initial value problems with exact solutions and derivative chains.
 
 Each problem bundles the vector field, the initial value, a horizon, a
 closed-form solution, and analytic total derivatives of the solution map:
@@ -9,8 +9,8 @@ so the whole derivative chain is generated exactly by polynomial algebra;
 the linear system uses matrix powers.
 
 Closed-form solutions are validated at load time against the ODE by
-finite differences, and ``reference_solve`` provides an independent RK4
-oracle for anything a test does not want to trust.
+finite differences; the independent RK4 oracle that checks them lives
+with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -26,13 +26,10 @@ from numpy.polynomial import Polynomial
 __all__ = [
     "IVProblem",
     "MissingDerivative",
-    "OracleNotConverged",
     "PROBLEMS",
-    "ReferenceSolution",
     "get_problem",
     "linear_rotation",
     "logistic",
-    "reference_solve",
     "riccati",
 ]
 
@@ -42,10 +39,6 @@ DERIVATIVE_DEPTH = 6
 
 class MissingDerivative(LookupError):
     """The problem does not supply the requested total derivative."""
-
-
-class OracleNotConverged(RuntimeError):
-    """The reference integrator's Richardson self-check exceeded 1e-8."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,69 +187,3 @@ def get_problem(name: str) -> IVProblem:
     problem = factory()
     problem.x0.setflags(write=False)
     return problem
-
-
-@dataclasses.dataclass
-class ReferenceSolution:
-    """Dense RK4 solution table with cubic Hermite interpolation."""
-
-    ts: np.ndarray
-    xs: np.ndarray
-    fs: np.ndarray
-    richardson_error: float
-
-    def __call__(self, t: float) -> np.ndarray:
-        ts, xs, fs = self.ts, self.xs, self.fs
-        if not ts[0] <= t <= ts[-1]:
-            raise ValueError(f"t={t:g} outside the table range [{ts[0]:g}, {ts[-1]:g}]")
-        k = min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
-        k = max(k, 0)
-        h = ts[k + 1] - ts[k]
-        s = (t - ts[k]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * xs[k] + h10 * h * fs[k] + h01 * xs[k + 1] + h11 * h * fs[k + 1]
-
-
-def _rk4_table(f, x0: np.ndarray, T: float, n_steps: int):
-    h = T / n_steps
-    xs = np.empty((n_steps + 1, len(x0)))
-    xs[0] = x0
-    x = np.array(x0, dtype=float)
-    for n in range(n_steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        xs[n + 1] = x
-    return np.linspace(0.0, T, n_steps + 1), xs
-
-
-def reference_solve(problem: IVProblem, h_ref: float) -> ReferenceSolution:
-    """Fixed-step RK4 oracle at step h_ref, self-checked by Richardson.
-
-    Runs at h_ref and h_ref/2 and compares on the shared nodes; the
-    discrepancy is reported on the result and must come in below 1e-8 for
-    the table to count as an oracle (OracleNotConverged otherwise).  The
-    finer run backs the returned table.
-    """
-    if not h_ref > 0.0:
-        raise ValueError("h_ref must be positive")
-    if h_ref > 1e-4 * problem.T:
-        raise ValueError(f"h_ref must be <= 1e-4 * T = {1e-4 * problem.T:g}")
-    n_steps = int(round(problem.T / h_ref))
-    x0 = np.asarray(problem.x0, dtype=float)
-    _, coarse = _rk4_table(problem.f, x0, problem.T, n_steps)
-    ts, fine = _rk4_table(problem.f, x0, problem.T, 2 * n_steps)
-    with np.errstate(invalid="ignore"):
-        estimate = float(np.max(np.linalg.norm(coarse - fine[::2], axis=1)))
-    if not estimate < 1e-8:
-        raise OracleNotConverged(
-            f"Richardson estimate {estimate:.3e} for {problem.name!r} at h_ref={h_ref:g} "
-            "exceeds 1e-8"
-        )
-    fs = np.stack([problem.f(x) for x in fine])
-    return ReferenceSolution(ts=ts, xs=fine, fs=fs, richardson_error=estimate)

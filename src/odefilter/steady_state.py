@@ -4,8 +4,9 @@ For q = 1 the covariance recursion decouples from the data and follows a
 discrete algebraic Riccati equation.  Its velocity block and the gains
 converge to unique attractive fixed points with closed forms in
 (h, sigma, R); the position variance has no fixed point (that state is
-undetectable) and is deliberately excluded.  ``dare_orbit`` iterates the
-exact recursion as a numerical oracle, and ``verify_order_bounds``
+undetectable) and is deliberately excluded.  ``dare_orbit`` and
+``orbit_limit`` iterate ``filtering.covariance_pass``, the same recursion
+``solve`` runs, as a numerical oracle, and ``verify_order_bounds``
 measures the h-orders of the maximal covariance/gain quantities against
 the predicted exponents for a power-law noise model R = K_R h^p.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -95,9 +97,9 @@ def dare_orbit(
 ) -> list:
     """Iterate the exact q = 1 covariance recursion from P0.
 
-    Returns ``n_steps`` triples (P_pred, P, beta); the orbit is exactly
-    the covariance sequence a solve produces, because the same predict
-    and update routines run underneath.
+    Returns ``n_steps`` triples (P_pred, P, beta) of
+    ``filtering.covariance_pass``; from P0 = 0 the orbit is exactly the
+    covariance sequence of a q = 1 IBM solve.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -105,13 +107,7 @@ def dare_orbit(
     P = np.array(P0, dtype=float)
     if P.shape != (2, 2):
         raise ValueError("P0 must be a 2x2 matrix")
-    orbit = []
-    for _ in range(n_steps):
-        P_pred = filtering.predict_covariance(P, tm)
-        beta = filtering.gain(P_pred, R)
-        P, _ = filtering.update_covariance(P_pred, R)
-        orbit.append((P_pred, P.copy(), beta))
-    return orbit
+    return list(islice(filtering.covariance_pass(tm, R, P), n_steps))
 
 
 def orbit_limit(
@@ -122,14 +118,14 @@ def orbit_limit(
     tol: float = 1e-13,
     max_steps: int = 200_000,
 ) -> SteadyState:
-    """Run dare_orbit until the six tracked quantities settle below tol."""
+    """Iterate the covariance pass until the six tracked quantities settle below tol.
+
+    Raises RuntimeError if they have not settled after ``max_steps`` steps.
+    """
     tm = ibm_transition(1, sigma, h)
-    P = np.zeros((2, 2)) if P0 is None else np.array(P0, dtype=float)
+    P0 = np.zeros((2, 2)) if P0 is None else np.array(P0, dtype=float)
     previous = None
-    for _ in range(max_steps):
-        P_pred = filtering.predict_covariance(P, tm)
-        beta = filtering.gain(P_pred, R)
-        P, _ = filtering.update_covariance(P_pred, R)
+    for P_pred, P, beta in islice(filtering.covariance_pass(tm, R, P0), max_steps):
         current = np.array(
             [P_pred[1, 1], P[1, 1], P_pred[0, 1], P[0, 1], beta[0], beta[1]]
         )
@@ -196,12 +192,13 @@ def verify_order_bounds(
     maxima = np.empty((len(hs), len(ORDER_BOUND_QUANTITIES)))
     for row, h in enumerate(hs):
         orbit = dare_orbit(h, sigma, noise.evaluate(h), np.zeros((2, 2)), round(T / h))
+        P_pred, P, beta = map(np.array, zip(*orbit))
         maxima[row] = [
-            max(t[0][1, 1] for t in orbit),
-            max(t[1][1, 1] for t in orbit),
-            max(abs(t[1][0, 1]) for t in orbit),
-            max(abs(t[2][0]) for t in orbit),
-            max(abs(1.0 - t[2][1]) for t in orbit),
+            P_pred[:, 1, 1].max(),
+            P[:, 1, 1].max(),
+            np.abs(P[:, 0, 1]).max(),
+            np.abs(beta[:, 0]).max(),
+            np.abs(1.0 - beta[:, 1]).max(),
         ]
     fits = []
     keep = slice(drop_largest, None)

@@ -1,0 +1,157 @@
+"""Test-only oracles, independent of the code paths they check.
+
+A quadrature ``(A, Q)`` straight from the SDE definition, Kronecker
+coupling of output dimensions (to check that identity factors reduce to
+the scalar model the solver uses), a Richardson-checked RK4 reference
+integrator, and an unguarded log-log slope.  The tests import them as
+``from oracles import ...``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from typing import Sequence
+
+import numpy as np
+
+from odefilter.priors import PriorSpec, TransitionModel, _expm
+from odefilter.problems import IVProblem
+
+
+class DimensionMismatch(ValueError):
+    """Kronecker factor matrices disagree in size."""
+
+
+class OracleNotConverged(RuntimeError):
+    """The reference integrator's Richardson self-check exceeded 1e-8."""
+
+
+@dataclasses.dataclass(frozen=True)
+class MultiDimDrift:
+    """Kronecker-coupled drift/diffusion for dependent output dimensions."""
+
+    Kx: np.ndarray
+    Keps: np.ndarray
+    F_big: np.ndarray
+    L_big: np.ndarray
+
+
+def transition_oracle(
+    F: np.ndarray, L: np.ndarray, sigma: float, h: float, nodes: int = 50
+) -> TransitionModel:
+    """Numerical (A, Q) straight from the SDE definition; test oracle only.
+
+    A = expm(h F), and Q integrates expm(F(h-tau)) sigma^2 L L^T
+    expm(F(h-tau))^T over [0, h] with Gauss-Legendre quadrature.  The
+    default 50 nodes are exact for the polynomial IBM integrand up to
+    q = 4 and converged for IOUP at the tested theta*h <= 5.  This path is
+    deliberately independent of the closed form and of the Van Loan block
+    in ``odefilter.priors``; it shares only ``_expm``.
+    """
+    F = np.asarray(F, dtype=float)
+    if F.ndim != 2 or F.shape[0] != F.shape[1]:
+        raise ValueError("F must be square")
+    L = np.asarray(L, dtype=float)
+    if L.ndim == 1:
+        L = L[:, None]
+    if L.shape[0] != F.shape[0]:
+        raise ValueError("L must conform with F")
+    A = _expm(h * F)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    taus = 0.5 * h * (x + 1.0)
+    weights = 0.5 * h * w
+    S = sigma**2 * (L @ L.T)
+    E = _expm(F[None, :, :] * (h - taus)[:, None, None])
+    Q = np.einsum("k,kij,jl,kml->im", weights, E, S, E)
+    return TransitionModel(h=h, A=A, Q=0.5 * (Q + Q.T))
+
+
+def kron_extend(Kx: np.ndarray, Keps: np.ndarray, prior: PriorSpec) -> MultiDimDrift:
+    """Couple d output dimensions through Kronecker products.
+
+    Returns the enlarged drift ``Kx (x) F`` and diffusion ``Keps (x) L``;
+    identity factors reproduce d independent copies of the scalar model.
+    """
+    Kx = np.asarray(Kx, dtype=float)
+    Keps = np.asarray(Keps, dtype=float)
+    for name, K in (("Kx", Kx), ("Keps", Keps)):
+        if K.ndim != 2 or K.shape[0] != K.shape[1]:
+            raise DimensionMismatch(f"{name} must be square, got shape {K.shape}")
+    if Kx.shape != Keps.shape:
+        raise DimensionMismatch(
+            f"Kx and Keps must have the same size, got {Kx.shape} and {Keps.shape}"
+        )
+    F = prior.drift_matrix()
+    L = prior.diffusion_vector()[:, None]
+    return MultiDimDrift(Kx=Kx, Keps=Keps, F_big=np.kron(Kx, F), L_big=np.kron(Keps, L))
+
+
+@dataclasses.dataclass
+class ReferenceSolution:
+    """Dense RK4 solution table with cubic Hermite interpolation."""
+
+    ts: np.ndarray
+    xs: np.ndarray
+    fs: np.ndarray
+    richardson_error: float
+
+    def __call__(self, t: float) -> np.ndarray:
+        ts, xs, fs = self.ts, self.xs, self.fs
+        if not ts[0] <= t <= ts[-1]:
+            raise ValueError(f"t={t:g} outside the table range [{ts[0]:g}, {ts[-1]:g}]")
+        k = min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
+        k = max(k, 0)
+        h = ts[k + 1] - ts[k]
+        s = (t - ts[k]) / h
+        h00 = (1 + 2 * s) * (1 - s) ** 2
+        h10 = s * (1 - s) ** 2
+        h01 = s * s * (3 - 2 * s)
+        h11 = s * s * (s - 1)
+        return h00 * xs[k] + h10 * h * fs[k] + h01 * xs[k + 1] + h11 * h * fs[k + 1]
+
+
+def _rk4_table(f, x0: np.ndarray, T: float, n_steps: int):
+    h = T / n_steps
+    xs = np.empty((n_steps + 1, len(x0)))
+    xs[0] = x0
+    x = np.array(x0, dtype=float)
+    for n in range(n_steps):
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        xs[n + 1] = x
+    return np.linspace(0.0, T, n_steps + 1), xs
+
+
+def reference_solve(problem: IVProblem, h_ref: float) -> ReferenceSolution:
+    """Fixed-step RK4 oracle at step h_ref, self-checked by Richardson.
+
+    Runs at h_ref and h_ref/2 and compares on the shared nodes; the
+    discrepancy is reported on the result and must come in below 1e-8 for
+    the table to count as an oracle (OracleNotConverged otherwise).  The
+    finer run backs the returned table.
+    """
+    if not h_ref > 0.0:
+        raise ValueError("h_ref must be positive")
+    if h_ref > 1e-4 * problem.T:
+        raise ValueError(f"h_ref must be <= 1e-4 * T = {1e-4 * problem.T:g}")
+    n_steps = int(round(problem.T / h_ref))
+    x0 = np.asarray(problem.x0, dtype=float)
+    _, coarse = _rk4_table(problem.f, x0, problem.T, n_steps)
+    ts, fine = _rk4_table(problem.f, x0, problem.T, 2 * n_steps)
+    with np.errstate(invalid="ignore"):
+        estimate = float(np.max(np.linalg.norm(coarse - fine[::2], axis=1)))
+    if not estimate < 1e-8:
+        raise OracleNotConverged(
+            f"Richardson estimate {estimate:.3e} for {problem.name!r} at h_ref={h_ref:g} "
+            "exceeds 1e-8"
+        )
+    fs = np.stack([problem.f(x) for x in fine])
+    return ReferenceSolution(ts=ts, xs=fine, fs=fs, richardson_error=estimate)
+
+
+def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Plain least-squares slope of log y against log x (no guards)."""
+    return float(np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ys)), 1)[0])

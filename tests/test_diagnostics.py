@@ -12,13 +12,13 @@ from odefilter.diagnostics import (
     fit_order,
     global_error,
     h_norm,
-    loglog_slope,
     misalignment,
 )
 from odefilter.filtering import solve
 from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise
 from odefilter.priors import PriorSpec
 from odefilter.problems import IVProblem, get_problem, logistic, riccati
+from oracles import loglog_slope
 
 SQRT10 = math.sqrt(10.0)
 

@@ -76,7 +76,7 @@ class TestInitialize:
         for k in range(q + 1):
             for ell in range(q + 1):
                 expected = k0 * h ** (2 * q + 1 - k - ell)
-                assert belief.P[0, k, ell] == pytest.approx(expected, rel=1e-12)
+                assert belief.P[k, ell] == pytest.approx(expected, rel=1e-12)
         belief.validate()
 
     def test_missing_derivative(self):
@@ -101,12 +101,10 @@ class TestPredict:
     def test_riccati_first_step_covariance_is_q(self):
         belief = initialize(riccati(), PriorSpec(1, sigma=SQRT10), 0.1)
         pred = predict(belief, ibm_transition(1, SQRT10, 0.1))
-        np.testing.assert_allclose(pred.P[0], GOLDEN_Q, atol=1e-15)
+        np.testing.assert_allclose(pred.P, GOLDEN_Q, atol=1e-15)
 
     def test_identity_transition_is_noop(self):
-        belief = Belief(
-            t=0.0, m=np.array([[1.0], [2.0]]), P=np.array([[[0.5, 0.1], [0.1, 0.3]]])
-        )
+        belief = Belief(t=0.0, m=np.array([[1.0], [2.0]]), P=np.array([[0.5, 0.1], [0.1, 0.3]]))
         from odefilter.priors import TransitionModel
 
         tm = TransitionModel(h=1.0, A=np.eye(2), Q=np.zeros((2, 2)))
@@ -156,7 +154,7 @@ class TestUpdate:
         return Belief(
             t=0.1,
             m=np.array([[19 / 20], [-0.5]]),
-            P=GOLDEN_Q[None, :, :].copy(),
+            P=GOLDEN_Q.copy(),
         )
 
     def test_golden_residual_and_mean(self):
@@ -169,7 +167,7 @@ class TestUpdate:
     def test_zero_noise_pins_velocity_to_data(self):
         y = np.array([-0.404])
         posterior, record = update(self.pred_belief(), y, 0.0)
-        assert record.beta[1, 0] == 1.0
+        assert record.beta[1] == 1.0
         assert posterior.m[1, 0] == y[0]
 
     def test_zero_residual_keeps_mean(self):
@@ -180,8 +178,8 @@ class TestUpdate:
     @pytest.mark.parametrize("R", [0.0, 1e-4, 0.3, 7.0])
     def test_gain_covariance_identities(self, R):
         posterior, record = update(self.pred_belief(), np.array([-0.42]), R)
-        P = posterior.P[0]
-        beta = record.beta[:, 0]
+        P = posterior.P
+        beta = record.beta
         assert abs(P[0, 1] - R * beta[0]) <= 1e-12
         assert abs(P[1, 1] - R * beta[1]) <= 1e-12
 
@@ -192,10 +190,10 @@ class TestSolve:
         rec = traj.records[0]
         assert abs(rec.m_pred[0, 0] - 19 / 20) <= 1e-14
         assert abs(rec.m_pred[1, 0] + 0.5) <= 1e-14
-        assert np.abs(rec.P_pred[0] - GOLDEN_Q).max() <= 1e-14
+        assert np.abs(rec.P_pred - GOLDEN_Q).max() <= 1e-14
         assert abs(rec.y[0] + 6859 / 16000) <= 1e-14
-        assert abs(rec.beta[0, 0] - 1 / 20) <= 1e-14
-        assert abs(rec.beta[1, 0] - 1.0) <= 1e-14
+        assert abs(rec.beta[0] - 1 / 20) <= 1e-14
+        assert abs(rec.beta[1] - 1.0) <= 1e-14
         assert abs(rec.r[0] - 1141 / 16000) <= 1e-14
         assert abs(rec.m_post[0, 0] - 305141 / 320000) <= 1e-14
         assert abs(rec.m_post[1, 0] + 6859 / 16000) <= 1e-14
@@ -279,29 +277,22 @@ class TestSolve:
         assert np.all(np.isfinite(traj.m_post))
 
     def test_records_view_matches_arrays(self):
-        q, d = 2, 2
+        q = 2
         traj = solve(get_problem("linear"), PriorSpec(q, sigma=1.0), 0.1, ConstantNoise(R=0.3))
         times = traj.times()
         for n, rec in enumerate(traj.records):
             assert rec.t_next == times[n + 1]
-            assert rec.P_pred.shape == rec.P_post.shape == (d, q + 1, q + 1)
-            assert rec.beta.shape == (q + 1, d)
-            for j in range(d):
-                np.testing.assert_array_equal(rec.P_pred[j], traj.P_pred[n])
-                np.testing.assert_array_equal(rec.P_post[j], traj.P_post[n])
-                np.testing.assert_array_equal(rec.beta[:, j], traj.beta[n])
+            assert rec.P_pred.shape == rec.P_post.shape == (q + 1, q + 1)
+            assert rec.beta.shape == (q + 1,)
+            np.testing.assert_array_equal(rec.P_pred, traj.P_pred[n])
+            np.testing.assert_array_equal(rec.P_post, traj.P_post[n])
+            np.testing.assert_array_equal(rec.beta, traj.beta[n])
             np.testing.assert_array_equal(rec.r, traj.y[n] - traj.m_pred[n, 1])
             np.testing.assert_array_equal(rec.m_post, traj.m_post[n])
         with pytest.raises(ValueError):
             traj.m_post[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            traj.records[0].P_post[0, 0, 0] = 1.0
-
-    def test_covariances_identical_across_dims(self):
-        traj = solve(get_problem("linear"), PriorSpec(1, sigma=1.0), 0.1, ZeroNoise())
-        for rec in traj.records:
-            np.testing.assert_array_equal(rec.P_post[0], rec.P_post[1])
-            np.testing.assert_array_equal(rec.P_pred[0], rec.P_pred[1])
+            traj.records[0].P_post[0, 0] = 1.0
 
 
 class TestTrajectoryInvariants:
@@ -322,16 +313,15 @@ class TestTrajectoryInvariants:
         h = traj.h
         R = noise.evaluate(h)
         for rec in traj.records:
-            for j in range(problem.d):
-                for P in (rec.P_pred[j], rec.P_post[j]):
-                    assert np.abs(P - P.T).max() <= 1e-12
-                    floor = -1e-10 * max(np.trace(P), 0.0)
-                    assert np.linalg.eigvalsh(P).min() >= floor
-                assert 0.0 <= rec.beta[1, j] <= 1.0
-                if q == 1:
-                    assert rec.P_pred[j][1, 1] >= sigma**2 * h * (1 - 1e-12)
-                    assert abs(rec.P_post[j][0, 1] - R * rec.beta[0, j]) <= 1e-12
-                    assert abs(rec.P_post[j][1, 1] - R * rec.beta[1, j]) <= 1e-12
+            for P in (rec.P_pred, rec.P_post):
+                assert np.abs(P - P.T).max() <= 1e-12
+                floor = -1e-10 * max(np.trace(P), 0.0)
+                assert np.linalg.eigvalsh(P).min() >= floor
+            assert 0.0 <= rec.beta[1] <= 1.0
+            if q == 1:
+                assert rec.P_pred[1, 1] >= sigma**2 * h * (1 - 1e-12)
+                assert abs(rec.P_post[0, 1] - R * rec.beta[0]) <= 1e-12
+                assert abs(rec.P_post[1, 1] - R * rec.beta[1]) <= 1e-12
 
     @given(
         seed=st.integers(0, 10_000),
@@ -346,12 +336,12 @@ class TestTrajectoryInvariants:
         raw = rng.normal(size=(n, n))
         P0 = raw @ raw.T
         tm = ibm_transition(q, 10.0**log_sigma, 0.1)
-        belief = Belief(t=0.0, m=np.zeros((n, 1)), P=P0[None])
+        belief = Belief(t=0.0, m=np.zeros((n, 1)), P=P0)
         pred = predict(belief, tm)
         posterior, _ = update(pred, np.array([0.3]), R)
-        w = np.linalg.eigvalsh(posterior.P[0])
-        assert w.min() >= -1e-10 * max(np.trace(posterior.P[0]), 1.0)
-        assert np.abs(posterior.P[0] - posterior.P[0].T).max() <= 1e-12
+        w = np.linalg.eigvalsh(posterior.P)
+        assert w.min() >= -1e-10 * max(np.trace(posterior.P), 1.0)
+        assert np.abs(posterior.P - posterior.P.T).max() <= 1e-12
 
 
 def replay(problem, prior, h, noise):
@@ -389,7 +379,6 @@ class TestOneKernelReplay:
         np.testing.assert_array_equal(traj.m_pred, stacked["m_pred"])
         np.testing.assert_array_equal(traj.y, stacked["y"])
         np.testing.assert_array_equal(traj.m_post, stacked["m_post"])
-        for j in range(problem.d):
-            np.testing.assert_array_equal(traj.P_pred, stacked["P_pred"][:, j])
-            np.testing.assert_array_equal(traj.P_post, stacked["P_post"][:, j])
-            np.testing.assert_array_equal(traj.beta, stacked["beta"][:, :, j])
+        np.testing.assert_array_equal(traj.P_pred, stacked["P_pred"])
+        np.testing.assert_array_equal(traj.P_post, stacked["P_post"])
+        np.testing.assert_array_equal(traj.beta, stacked["beta"])

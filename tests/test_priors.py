@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 from odefilter.priors import (
     IBM,
     IOUP,
-    DimensionMismatch,
     PriorSpec,
     companion_matrix,
     ibm_transition,
     ioup_transition,
-    kron_extend,
-    transition_oracle,
 )
 from odefilter.priors import _expm
+from oracles import DimensionMismatch, kron_extend, transition_oracle
 
 
 def drift_and_diffusion(q, theta=0.0):

@@ -6,14 +6,13 @@ import pytest
 from odefilter.problems import (
     IVProblem,
     MissingDerivative,
-    OracleNotConverged,
     PROBLEMS,
     get_problem,
     linear_rotation,
     logistic,
-    reference_solve,
     riccati,
 )
+from oracles import OracleNotConverged, reference_solve
 
 # Frozen from reference_solve(logistic(), h_ref=1.5e-4) and confirmed by the
 # closed form lam1*x0*e^(lam0*T) / (lam1 + x0*(e^(lam0*T) - 1)).

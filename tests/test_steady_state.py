@@ -3,6 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from odefilter import filtering
+from odefilter.filtering import solve
+from odefilter.noise import parse_noise
+from odefilter.priors import PriorSpec
+from odefilter.problems import get_problem
 from odefilter.steady_state import (
     InsufficientGrid,
     ORDER_BOUND_QUANTITIES,
@@ -107,6 +112,60 @@ class TestDareOrbit:
             dare_orbit(0.1, 1.0, 0.0, np.zeros((3, 3)), 1)
         with pytest.raises(ValueError):
             dare_orbit(0.1, 1.0, 0.0, np.zeros((2, 2)), 0)
+
+
+class TestOneCovariancePass:
+    """solve, dare_orbit and orbit_limit all run filtering.covariance_pass."""
+
+    @pytest.mark.parametrize("name", ["logistic", "linear"])
+    @pytest.mark.parametrize("noise_spec", ["zero", "power:1:5000"])
+    def test_orbit_from_zero_equals_solve(self, name, noise_spec):
+        h, sigma = 0.1 * 2.0**-3, 1.0
+        noise = parse_noise(noise_spec)
+        traj = solve(get_problem(name), PriorSpec(1, sigma=sigma), h, noise)
+        assert not traj.diverged
+        orbit = dare_orbit(h, sigma, noise.evaluate(h), np.zeros((2, 2)), len(traj.y))
+        P_pred, P_post, beta = map(np.stack, zip(*orbit))
+        np.testing.assert_array_equal(P_pred, traj.P_pred)
+        np.testing.assert_array_equal(P_post, traj.P_post)
+        np.testing.assert_array_equal(beta, traj.beta)
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Count the kernel calls, patched where covariance_pass looks them up."""
+        calls = {}
+        for name in ("predict_covariance", "update_covariance", "gain"):
+            original = getattr(filtering, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(filtering, name, counted)
+        return calls
+
+    @staticmethod
+    def once_each(n):
+        return {"predict_covariance": n, "update_covariance": n, "gain": n}
+
+    def test_solve_runs_the_kernel_once_per_step(self, kernel_calls):
+        traj = solve(get_problem("linear"), PriorSpec(2, sigma=1.0), 0.1, parse_noise("zero"))
+        assert len(traj.y) == 100
+        assert kernel_calls == self.once_each(100)
+
+    def test_dare_orbit_runs_the_kernel_once_per_step(self, kernel_calls):
+        dare_orbit(0.05, 1.3, 0.01, np.zeros((2, 2)), 37)
+        assert kernel_calls == self.once_each(37)
+
+    def test_orbit_limit_runs_the_kernel_once_per_step(self, kernel_calls):
+        h, sigma, R = 0.05, 1.3, 0.01
+        orbit_limit(h, sigma, R)
+        steps = kernel_calls["predict_covariance"]
+        assert kernel_calls == self.once_each(steps)
+        # The orbit settles on exactly its step count, no sooner.
+        orbit_limit(h, sigma, R, max_steps=steps)
+        with pytest.raises(RuntimeError):
+            orbit_limit(h, sigma, R, max_steps=steps - 1)
 
 
 class TestVerifyOrderBounds:
