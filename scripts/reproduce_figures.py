@@ -2,7 +2,7 @@
 """Run every figure preset and collect CSV tables plus SVG charts.
 
 Writes fig1/fig2/fig3/figC outputs into a results directory (default
-./results).  The full default grids take 16 s on a 2-vCPU Xeon VM; pass
+./results).  The full default grids take 25–29 s on a 2-vCPU Xeon VM; pass
 --quick for a 5-point grid smoke run.
 """
 

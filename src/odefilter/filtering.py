@@ -14,6 +14,9 @@ value as data on the first derivative and conditions on it:
 
 All steps of a solve share one (A, Q) pair (the mesh is uniform) and one
 measurement variance R, and the covariance recursion never sees the data.
+Both covariance updates end in a plain symmetrization 0.5 (P + P^T): for
+q <= 5 and h >= 1e-4 this float64 recursion matches the exact one to
+about 1e-13 (gains relative, P_pred relative to sqrt(P_ii P_jj)).
 ``covariance_pass`` is that recursion, and the only loop that runs it:
 ``solve`` zips it with its mesh loop of mean updates, and the steady-state
 orbits of ``steady_state`` iterate it alone.  ``solve`` writes each step
@@ -222,7 +225,7 @@ def initialize(
         bounds = mode.k0 * h ** (q + 1 - np.arange(q + 1, dtype=float))
         m = m + rng.uniform(-1.0, 1.0, size=(q + 1, d)) * bounds[:, None]
         scale = h ** (q - np.arange(q + 1, dtype=float))
-        P = _psd_floor(mode.k0 * h * np.outer(scale, scale))
+        P = mode.k0 * h * np.outer(scale, scale)
     return Belief(t=0.0, m=m, P=P)
 
 
@@ -251,8 +254,7 @@ def update(pred: Belief, y: np.ndarray, R: float):
     """Condition the predictive belief on the data y.
 
     Returns the posterior belief together with the full step record.  The
-    covariance subtraction is symmetrized and eigenvalue-floored against
-    roundoff-negative eigenvalues.
+    covariance subtraction is symmetrized (``update_covariance``).
     """
     y = np.asarray(y, dtype=float)
     r = y - pred.m[1]
@@ -365,10 +367,10 @@ def predict_covariance(P: np.ndarray, tm: TransitionModel) -> np.ndarray:
 
 
 def update_covariance(P_pred: np.ndarray, R: float):
-    """Measurement update of one covariance matrix; returns (P, beta)."""
+    """Measurement update of one covariance matrix, symmetrized; returns (P, beta)."""
     beta = gain(P_pred, R)
     P = P_pred - np.outer(P_pred[:, 1], P_pred[:, 1]) / (P_pred[1, 1] + R)
-    return _psd_floor(P), beta
+    return 0.5 * (P + P.T), beta
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -382,19 +384,3 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         return np.sqrt(np.vecdot(x, x))
 
-
-def _psd_floor(P: np.ndarray) -> np.ndarray:
-    """Symmetrize and clip eigenvalues of magnitude below 1e-14 (relative) to 0.
-
-    The update subtraction is PSD in exact arithmetic; this guards the
-    roundoff-negative eigenvalues it can leave behind.  The matrix is only
-    rebuilt when something was actually clipped.
-    """
-    P = 0.5 * (P + P.T)
-    w, V = np.linalg.eigh(P)
-    threshold = 1e-14 * max(float(w[-1]), 0.0)
-    clipped = np.where(w < threshold, 0.0, w)
-    if np.array_equal(clipped, w):
-        return P
-    P = (V * clipped) @ V.T
-    return 0.5 * (P + P.T)

@@ -2,8 +2,9 @@
 
 A quadrature ``(A, Q)`` straight from the SDE definition, Kronecker
 coupling of output dimensions (to check that identity factors reduce to
-the scalar model the solver uses), a Richardson-checked RK4 reference
-integrator, and an unguarded log-log slope.  The tests import them as
+the scalar model the solver uses), the IBM covariance recursion in
+``mpmath`` arithmetic, a Richardson-checked RK4 reference integrator, and
+an unguarded log-log slope.  The tests import them as
 ``from oracles import ...``.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
+import mpmath
 import numpy as np
 
 from odefilter.priors import PriorSpec, TransitionModel, _expm
@@ -84,6 +86,40 @@ def kron_extend(Kx: np.ndarray, Keps: np.ndarray, prior: PriorSpec) -> MultiDimD
     F = prior.drift_matrix()
     L = prior.diffusion_vector()[:, None]
     return MultiDimDrift(Kx=Kx, Keps=Keps, F_big=np.kron(Kx, F), L_big=np.kron(Keps, L))
+
+
+def ibm_covariance_pass_mp(q: int, sigma: float, h: float, R: float, n_steps: int) -> list:
+    """The IBM covariance recursion from P = 0 in ``mpmath``, at the working precision.
+
+    A and Q come from their closed forms, A_ij = h^(j-i)/(j-i)! and
+    Q_ij = sigma^2 h^(2q+1-i-j) / ((2q+1-i-j) (q-i)! (q-j)!), evaluated at
+    the exact binary values of the float inputs.  Each step is
+    P_pred = A P A^T + Q, beta = P_pred[:, 1] / (P_pred[1, 1] + R) and
+    P = P_pred - beta P_pred[:, 1]^T, with no symmetrization.  Returns
+    ``n_steps`` pairs (P_pred, beta) as float64 arrays.
+    """
+    n = q + 1
+    h, s2, R = mpmath.mpf(h), mpmath.mpf(sigma) ** 2, mpmath.mpf(R)
+    fac = mpmath.factorial
+    A = mpmath.matrix(n, n)
+    Q = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            if j >= i:
+                A[i, j] = h ** (j - i) / fac(j - i)
+            k = 2 * q + 1 - i - j
+            Q[i, j] = s2 * h**k / (k * fac(q - i) * fac(q - j))
+    P = mpmath.matrix(n, n)
+    steps = []
+    for _ in range(n_steps):
+        P_pred = A * P * A.T + Q
+        col = P_pred[:, 1]
+        beta = col / (P_pred[1, 1] + R)
+        P = P_pred - beta * col.T
+        steps.append(
+            (np.array(P_pred.tolist(), dtype=float), np.array(beta.tolist(), dtype=float)[:, 0])
+        )
+    return steps
 
 
 @dataclasses.dataclass

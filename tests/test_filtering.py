@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from odefilter.filtering import (
     PerturbedInit,
     SingularInnovation,
     DivergedEvaluation,
+    covariance_pass,
     evaluate_data,
     gain,
     initialize,
@@ -22,6 +24,7 @@ from odefilter.filtering import (
 from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise, parse_noise
 from odefilter.priors import PriorSpec, ibm_transition
 from odefilter.problems import IVProblem, MissingDerivative, get_problem, logistic, riccati
+from oracles import ibm_covariance_pass_mp
 
 SQRT10 = math.sqrt(10.0)
 
@@ -342,6 +345,48 @@ class TestTrajectoryInvariants:
         w = np.linalg.eigvalsh(posterior.P)
         assert w.min() >= -1e-10 * max(np.trace(posterior.P), 1.0)
         assert np.abs(posterior.P - posterior.P.T).max() <= 1e-12
+
+
+class TestCovariancePassAgainstMpmath:
+    """float64 covariance recursion against the same recursion at 40 digits.
+
+    The first min(1/h, 200) steps from P = 0, sigma = 1: every gain entry
+    within 1e-12 relative, and every P_pred entry within 1e-12 of
+    sqrt(P_ii P_jj).  An 80-digit reference gives the same float64 values.
+    """
+
+    @pytest.mark.parametrize("noise_spec", ["zero", "power:{q}:1"])
+    @pytest.mark.parametrize("h", [1e-1, 1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_gains_and_predictive_covariances(self, q, h, noise_spec):
+        R = parse_noise(noise_spec.format(q=q)).evaluate(h)
+        n_steps = min(round(1.0 / h), 200)
+        with mpmath.workdps(40):
+            reference = ibm_covariance_pass_mp(q, 1.0, h, R, n_steps)
+        steps = covariance_pass(ibm_transition(q, 1.0, h), R, np.zeros((q + 1, q + 1)))
+        beta_err = P_err = 0.0
+        for (P_pred, _, beta), (P_ref, beta_ref) in zip(steps, reference):
+            scale = np.sqrt(np.diag(P_ref))
+            beta_err = max(beta_err, np.max(np.abs(beta / beta_ref - 1.0)))
+            P_err = max(P_err, np.max(np.abs(P_pred - P_ref) / np.outer(scale, scale)))
+        assert beta_err <= 1e-12
+        assert P_err <= 1e-12
+
+
+class TestHighOrderRegression:
+    """q = 5 runs finish on meshes down to h = 4.9e-5, the zero-noise ones to 1e-12."""
+
+    @pytest.mark.parametrize("k", range(6, 12))
+    @pytest.mark.parametrize("noise_spec", ["zero", "power:5:1"])
+    @pytest.mark.parametrize("sigma", [1.0, 50.0])
+    def test_logistic_q5(self, sigma, noise_spec, k):
+        problem = get_problem("logistic")
+        traj = solve(problem, PriorSpec(5, sigma=sigma), 0.1 * 2.0**-k, parse_noise(noise_spec))
+        assert not traj.diverged
+        final_error = np.abs(traj.m_post[-1, 0] - problem.exact(problem.T)).max()
+        assert np.isfinite(final_error)
+        if noise_spec == "zero":
+            assert final_error <= 1e-12
 
 
 def replay(problem, prior, h, noise):
