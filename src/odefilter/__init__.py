@@ -66,6 +66,7 @@ from .problems import (
 )
 from .steady_state import (
     InsufficientGrid,
+    OrbitCycle,
     OrderBoundFit,
     SteadyState,
     closed_form,

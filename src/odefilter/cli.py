@@ -398,7 +398,10 @@ def cmd_steady(cfg: RunConfig) -> int:
     for k, h in enumerate(grid):
         R = model.evaluate(h)
         cf = steady_state.closed_form(h, cfg.sigma, R)
-        orbit = steady_state.orbit_limit(h, cfg.sigma, R)
+        try:
+            orbit = steady_state.orbit_limit(h, cfg.sigma, R)
+        except steady_state.OrbitCycle as exc:
+            raise CliError(f"h = {h!r}: {exc}") from None
         values = {
             "P11_pred": (cf.P11_pred, orbit.P11_pred),
             "P11": (cf.P11, orbit.P11),

@@ -6,10 +6,21 @@ converge to unique attractive fixed points with closed forms in
 (h, sigma, R); the position variance has no fixed point (that state is
 undetectable) and is deliberately excluded.  ``dare_orbit`` and
 ``orbit_limit`` iterate ``filtering.covariance_pass``, the same recursion
-``solve`` runs, as a numerical oracle, and ``verify_order_bounds`` streams
+``solve`` runs, as a numerical oracle, and ``verify_order_bounds`` runs
 the same pass to measure the h-orders of the maximal covariance/gain
 quantities against the predicted exponents for a power-law noise model
 R = K_R h^p.
+
+Both ``orbit_limit`` and ``verify_order_bounds`` stop an orbit once it
+is periodic.  A is upper triangular and the data is on x_1, so the
+closed block P[:, 1:] of a posterior covariance (P_01 and P_11) is
+computed from the previous closed block alone: P_00 enters only through
+products with the zero entry A_10, which are 0 for any finite P_00.
+Every tracked quantity of a step is likewise computed from the previous
+closed block.  So once step n's closed block repeats, byte for byte,
+that of an earlier step i, every later step m repeats step
+i + 1 + (m - n - 1) mod (n - i), and nothing after step n can change a
+maximum or settle an orbit that has not settled within one more period.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from itertools import islice
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +38,7 @@ from .priors import ibm_transition
 
 __all__ = [
     "InsufficientGrid",
+    "OrbitCycle",
     "ORDER_BOUND_QUANTITIES",
     "OrderBoundFit",
     "SteadyState",
@@ -40,6 +52,18 @@ __all__ = [
 
 class InsufficientGrid(ValueError):
     """The step-size grid is too small or too narrow for a slope fit."""
+
+
+class OrbitCycle(RuntimeError):
+    """The orbit repeats exactly with a period whose swing never falls below tol."""
+
+    def __init__(self, period: int, spread: float, tol: float):
+        super().__init__(
+            f"orbit cycles with period {period} and swings by {spread:.3g}, "
+            f"so it never settles below tol = {tol:g}"
+        )
+        self.period = period
+        self.spread = spread
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,19 +145,44 @@ def orbit_limit(
 ) -> SteadyState:
     """Iterate the covariance pass until the six tracked quantities settle below tol.
 
-    Raises RuntimeError if they have not settled after ``max_steps`` steps.
+    Raises OrbitCycle once the orbit has repeated a state and then run one
+    full period without settling (it never will), and RuntimeError if it
+    has not settled after ``max_steps`` steps.
     """
-    tm = ibm_transition(1, sigma, h)
     P0 = np.zeros((2, 2)) if P0 is None else np.array(P0, dtype=float)
     previous = None
-    for P_pred, P, beta in islice(filtering.covariance_pass(tm, R, P0), max_steps):
+    period, cycle = None, []  # cycle: the tracked quantities after the first repeat
+    for n, (P_pred, P, beta, first) in enumerate(
+        islice(_periodic_pass(h, sigma, R, P0), max_steps)
+    ):
         current = np.array(
             [P_pred[1, 1], P[1, 1], P_pred[0, 1], P[0, 1], beta[0], beta[1]]
         )
         if previous is not None and np.max(np.abs(current - previous)) < tol:
             return SteadyState(*current, h=h, sigma=sigma, R=R)
+        if period is not None:
+            cycle.append(current)
+            if len(cycle) == period:
+                raise OrbitCycle(period, float(np.ptp(cycle, axis=0).max()), tol)
+        elif first is not None:
+            period = n - first
         previous = current
     raise RuntimeError(f"orbit did not settle within {max_steps} iterations")
+
+
+def _periodic_pass(h: float, sigma: float, R: float, P0: np.ndarray) -> Iterator[tuple]:
+    """The q = 1 covariance pass from P0, each step tagged with its first repeat.
+
+    Yields (P_pred, P, beta, first) per step, where ``first`` is the index of
+    the earlier step whose closed block P[:, 1:] this step's repeats byte for
+    byte, or None.  From the first tagged step on the orbit is periodic (see
+    the module docstring).
+    """
+    seen = {}
+    orbit = filtering.covariance_pass(ibm_transition(1, sigma, h), R, P0)
+    for n, (P_pred, P, beta) in enumerate(orbit):
+        first = seen.setdefault(P[:, 1:].tobytes(), n)
+        yield P_pred, P, beta, (None if first == n else first)
 
 
 ORDER_BOUND_QUANTITIES = ("P11_pred", "P11", "abs_P01", "abs_beta0", "one_minus_beta1")
@@ -176,11 +225,18 @@ def verify_order_bounds(
 ) -> list:
     """Fit the h-orders of max-over-mesh covariance/gain quantities.
 
-    For each h the recursion runs T/h steps from a zero start, the five
-    bounded quantities are maximized over the mesh, and a log-log line is
-    fitted over the grid (the largest ``drop_largest`` steps are excluded
-    as pre-asymptotic).  Quantities that vanish identically (R = 0) are
-    flagged exact_zero instead of fitted.
+    For each h the recursion runs from a zero start over the mesh of
+    round(T/h) steps, the five bounded quantities are maximized over it,
+    and a log-log line is fitted over the grid (the largest
+    ``drop_largest`` steps are excluded as pre-asymptotic).  Quantities
+    that vanish identically (R = 0) are flagged exact_zero instead of
+    fitted.
+
+    Each pass stops at the first step whose closed block repeats that of
+    an earlier step, or at the end of the mesh if that comes first.  Every
+    later step of the mesh would repeat one of the steps already run (see
+    the module docstring), and a maximum does not depend on order, so the
+    maxima equal those over the whole mesh bit for bit.
     """
     hs = np.asarray(list(h_grid), dtype=float)
     if len(hs) < 4:
@@ -195,12 +251,14 @@ def verify_order_bounds(
         # One row per step, one column per ORDER_BOUND_QUANTITIES entry; zip
         # asks the rows first, so the pass runs no step beyond them.
         track = np.empty((round(T / h), len(ORDER_BOUND_QUANTITIES)))
-        orbit = filtering.covariance_pass(
-            ibm_transition(1, sigma, h), noise.evaluate(h), np.zeros((2, 2))
-        )
-        for step, (P_pred, P, beta) in zip(track, orbit):
+        rows = 0
+        orbit = _periodic_pass(h, sigma, noise.evaluate(h), np.zeros((2, 2)))
+        for step, (P_pred, P, beta, first) in zip(track, orbit):
             step[:] = P_pred[1, 1], P[1, 1], abs(P[0, 1]), abs(beta[0]), abs(1.0 - beta[1])
-        maxima[row] = track.max(axis=0)
+            rows += 1
+            if first is not None:
+                break
+        maxima[row] = track[:rows].max(axis=0)
     fits = []
     keep = slice(drop_largest, None)
     for col, quantity in enumerate(ORDER_BOUND_QUANTITIES):

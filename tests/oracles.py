@@ -3,8 +3,9 @@
 A quadrature ``(A, Q)`` straight from the SDE definition, Kronecker
 coupling of output dimensions (to check that identity factors reduce to
 the scalar model the solver uses), the IBM covariance recursion in
-``mpmath`` arithmetic, a Richardson-checked RK4 reference integrator, and
-an unguarded log-log slope.  The tests import them as
+``mpmath`` arithmetic, the full-mesh order-bound tracks of the q = 1
+covariance pass, a Richardson-checked RK4 reference integrator, and an
+unguarded log-log slope.  The tests import them as
 ``from oracles import ...``.
 """
 
@@ -16,7 +17,9 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from odefilter.priors import PriorSpec, TransitionModel, _expm
+from odefilter.filtering import covariance_pass
+from odefilter.noise import NoiseModel
+from odefilter.priors import PriorSpec, TransitionModel, _expm, ibm_transition
 from odefilter.problems import IVProblem
 
 
@@ -120,6 +123,29 @@ def ibm_covariance_pass_mp(q: int, sigma: float, h: float, R: float, n_steps: in
             (np.array(P_pred.tolist(), dtype=float), np.array(beta.tolist(), dtype=float)[:, 0])
         )
     return steps
+
+
+def order_bound_tracks(
+    h_grid: Sequence[float], sigma: float, noise: NoiseModel, T: float = 1.0
+) -> list:
+    """The q = 1 covariance pass from P = 0 over every step of each mesh.
+
+    For each h, runs round(T/h) steps of ``covariance_pass`` and returns a
+    pair: the (steps, 5) track of ``ORDER_BOUND_QUANTITIES`` (P11_pred,
+    P11, |P01|, |beta0|, |1 - beta1|), and the bytes of each step's closed
+    block P[:, 1:].  No step is skipped, so the column maxima of a track
+    are the full-mesh maxima ``verify_order_bounds`` must reproduce.
+    """
+    tracks = []
+    for h in h_grid:
+        track = np.empty((round(T / h), 5))
+        blocks = []
+        orbit = covariance_pass(ibm_transition(1, sigma, h), noise.evaluate(h), np.zeros((2, 2)))
+        for step, (P_pred, P, beta) in zip(track, orbit):
+            step[:] = P_pred[1, 1], P[1, 1], abs(P[0, 1]), abs(beta[0]), abs(1.0 - beta[1])
+            blocks.append(P[:, 1:].tobytes())
+        tracks.append((track, blocks))
+    return tracks
 
 
 @dataclasses.dataclass

@@ -248,6 +248,16 @@ class TestSteadyCommand:
     def test_small_grid_exits_1(self):
         assert main(["steady", "--noise", "zero", "--h-grid", "0.1:2:3"]) == 1
 
+    def test_orbit_that_cycles_without_settling_exits_1(self, tmp_path, capsys):
+        # At h = 0.1 the sigma = 100 orbit swings by 1.1e-13 on P11_pred ~ 1000
+        # in an exact period-2 cycle, above orbit_limit's tol of 1e-13.
+        out = tmp_path / "steady.csv"
+        argv = ["steady", "--sigma", "100", "--noise", "power:1:1", "--h-grid", "0.1:2:8"]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("odefilter: error: h = 0.1: orbit cycles with period 2 ")
+        assert not out.exists()
+
 
 class TestMisalignCommand:
     def test_riccati_sweep(self, tmp_path):

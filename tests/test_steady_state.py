@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import order_bound_tracks
 
 from odefilter import filtering
 from odefilter.filtering import solve
@@ -11,6 +12,7 @@ from odefilter.problems import get_problem
 from odefilter.steady_state import (
     InsufficientGrid,
     ORDER_BOUND_QUANTITIES,
+    OrbitCycle,
     closed_form,
     dare_orbit,
     orbit_limit,
@@ -115,7 +117,7 @@ class TestDareOrbit:
 
 
 class TestOneCovariancePass:
-    """solve, dare_orbit and orbit_limit all run filtering.covariance_pass."""
+    """solve, dare_orbit, orbit_limit and verify_order_bounds all run filtering.covariance_pass."""
 
     @pytest.mark.parametrize("name", ["logistic", "linear"])
     @pytest.mark.parametrize("noise_spec", ["zero", "power:1:5000"])
@@ -166,6 +168,62 @@ class TestOneCovariancePass:
         orbit_limit(h, sigma, R, max_steps=steps)
         with pytest.raises(RuntimeError):
             orbit_limit(h, sigma, R, max_steps=steps - 1)
+
+    @pytest.mark.parametrize("noise_spec", ["power:1:1", "power:2:1", "power:3:1", "zero"])
+    def test_verify_order_bounds_stops_each_pass_at_its_cycle(self, kernel_calls, noise_spec):
+        # The full meshes of this grid add up to 40,950 steps.
+        noise = parse_noise(noise_spec)
+        verify_order_bounds([0.1 * 2.0**-k for k in range(12)], 1.0, noise.p, noise.K_R)
+        steps = kernel_calls["predict_covariance"]
+        assert kernel_calls == self.once_each(steps)
+        assert steps <= 500
+
+    @pytest.mark.parametrize(
+        "h, sigma, R, tol, period",
+        [(0.05, 1.3, 0.01, 0.0, 1), (0.1, 100.0, parse_noise("power:1:1").evaluate(0.1), 1e-13, 2)],
+    )
+    def test_orbit_limit_raises_on_a_cycle_that_never_settles(
+        self, kernel_calls, h, sigma, R, tol, period
+    ):
+        with pytest.raises(OrbitCycle) as info:
+            orbit_limit(h, sigma, R, tol=tol)
+        assert info.value.period == period
+        assert info.value.spread >= tol
+        assert kernel_calls["predict_covariance"] <= 100
+
+
+class TestPeriodicStop:
+    """verify_order_bounds stops each pass at its first repeated closed block."""
+
+    @pytest.mark.parametrize("h0", [0.1, 0.099738])  # a perturbed top, as benchmark seeds draw
+    @pytest.mark.parametrize("sigma", [1.0, 50.0])
+    @pytest.mark.parametrize(
+        "noise_spec", ["zero", "power:1:1", "power:2:1", "power:3:1", "power:1:5000", "const:1"]
+    )
+    def test_maxima_equal_the_full_mesh_oracle(self, noise_spec, sigma, h0):
+        grid = [h0 * 2.0**-k for k in range(9)]
+        noise = parse_noise(noise_spec)
+        fits = verify_order_bounds(grid, sigma, noise.p, noise.K_R)
+        tracks = order_bound_tracks(grid, sigma, noise)
+        expected = np.stack([track.max(axis=0) for track, _ in tracks])
+        # Compared as bytes, so that -0.0 and 0.0 differ.
+        assert np.stack([f.max_values for f in fits], axis=1).tobytes() == expected.tobytes()
+        cycled = 0
+        for track, blocks in tracks:
+            seen = {}
+            for n, block in enumerate(blocks):
+                first = seen.setdefault(block, n)
+                if first != n:
+                    break
+            else:
+                continue
+            cycled += 1
+            # Every step after the first repeat is the periodic extension.
+            for m in range(n + 1, len(blocks)):
+                k = first + 1 + (m - n - 1) % (n - first)
+                assert blocks[m] == blocks[k]
+                assert track[m].tobytes() == track[k].tobytes()
+        assert cycled > 0
 
 
 class TestVerifyOrderBounds:
