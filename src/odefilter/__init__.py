@@ -10,14 +10,10 @@ experiment harness for convergence-order and calibration studies.
 
 from .diagnostics import (
     CredibleWidth,
-    DegenerateFit,
     ErrorSeries,
     MissingExact,
-    OrderFit,
     credible_width,
-    fit_order,
     global_error,
-    h_norm,
     misalignment,
 )
 from .filtering import (
@@ -27,22 +23,18 @@ from .filtering import (
     NonIntegerMesh,
     PerturbedInit,
     SingularInnovation,
-    StepRecord,
     Trajectory,
     covariance_pass,
     evaluate_data,
     gain,
     initialize,
-    predict,
     solve,
-    update,
 )
 from .noise import (
     ConstantNoise,
     NoiseModel,
     PowerLawNoise,
     ZeroNoise,
-    format_noise,
     parse_noise,
 )
 from .priors import (
@@ -50,9 +42,7 @@ from .priors import (
     IOUP,
     PriorSpec,
     TransitionModel,
-    companion_matrix,
     ibm_transition,
-    ioup_transition,
     lti_transition,
 )
 from .problems import (
@@ -70,7 +60,6 @@ from .steady_state import (
     OrderBoundFit,
     SteadyState,
     closed_form,
-    dare_orbit,
     orbit_limit,
     verify_order_bounds,
 )

@@ -95,13 +95,8 @@ class RunConfig:
             return [self.h]
         return []
 
-    def prior_spec(self, q: int, sigma: Optional[float] = None) -> PriorSpec:
-        return PriorSpec(
-            q=q,
-            kind=self.prior,
-            theta=self.theta,
-            sigma=self.sigma if sigma is None else sigma,
-        )
+    def prior_spec(self, q: int) -> PriorSpec:
+        return PriorSpec(q=q, kind=self.prior, theta=self.theta, sigma=self.sigma)
 
     def init_mode(self):
         if self.init == "exact":
@@ -254,10 +249,6 @@ def _cross_product_runs(cfg: RunConfig) -> list:
     specs = []
     for q in cfg.q:
         for noise_spec in cfg.noise:
-            try:
-                parse_noise(noise_spec)
-            except ValueError as exc:
-                raise CliError(str(exc)) from None
             specs += [
                 RunSpec(cfg.problem, q, cfg.prior, cfg.theta, cfg.sigma, noise_spec, h)
                 for h in grid
@@ -302,12 +293,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     if cfg.problem not in PROBLEMS:
         raise CliError(f"unknown problem {cfg.problem!r}; known: {', '.join(sorted(PROBLEMS))}")
     problem = get_problem(cfg.problem)
-    try:
-        model = parse_noise(cfg.noise[0])
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    prior = cfg.prior_spec(cfg.q[0])
-    traj = solve(problem, prior, cfg.h, model, cfg.init_mode())
+    model = parse_noise(cfg.noise[0])
+    traj = solve(problem, cfg.prior_spec(cfg.q[0]), cfg.h, model, cfg.init_mode())
     q, d = traj.q, traj.d
     header = ["t"]
     header += [f"m{i}_d{j}" for j in range(d) for i in range(q + 1)]
@@ -385,14 +372,8 @@ def cmd_steady(cfg: RunConfig) -> int:
         raise CliError("steady needs an h-grid with at least 4 step sizes")
     if len(cfg.noise) != 1:
         raise CliError("steady takes a single noise model")
-    try:
-        model = parse_noise(cfg.noise[0])
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    try:
-        bounds = steady_state.verify_order_bounds(grid, cfg.sigma, model.p, model.K_R)
-    except steady_state.InsufficientGrid as exc:
-        raise CliError(str(exc)) from None
+    model = parse_noise(cfg.noise[0])
+    bounds = steady_state.verify_order_bounds(grid, cfg.sigma, model.p, model.K_R)
     bound_by_name = {fit.quantity: fit for fit in bounds}
     rows = []
     for k, h in enumerate(grid):
@@ -555,14 +536,18 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; a configuration error prints one line and returns 1.
+
+    The package rejects a bad value with a ValueError (NonIntegerMesh,
+    InsufficientGrid, a bad noise spec or prior) or a LookupError (an
+    unknown problem, MissingDerivative); this is the one place either is
+    caught.
+    """
     try:
         args = _build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         return COMMANDS[args.command](cfg)
-    except CliError as exc:
-        print(f"odefilter: error: {exc}", file=sys.stderr)
-        return 1
-    except KeyError as exc:
+    except (CliError, ValueError, LookupError) as exc:
         print(f"odefilter: error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,33 +9,25 @@ commensurable (each derivative estimate is one order of h worse).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .filtering import Trajectory, _row_norms
-from .problems import IVProblem, MissingDerivative  # noqa: F401  (re-exported error)
+from .problems import IVProblem
 
 __all__ = [
     "CredibleWidth",
-    "DegenerateFit",
     "ErrorSeries",
     "MissingExact",
-    "OrderFit",
     "credible_width",
-    "fit_order",
     "global_error",
-    "h_norm",
     "misalignment",
 ]
 
 
 class MissingExact(ValueError):
     """The problem has no closed-form solution to compare against."""
-
-
-class DegenerateFit(ValueError):
-    """The error values span less than a decade; a slope would be noise."""
 
 
 @dataclasses.dataclass
@@ -71,15 +63,6 @@ def global_error(traj: Trajectory, problem: IVProblem) -> ErrorSeries:
     return ErrorSeries(
         times=times, eps=eps, max_eps0=float(eps0.max()), h_norm_series=h_norms
     )
-
-
-def h_norm(eps: np.ndarray, h: float) -> float:
-    """sum_i h^i ||row i|| over the derivative stack."""
-    if not h > 0.0:
-        raise ValueError("h must be positive")
-    eps = np.atleast_2d(np.asarray(eps, dtype=float))
-    weights = h ** np.arange(eps.shape[0], dtype=float)
-    return float(np.sum(weights * np.linalg.norm(eps, axis=1)))
 
 
 def misalignment(traj: Trajectory, problem: IVProblem, i: int) -> np.ndarray:
@@ -131,54 +114,3 @@ def credible_width(traj: Trajectory, problem: Optional[IVProblem] = None) -> Cre
             ratios = abs_eps0 / widths
         ratios[(abs_eps0 == 0.0) & (widths == 0.0)] = 1.0
     return CredibleWidth(times=times, widths=widths, ratios=ratios)
-
-
-@dataclasses.dataclass
-class OrderFit:
-    """Least-squares line through (log h, log error): slope = empirical order."""
-
-    h_values: np.ndarray
-    errors: np.ndarray
-    slope: float
-    intercept: float
-    r_squared: float
-
-
-def fit_order(
-    h_values: Sequence[float], errors: Sequence[float], drop_largest: int = 1
-) -> OrderFit:
-    """Empirical convergence order from an (h, error) sweep.
-
-    The ``drop_largest`` coarsest steps are excluded (pre-asymptotic
-    transients bend the line there).  Raises DegenerateFit when the kept
-    errors span less than a decade, and ValueError on non-positive errors
-    or fewer than 3 kept points.
-    """
-    hs = np.asarray(list(h_values), dtype=float)
-    errs = np.asarray(list(errors), dtype=float)
-    if hs.shape != errs.shape or hs.ndim != 1:
-        raise ValueError("h_values and errors must be 1-d and the same length")
-    order = np.argsort(hs)[::-1]
-    hs, errs = hs[order], errs[order]
-    hs, errs = hs[drop_largest:], errs[drop_largest:]
-    if len(hs) < 3:
-        raise ValueError("need at least 3 points after dropping")
-    if np.any(errs <= 0.0):
-        raise ValueError("errors must be positive (flag exact zeros before fitting)")
-    if errs.max() / errs.min() < 10.0:
-        raise DegenerateFit(
-            f"errors span only a factor {errs.max() / errs.min():.3g}; "
-            "less than one decade"
-        )
-    slope, intercept = np.polyfit(np.log10(hs), np.log10(errs), 1)
-    predicted = slope * np.log10(hs) + intercept
-    resid = np.log10(errs) - predicted
-    total = np.log10(errs) - np.log10(errs).mean()
-    r_squared = 1.0 - float(resid @ resid) / float(total @ total)
-    return OrderFit(
-        h_values=hs,
-        errors=errs,
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r_squared,
-    )

@@ -1,4 +1,4 @@
-"""The Gaussian ODE filter: initialize, predict, measure, update, iterate.
+"""The Gaussian ODE filter: initialize, then predict, measure and update per step.
 
 The belief at time t is a Gaussian over the solution value and its first
 q derivatives: a mean per output dimension and one covariance that every
@@ -18,12 +18,11 @@ Both covariance updates end in a plain symmetrization 0.5 (P + P^T): for
 q <= 5 and h >= 1e-4 this float64 recursion matches the exact one to
 about 1e-13 (gains relative, P_pred relative to sqrt(P_ii P_jj)).
 ``covariance_pass`` is that recursion, and the only loop that runs it:
-``solve`` zips it with its mesh loop of mean updates, and the steady-state
-orbits of ``steady_state`` iterate it alone.  ``solve`` writes each step
-into preallocated arrays (means and data per dimension; covariances and
-gains once), from which diagnostics replay predictive quantities, gains,
-residuals and posteriors; ``Trajectory.records`` rebuilds the per-step
-StepRecord view from them on demand.
+``solve``, the only code that advances a mean, zips it with its mesh loop
+of mean updates, and the steady-state orbits of ``steady_state`` iterate
+it alone.  ``solve`` writes each step into preallocated arrays (means and
+data per dimension; covariances and gains once), from which diagnostics
+read predictive quantities, gains, residuals and posteriors.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 
 from .noise import NoiseModel
 from .priors import PriorSpec, TransitionModel
-from .problems import IVProblem, MissingDerivative  # noqa: F401  (re-exported error)
+from .problems import IVProblem
 
 __all__ = [
     "Belief",
@@ -45,15 +44,12 @@ __all__ = [
     "NonIntegerMesh",
     "PerturbedInit",
     "SingularInnovation",
-    "StepRecord",
     "Trajectory",
     "covariance_pass",
     "evaluate_data",
     "gain",
     "initialize",
-    "predict",
     "solve",
-    "update",
 ]
 
 
@@ -109,31 +105,6 @@ class Belief:
     def d(self) -> int:
         return self.m.shape[1]
 
-    def validate(self) -> None:
-        assert np.all(np.isfinite(self.m)), "mean must be finite"
-        P = self.P
-        assert np.max(np.abs(P - P.T)) <= 1e-12, "covariance must be symmetric"
-        floor = -1e-10 * max(np.trace(P), 0.0)
-        assert np.linalg.eigvalsh(P).min() >= floor, "covariance must be PSD"
-
-
-@dataclasses.dataclass(frozen=True)
-class StepRecord:
-    """Everything one filter step computed, for audit and diagnostics.
-
-    Means, data and residuals are (q+1, d) or (d,); the covariances
-    P_pred, P_post (q+1, q+1) and the gain beta (q+1,) serve every dimension.
-    """
-
-    t_next: float
-    m_pred: np.ndarray
-    P_pred: np.ndarray
-    y: np.ndarray
-    r: np.ndarray
-    beta: np.ndarray
-    m_post: np.ndarray
-    P_post: np.ndarray
-
 
 @dataclasses.dataclass
 class Trajectory:
@@ -150,8 +121,7 @@ class Trajectory:
     diverged.  The arrays are read-only.
     """
 
-    problem: str
-    config: dict
+    h: float
     initial: Belief
     m_pred: np.ndarray
     y: np.ndarray
@@ -162,33 +132,12 @@ class Trajectory:
     diverged: bool = False
 
     @property
-    def h(self) -> float:
-        return self.config["h"]
-
-    @property
     def q(self) -> int:
         return self.initial.q
 
     @property
     def d(self) -> int:
         return self.initial.d
-
-    @property
-    def records(self) -> tuple:
-        """One StepRecord per step, built from (read-only) array rows on each access."""
-        return tuple(
-            StepRecord(
-                t_next=(n + 1) * self.h,
-                m_pred=self.m_pred[n],
-                P_pred=self.P_pred[n],
-                y=self.y[n],
-                r=self.y[n] - self.m_pred[n, 1],
-                beta=self.beta[n],
-                m_post=self.m_post[n],
-                P_post=self.P_post[n],
-            )
-            for n in range(len(self.y))
-        )
 
     def times(self) -> np.ndarray:
         steps = np.arange(1, len(self.y) + 1)
@@ -229,11 +178,6 @@ def initialize(
     return Belief(t=0.0, m=m, P=P)
 
 
-def predict(belief: Belief, tm: TransitionModel) -> Belief:
-    """Push the belief through the prior transition: the predictive belief."""
-    return Belief(t=belief.t + tm.h, m=tm.A @ belief.m, P=predict_covariance(belief.P, tm))
-
-
 def evaluate_data(f: Callable[[np.ndarray], np.ndarray], m_pred: np.ndarray) -> np.ndarray:
     """One vector-field evaluation at the predicted value: the step's data."""
     y = np.asarray(f(m_pred[0]), dtype=float)
@@ -248,30 +192,6 @@ def gain(P_pred: np.ndarray, R: float) -> np.ndarray:
     if denom == 0.0:
         raise SingularInnovation("P_pred[1, 1] + R = 0")
     return P_pred[:, 1] / denom
-
-
-def update(pred: Belief, y: np.ndarray, R: float):
-    """Condition the predictive belief on the data y.
-
-    Returns the posterior belief together with the full step record.  The
-    covariance subtraction is symmetrized (``update_covariance``).
-    """
-    y = np.asarray(y, dtype=float)
-    r = y - pred.m[1]
-    P_post, beta = update_covariance(pred.P, R)
-    m_post = pred.m + beta[:, None] * r[None, :]
-    posterior = Belief(t=pred.t, m=m_post, P=P_post)
-    record = StepRecord(
-        t_next=pred.t,
-        m_pred=pred.m,
-        P_pred=pred.P,
-        y=y,
-        r=r,
-        beta=beta,
-        m_post=m_post,
-        P_post=P_post,
-    )
-    return posterior, record
 
 
 def solve(
@@ -304,20 +224,7 @@ def solve(
     q, d = prior.q, problem.d
     tm = prior.transition(h)
     R = noise.evaluate(h)
-
     initial = initialize(problem, prior, h, mode)
-    config = {
-        "problem": problem.name,
-        "q": prior.q,
-        "prior": prior.kind,
-        "theta": prior.theta,
-        "sigma": prior.sigma,
-        "h": h,
-        "R": R,
-        "noise": noise,
-        "init": mode,
-        "n_steps": n_steps,
-    }
 
     m_pred = np.empty((n_steps, q + 1, d))
     y = np.empty((n_steps, d))
@@ -345,7 +252,7 @@ def solve(
     arrays = [a[:reached] for a in (m_pred, y, P_pred, P_post, beta, m_post)]
     for a in arrays:
         a.setflags(write=False)
-    return Trajectory(problem.name, config, initial, *arrays, diverged=reached < n_steps)
+    return Trajectory(h, initial, *arrays, diverged=reached < n_steps)
 
 
 def covariance_pass(tm: TransitionModel, R: float, P: np.ndarray) -> Iterator[tuple]:

@@ -17,7 +17,6 @@ __all__ = [
     "NoiseModel",
     "PowerLawNoise",
     "ZeroNoise",
-    "format_noise",
     "parse_noise",
 ]
 
@@ -28,9 +27,6 @@ class ZeroNoise:
 
     def evaluate(self, h: float) -> float:
         return 0.0
-
-    def is_permissible(self, q: int) -> bool:
-        return True
 
     @property
     def p(self) -> float:
@@ -53,10 +49,6 @@ class ConstantNoise:
 
     def evaluate(self, h: float) -> float:
         return self.R
-
-    def is_permissible(self, q: int) -> bool:
-        # A step-independent variance has order p = 0, so only R = 0 passes.
-        return self.R == 0.0
 
     @property
     def p(self) -> float:
@@ -87,9 +79,6 @@ class PowerLawNoise:
             return 0.0
         return self.K_R * h**self.p
 
-    def is_permissible(self, q: int) -> bool:
-        return self.p >= q
-
 
 NoiseModel = Union[ZeroNoise, ConstantNoise, PowerLawNoise]
 
@@ -108,15 +97,3 @@ def parse_noise(spec: str) -> NoiseModel:
     except ValueError as exc:
         raise ValueError(f"bad noise spec {spec!r}: {exc}") from None
     raise ValueError(f"bad noise spec {spec!r}; expected zero, const:<R>, or power:<p>:<K_R>")
-
-
-def format_noise(model: NoiseModel) -> str:
-    """Inverse of parse_noise (round-trips through repr of the floats)."""
-    if isinstance(model, ZeroNoise):
-        return "zero"
-    if isinstance(model, ConstantNoise):
-        return f"const:{model.R!r}"
-    if isinstance(model, PowerLawNoise):
-        p = "inf" if math.isinf(model.p) else repr(model.p)
-        return f"power:{p}:{model.K_R!r}"
-    raise TypeError(f"not a noise model: {model!r}")

@@ -8,18 +8,18 @@ through an exact matrix pair ``(A(h), Q(h))``:
 
     m(t + h) = A(h) m(t),        P(t + h) = A(h) P(t) A(h)^T + Q(h).
 
-This module builds the continuous-time model (drift ``F``, diffusion ``L``)
-and the discrete pair: IBM uses its polynomial closed form, and every other
-prior the generic ``lti_transition`` (a Van Loan block exponential over a
-short step, then exact doubling).  The quadrature oracle that
-cross-checks both lives with the tests (``tests/oracles.py``).
+``PriorSpec`` holds the continuous-time model (drift ``F``, diffusion
+``L``), and ``PriorSpec.transition`` builds the discrete pair from it:
+IBM uses its polynomial closed form, and every other prior the generic
+``lti_transition`` (a Van Loan block exponential over a short step, then
+exact doubling).  The quadrature oracle that cross-checks both lives with
+the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -28,9 +28,7 @@ __all__ = [
     "IOUP",
     "PriorSpec",
     "TransitionModel",
-    "companion_matrix",
     "ibm_transition",
-    "ioup_transition",
     "lti_transition",
 ]
 
@@ -65,9 +63,10 @@ class PriorSpec:
             raise ValueError("sigma must be positive")
 
     def drift_matrix(self) -> np.ndarray:
-        """Companion drift F of the prior SDE."""
-        a = [0.0] * self.q + [-self.theta]
-        return companion_matrix(self.q, a)
+        """Companion drift F of the prior SDE: ones on the superdiagonal, F_qq = -theta."""
+        F = np.eye(self.q + 1, k=1)
+        F[self.q, self.q] = -self.theta
+        return F
 
     def diffusion_vector(self) -> np.ndarray:
         """Diffusion column L: sigma acts on the top derivative only."""
@@ -91,22 +90,6 @@ class TransitionModel:
     Q: np.ndarray
 
 
-def companion_matrix(q: int, a: Sequence[float]) -> np.ndarray:
-    """Companion matrix: ones on the superdiagonal, ``a`` as last row."""
-    if q < 0:
-        raise ValueError("q must be non-negative")
-    a = np.asarray(a, dtype=float)
-    if a.shape != (q + 1,):
-        raise ValueError(f"a must have length q+1 = {q + 1}, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("a must be finite")
-    F = np.zeros((q + 1, q + 1))
-    for i in range(q):
-        F[i, i + 1] = 1.0
-    F[q, :] = a
-    return F
-
-
 def ibm_transition(q: int, sigma: float, h: float) -> TransitionModel:
     """Exact (A, Q) for the q-times integrated Brownian motion.
 
@@ -125,14 +108,6 @@ def ibm_transition(q: int, sigma: float, h: float) -> TransitionModel:
             k = 2 * q + 1 - i - j
             Q[i, j] = sigma**2 * h**k / (k * math.factorial(q - i) * math.factorial(q - j))
     return TransitionModel(h=h, A=A, Q=Q)
-
-
-def ioup_transition(q: int, theta: float, sigma: float, h: float) -> TransitionModel:
-    """(A, Q) for the q-times integrated Ornstein-Uhlenbeck process.
-
-    A thin caller of ``lti_transition`` on the IOUP drift and diffusion.
-    """
-    return PriorSpec(q, IOUP, theta, sigma).transition(h)
 
 
 def lti_transition(F: np.ndarray, L: np.ndarray, sigma: float, h: float) -> TransitionModel:

@@ -62,10 +62,6 @@ class IVProblem:
             )
         return self.derivatives[i]
 
-    @property
-    def max_derivative(self) -> int:
-        return len(self.derivatives) - 1
-
     def validate(self, probes: int = 100, fd_step: float = 1e-5) -> None:
         """Check the closed-form solution and the derivative chain.
 

@@ -4,10 +4,11 @@ For q = 1 the covariance recursion decouples from the data and follows a
 discrete algebraic Riccati equation.  Its velocity block and the gains
 converge to unique attractive fixed points with closed forms in
 (h, sigma, R); the position variance has no fixed point (that state is
-undetectable) and is deliberately excluded.  ``dare_orbit`` and
-``orbit_limit`` iterate ``filtering.covariance_pass``, the same recursion
-``solve`` runs, as a numerical oracle, and ``verify_order_bounds`` runs
-the same pass to measure the h-orders of the maximal covariance/gain
+undetectable) and is deliberately excluded.  ``orbit_limit`` iterates
+``filtering.covariance_pass``, the same recursion ``solve`` runs, as a
+numerical oracle for the closed forms (from a zero start the orbit is a
+q = 1 solve's covariance track bit for bit), and ``verify_order_bounds``
+runs the same pass to measure the h-orders of the maximal covariance/gain
 quantities against the predicted exponents for a power-law noise model
 R = K_R h^p.
 
@@ -43,7 +44,6 @@ __all__ = [
     "OrderBoundFit",
     "SteadyState",
     "closed_form",
-    "dare_orbit",
     "orbit_limit",
     "predicted_exponent",
     "verify_order_bounds",
@@ -115,24 +115,6 @@ def closed_form(h: float, sigma: float, R: float) -> SteadyState:
         sigma=sigma,
         R=R,
     )
-
-
-def dare_orbit(
-    h: float, sigma: float, R: float, P0: np.ndarray, n_steps: int
-) -> list:
-    """Iterate the exact q = 1 covariance recursion from P0.
-
-    Returns ``n_steps`` triples (P_pred, P, beta) of
-    ``filtering.covariance_pass``; from P0 = 0 the orbit is exactly the
-    covariance sequence of a q = 1 IBM solve.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    tm = ibm_transition(1, sigma, h)
-    P = np.array(P0, dtype=float)
-    if P.shape != (2, 2):
-        raise ValueError("P0 must be a 2x2 matrix")
-    return list(islice(filtering.covariance_pass(tm, R, P), n_steps))
 
 
 def orbit_limit(

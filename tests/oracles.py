@@ -1,11 +1,15 @@
 """Test-only oracles, independent of the code paths they check.
 
-A quadrature ``(A, Q)`` straight from the SDE definition, Kronecker
-coupling of output dimensions (to check that identity factors reduce to
-the scalar model the solver uses), the IBM covariance recursion in
-``mpmath`` arithmetic, the full-mesh order-bound tracks of the q = 1
-covariance pass, a Richardson-checked RK4 reference integrator, and an
-unguarded log-log slope.  The tests import them as
+The replay oracle: one filter step driven by hand (``predict``, then
+``update``, each returning a ``Belief`` and the second a ``StepRecord``),
+the belief invariants (``validate_belief``), and the per-point weighted
+derivative norm ``h_norm``, against which ``solve`` and the whole-mesh
+diagnostics are compared.  A quadrature ``(A, Q)`` straight from the SDE
+definition, Kronecker coupling of output dimensions (to check that
+identity factors reduce to the scalar model the solver uses), the IBM
+covariance recursion in ``mpmath`` arithmetic, the full-mesh order-bound
+tracks of the q = 1 covariance pass, a Richardson-checked RK4 reference
+integrator, and an unguarded log-log slope.  The tests import them as
 ``from oracles import ...``.
 """
 
@@ -17,7 +21,7 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from odefilter.filtering import covariance_pass
+from odefilter.filtering import Belief, covariance_pass, predict_covariance, update_covariance
 from odefilter.noise import NoiseModel
 from odefilter.priors import PriorSpec, TransitionModel, _expm, ibm_transition
 from odefilter.problems import IVProblem
@@ -29,6 +33,71 @@ class DimensionMismatch(ValueError):
 
 class OracleNotConverged(RuntimeError):
     """The reference integrator's Richardson self-check exceeded 1e-8."""
+
+
+@dataclasses.dataclass(frozen=True)
+class StepRecord:
+    """Everything one filter step computed, for audit and diagnostics.
+
+    Means, data and residuals are (q+1, d) or (d,); the covariances
+    P_pred, P_post (q+1, q+1) and the gain beta (q+1,) serve every dimension.
+    """
+
+    t_next: float
+    m_pred: np.ndarray
+    P_pred: np.ndarray
+    y: np.ndarray
+    r: np.ndarray
+    beta: np.ndarray
+    m_post: np.ndarray
+    P_post: np.ndarray
+
+
+def validate_belief(belief: Belief) -> None:
+    """Assert the belief invariants: a finite mean and a symmetric PSD covariance."""
+    assert np.all(np.isfinite(belief.m)), "mean must be finite"
+    P = belief.P
+    assert np.max(np.abs(P - P.T)) <= 1e-12, "covariance must be symmetric"
+    floor = -1e-10 * max(np.trace(P), 0.0)
+    assert np.linalg.eigvalsh(P).min() >= floor, "covariance must be PSD"
+
+
+def predict(belief: Belief, tm: TransitionModel) -> Belief:
+    """Push the belief through the prior transition: the predictive belief."""
+    return Belief(t=belief.t + tm.h, m=tm.A @ belief.m, P=predict_covariance(belief.P, tm))
+
+
+def update(pred: Belief, y: np.ndarray, R: float):
+    """Condition the predictive belief on the data y.
+
+    Returns the posterior belief together with the full step record.  The
+    covariance subtraction is symmetrized (``update_covariance``).
+    """
+    y = np.asarray(y, dtype=float)
+    r = y - pred.m[1]
+    P_post, beta = update_covariance(pred.P, R)
+    m_post = pred.m + beta[:, None] * r[None, :]
+    posterior = Belief(t=pred.t, m=m_post, P=P_post)
+    record = StepRecord(
+        t_next=pred.t,
+        m_pred=pred.m,
+        P_pred=pred.P,
+        y=y,
+        r=r,
+        beta=beta,
+        m_post=m_post,
+        P_post=P_post,
+    )
+    return posterior, record
+
+
+def h_norm(eps: np.ndarray, h: float) -> float:
+    """sum_i h^i ||row i|| over the derivative stack."""
+    if not h > 0.0:
+        raise ValueError("h must be positive")
+    eps = np.atleast_2d(np.asarray(eps, dtype=float))
+    weights = h ** np.arange(eps.shape[0], dtype=float)
+    return float(np.sum(weights * np.linalg.norm(eps, axis=1)))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -6,22 +6,17 @@ criteria execute.  Every tolerance is pinned here; nothing is deferred.
 
 import math
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from odefilter.diagnostics import credible_width, global_error, misalignment
-from odefilter.filtering import (
-    evaluate_data,
-    initialize,
-    predict,
-    solve,
-    update,
-)
+from odefilter.filtering import covariance_pass, solve
 from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise
-from odefilter.priors import PriorSpec, ibm_transition, ioup_transition
+from odefilter.priors import PriorSpec, ibm_transition
 from odefilter.problems import IVProblem, get_problem, riccati
-from odefilter.steady_state import closed_form, dare_orbit, verify_order_bounds
+from odefilter.steady_state import closed_form, verify_order_bounds
 from oracles import kron_extend, loglog_slope, transition_oracle
 
 SQRT10 = math.sqrt(10.0)
@@ -48,20 +43,20 @@ def test_criterion_01_worked_example_golden():
     problem = riccati()
     prior = PriorSpec(1, sigma=SQRT10)
     traj = solve(problem, prior, 0.1, ZeroNoise())
-    rec = traj.records[0]
+    m_pred, y, beta, m_post = traj.m_pred[0], traj.y[0], traj.beta[0], traj.m_post[0]
     tol = 1e-14
     checks = {
-        "m_pred0": abs(rec.m_pred[0, 0] - 19 / 20),
-        "m_pred1": abs(rec.m_pred[1, 0] + 1 / 2),
+        "m_pred0": abs(m_pred[0, 0] - 19 / 20),
+        "m_pred1": abs(m_pred[1, 0] + 1 / 2),
         "P_pred": float(
-            np.abs(rec.P_pred - [[1 / 300, 1 / 20], [1 / 20, 1.0]]).max()
+            np.abs(traj.P_pred[0] - [[1 / 300, 1 / 20], [1 / 20, 1.0]]).max()
         ),
-        "y": abs(rec.y[0] + 6859 / 16000),
-        "beta0": abs(rec.beta[0] - 1 / 20),
-        "beta1": abs(rec.beta[1] - 1.0),
-        "r": abs(rec.r[0] - 1141 / 16000),
-        "m0": abs(rec.m_post[0, 0] - 305141 / 320000),
-        "m1": abs(rec.m_post[1, 0] + 6859 / 16000),
+        "y": abs(y[0] + 6859 / 16000),
+        "beta0": abs(beta[0] - 1 / 20),
+        "beta1": abs(beta[1] - 1.0),
+        "r": abs(y[0] - m_pred[1, 0] - 1141 / 16000),
+        "m0": abs(m_post[0, 0] - 305141 / 320000),
+        "m1": abs(m_post[1, 0] + 6859 / 16000),
     }
     golden_ok = all(v <= tol for v in checks.values())
     delta_zero = misalignment(traj, problem, 1)[1]
@@ -69,17 +64,13 @@ def test_criterion_01_worked_example_golden():
     delta_unit = misalignment(traj_unit, problem, 1)[1]
     delta_ok = abs(delta_zero - 0.00485) <= 5e-5 and abs(delta_unit - 0.03324) <= 5e-6
 
-    # One filter step (predict, evaluate, update), best of 5 after warmup.
-    tm = ibm_transition(1, SQRT10, 0.1)
-    belief = initialize(problem, prior, 0.1)
+    # Per-step cost of solve over the 10-step mesh, best of 5 after warmup.
     durations = []
     for _ in range(6):
         t0 = time.perf_counter()
-        pred = predict(belief, tm)
-        y = evaluate_data(problem.f, pred.m)
-        update(pred, y, 0.0)
+        solve(problem, prior, 0.1, ZeroNoise())
         durations.append(time.perf_counter() - t0)
-    step_seconds = min(durations[1:])
+    step_seconds = min(durations[1:]) / 10
     elapsed = time.perf_counter() - start
     report(
         1,
@@ -98,12 +89,9 @@ def test_criterion_02_transition_oracle_equivalence():
         for theta in (0.0, 0.5, 2.0):
             for sigma in (0.1, 1.0, 50.0):
                 for h in (1e-3, 1e-2, 1e-1, 1.0):
-                    if theta == 0.0:
-                        tm = ibm_transition(q, sigma, h)
-                        prior = PriorSpec(q, sigma=sigma)
-                    else:
-                        tm = ioup_transition(q, theta, sigma, h)
-                        prior = PriorSpec(q, kind="ioup", theta=theta, sigma=sigma)
+                    kind = "ibm" if theta == 0.0 else "ioup"
+                    prior = PriorSpec(q, kind=kind, theta=theta, sigma=sigma)
+                    tm = prior.transition(h)
                     oracle = transition_oracle(
                         prior.drift_matrix(), prior.diffusion_vector(), sigma, h
                     )
@@ -133,20 +121,13 @@ def test_criterion_03_steady_state_fixed_points():
         target = closed_form(h, sigma, R).as_tuple()
         raw = rng.normal(size=(2, 2))
         P0 = (raw @ raw.T) * sigma**2 * h * 10.0 ** rng.uniform(-2, 2)
+        tm = ibm_transition(1, sigma, h)
         converged_at = None
-        steps_taken = 0
-        state = P0
-        while steps_taken < 500 and converged_at is None:
-            chunk = dare_orbit(h, sigma, R, state, 50)
-            for P_pred, P, beta in chunk:
-                steps_taken += 1
-                values = np.array(
-                    [P_pred[1, 1], P[1, 1], P_pred[0, 1], P[0, 1], beta[0], beta[1]]
-                )
-                if np.max(np.abs(values - target)) <= 1e-10:
-                    converged_at = steps_taken
-                    break
-            state = chunk[-1][1]
+        for n, (P_pred, P, beta) in enumerate(islice(covariance_pass(tm, R, P0), 500), 1):
+            values = np.array([P_pred[1, 1], P[1, 1], P_pred[0, 1], P[0, 1], beta[0], beta[1]])
+            if np.max(np.abs(values - target)) <= 1e-10:
+                converged_at = n
+                break
         if converged_at is None:
             all_converged = False
         else:
@@ -157,7 +138,7 @@ def test_criterion_03_steady_state_fixed_points():
         ss = closed_form(h, sigma, R)
         p00 = 1.0 if ss.P11 == 0.0 else 1.0 + 2.0 * ss.P01**2 / ss.P11
         fixed = np.array([[p00, ss.P01], [ss.P01, ss.P11]])
-        (P_pred, P, beta) = dare_orbit(h, sigma, R, fixed, 1)[0]
+        P_pred, P, beta = next(covariance_pass(tm, R, fixed))
         pushed = np.array([P_pred[1, 1], P[1, 1], P_pred[0, 1], P[0, 1], beta[0], beta[1]])
         worst_push = max(worst_push, float(np.max(np.abs(pushed - target))))
     elapsed = time.perf_counter() - start
@@ -321,21 +302,20 @@ def test_criterion_10_invariant_suite():
         problem = get_problem(name)
         traj = solve(problem, PriorSpec(q, sigma=sigma), 0.05, noise)
         R = noise.evaluate(0.05)
-        for rec in traj.records:
+        for P_pred, P_post, beta in zip(traj.P_pred, traj.P_post, traj.beta):
             checked_steps += 1
-            P_pred, P_post = rec.P_pred, rec.P_post
             if np.abs(P_post - P_post.T).max() > 1e-12:
                 failures.append(f"{name} q={q}: asymmetric posterior")
             if np.linalg.eigvalsh(P_post).min() < -1e-10 * max(np.trace(P_post), 0.0):
                 failures.append(f"{name} q={q}: negative posterior eigenvalue")
-            if not 0.0 <= rec.beta[1] <= 1.0:
+            if not 0.0 <= beta[1] <= 1.0:
                 failures.append(f"{name} q={q}: beta1 outside [0, 1]")
             if q == 1:
                 if P_pred[1, 1] < sigma**2 * 0.05 * (1 - 1e-12):
                     failures.append(f"{name}: predicted velocity variance below sigma^2 h")
-                if abs(P_post[0, 1] - R * rec.beta[0]) > 1e-12:
+                if abs(P_post[0, 1] - R * beta[0]) > 1e-12:
                     failures.append(f"{name}: P01 != R beta0")
-                if abs(P_post[1, 1] - R * rec.beta[1]) > 1e-12:
+                if abs(P_post[1, 1] - R * beta[1]) > 1e-12:
                     failures.append(f"{name}: P11 != R beta1")
     assert checked_steps >= 100
 

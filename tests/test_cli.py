@@ -87,6 +87,30 @@ class TestSolveCommand:
         assert len(read_csv(out)) < 15
 
 
+#: Bad configurations, each caught in main as a ValueError or LookupError.
+CONFIG_ERRORS = {
+    "ioup-no-theta": "solve --problem logistic --h 0.1 --prior ioup",
+    "wpd-ioup-no-theta": "wpd --problem logistic --h-grid 0.1:2:4 --prior ioup",
+    "sigma-0": "solve --problem logistic --h 0.1 --sigma 0",
+    "steady-sigma-0": "steady --sigma 0 --h-grid 0.1:2:8",
+    "init-not-a-number": "solve --problem logistic --h 0.1 --init perturbed:abc",
+    "non-integer-mesh": "solve --problem logistic --h 0.4",
+    "q-0": "solve --problem logistic --h 0.1 --q 0",
+    "missing-derivative": "solve --problem logistic --h 0.1 --q 7",
+    "wpd-bad-noise": "wpd --noise gauss --h-grid 0.1:2:4",
+    "steady-bad-noise": "steady --noise gauss --h-grid 0.1:2:8",
+    "steady-insufficient-grid": "steady --h-grid 0.1:2:4",
+}
+
+
+@pytest.mark.parametrize("argv", list(CONFIG_ERRORS.values()), ids=list(CONFIG_ERRORS))
+def test_configuration_error_exits_1_without_traceback(argv, tmp_path, capsys):
+    assert main(argv.split() + ["--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("odefilter: error:")
+    assert "Traceback" not in err
+
+
 class TestWpdCommand:
     def test_sweep_and_determinism(self, tmp_path):
         args = [

@@ -2,23 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from odefilter.diagnostics import (
-    DegenerateFit,
-    MissingExact,
-    credible_width,
-    fit_order,
-    global_error,
-    h_norm,
-    misalignment,
-)
+from odefilter.diagnostics import MissingExact, credible_width, global_error, misalignment
 from odefilter.filtering import solve
 from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise
 from odefilter.priors import PriorSpec
 from odefilter.problems import IVProblem, get_problem, logistic, riccati
-from oracles import loglog_slope
+from oracles import h_norm, loglog_slope
 
 SQRT10 = math.sqrt(10.0)
 
@@ -189,47 +179,3 @@ class TestCredibleWidth:
         assert credible_width(traj).ratios is None
         with pytest.raises(MissingExact):
             credible_width(traj, bare)
-
-
-class TestFitOrder:
-    def test_exact_quadratic(self):
-        hs = [0.1 * 2.0**-k for k in range(6)]
-        errors = [3.7 * h**2 for h in hs]
-        fit = fit_order(hs, errors, drop_largest=0)
-        assert fit.slope == pytest.approx(2.0, abs=1e-12)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-
-    def test_fractional_order(self):
-        hs = [0.1 * 2.0**-k for k in range(6)]
-        fit = fit_order(hs, [2.0 * h**1.5 for h in hs])
-        assert fit.slope == pytest.approx(1.5, abs=1e-12)
-
-    def test_drop_largest_excludes_transient(self):
-        hs = [0.1 * 2.0**-k for k in range(6)]
-        errors = [h**2 for h in hs]
-        errors[0] *= 40.0  # pre-asymptotic bump on the coarsest step
-        assert fit_order(hs, errors, drop_largest=1).slope == pytest.approx(2.0, abs=1e-12)
-        assert fit_order(hs, errors, drop_largest=0).slope > 2.5
-
-    @given(scale=st.floats(1e-6, 1e6))
-    @settings(max_examples=60, deadline=None)
-    def test_scale_invariance(self, scale):
-        hs = [0.1 * 2.0**-k for k in range(5)]
-        errors = np.array([h**1.7 for h in hs])
-        base = fit_order(hs, errors).slope
-        scaled = fit_order(hs, scale * errors).slope
-        assert scaled == pytest.approx(base, rel=1e-9)
-
-    def test_degenerate_fit(self):
-        hs = [0.1 * 2.0**-k for k in range(5)]
-        with pytest.raises(DegenerateFit):
-            fit_order(hs, [1.0, 1.1, 0.9, 1.05, 1.0])
-
-    def test_requires_positive_errors(self):
-        hs = [0.1, 0.05, 0.025, 0.0125]
-        with pytest.raises(ValueError):
-            fit_order(hs, [1.0, 0.1, 0.0, 0.001])
-
-    def test_requires_three_points_after_drop(self):
-        with pytest.raises(ValueError):
-            fit_order([0.1, 0.05, 0.025], [1.0, 0.25, 0.06], drop_largest=1)

@@ -17,14 +17,12 @@ from odefilter.filtering import (
     evaluate_data,
     gain,
     initialize,
-    predict,
     solve,
-    update,
 )
 from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise, parse_noise
 from odefilter.priors import PriorSpec, ibm_transition
 from odefilter.problems import IVProblem, MissingDerivative, get_problem, logistic, riccati
-from oracles import ibm_covariance_pass_mp
+from oracles import ibm_covariance_pass_mp, predict, update, validate_belief
 
 SQRT10 = math.sqrt(10.0)
 
@@ -80,7 +78,7 @@ class TestInitialize:
             for ell in range(q + 1):
                 expected = k0 * h ** (2 * q + 1 - k - ell)
                 assert belief.P[k, ell] == pytest.approx(expected, rel=1e-12)
-        belief.validate()
+        validate_belief(belief)
 
     def test_missing_derivative(self):
         stub = IVProblem(
@@ -190,31 +188,31 @@ class TestUpdate:
 class TestSolve:
     def test_riccati_golden_step(self):
         traj = solve(riccati(), PriorSpec(1, sigma=SQRT10), 0.1, ZeroNoise())
-        rec = traj.records[0]
-        assert abs(rec.m_pred[0, 0] - 19 / 20) <= 1e-14
-        assert abs(rec.m_pred[1, 0] + 0.5) <= 1e-14
-        assert np.abs(rec.P_pred - GOLDEN_Q).max() <= 1e-14
-        assert abs(rec.y[0] + 6859 / 16000) <= 1e-14
-        assert abs(rec.beta[0] - 1 / 20) <= 1e-14
-        assert abs(rec.beta[1] - 1.0) <= 1e-14
-        assert abs(rec.r[0] - 1141 / 16000) <= 1e-14
-        assert abs(rec.m_post[0, 0] - 305141 / 320000) <= 1e-14
-        assert abs(rec.m_post[1, 0] + 6859 / 16000) <= 1e-14
+        m_pred, m_post, beta = traj.m_pred[0], traj.m_post[0], traj.beta[0]
+        assert abs(m_pred[0, 0] - 19 / 20) <= 1e-14
+        assert abs(m_pred[1, 0] + 0.5) <= 1e-14
+        assert np.abs(traj.P_pred[0] - GOLDEN_Q).max() <= 1e-14
+        assert abs(traj.y[0, 0] + 6859 / 16000) <= 1e-14
+        assert abs(beta[0] - 1 / 20) <= 1e-14
+        assert abs(beta[1] - 1.0) <= 1e-14
+        assert abs(traj.y[0, 0] - m_pred[1, 0] - 1141 / 16000) <= 1e-14
+        assert abs(m_post[0, 0] - 305141 / 320000) <= 1e-14
+        assert abs(m_post[1, 0] + 6859 / 16000) <= 1e-14
 
     def test_constant_field_reproduced_exactly(self):
         # Dyadic parameters so the float accumulation is itself exact.
         problem = constant_field_problem(c=0.5, x0=2.0, T=8.0)
         traj = solve(problem, PriorSpec(1, sigma=1.0), 0.25, ZeroNoise())
         assert np.all(traj.residual_norms() == 0.0)
-        for n, rec in enumerate(traj.records, start=1):
-            assert rec.m_post[0, 0] == 2.0 + 0.5 * (n * 0.25)
+        for n, m in enumerate(traj.m_post, start=1):
+            assert m[0, 0] == 2.0 + 0.5 * (n * 0.25)
 
     def test_constant_field_generic_params(self):
         problem = constant_field_problem(c=0.37, x0=1.1, T=1.0)
         traj = solve(problem, PriorSpec(1, sigma=2.0), 0.1, ZeroNoise())
         assert np.all(traj.residual_norms() <= 1e-15)
-        eps = [abs(rec.m_post[0, 0] - (1.1 + 0.37 * rec.t_next)) for rec in traj.records]
-        assert max(eps) <= 1e-14
+        eps = np.abs(traj.m_post[:, 0, 0] - (1.1 + 0.37 * traj.times()[1:]))
+        assert eps.max() <= 1e-14
 
     def test_error_drops_with_h(self):
         problem = logistic()
@@ -222,7 +220,7 @@ class TestSolve:
         errors = {}
         for h in (0.1, 0.01):
             traj = solve(problem, prior, h, ZeroNoise())
-            errors[h] = abs(traj.records[-1].m_post[0, 0] - problem.exact(problem.T)[0])
+            errors[h] = abs(traj.m_post[-1, 0, 0] - problem.exact(problem.T)[0])
         assert errors[0.01] * 50.0 < errors[0.1]
 
     def test_non_integer_mesh(self):
@@ -236,7 +234,7 @@ class TestSolve:
     def test_mesh_times(self):
         traj = solve(logistic(), PriorSpec(1), 0.01, ZeroNoise())
         times = traj.times()
-        assert len(traj.records) == 150
+        assert len(traj.y) == 150
         spacings = np.diff(times)
         assert np.all(spacings > 0.0)
         np.testing.assert_allclose(spacings, 0.01, rtol=1e-12)
@@ -271,31 +269,19 @@ class TestSolve:
         )
         traj = solve(blowup, PriorSpec(1, sigma=1.0), 0.5, ZeroNoise())
         assert traj.diverged
-        assert len(traj.records) < 100
         reached = len(traj.y)
+        assert reached < 100
         arrays = (traj.m_pred, traj.y, traj.P_pred, traj.P_post, traj.beta, traj.m_post)
         assert [len(a) for a in arrays] == [reached] * 6
-        assert len(traj.records) == len(traj.residual_norms()) == reached
+        assert len(traj.residual_norms()) == reached
         assert len(traj.times()) == len(traj.means()) == len(traj.covariances()) == reached + 1
         assert np.all(np.isfinite(traj.m_post))
 
-    def test_records_view_matches_arrays(self):
-        q = 2
-        traj = solve(get_problem("linear"), PriorSpec(q, sigma=1.0), 0.1, ConstantNoise(R=0.3))
-        times = traj.times()
-        for n, rec in enumerate(traj.records):
-            assert rec.t_next == times[n + 1]
-            assert rec.P_pred.shape == rec.P_post.shape == (q + 1, q + 1)
-            assert rec.beta.shape == (q + 1,)
-            np.testing.assert_array_equal(rec.P_pred, traj.P_pred[n])
-            np.testing.assert_array_equal(rec.P_post, traj.P_post[n])
-            np.testing.assert_array_equal(rec.beta, traj.beta[n])
-            np.testing.assert_array_equal(rec.r, traj.y[n] - traj.m_pred[n, 1])
-            np.testing.assert_array_equal(rec.m_post, traj.m_post[n])
-        with pytest.raises(ValueError):
-            traj.m_post[0, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            traj.records[0].P_post[0, 0] = 1.0
+    def test_arrays_are_read_only(self):
+        traj = solve(get_problem("linear"), PriorSpec(2, sigma=1.0), 0.1, ConstantNoise(R=0.3))
+        for a in (traj.m_pred, traj.y, traj.P_pred, traj.P_post, traj.beta, traj.m_post):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
 
 
 class TestTrajectoryInvariants:
@@ -315,16 +301,16 @@ class TestTrajectoryInvariants:
         assert not traj.diverged
         h = traj.h
         R = noise.evaluate(h)
-        for rec in traj.records:
-            for P in (rec.P_pred, rec.P_post):
+        for P_pred, P_post, beta in zip(traj.P_pred, traj.P_post, traj.beta):
+            for P in (P_pred, P_post):
                 assert np.abs(P - P.T).max() <= 1e-12
                 floor = -1e-10 * max(np.trace(P), 0.0)
                 assert np.linalg.eigvalsh(P).min() >= floor
-            assert 0.0 <= rec.beta[1] <= 1.0
+            assert 0.0 <= beta[1] <= 1.0
             if q == 1:
-                assert rec.P_pred[1, 1] >= sigma**2 * h * (1 - 1e-12)
-                assert abs(rec.P_post[0, 1] - R * rec.beta[0]) <= 1e-12
-                assert abs(rec.P_post[1, 1] - R * rec.beta[1]) <= 1e-12
+                assert P_pred[1, 1] >= sigma**2 * h * (1 - 1e-12)
+                assert abs(P_post[0, 1] - R * beta[0]) <= 1e-12
+                assert abs(P_post[1, 1] - R * beta[1]) <= 1e-12
 
     @given(
         seed=st.integers(0, 10_000),

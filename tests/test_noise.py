@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odefilter.noise import (
-    ConstantNoise,
-    PowerLawNoise,
-    ZeroNoise,
-    format_noise,
-    parse_noise,
-)
+from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise, parse_noise
 
 
 class TestEvaluate:
@@ -30,18 +24,21 @@ class TestEvaluate:
 
 
 class TestPermissibility:
+    """Noise is permissible for q when its order p is at least q."""
+
     def test_below_q_fails(self):
-        assert not PowerLawNoise(K_R=1.0, p=0.5).is_permissible(1)
+        assert not PowerLawNoise(K_R=1.0, p=0.5).p >= 1
 
     def test_boundary_passes(self):
-        assert PowerLawNoise(K_R=1.0, p=1.0).is_permissible(1)
+        assert PowerLawNoise(K_R=1.0, p=1.0).p >= 1
 
     def test_zero_always_passes(self):
-        assert ZeroNoise().is_permissible(3)
+        assert ZeroNoise().p >= 3
 
     def test_constant_only_at_zero(self):
-        assert ConstantNoise(R=0.0).is_permissible(2)
-        assert not ConstantNoise(R=1.0).is_permissible(2)
+        # A step-independent variance has order p = 0, so only R = 0 passes.
+        assert ConstantNoise(R=0.0).p >= 2
+        assert not ConstantNoise(R=1.0).p >= 2
 
 
 class TestProperties:
@@ -91,15 +88,3 @@ class TestParse:
     def test_bad_specs(self, bad):
         with pytest.raises(ValueError):
             parse_noise(bad)
-
-    @pytest.mark.parametrize(
-        "model",
-        [
-            ZeroNoise(),
-            ConstantNoise(R=0.125),
-            PowerLawNoise(K_R=3.73e3, p=0.5),
-            PowerLawNoise(K_R=1.0, p=math.inf),
-        ],
-    )
-    def test_round_trip(self, model):
-        assert parse_noise(format_noise(model)) == model

@@ -95,7 +95,7 @@ class TestDerivativeChain:
         p = get_problem(name)
         dt = 1e-5
         ts = np.linspace(0.05 * p.T, 0.95 * p.T, 9)
-        for i in range(1, min(p.max_derivative, 4) + 1):
+        for i in range(1, min(len(p.derivatives) - 1, 4) + 1):
             g_prev, g_i = p.derivative(i - 1), p.derivative(i)
             for t in ts:
                 fd = (
@@ -109,7 +109,7 @@ class TestDerivativeChain:
     def test_missing_derivative_raises(self):
         p = logistic()
         with pytest.raises(MissingDerivative):
-            p.derivative(p.max_derivative + 1)
+            p.derivative(len(p.derivatives))
         with pytest.raises(MissingDerivative):
             p.derivative(-1)
 

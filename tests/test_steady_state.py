@@ -1,20 +1,20 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 from oracles import order_bound_tracks
 
 from odefilter import filtering
-from odefilter.filtering import solve
+from odefilter.filtering import covariance_pass, solve
 from odefilter.noise import parse_noise
-from odefilter.priors import PriorSpec
+from odefilter.priors import PriorSpec, ibm_transition
 from odefilter.problems import get_problem
 from odefilter.steady_state import (
     InsufficientGrid,
     ORDER_BOUND_QUANTITIES,
     OrbitCycle,
     closed_form,
-    dare_orbit,
     orbit_limit,
     predicted_exponent,
     verify_order_bounds,
@@ -61,9 +61,11 @@ class TestClosedForm:
 
 
 class TestDareOrbit:
+    """The q = 1 covariance pass, a DARE orbit, from chosen starts."""
+
     def test_first_step_from_zero_matches_worked_example(self):
-        orbit = dare_orbit(0.1, math.sqrt(10.0), 0.0, np.zeros((2, 2)), 1)
-        P_pred, P, beta = orbit[0]
+        orbit = covariance_pass(ibm_transition(1, math.sqrt(10.0), 0.1), 0.0, np.zeros((2, 2)))
+        P_pred, P, beta = next(orbit)
         np.testing.assert_allclose(
             P_pred, [[1 / 300, 1 / 20], [1 / 20, 1.0]], atol=1e-15
         )
@@ -76,8 +78,7 @@ class TestDareOrbit:
         # Assemble the full 2x2 state at the fixed point; P00 is irrelevant
         # for the tracked quantities (the recursion never feeds it back).
         P0 = np.array([[1.0, ss.P01], [ss.P01, ss.P11]])
-        orbit = dare_orbit(h, sigma, R, P0, 5)
-        for P_pred, P, beta in orbit:
+        for P_pred, P, beta in islice(covariance_pass(ibm_transition(1, sigma, h), R, P0), 5):
             assert abs(P_pred[1, 1] - ss.P11_pred) <= 1e-13
             assert abs(P_pred[0, 1] - ss.P01_pred) <= 1e-13
             assert abs(P[1, 1] - ss.P11) <= 1e-13
@@ -92,7 +93,8 @@ class TestDareOrbit:
             sigma = 10.0 ** rng.uniform(-0.5, 0.5)
             R = sigma**2 * h * 10.0 ** rng.uniform(-3, 0.5)
             target = closed_form(h, sigma, R).P11_pred
-            orbit = dare_orbit(h, sigma, R, random_psd(rng, scale=sigma**2), 60)
+            P0 = random_psd(rng, scale=sigma**2)
+            orbit = islice(covariance_pass(ibm_transition(1, sigma, h), R, P0), 60)
             gaps = [abs(t[0][1, 1] - target) for t in orbit]
             for earlier, later in zip(gaps, gaps[1:]):
                 assert later <= earlier + 1e-15
@@ -109,15 +111,9 @@ class TestDareOrbit:
         X = scipy_linalg.solve_discrete_are(A1.T, H.T, Q11, np.array([[R]]))
         assert X[0, 0] == pytest.approx(closed_form(h, sigma, R).P11_pred, rel=1e-12)
 
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            dare_orbit(0.1, 1.0, 0.0, np.zeros((3, 3)), 1)
-        with pytest.raises(ValueError):
-            dare_orbit(0.1, 1.0, 0.0, np.zeros((2, 2)), 0)
-
 
 class TestOneCovariancePass:
-    """solve, dare_orbit, orbit_limit and verify_order_bounds all run filtering.covariance_pass."""
+    """solve, orbit_limit and verify_order_bounds all run filtering.covariance_pass."""
 
     @pytest.mark.parametrize("name", ["logistic", "linear"])
     @pytest.mark.parametrize("noise_spec", ["zero", "power:1:5000"])
@@ -126,8 +122,8 @@ class TestOneCovariancePass:
         noise = parse_noise(noise_spec)
         traj = solve(get_problem(name), PriorSpec(1, sigma=sigma), h, noise)
         assert not traj.diverged
-        orbit = dare_orbit(h, sigma, noise.evaluate(h), np.zeros((2, 2)), len(traj.y))
-        P_pred, P_post, beta = map(np.stack, zip(*orbit))
+        orbit = covariance_pass(ibm_transition(1, sigma, h), noise.evaluate(h), np.zeros((2, 2)))
+        P_pred, P_post, beta = map(np.stack, zip(*islice(orbit, len(traj.y))))
         np.testing.assert_array_equal(P_pred, traj.P_pred)
         np.testing.assert_array_equal(P_post, traj.P_post)
         np.testing.assert_array_equal(beta, traj.beta)
@@ -154,10 +150,6 @@ class TestOneCovariancePass:
         traj = solve(get_problem("linear"), PriorSpec(2, sigma=1.0), 0.1, parse_noise("zero"))
         assert len(traj.y) == 100
         assert kernel_calls == self.once_each(100)
-
-    def test_dare_orbit_runs_the_kernel_once_per_step(self, kernel_calls):
-        dare_orbit(0.05, 1.3, 0.01, np.zeros((2, 2)), 37)
-        assert kernel_calls == self.once_each(37)
 
     def test_orbit_limit_runs_the_kernel_once_per_step(self, kernel_calls):
         h, sigma, R = 0.05, 1.3, 0.01
