@@ -17,6 +17,7 @@ are best-effort extras.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import sys
@@ -102,7 +103,8 @@ class RunConfig:
         if self.init == "exact":
             return ExactInit()
         if self.init.startswith("perturbed:"):
-            return PerturbedInit(k0=float(self.init.split(":", 1)[1]), seed=self.seed)
+            with contextlib.suppress(ValueError):
+                return PerturbedInit(k0=float(self.init.split(":", 1)[1]), seed=self.seed)
         raise CliError(f"bad init spec {self.init!r}; expected exact or perturbed:<K0>")
 
 

@@ -48,15 +48,9 @@ def global_error(traj: Trajectory, problem: IVProblem) -> ErrorSeries:
     if problem.exact is None:
         raise MissingExact(f"problem {problem.name!r} has no exact solution")
     q = traj.q
-    derivative_maps = [problem.derivative(i) for i in range(q + 1)]
     times = traj.times()
-    means = traj.means()
-    truth = np.empty_like(means)
-    for n, t in enumerate(times):
-        x = np.asarray(problem.exact(t), dtype=float)
-        for i, g in enumerate(derivative_maps):
-            truth[n, i] = g(x)
-    eps = means - truth
+    x = problem.exact(times)
+    eps = traj.means() - np.stack([problem.derivative(i)(x) for i in range(q + 1)], axis=1)
     eps0 = np.linalg.norm(eps[:, 0, :], axis=1)
     weights = traj.h ** np.arange(q + 1, dtype=float)
     h_norms = np.sum(weights * np.linalg.norm(eps, axis=2), axis=1)
@@ -72,12 +66,8 @@ def misalignment(traj: Trajectory, problem: IVProblem, i: int) -> np.ndarray:
     sits from the derivative the ODE implies at the current solution
     estimate.  Identically zero for i = 0.
     """
-    g_i = problem.derivative(i)
     means = traj.means()
-    implied = np.empty_like(means[:, 0])
-    for n, m0 in enumerate(means[:, 0]):
-        implied[n] = g_i(m0)
-    return _row_norms(means[:, i] - implied)
+    return _row_norms(means[:, i] - problem.derivative(i)(means[:, 0]))
 
 
 @dataclasses.dataclass
@@ -106,10 +96,7 @@ def credible_width(traj: Trajectory, problem: Optional[IVProblem] = None) -> Cre
     if problem is not None:
         if problem.exact is None:
             raise MissingExact(f"problem {problem.name!r} has no exact solution")
-        means = traj.means()
-        abs_eps0 = np.abs(
-            means[:, 0, :] - np.stack([np.asarray(problem.exact(t)) for t in times])
-        )
+        abs_eps0 = np.abs(traj.means()[:, 0, :] - problem.exact(times))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = abs_eps0 / widths
         ratios[(abs_eps0 == 0.0) & (widths == 0.0)] = 1.0

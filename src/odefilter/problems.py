@@ -8,6 +8,10 @@ rule along the flow.  The scalar problems have polynomial vector fields,
 so the whole derivative chain is generated exactly by polynomial algebra;
 the linear system uses matrix powers.
 
+``f`` takes one state ``(d,)``; ``exact`` maps times ``(N,)`` to ``(N, d)``, and
+each derivative map ``(..., d)`` to the same shape, pointwise.  ``exact`` uses
+``math`` per time: numpy's vectorized transcendentals may round differently.
+
 Closed-form solutions are validated at load time against the ODE by
 finite differences; the independent RK4 oracle that checks them lives
 with the tests (``tests/oracles.py``).
@@ -47,11 +51,11 @@ class IVProblem:
 
     name: str
     d: int
-    f: Callable[[np.ndarray], np.ndarray]
-    derivatives: tuple
+    f: Callable[[np.ndarray], np.ndarray]  # one state (d,) -> (d,)
+    derivatives: tuple  # maps (..., d) -> (..., d)
     x0: np.ndarray
     T: float
-    exact: Optional[Callable[[float], np.ndarray]] = None
+    exact: Optional[Callable[[np.ndarray], np.ndarray]] = None  # times (N,) -> (N, d)
 
     def derivative(self, i: int) -> Callable[[np.ndarray], np.ndarray]:
         """i-th total derivative map (0 = identity, 1 = f)."""
@@ -72,19 +76,22 @@ class IVProblem:
         if self.exact is None:
             return
         ts = np.linspace(fd_step, self.T - fd_step, probes)
-        for t in ts:
-            x = np.asarray(self.exact(t), dtype=float)
-            dx = (np.asarray(self.exact(t + fd_step)) - np.asarray(self.exact(t - fd_step))) / (
-                2.0 * fd_step
-            )
-            residual = np.linalg.norm(dx - self.f(x))
+        x = self.exact(ts)
+        dx = (self.exact(ts + fd_step) - self.exact(ts - fd_step)) / (2.0 * fd_step)
+        g1 = self.derivative(1)(x)
+        for t, residual, x_n, g1_n in zip(ts, np.linalg.norm(dx - g1, axis=1), x, g1):
             if not residual <= 1e-8:
                 raise ValueError(
                     f"exact solution of {self.name!r} violates the ODE at t={t:g} "
                     f"(residual {residual:.3e})"
                 )
-            if not np.allclose(self.derivative(1)(x), self.f(x), rtol=1e-12, atol=1e-12):
+            if not np.allclose(g1_n, self.f(x_n), rtol=1e-12, atol=1e-12):
                 raise ValueError(f"derivatives[1] of {self.name!r} differs from f at t={t:g}")
+
+
+def _per_time(formula: Callable, ts: np.ndarray, d: int = 1) -> np.ndarray:
+    """``formula(t)`` in Python floats at each time, stacked to ``(N, d)``."""
+    return np.fromiter(map(formula, ts.tolist()), dtype=(float, d), count=len(ts))
 
 
 def _polynomial_problem(
@@ -92,7 +99,7 @@ def _polynomial_problem(
     f_poly: Polynomial,
     x0: float,
     T: float,
-    exact: Callable[[float], np.ndarray],
+    exact: Callable[[np.ndarray], np.ndarray],
     depth: int = DERIVATIVE_DEPTH,
 ) -> IVProblem:
     """Scalar problem with a polynomial field; derivative chain is exact."""
@@ -101,7 +108,7 @@ def _polynomial_problem(
         chain.append(chain[-1].deriv() * f_poly)
 
     def as_map(poly):
-        return lambda x: np.asarray(poly(np.asarray(x, dtype=float)), dtype=float).reshape(-1)
+        return lambda x: np.asarray(poly(np.asarray(x, dtype=float)), dtype=float)
 
     problem = IVProblem(
         name=name,
@@ -120,9 +127,9 @@ def logistic() -> IVProblem:
     """Logistic growth x' = 3 x (1 - x), x(0) = 0.1, on [0, 1.5]."""
     lam0, lam1, x0 = 3.0, 1.0, 0.1
 
-    def exact(t: float) -> np.ndarray:
-        e = math.exp(lam0 * t)
-        return np.array([lam1 * x0 * e / (lam1 + x0 * (e - 1.0))])
+    def exact(ts: np.ndarray) -> np.ndarray:
+        e = _per_time(lambda t: math.exp(lam0 * t), ts)
+        return lam1 * x0 * e / (lam1 + x0 * (e - 1.0))
 
     return _polynomial_problem(
         "logistic", Polynomial([0.0, lam0, -lam0 / lam1]), x0, 1.5, exact
@@ -132,8 +139,8 @@ def logistic() -> IVProblem:
 def riccati() -> IVProblem:
     """x' = -x^3 / 2, x(0) = 1, on [0, 1]; solution (t + 1)^(-1/2)."""
 
-    def exact(t: float) -> np.ndarray:
-        return np.array([(t + 1.0) ** -0.5])
+    def exact(ts: np.ndarray) -> np.ndarray:
+        return _per_time(lambda t: (t + 1.0) ** -0.5, ts)
 
     return _polynomial_problem("riccati", Polynomial([0.0, 0.0, 0.0, -0.5]), 1.0, 1.0, exact)
 
@@ -143,15 +150,18 @@ def linear_rotation() -> IVProblem:
     rot = np.array([[0.0, -math.pi], [math.pi, 0.0]])
     powers = [np.linalg.matrix_power(rot, i) for i in range(DERIVATIVE_DEPTH + 1)]
 
-    def exact(t: float) -> np.ndarray:
-        return np.array([-math.sin(math.pi * t), math.cos(math.pi * t)])
+    def exact(ts: np.ndarray) -> np.ndarray:
+        return _per_time(lambda t: (-math.sin(math.pi * t), math.cos(math.pi * t)), ts, 2)
 
     problem = IVProblem(
         name="linear",
         d=2,
         f=lambda x: rot @ np.asarray(x, dtype=float),
+        # Every power of the rotation has one nonzero per row (the other
+        # entry is +0.0), so each entry of x @ M.T is one product plus a
+        # signed zero: bit-equal to M @ x point by point, in any order.
         derivatives=tuple(
-            (lambda x, M=M: M @ np.asarray(x, dtype=float)) for M in powers
+            (lambda x, M=M: np.asarray(x, dtype=float) @ M.T) for M in powers
         ),
         x0=np.array([0.0, 1.0]),
         T=10.0,

@@ -4,11 +4,15 @@ The replay oracle: one filter step driven by hand (``predict``, then
 ``update``, each returning a ``Belief`` and the second a ``StepRecord``),
 the belief invariants (``validate_belief``), and the per-point weighted
 derivative norm ``h_norm``, against which ``solve`` and the whole-mesh
-diagnostics are compared.  A quadrature ``(A, Q)`` straight from the SDE
-definition, Kronecker coupling of output dimensions (to check that
-identity factors reduce to the scalar model the solver uses), the IBM
-covariance recursion in ``mpmath`` arithmetic, the full-mesh order-bound
-tracks of the q = 1 covariance pass, a Richardson-checked RK4 reference
+diagnostics are compared.  The per-point diagnostics
+(``global_error_loop``, ``misalignment_loop``, ``credible_width_loop``),
+run on problems with one-time closed forms (``SCALAR_EXACT``,
+``pointwise_problem``), which the whole-mesh diagnostics must match byte
+for byte.  A quadrature ``(A, Q)`` straight from the SDE definition,
+Kronecker coupling of output dimensions (to check that identity factors
+reduce to the scalar model the solver uses), the IBM covariance
+recursion in ``mpmath`` arithmetic, the full-mesh order-bound tracks of
+the q = 1 covariance pass, a Richardson-checked RK4 reference
 integrator, and an unguarded log-log slope.  The tests import them as
 ``from oracles import ...``.
 """
@@ -16,12 +20,21 @@ integrator, and an unguarded log-log slope.  The tests import them as
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+import math
+from typing import Optional, Sequence
 
 import mpmath
 import numpy as np
 
-from odefilter.filtering import Belief, covariance_pass, predict_covariance, update_covariance
+from odefilter.diagnostics import CredibleWidth, ErrorSeries, MissingExact
+from odefilter.filtering import (
+    Belief,
+    Trajectory,
+    _row_norms,
+    covariance_pass,
+    predict_covariance,
+    update_covariance,
+)
 from odefilter.noise import NoiseModel
 from odefilter.priors import PriorSpec, TransitionModel, _expm, ibm_transition
 from odefilter.problems import IVProblem
@@ -98,6 +111,95 @@ def h_norm(eps: np.ndarray, h: float) -> float:
     eps = np.atleast_2d(np.asarray(eps, dtype=float))
     weights = h ** np.arange(eps.shape[0], dtype=float)
     return float(np.sum(weights * np.linalg.norm(eps, axis=1)))
+
+
+def _logistic_at(t: float) -> np.ndarray:
+    lam0, lam1, x0 = 3.0, 1.0, 0.1
+    e = math.exp(lam0 * t)
+    return np.array([lam1 * x0 * e / (lam1 + x0 * (e - 1.0))])
+
+
+def _rotation_at(t: float) -> np.ndarray:
+    return np.array([-math.sin(math.pi * t), math.cos(math.pi * t)])
+
+
+def _riccati_at(t: float) -> np.ndarray:
+    return np.array([(t + 1.0) ** -0.5])
+
+
+#: The packaged closed forms one time at a time, in Python-float ``math``.
+SCALAR_EXACT = {"logistic": _logistic_at, "linear": _rotation_at, "riccati": _riccati_at}
+
+ROTATION = np.array([[0.0, -math.pi], [math.pi, 0.0]])
+
+
+def pointwise_problem(problem: IVProblem) -> IVProblem:
+    """The packaged problem with one-point maps: the scalar closed form
+    ``exact(t) -> (d,)``, and derivative maps that take one state ``(d,)``
+    (``M @ x`` with the rotation powers for ``linear``)."""
+    if problem.name == "linear":
+        derivatives = tuple(
+            (lambda x, M=np.linalg.matrix_power(ROTATION, i): M @ np.asarray(x, dtype=float))
+            for i in range(len(problem.derivatives))
+        )
+    else:
+        derivatives = tuple(
+            (lambda x, g=g: np.asarray(g(np.asarray(x, dtype=float)), dtype=float).reshape(-1))
+            for g in problem.derivatives
+        )
+    return dataclasses.replace(
+        problem, exact=SCALAR_EXACT[problem.name], derivatives=derivatives
+    )
+
+
+def global_error_loop(traj: Trajectory, problem: IVProblem) -> ErrorSeries:
+    """``diagnostics.global_error`` one mesh point and one map call at a time."""
+    if problem.exact is None:
+        raise MissingExact(f"problem {problem.name!r} has no exact solution")
+    q = traj.q
+    derivative_maps = [problem.derivative(i) for i in range(q + 1)]
+    times = traj.times()
+    means = traj.means()
+    truth = np.empty_like(means)
+    for n, t in enumerate(times):
+        x = np.asarray(problem.exact(t), dtype=float)
+        for i, g in enumerate(derivative_maps):
+            truth[n, i] = g(x)
+    eps = means - truth
+    eps0 = np.linalg.norm(eps[:, 0, :], axis=1)
+    weights = traj.h ** np.arange(q + 1, dtype=float)
+    h_norms = np.sum(weights * np.linalg.norm(eps, axis=2), axis=1)
+    return ErrorSeries(
+        times=times, eps=eps, max_eps0=float(eps0.max()), h_norm_series=h_norms
+    )
+
+
+def misalignment_loop(traj: Trajectory, problem: IVProblem, i: int) -> np.ndarray:
+    """``diagnostics.misalignment`` one mesh point at a time."""
+    g_i = problem.derivative(i)
+    means = traj.means()
+    implied = np.empty_like(means[:, 0])
+    for n, m0 in enumerate(means[:, 0]):
+        implied[n] = g_i(m0)
+    return _row_norms(means[:, i] - implied)
+
+
+def credible_width_loop(traj: Trajectory, problem: Optional[IVProblem] = None) -> CredibleWidth:
+    """``diagnostics.credible_width`` with one ``exact`` call per mesh point."""
+    times = traj.times()
+    widths = np.repeat(np.sqrt(traj.covariances()[:, 0, 0])[:, None], traj.d, axis=1)
+    ratios = None
+    if problem is not None:
+        if problem.exact is None:
+            raise MissingExact(f"problem {problem.name!r} has no exact solution")
+        means = traj.means()
+        abs_eps0 = np.abs(
+            means[:, 0, :] - np.stack([np.asarray(problem.exact(t)) for t in times])
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = abs_eps0 / widths
+        ratios[(abs_eps0 == 0.0) & (widths == 0.0)] = 1.0
+    return CredibleWidth(times=times, widths=widths, ratios=ratios)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -344,12 +344,12 @@ def test_criterion_10_invariant_suite():
             f=lambda x, cv=cv: cv.copy(),
             derivatives=(
                 lambda x: np.asarray(x, dtype=float),
-                lambda x, cv=cv: cv.copy(),
-                lambda x: np.zeros(1),
+                lambda x, c=c: np.full(np.shape(x), c),
+                lambda x: np.zeros(np.shape(x)),
             ),
             x0=np.array([x0]),
             T=2.0,
-            exact=lambda t, c=c, x0=x0: np.array([x0 + c * t]),
+            exact=lambda ts, c=c, x0=x0: (x0 + c * ts)[:, None],
         )
         q = int(rng.integers(1, 3))
         traj = solve(problem, PriorSpec(q, sigma=1.0), 0.25, ZeroNoise())

@@ -94,6 +94,7 @@ CONFIG_ERRORS = {
     "sigma-0": "solve --problem logistic --h 0.1 --sigma 0",
     "steady-sigma-0": "steady --sigma 0 --h-grid 0.1:2:8",
     "init-not-a-number": "solve --problem logistic --h 0.1 --init perturbed:abc",
+    "init-negative": "solve --problem logistic --h 0.1 --init perturbed:-1",
     "non-integer-mesh": "solve --problem logistic --h 0.4",
     "q-0": "solve --problem logistic --h 0.1 --q 0",
     "missing-derivative": "solve --problem logistic --h 0.1 --q 7",
@@ -109,6 +110,9 @@ def test_configuration_error_exits_1_without_traceback(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("odefilter: error:")
     assert "Traceback" not in err
+    init = argv.partition("--init ")[2]
+    if init:
+        assert f"bad init spec {init!r}; expected exact or perturbed:<K0>" in err
 
 
 class TestWpdCommand:

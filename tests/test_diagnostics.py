@@ -1,14 +1,24 @@
+import collections
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from odefilter import cli
 from odefilter.diagnostics import MissingExact, credible_width, global_error, misalignment
-from odefilter.filtering import solve
+from odefilter.filtering import ExactInit, PerturbedInit, solve
 from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise
 from odefilter.priors import PriorSpec
 from odefilter.problems import IVProblem, get_problem, logistic, riccati
-from oracles import h_norm, loglog_slope
+from oracles import (
+    credible_width_loop,
+    global_error_loop,
+    h_norm,
+    loglog_slope,
+    misalignment_loop,
+    pointwise_problem,
+)
 
 SQRT10 = math.sqrt(10.0)
 
@@ -19,10 +29,10 @@ def constant_problem():
         name="constant",
         d=1,
         f=lambda x: c.copy(),
-        derivatives=(lambda x: np.asarray(x, dtype=float), lambda x: c.copy()),
+        derivatives=(lambda x: np.asarray(x, dtype=float), lambda x: np.full(np.shape(x), 0.5)),
         x0=np.array([2.0]),
         T=8.0,
-        exact=lambda t: np.array([2.0 + 0.5 * t]),
+        exact=lambda ts: (2.0 + 0.5 * ts)[:, None],
     )
 
 
@@ -179,3 +189,66 @@ class TestCredibleWidth:
         assert credible_width(traj).ratios is None
         with pytest.raises(MissingExact):
             credible_width(traj, bare)
+
+
+class TestMatchesPerPointLoops:
+    """The whole-mesh diagnostics against the per-point loops, byte for byte."""
+
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    @pytest.mark.parametrize(
+        "init", [ExactInit(), PerturbedInit(k0=1.0)], ids=["exact", "perturbed"]
+    )
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["logistic", "linear", "riccati"])
+    def test_byte_identical(self, name, q, init, h):
+        problem = get_problem(name)
+        traj = solve(problem, PriorSpec(q, sigma=1.0), h, PowerLawNoise(K_R=1.0, p=q), init)
+        assert not traj.diverged
+        pointwise = pointwise_problem(problem)
+        series, oracle = global_error(traj, problem), global_error_loop(traj, pointwise)
+        assert series.eps.tobytes() == oracle.eps.tobytes()
+        assert series.h_norm_series.tobytes() == oracle.h_norm_series.tobytes()
+        assert np.float64(series.max_eps0).tobytes() == np.float64(oracle.max_eps0).tobytes()
+        for i in range(q + 1):
+            delta = misalignment(traj, problem, i)
+            assert delta.tobytes() == misalignment_loop(traj, pointwise, i).tobytes()
+        ratios = credible_width(traj, problem).ratios
+        assert ratios.tobytes() == credible_width_loop(traj, pointwise).ratios.tobytes()
+
+
+class TestWorkBound:
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("name", ["logistic", "linear"])
+    def test_wpd_cell_calls_each_map_once(self, name, q, monkeypatch, tmp_path):
+        # One Counter per cell, counting the map calls made after its solve
+        # (initialize's are not counted): global_error and misalignment(1);
+        # credible_width is called without the problem.  The counts must not
+        # grow with the mesh.
+        cells = []
+        problem = get_problem(name)
+
+        def counted(key, fn):
+            def wrapper(*args):
+                if cells and cells[-1] is not None:
+                    cells[-1][key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        traced = dataclasses.replace(
+            problem,
+            exact=counted("exact", problem.exact),
+            derivatives=tuple(counted("derivative", g) for g in problem.derivatives),
+        )
+
+        def solve_then_count(*args, **kwargs):
+            cells.append(None)
+            traj = solve(*args, **kwargs)
+            cells[-1] = collections.Counter()
+            return traj
+
+        monkeypatch.setattr(cli, "get_problem", lambda _: traced)
+        monkeypatch.setattr(cli, "solve", solve_then_count)
+        argv = f"wpd --problem {name} --q {q} --noise zero,power:{q}:1 --h-grid 0.1:2:4"
+        assert cli.main(argv.split() + ["--out", str(tmp_path / "wpd.csv")]) == 0
+        assert cells == [{"exact": 1, "derivative": q + 2}] * 8

@@ -37,14 +37,14 @@ def constant_field_problem(c=0.5, x0=2.0, T=8.0):
         f=lambda x: cv.copy(),
         derivatives=(
             lambda x: np.asarray(x, dtype=float),
-            lambda x: cv.copy(),
-            lambda x: np.zeros(1),
-            lambda x: np.zeros(1),
-            lambda x: np.zeros(1),
+            lambda x: np.full(np.shape(x), c),
+            lambda x: np.zeros(np.shape(x)),
+            lambda x: np.zeros(np.shape(x)),
+            lambda x: np.zeros(np.shape(x)),
         ),
         x0=np.array([x0]),
         T=T,
-        exact=lambda t: np.array([x0 + c * t]),
+        exact=lambda ts: (x0 + c * ts)[:, None],
     )
 
 
@@ -220,7 +220,7 @@ class TestSolve:
         errors = {}
         for h in (0.1, 0.01):
             traj = solve(problem, prior, h, ZeroNoise())
-            errors[h] = abs(traj.m_post[-1, 0, 0] - problem.exact(problem.T)[0])
+            errors[h] = abs(traj.m_post[-1, 0, 0] - problem.exact(np.array([problem.T]))[0, 0])
         assert errors[0.01] * 50.0 < errors[0.1]
 
     def test_non_integer_mesh(self):
@@ -369,7 +369,7 @@ class TestHighOrderRegression:
         problem = get_problem("logistic")
         traj = solve(problem, PriorSpec(5, sigma=sigma), 0.1 * 2.0**-k, parse_noise(noise_spec))
         assert not traj.diverged
-        final_error = np.abs(traj.m_post[-1, 0] - problem.exact(problem.T)).max()
+        final_error = np.abs(traj.m_post[-1, 0] - problem.exact(np.array([problem.T]))[0]).max()
         assert np.isfinite(final_error)
         if noise_spec == "zero":
             assert final_error <= 1e-12

@@ -12,7 +12,7 @@ from odefilter.problems import (
     logistic,
     riccati,
 )
-from oracles import OracleNotConverged, reference_solve
+from oracles import ROTATION, SCALAR_EXACT, OracleNotConverged, reference_solve
 
 # Frozen from reference_solve(logistic(), h_ref=1.5e-4) and confirmed by the
 # closed form lam1*x0*e^(lam0*T) / (lam1 + x0*(e^(lam0*T) - 1)).
@@ -26,13 +26,14 @@ class TestLogistic:
 
     def test_initial_condition(self):
         p = logistic()
-        assert p.exact(0.0)[0] == pytest.approx(0.1, abs=1e-15)
+        assert p.exact(np.array([0.0]))[0][0] == pytest.approx(0.1, abs=1e-15)
 
     def test_exact_at_horizon_matches_reference(self):
         p = logistic()
         ref = reference_solve(p, h_ref=1.5e-4)
-        assert abs(p.exact(p.T)[0] - ref(p.T)[0]) < 1e-8
-        assert p.exact(p.T)[0] == pytest.approx(LOGISTIC_AT_T, abs=1e-13)
+        x_T = p.exact(np.array([p.T]))[0]
+        assert abs(x_T[0] - ref(p.T)[0]) < 1e-8
+        assert x_T[0] == pytest.approx(LOGISTIC_AT_T, abs=1e-13)
 
     def test_capacity_is_equilibrium(self):
         assert logistic().f(np.array([1.0]))[0] == 0.0
@@ -48,11 +49,11 @@ class TestLogistic:
 class TestLinearRotation:
     def test_half_revolution(self):
         p = linear_rotation()
-        np.testing.assert_allclose(p.exact(1.0), [0.0, -1.0], atol=1e-15)
+        np.testing.assert_allclose(p.exact(np.array([1.0]))[0], [0.0, -1.0], atol=1e-15)
 
     def test_full_period_returns_to_start(self):
         p = linear_rotation()
-        np.testing.assert_allclose(p.exact(10.0), p.x0, atol=1e-12)
+        np.testing.assert_allclose(p.exact(np.array([10.0]))[0], p.x0, atol=1e-12)
 
     def test_matrix_power_derivatives(self):
         p = linear_rotation()
@@ -67,8 +68,8 @@ class TestRiccati:
 
     def test_exact_values(self):
         p = riccati()
-        assert p.exact(1.0)[0] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-        assert p.exact(0.1)[0] == pytest.approx(1.1**-0.5, abs=1e-15)
+        assert p.exact(np.array([1.0]))[0][0] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        assert p.exact(np.array([0.1]))[0][0] == pytest.approx(1.1**-0.5, abs=1e-15)
 
     def test_fifth_power_second_derivative(self):
         p = riccati()
@@ -85,7 +86,7 @@ class TestDerivativeChain:
         rng = np.random.default_rng(0)
         for _ in range(20):
             t = rng.uniform(0.0, p.T)
-            x = np.asarray(p.exact(t))
+            x = p.exact(np.array([t]))[0]
             np.testing.assert_allclose(p.derivative(1)(x), p.f(x), rtol=1e-13)
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
@@ -99,10 +100,10 @@ class TestDerivativeChain:
             g_prev, g_i = p.derivative(i - 1), p.derivative(i)
             for t in ts:
                 fd = (
-                    np.asarray(g_prev(np.asarray(p.exact(t + dt))))
-                    - np.asarray(g_prev(np.asarray(p.exact(t - dt))))
+                    np.asarray(g_prev(p.exact(np.array([t + dt]))[0]))
+                    - np.asarray(g_prev(p.exact(np.array([t - dt]))[0]))
                 ) / (2 * dt)
-                val = np.asarray(g_i(np.asarray(p.exact(t))))
+                val = np.asarray(g_i(p.exact(np.array([t]))[0]))
                 scale = max(np.linalg.norm(val), 1e-6)
                 assert np.linalg.norm(fd - val) <= 1e-5 * scale
 
@@ -118,13 +119,93 @@ class TestDerivativeChain:
         get_problem(name).validate()
 
 
+def preset_mesh(T):
+    """Every mesh time of the fig1/fig2/figC grid 0.1:2:8, as ``Trajectory.times`` forms them."""
+    hs = [0.1 * 2.0**-k for k in range(8)]
+    return np.concatenate([np.arange(round(T / h) + 1) * h for h in hs])
+
+
+class TestStackedMaps:
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_exact_matches_scalar_formula_on_preset_mesh(self, name):
+        # numpy's exp and ** round differently from math.exp and float **
+        # at some of these times, so only the per-time formula passes.
+        p = get_problem(name)
+        ts = preset_mesh(p.T)
+        scalar = np.stack([SCALAR_EXACT[name](t) for t in ts])
+        stacked = p.exact(ts)
+        assert stacked.shape == (len(ts), p.d)
+        assert stacked.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_derivative_maps_act_pointwise(self, name):
+        p = get_problem(name)
+        xs = p.exact(preset_mesh(p.T)[::7])
+        for g in p.derivatives:
+            stacked = g(xs)
+            assert stacked.shape == xs.shape
+            assert stacked.tobytes() == np.stack([g(x) for x in xs]).tobytes()
+            assert g(xs[:12].reshape(3, 4, p.d)).tobytes() == stacked[:12].tobytes()
+
+    def test_rotation_maps_equal_matrix_vector_products(self):
+        # Each power of the rotation has one nonzero per row and +0.0 in the
+        # other entry, so x @ M.T is M @ x bit for bit, signed zeros included.
+        p = linear_rotation()
+        values = [0.0, -0.0, 1.0, -1.0, 5e-324, 3.7, -2.5e10]
+        xs = np.array([[a, b] for a in values for b in values])
+        xs = np.concatenate((xs, p.exact(preset_mesh(p.T))))
+        for i, g in enumerate(p.derivatives):
+            M = np.linalg.matrix_power(ROTATION, i)
+            assert np.all(np.count_nonzero(M, axis=1) == 1)
+            assert not np.signbit(M[M == 0.0]).any()
+            assert g(xs).tobytes() == np.stack([M @ x for x in xs]).tobytes()
+            strided = np.stack((xs, xs), axis=1)[:, 0]
+            assert g(strided).tobytes() == g(xs).tobytes()
+
+
+class TestValidate:
+    @staticmethod
+    def cubic_decay(exact, f=None):
+        g1 = riccati().derivative(1)
+        return IVProblem(
+            name="cubic",
+            d=1,
+            f=f or g1,
+            derivatives=(lambda x: np.asarray(x, dtype=float), g1),
+            x0=np.array([1.0]),
+            T=1.0,
+            exact=exact,
+        )
+
+    def test_names_first_time_off_the_ode(self):
+        def exact(ts):
+            return np.where(ts > 0.5, 1.001, 1.0)[:, None] * (ts[:, None] + 1.0) ** -0.5
+
+        ts = np.linspace(1e-5, 1.0 - 1e-5, 100)
+        first = ts[ts > 0.5][0]
+        with pytest.raises(ValueError, match=f"violates the ODE at t={first:g} "):
+            self.cubic_decay(exact).validate()
+
+    def test_names_first_time_f_differs(self):
+        g1 = riccati().derivative(1)
+
+        def f(x):
+            return g1(x) * (1.0 + 1e-9 * (x < 0.8))
+
+        ts = np.linspace(1e-5, 1.0 - 1e-5, 100)
+        first = ts[(ts + 1.0) ** -0.5 < 0.8][0]
+        problem = self.cubic_decay(riccati().exact, f)
+        with pytest.raises(ValueError, match=f"differs from f at t={first:g}$"):
+            problem.validate()
+
+
 class TestReferenceSolve:
     def test_logistic_oracle(self):
         p = logistic()
         ref = reference_solve(p, h_ref=1.5e-4)
         assert ref.richardson_error < 1e-8
         for t in (0.0, 0.33, 0.7501, 1.5):
-            assert abs(ref(t)[0] - p.exact(t)[0]) < 1e-8
+            assert abs(ref(t)[0] - p.exact(np.array([t]))[0][0]) < 1e-8
 
     def test_riccati_oracle_tight(self):
         p = riccati()
