@@ -7,11 +7,13 @@ Subcommands:
 * ``steady``   - steady-state closed forms vs orbit limits and h-orders
 * ``misalign`` - derivative-misalignment convergence sweeps
 
-Named presets (``fig1``, ``fig2``, ``fig3``, ``figC``) pin the benchmark
-constants; everything else is explicit configuration, either from flags
-or from a key = value config file (flags override the file).  CSV is the
-canonical output (UTF-8, header row, 17 significant digits); SVG charts
-are best-effort extras.
+Each subcommand takes only the settings it reads (``COMMANDS``), as flags
+or as ``key = value`` lines of a ``--config`` file, both parsed by the one
+parser ``SETTINGS`` gives each setting; flags override the file, a blank
+value keeps the default, and any other setting is an error.  Named presets
+(``fig1``, ``fig2``, ``fig3``, ``figC``) fix problem, q, prior, theta,
+sigma and noise.  CSV is the canonical output (UTF-8, header row, 17
+significant digits); SVG charts are best-effort extras.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import math
 import sys
 from typing import Optional, Sequence
@@ -27,8 +30,8 @@ import numpy as np
 
 from . import diagnostics, steady_state, svgchart
 from .filtering import ExactInit, PerturbedInit, solve
-from .noise import parse_noise
-from .priors import IBM, IOUP, PriorSpec
+from .noise import NoiseModel, parse_noise
+from .priors import IBM, PriorSpec
 from .problems import PROBLEMS, get_problem
 
 __all__ = ["RunConfig", "main", "entrypoint"]
@@ -48,7 +51,7 @@ class CliError(Exception):
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Flat run configuration; round-trips losslessly through text."""
+    """Flat run configuration; every field is a setting in ``SETTINGS``."""
 
     problem: str = "logistic"
     q: tuple = (1,)
@@ -64,41 +67,6 @@ class RunConfig:
     out: Optional[str] = None
     svg: Optional[str] = None
 
-    def to_text(self) -> str:
-        lines = ["# odefilter run configuration"]
-        for field in dataclasses.fields(self):
-            lines.append(f"{field.name} = {_format_value(getattr(self, field.name))}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        known = {field.name: field for field in dataclasses.fields(cls)}
-        values = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise CliError(f"config line {lineno}: unknown key {key!r}")
-            values[key] = _parse_value(key, value.strip())
-        return cls(**values)
-
-    def h_values(self) -> list:
-        """The step-size grid: explicit grid wins over a single h."""
-        if self.h_grid is not None:
-            h0, factor, count = self.h_grid
-            return [h0 * factor**-k for k in range(count)]
-        if self.h is not None:
-            return [self.h]
-        return []
-
-    def prior_spec(self, q: int) -> PriorSpec:
-        return PriorSpec(q=q, kind=self.prior, theta=self.theta, sigma=self.sigma)
-
     def init_mode(self):
         if self.init == "exact":
             return ExactInit()
@@ -108,32 +76,15 @@ class RunConfig:
         raise CliError(f"bad init spec {self.init!r}; expected exact or perturbed:<K0>")
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, tuple):
-        if value and isinstance(value[0], float):  # h_grid
-            return f"{value[0]!r}:{value[1]!r}:{value[2]}"
-        return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _parse_value(key: str, text: str):
-    if text == "":
-        return None
-    if key == "q":
+def _ints(text: str) -> tuple:
+    try:
         return tuple(int(part) for part in text.split(","))
-    if key == "noise":
-        return tuple(part.strip() for part in text.split(","))
-    if key == "h_grid":
-        return _parse_grid(text)
-    if key in ("theta", "sigma", "h"):
-        return float(text)
-    if key == "seed":
-        return int(text)
-    return text
+    except ValueError:
+        raise CliError(f"bad --q value {text!r}") from None
+
+
+def _names(text: str) -> tuple:
+    return tuple(part.strip() for part in text.split(","))
 
 
 def _parse_grid(text: str) -> tuple:
@@ -149,113 +100,110 @@ def _parse_grid(text: str) -> tuple:
     return (h0, factor, count)
 
 
+def _h_values(h_grid: Optional[tuple]) -> list:
+    """The geometric step-size grid ``h = H0 * FACTOR^-k``; [] for no grid."""
+    if h_grid is None:
+        return []
+    h0, factor, count = h_grid
+    return [h0 * factor**-k for k in range(count)]
+
+
+#: RunConfig field -> (text parser, help).  Flags and config files share the parser.
+SETTINGS = {
+    "problem": (str, "problem name (logistic, linear, riccati)"),
+    "q": (_ints, "derivative count, comma-separated for sweeps"),
+    "prior": (str, "prior family: ibm | ioup"),
+    "theta": (float, "IOUP drift (0 for IBM)"),
+    "sigma": (float, "prior scale"),
+    "h": (float, "single step size"),
+    "h_grid": (_parse_grid, "H0:FACTOR:COUNT geometric grid"),
+    "noise": (_names, "zero | const:<R> | power:<p>:<K_R>, comma-separated"),
+    "init": (str, "exact | perturbed:<K0>"),
+    "seed": (int, "seed for perturbed initialization"),
+    "preset": (str, "fig1 | fig2 | fig3 | figC"),
+    "out": (str, "CSV output path (default: stdout)"),
+    "svg": (str, "optional SVG chart path"),
+}
+
+#: The settings a preset fixes.  They keep their defaults under a preset, so
+#: its cells take the default prior, IBM with theta = 0.
+PRESET_FIXED = ("problem", "q", "prior", "theta", "sigma", "noise")
+
+
+def _check_problem(name: str) -> None:
+    if name not in PROBLEMS:
+        raise CliError(f"unknown problem {name!r}; known: {', '.join(sorted(PROBLEMS))}")
+
+
 # ---------------------------------------------------------------------------
 # one solver run
 
 
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
-    """One (problem, q, noise, h) cell of a sweep."""
+    """One (problem, prior, noise, h) cell of a sweep."""
 
     problem: str
-    q: int
-    prior: str
-    theta: float
-    sigma: float
-    noise_spec: str
+    prior: PriorSpec
+    noise: NoiseModel
     h: float
 
     def sort_key(self):
-        model = parse_noise(self.noise_spec)
-        return (self.problem, self.q, -model.p, model.K_R, -self.h)
+        return (self.problem, self.prior.q, -self.noise.p, self.noise.K_R, -self.h)
 
 
 def _execute(spec: RunSpec, cfg: RunConfig) -> dict:
     problem = get_problem(spec.problem)
-    prior = PriorSpec(q=spec.q, kind=spec.prior, theta=spec.theta, sigma=spec.sigma)
-    model = parse_noise(spec.noise_spec)
-    traj = solve(problem, prior, spec.h, model, cfg.init_mode())
-    n_evals = round(problem.T / spec.h)
+    traj = solve(problem, spec.prior, spec.h, spec.noise, cfg.init_mode())
     row = {
         "problem": spec.problem,
-        "q": spec.q,
-        "p": model.p,
-        "K_R": model.K_R,
-        "sigma": spec.sigma,
+        "q": spec.prior.q,
+        "p": spec.noise.p,
+        "K_R": spec.noise.K_R,
+        "sigma": spec.prior.sigma,
         "T": problem.T,
         "h": spec.h,
-        "n_evals": n_evals,
+        "n_evals": round(problem.T / spec.h),
         "diverged": traj.diverged,
         "final_error": math.nan,
         "max_error": math.nan,
         "final_std": math.nan,
         "delta1_final": math.nan,
-        "max_std": math.nan,
     }
     if not traj.diverged:
         errs = diagnostics.global_error(traj, problem)
         widths = diagnostics.credible_width(traj).widths
-        std_norms = np.linalg.norm(widths, axis=1)
         row["final_error"] = float(errs.eps0_norms()[-1])
         row["max_error"] = errs.max_eps0
-        row["final_std"] = float(std_norms[-1])
-        row["max_std"] = float(std_norms.max())
+        row["final_std"] = float(np.linalg.norm(widths, axis=1)[-1])
         row["delta1_final"] = float(diagnostics.misalignment(traj, problem, 1)[-1])
     return row
-
-
-def _run_sweep(specs: Sequence[RunSpec], cfg: RunConfig) -> list:
-    """Run every spec in turn; rows come back in deterministic sort order."""
-    return [_execute(spec, cfg) for spec in sorted(specs, key=RunSpec.sort_key)]
 
 
 # ---------------------------------------------------------------------------
 # presets
 
 
-def _preset_runs(cfg: RunConfig) -> list:
-    grid = cfg.h_values() or [
-        DEFAULT_GRID[0] * DEFAULT_GRID[1] ** -k for k in range(DEFAULT_GRID[2])
-    ]
-    name = cfg.preset
-    specs = []
+def _preset_cells(name: str) -> list:
+    """(problem, q, sigma, noise spec) of every cell of a named preset."""
     if name == "fig1":
-        for prob, sigma in (("logistic", 50.0), ("linear", 1.0)):
-            for q in (1, 2, 3, 4):
-                for noise_spec in ("zero", f"power:{q}:1"):
-                    specs += [
-                        RunSpec(prob, q, IBM, 0.0, sigma, noise_spec, h) for h in grid
-                    ]
-    elif name == "fig2":
-        for prob in ("logistic", "linear"):
-            for noise_spec in ("zero", "power:1:5000.0"):
-                specs += [RunSpec(prob, 1, IBM, 0.0, 1.0, noise_spec, h) for h in grid]
-    elif name == "fig3":
-        for K_R in FIG3_KR_LADDER:
-            spec = f"power:0.5:{K_R!r}"
-            specs += [RunSpec("logistic", 1, IBM, 0.0, 1.0, spec, h) for h in grid]
-    elif name == "figC":
-        for q in (1, 2, 3, 4):
-            specs += [RunSpec("riccati", q, IBM, 0.0, SIGMA_SQ10, "zero", h) for h in grid]
-    else:
-        raise CliError(f"unknown preset {name!r}; known: fig1, fig2, fig3, figC")
-    return specs
-
-
-def _cross_product_runs(cfg: RunConfig) -> list:
-    grid = cfg.h_values()
-    if not grid:
-        raise CliError("no step sizes given; use --h or --h-grid")
-    if cfg.problem not in PROBLEMS:
-        raise CliError(f"unknown problem {cfg.problem!r}; known: {', '.join(sorted(PROBLEMS))}")
-    specs = []
-    for q in cfg.q:
-        for noise_spec in cfg.noise:
-            specs += [
-                RunSpec(cfg.problem, q, cfg.prior, cfg.theta, cfg.sigma, noise_spec, h)
-                for h in grid
-            ]
-    return specs
+        return [
+            (prob, q, sigma, noise)
+            for prob, sigma in (("logistic", 50.0), ("linear", 1.0))
+            for q in (1, 2, 3, 4)
+            for noise in ("zero", f"power:{q}:1")
+        ]
+    if name == "fig2":
+        return [
+            (prob, 1, 1.0, noise)
+            for prob in ("logistic", "linear")
+            for noise in ("zero", "power:1:5000.0")
+        ]
+    if name == "fig3":
+        return [("logistic", 1, 1.0, f"power:0.5:{K_R!r}") for K_R in FIG3_KR_LADDER]
+    if name == "figC":
+        return [("riccati", q, SIGMA_SQ10, "zero") for q in (1, 2, 3, 4)]
+    raise CliError(f"unknown preset {name!r}; known: fig1, fig2, fig3, figC")
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +240,10 @@ def cmd_solve(cfg: RunConfig) -> int:
         raise CliError("solve needs a single --h")
     if len(cfg.q) != 1 or len(cfg.noise) != 1:
         raise CliError("solve takes a single q and a single noise model")
-    if cfg.problem not in PROBLEMS:
-        raise CliError(f"unknown problem {cfg.problem!r}; known: {', '.join(sorted(PROBLEMS))}")
+    _check_problem(cfg.problem)
     problem = get_problem(cfg.problem)
-    model = parse_noise(cfg.noise[0])
-    traj = solve(problem, cfg.prior_spec(cfg.q[0]), cfg.h, model, cfg.init_mode())
+    prior = PriorSpec(q=cfg.q[0], kind=cfg.prior, theta=cfg.theta, sigma=cfg.sigma)
+    traj = solve(problem, prior, cfg.h, parse_noise(cfg.noise[0]), cfg.init_mode())
     q, d = traj.q, traj.d
     header = ["t"]
     header += [f"m{i}_d{j}" for j in range(d) for i in range(q + 1)]
@@ -315,48 +262,48 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 2 if traj.diverged else 0
 
 
-WPD_COLUMNS = (
-    "problem",
-    "q",
-    "p",
-    "K_R",
-    "sigma",
-    "T",
-    "h",
-    "n_evals",
-    "final_error",
-    "max_error",
-    "final_std",
-    "delta1_final",
-    "diverged",
-)
+_SWEEP_HEAD = ("problem", "q", "p", "K_R", "sigma", "T", "h", "n_evals")
+WPD_COLUMNS = _SWEEP_HEAD + ("final_error", "max_error", "final_std", "delta1_final", "diverged")
+MISALIGN_COLUMNS = _SWEEP_HEAD + ("delta1_final", "diverged")
+
+#: sweep command -> (least grid size, CSV columns, charted column, its y label)
+SWEEPS = {
+    "wpd": (4, WPD_COLUMNS, "final_error", "global error at T"),
+    "misalign": (2, MISALIGN_COLUMNS, "delta1_final", "final misalignment delta1(T)"),
+}
 
 
-def cmd_wpd(cfg: RunConfig) -> int:
-    specs = _preset_runs(cfg) if cfg.preset else _cross_product_runs(cfg)
-    if len({s.h for s in specs}) < 4:
-        raise CliError("wpd needs an h-grid with at least 4 step sizes")
-    rows = _run_sweep(specs, cfg)
-    _write_csv(cfg.out, WPD_COLUMNS, [[row[c] for c in WPD_COLUMNS] for row in rows])
-    if cfg.svg:
-        _render_wpd_svg(cfg.svg, rows, value_key="final_error", ylabel="global error at T")
-    return 0
-
-
-def cmd_misalign(cfg: RunConfig) -> int:
-    specs = _preset_runs(cfg) if cfg.preset else _cross_product_runs(cfg)
-    if len({s.h for s in specs}) < 2:
-        raise CliError("misalign needs an h-grid")
-    rows = _run_sweep(specs, cfg)
-    columns = ("problem", "q", "p", "K_R", "sigma", "T", "h", "n_evals", "delta1_final", "diverged")
+def cmd_sweep(command: str, cfg: RunConfig) -> int:
+    """``wpd`` or ``misalign``: the preset's cells or q x noise, crossed with the grid."""
+    min_grid, columns, value_key, ylabel = SWEEPS[command]
+    grid = _h_values(cfg.h_grid or (DEFAULT_GRID if cfg.preset else None))
+    if not grid:
+        raise CliError("no step sizes given; use --h-grid")
+    if cfg.preset:
+        cells = _preset_cells(cfg.preset)
+        given = [key for key in PRESET_FIXED if getattr(cfg, key) != getattr(RunConfig, key)]
+        if given:
+            raise CliError(
+                f"preset {cfg.preset} fixes {', '.join(PRESET_FIXED)}; drop {', '.join(given)}"
+            )
+    else:
+        _check_problem(cfg.problem)
+        cells = [(cfg.problem, q, cfg.sigma, noise) for q in cfg.q for noise in cfg.noise]
+    if len(grid) < min_grid:
+        raise CliError(f"{command} needs an h-grid with at least {min_grid} step sizes")
+    specs = []
+    for problem, q, sigma, noise in cells:
+        prior = PriorSpec(q=q, kind=cfg.prior, theta=cfg.theta, sigma=sigma)
+        model = parse_noise(noise)
+        specs += [RunSpec(problem, prior, model, h) for h in grid]
+    rows = [_execute(spec, cfg) for spec in sorted(specs, key=RunSpec.sort_key)]
     _write_csv(cfg.out, columns, [[row[c] for c in columns] for row in rows])
     if cfg.svg:
-        _render_wpd_svg(
-            cfg.svg, rows, value_key="delta1_final", ylabel="final misalignment delta1(T)"
-        )
+        _render_wpd_svg(cfg.svg, rows, value_key, ylabel)
     return 0
 
 
+#: (quantity, its verify_order_bounds name or None); 1 - beta1 is one_minus_beta1.
 STEADY_QUANTITIES = (
     ("P11_pred", "P11_pred"),
     ("P11", "P11"),
@@ -367,9 +314,20 @@ STEADY_QUANTITIES = (
     ("one_minus_beta1", "one_minus_beta1"),
 )
 
+STEADY_COLUMNS = (
+    "h", "quantity", "closed_form", "orbit_limit", "discrepancy",
+    "max_value", "predicted_exponent", "fitted_exponent", "flag",
+)
+
+
+def _steady_value(state: steady_state.SteadyState, quantity: str) -> float:
+    if quantity == "one_minus_beta1":
+        return 1.0 - state.beta1
+    return getattr(state, quantity)
+
 
 def cmd_steady(cfg: RunConfig) -> int:
-    grid = cfg.h_values()
+    grid = _h_values(cfg.h_grid)
     if len(grid) < 4:
         raise CliError("steady needs an h-grid with at least 4 step sizes")
     if len(cfg.noise) != 1:
@@ -385,51 +343,21 @@ def cmd_steady(cfg: RunConfig) -> int:
             orbit = steady_state.orbit_limit(h, cfg.sigma, R)
         except steady_state.OrbitCycle as exc:
             raise CliError(f"h = {h!r}: {exc}") from None
-        values = {
-            "P11_pred": (cf.P11_pred, orbit.P11_pred),
-            "P11": (cf.P11, orbit.P11),
-            "P01_pred": (cf.P01_pred, orbit.P01_pred),
-            "P01": (cf.P01, orbit.P01),
-            "beta0": (cf.beta0, orbit.beta0),
-            "beta1": (cf.beta1, orbit.beta1),
-            "one_minus_beta1": (1.0 - cf.beta1, 1.0 - orbit.beta1),
-        }
         for name, bound_name in STEADY_QUANTITIES:
-            closed, orbit_value = values[name]
-            row = {
-                "h": h,
-                "quantity": name,
-                "closed_form": closed,
-                "orbit_limit": orbit_value,
-                "discrepancy": abs(closed - orbit_value),
-                "max_value": "",
-                "predicted_exponent": "",
-                "fitted_exponent": "",
-                "flag": "",
-            }
+            closed, limit = _steady_value(cf, name), _steady_value(orbit, name)
+            max_value = predicted = fitted = flag = ""
             if bound_name is not None:
                 fit = bound_by_name[bound_name]
-                row["max_value"] = fit.max_values[k]
-                row["predicted_exponent"] = (
-                    "inf" if math.isinf(fit.predicted) else fit.predicted
-                )
+                max_value = fit.max_values[k]
+                predicted = "inf" if math.isinf(fit.predicted) else fit.predicted
                 if fit.exact_zero:
-                    row["flag"] = "exact_zero"
+                    flag = "exact_zero"
                 elif fit.fitted is not None:
-                    row["fitted_exponent"] = fit.fitted
-            rows.append(row)
-    columns = (
-        "h",
-        "quantity",
-        "closed_form",
-        "orbit_limit",
-        "discrepancy",
-        "max_value",
-        "predicted_exponent",
-        "fitted_exponent",
-        "flag",
-    )
-    _write_csv(cfg.out, columns, [[row[c] for c in columns] for row in rows])
+                    fitted = fit.fitted
+            rows.append(
+                [h, name, closed, limit, abs(closed - limit), max_value, predicted, fitted, flag]
+            )
+    _write_csv(cfg.out, STEADY_COLUMNS, rows)
     return 0
 
 
@@ -464,6 +392,33 @@ def _render_wpd_svg(path: str, rows: Sequence[dict], value_key: str, ylabel: str
 # ---------------------------------------------------------------------------
 # argument parsing
 
+_CELL_KEYS = ("problem", "q", "prior", "theta", "sigma")
+_SWEEP_KEYS = _CELL_KEYS + ("h_grid", "noise", "init", "seed", "preset", "out", "svg")
+
+#: command -> (handler, help, the settings it reads)
+COMMANDS = {
+    "solve": (
+        cmd_solve,
+        "run the filter once and emit the per-step trail",
+        _CELL_KEYS + ("h", "noise", "init", "seed", "out"),
+    ),
+    "wpd": (
+        functools.partial(cmd_sweep, "wpd"),
+        "work-precision sweep over (h, q, noise)",
+        _SWEEP_KEYS,
+    ),
+    "steady": (
+        cmd_steady,
+        "steady-state closed forms, orbit limits, and h-orders",
+        ("sigma", "h_grid", "noise", "out"),
+    ),
+    "misalign": (
+        functools.partial(cmd_sweep, "misalign"),
+        "derivative-misalignment convergence sweep",
+        _SWEEP_KEYS,
+    ),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -473,68 +428,43 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="odefilter", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "run the filter once and emit the per-step trail"),
-        ("wpd", "work-precision sweep over (h, q, noise)"),
-        ("steady", "steady-state closed forms, orbit limits, and h-orders"),
-        ("misalign", "derivative-misalignment convergence sweep"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, (_, help_text, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)  # --h is not --h-grid
         p.add_argument("--config", help="key = value config file; flags override it")
-        p.add_argument("--problem", help="problem name (logistic, linear, riccati)")
-        p.add_argument("--q", help="derivative count, comma-separated for sweeps")
-        p.add_argument("--prior", choices=[IBM, IOUP], help="prior family")
-        p.add_argument("--theta", type=float, help="IOUP drift (0 for IBM)")
-        p.add_argument("--sigma", type=float, help="prior scale")
-        p.add_argument("--h", type=float, help="single step size")
-        p.add_argument("--h-grid", dest="h_grid", help="H0:FACTOR:COUNT geometric grid")
-        p.add_argument("--noise", help="zero | const:<R> | power:<p>:<K_R>, comma-separated")
-        p.add_argument("--init", help="exact | perturbed:<K0>")
-        p.add_argument("--seed", type=int, help="seed for perturbed initialization")
-        p.add_argument("--preset", help="fig1 | fig2 | fig3 | figC")
-        p.add_argument("--out", help="CSV output path (default: stdout)")
-        p.add_argument("--svg", help="optional SVG chart path")
+        for key in keys:
+            parse, text = SETTINGS[key]
+            p.add_argument("--" + key.replace("_", "-"), type=parse, help=text)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = RunConfig.from_text(fh.read())
-        except OSError as exc:
-            raise CliError(f"cannot read config file: {exc}") from None
-    else:
-        cfg = RunConfig()
-    overrides = {}
-    for key in ("problem", "prior", "init", "preset", "out", "svg"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    for key in ("theta", "sigma", "h"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = float(value)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.q is not None:
-        try:
-            overrides["q"] = tuple(int(part) for part in args.q.split(","))
-        except ValueError:
-            raise CliError(f"bad --q value {args.q!r}") from None
-    if args.noise is not None:
-        overrides["noise"] = tuple(part.strip() for part in args.noise.split(","))
-    if args.h_grid is not None:
-        overrides["h_grid"] = _parse_grid(args.h_grid)
-    return dataclasses.replace(cfg, **overrides)
+def _read_config(path: str, keys: Sequence[str]) -> dict:
+    """The settings a ``key = value`` file gives; a blank value is left out."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read config file: {exc}") from None
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(f"config line {lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in keys:
+            raise CliError(f"config line {lineno}: unknown key {key!r}")
+        if value:
+            values[key] = SETTINGS[key][0](value)
+    return values
 
 
-COMMANDS = {
-    "solve": cmd_solve,
-    "wpd": cmd_wpd,
-    "steady": cmd_steady,
-    "misalign": cmd_misalign,
-}
+def _config_from_args(args: argparse.Namespace, keys: Sequence[str]) -> RunConfig:
+    values = _read_config(args.config, keys) if args.config else {}
+    for key in keys:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    return RunConfig(**values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -547,8 +477,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     try:
         args = _build_parser().parse_args(argv)
-        cfg = _config_from_args(args)
-        return COMMANDS[args.command](cfg)
+        handler, _, keys = COMMANDS[args.command]
+        return handler(_config_from_args(args, keys))
     except (CliError, ValueError, LookupError) as exc:
         print(f"odefilter: error: {exc}", file=sys.stderr)
         return 1

@@ -40,6 +40,10 @@ __all__ = [
 #: Highest total derivative generated for the packaged problems (supports q <= 5).
 DERIVATIVE_DEPTH = 6
 
+#: Probe times and central-difference step of ``IVProblem.validate``.
+PROBES = 100
+FD_STEP = 1e-5
+
 
 class MissingDerivative(LookupError):
     """The problem does not supply the requested total derivative."""
@@ -66,18 +70,18 @@ class IVProblem:
             )
         return self.derivatives[i]
 
-    def validate(self, probes: int = 100, fd_step: float = 1e-5) -> None:
+    def validate(self) -> None:
         """Check the closed-form solution and the derivative chain.
 
         The exact solution must satisfy the ODE to 1e-8 under central
-        differences, and derivatives[1] must coincide with f on the probe
-        points.
+        differences of step FD_STEP, and derivatives[1] must coincide with f
+        on the PROBES probe points.
         """
         if self.exact is None:
             return
-        ts = np.linspace(fd_step, self.T - fd_step, probes)
+        ts = np.linspace(FD_STEP, self.T - FD_STEP, PROBES)
         x = self.exact(ts)
-        dx = (self.exact(ts + fd_step) - self.exact(ts - fd_step)) / (2.0 * fd_step)
+        dx = (self.exact(ts + FD_STEP) - self.exact(ts - FD_STEP)) / (2.0 * FD_STEP)
         g1 = self.derivative(1)(x)
         for t, residual, x_n, g1_n in zip(ts, np.linalg.norm(dx - g1, axis=1), x, g1):
             if not residual <= 1e-8:

@@ -80,11 +80,6 @@ class SteadyState:
     sigma: float
     R: float
 
-    def as_tuple(self) -> np.ndarray:
-        return np.array(
-            [self.P11_pred, self.P11, self.P01_pred, self.P01, self.beta0, self.beta1]
-        )
-
 
 def closed_form(h: float, sigma: float, R: float) -> SteadyState:
     """Evaluate the closed-form steady states.
@@ -118,24 +113,18 @@ def closed_form(h: float, sigma: float, R: float) -> SteadyState:
 
 
 def orbit_limit(
-    h: float,
-    sigma: float,
-    R: float,
-    P0: Optional[np.ndarray] = None,
-    tol: float = 1e-13,
-    max_steps: int = 200_000,
+    h: float, sigma: float, R: float, tol: float = 1e-13, max_steps: int = 200_000
 ) -> SteadyState:
-    """Iterate the covariance pass until the six tracked quantities settle below tol.
+    """Iterate the covariance pass from zero until the six tracked quantities settle below tol.
 
     Raises OrbitCycle once the orbit has repeated a state and then run one
     full period without settling (it never will), and RuntimeError if it
     has not settled after ``max_steps`` steps.
     """
-    P0 = np.zeros((2, 2)) if P0 is None else np.array(P0, dtype=float)
     previous = None
     period, cycle = None, []  # cycle: the tracked quantities after the first repeat
     for n, (P_pred, P, beta, first) in enumerate(
-        islice(_periodic_pass(h, sigma, R, P0), max_steps)
+        islice(_periodic_pass(h, sigma, R), max_steps)
     ):
         current = np.array(
             [P_pred[1, 1], P[1, 1], P_pred[0, 1], P[0, 1], beta[0], beta[1]]
@@ -152,8 +141,8 @@ def orbit_limit(
     raise RuntimeError(f"orbit did not settle within {max_steps} iterations")
 
 
-def _periodic_pass(h: float, sigma: float, R: float, P0: np.ndarray) -> Iterator[tuple]:
-    """The q = 1 covariance pass from P0, each step tagged with its first repeat.
+def _periodic_pass(h: float, sigma: float, R: float) -> Iterator[tuple]:
+    """The q = 1 covariance pass from a zero start, each step tagged with its first repeat.
 
     Yields (P_pred, P, beta, first) per step, where ``first`` is the index of
     the earlier step whose closed block P[:, 1:] this step's repeats byte for
@@ -161,7 +150,7 @@ def _periodic_pass(h: float, sigma: float, R: float, P0: np.ndarray) -> Iterator
     the module docstring).
     """
     seen = {}
-    orbit = filtering.covariance_pass(ibm_transition(1, sigma, h), R, P0)
+    orbit = filtering.covariance_pass(ibm_transition(1, sigma, h), R, np.zeros((2, 2)))
     for n, (P_pred, P, beta) in enumerate(orbit):
         first = seen.setdefault(P[:, 1:].tobytes(), n)
         yield P_pred, P, beta, (None if first == n else first)
@@ -193,26 +182,24 @@ class OrderBoundFit:
     predicted: float
     fitted: Optional[float]
     exact_zero: bool
-    h_values: np.ndarray
     max_values: np.ndarray
 
 
-def verify_order_bounds(
-    h_grid: Sequence[float],
-    sigma: float,
-    p: float,
-    K_R: float,
-    T: float = 1.0,
-    drop_largest: int = 1,
-) -> list:
+#: Horizon of each order-bound orbit, and how many of the largest steps a fit
+#: drops as pre-asymptotic.
+ORDER_BOUND_T = 1.0
+ORDER_BOUND_DROP_LARGEST = 1
+
+
+def verify_order_bounds(h_grid: Sequence[float], sigma: float, p: float, K_R: float) -> list:
     """Fit the h-orders of max-over-mesh covariance/gain quantities.
 
     For each h the recursion runs from a zero start over the mesh of
-    round(T/h) steps, the five bounded quantities are maximized over it,
-    and a log-log line is fitted over the grid (the largest
-    ``drop_largest`` steps are excluded as pre-asymptotic).  Quantities
-    that vanish identically (R = 0) are flagged exact_zero instead of
-    fitted.
+    round(ORDER_BOUND_T/h) steps, the five bounded quantities are maximized
+    over it, and a log-log line is fitted over the grid (the largest
+    ``ORDER_BOUND_DROP_LARGEST`` steps are excluded as pre-asymptotic).
+    Quantities that vanish identically (R = 0) are flagged exact_zero
+    instead of fitted.
 
     Each pass stops at the first step whose closed block repeats that of
     an earlier step, or at the end of the mesh if that comes first.  Every
@@ -232,9 +219,9 @@ def verify_order_bounds(
     for row, h in enumerate(hs):
         # One row per step, one column per ORDER_BOUND_QUANTITIES entry; zip
         # asks the rows first, so the pass runs no step beyond them.
-        track = np.empty((round(T / h), len(ORDER_BOUND_QUANTITIES)))
+        track = np.empty((round(ORDER_BOUND_T / h), len(ORDER_BOUND_QUANTITIES)))
         rows = 0
-        orbit = _periodic_pass(h, sigma, noise.evaluate(h), np.zeros((2, 2)))
+        orbit = _periodic_pass(h, sigma, noise.evaluate(h))
         for step, (P_pred, P, beta, first) in zip(track, orbit):
             step[:] = P_pred[1, 1], P[1, 1], abs(P[0, 1]), abs(beta[0]), abs(1.0 - beta[1])
             rows += 1
@@ -242,7 +229,7 @@ def verify_order_bounds(
                 break
         maxima[row] = track[:rows].max(axis=0)
     fits = []
-    keep = slice(drop_largest, None)
+    keep = slice(ORDER_BOUND_DROP_LARGEST, None)
     for col, quantity in enumerate(ORDER_BOUND_QUANTITIES):
         values = maxima[:, col]
         if np.all(values == 0.0):
@@ -260,7 +247,6 @@ def verify_order_bounds(
                 predicted=predicted_exponent(quantity, p),
                 fitted=fitted,
                 exact_zero=exact_zero,
-                h_values=hs,
                 max_values=values,
             )
         )

@@ -118,7 +118,8 @@ def test_criterion_03_steady_state_fixed_points():
         h = 10.0 ** rng.uniform(-3, 0)
         sigma = 10.0 ** rng.uniform(-1, 0.5)
         R = 0.0 if rng.uniform() < 0.1 else sigma**2 * h * 10.0 ** rng.uniform(-4, 0.7)
-        target = closed_form(h, sigma, R).as_tuple()
+        ss = closed_form(h, sigma, R)
+        target = np.array([ss.P11_pred, ss.P11, ss.P01_pred, ss.P01, ss.beta0, ss.beta1])
         raw = rng.normal(size=(2, 2))
         P0 = (raw @ raw.T) * sigma**2 * h * 10.0 ** rng.uniform(-2, 2)
         tm = ibm_transition(1, sigma, h)
@@ -135,7 +136,6 @@ def test_criterion_03_steady_state_fixed_points():
 
         # Push the closed form once through the exact recursion; the free
         # position variance is completed so the assembled matrix is PSD.
-        ss = closed_form(h, sigma, R)
         p00 = 1.0 if ss.P11 == 0.0 else 1.0 + 2.0 * ss.P01**2 / ss.P11
         fixed = np.array([[p00, ss.P01], [ss.P01, ss.P11]])
         P_pred, P, beta = next(covariance_pass(tm, R, fixed))

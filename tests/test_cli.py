@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from odefilter.cli import FIG3_KR_LADDER, RunConfig, main
+from odefilter.cli import FIG3_KR_LADDER, _build_parser, main
 
 SQRT10 = math.sqrt(10.0)
 
@@ -361,32 +361,178 @@ class TestPresetSlopes:
         assert slope_q2 > slope_q1
 
 
-class TestRunConfig:
-    def test_text_round_trip(self):
-        cfg = RunConfig(
-            problem="riccati",
-            q=(1, 3),
-            prior="ioup",
-            theta=0.25,
-            sigma=SQRT10,
-            h=None,
-            h_grid=(0.1, 2.0, 8),
-            noise=("zero", "power:0.5:3730.0"),
-            init="perturbed:0.125",
-            seed=42,
-            preset=None,
-            out="results.csv",
-            svg=None,
-        )
-        assert RunConfig.from_text(cfg.to_text()) == cfg
+#: The settings each subcommand reads, besides --config.
+CELL = {"problem", "q", "prior", "theta", "sigma"}
+READS = {
+    "solve": CELL | {"h", "noise", "init", "seed", "out"},
+    "wpd": CELL | {"h_grid", "noise", "init", "seed", "preset", "out", "svg"},
+    "steady": {"sigma", "h_grid", "noise", "out"},
+}
+READS["misalign"] = READS["wpd"]
 
-    def test_default_round_trip(self):
-        cfg = RunConfig()
-        assert RunConfig.from_text(cfg.to_text()) == cfg
+#: A valid, non-default value for every setting.
+VALUES = {
+    "problem": "riccati",
+    "q": "2",
+    "prior": "ioup",
+    "theta": "0.5",
+    "sigma": "2.0",
+    "h": "0.1",
+    "h_grid": "0.1:2:4",
+    "noise": "power:1:1",
+    "init": "perturbed:1.0",
+    "seed": "3",
+    "preset": "fig2",
+    "out": "x.csv",
+    "svg": "x.svg",
+}
+
+#: A run of each subcommand that succeeds with no further setting.
+VALID = {
+    "solve": ["solve", "--h", "0.1"],
+    "wpd": ["wpd", "--h-grid", "0.1:2:4"],
+    "misalign": ["misalign", "--h-grid", "0.1:2:4"],
+    "steady": ["steady", "--h-grid", "0.1:2:8"],
+}
+
+UNREAD = [(cmd, key) for cmd in READS for key in sorted(set(VALUES) - READS[cmd])]
+
+FIXED_BY_PRESET = ("problem", "q", "prior", "theta", "sigma", "noise")
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def test_each_subcommand_has_only_the_flags_it_reads():
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    slots = 0
+    for name, parser in sub.choices.items():
+        flags = {opt for a in parser._actions for opt in a.option_strings} - {"-h", "--help"}
+        assert flags == {"--config"} | {flag(key) for key in READS[name]}
+        slots += len(flags)
+    assert slots == 42
+
+
+@pytest.mark.parametrize("cmd,key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+def test_unread_flag_exits_1(cmd, key, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = VALID[cmd] + [flag(key), VALUES[key], "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"odefilter: error: unrecognized arguments: {flag(key)} {VALUES[key]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd,key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+def test_unread_config_key_exits_1(cmd, key, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# unread setting\n{key} = {VALUES[key]}\n")
+    out = tmp_path / "out.csv"
+    assert main(VALID[cmd] + ["--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"odefilter: error: config line 2: unknown key {key!r}\n"
+    assert not out.exists()
+
+
+PRESET_CASES = [(cmd, key) for cmd in ("wpd", "misalign") for key in FIXED_BY_PRESET]
+
+
+@pytest.mark.parametrize("cmd,key", PRESET_CASES, ids=[f"{c}-{k}" for c, k in PRESET_CASES])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_preset_rejects_the_settings_it_fixes(cmd, key, source, tmp_path, capsys):
+    preset = "fig2" if cmd == "wpd" else "figC"
+    out = tmp_path / "out.csv"
+    argv = [cmd, "--preset", preset, "--h-grid", "0.1:2:4", "--out", str(out)]
+    if source == "flag":
+        argv += [flag(key), VALUES[key]]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {VALUES[key]}\n")
+        argv += ["--config", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"odefilter: error: preset {preset} fixes problem, q, prior, theta, sigma, noise; "
+        f"drop {key}\n"
+    )
+    assert not out.exists()
+
+
+def test_preset_accepts_the_defaults_of_the_settings_it_fixes(tmp_path):
+    plain, defaults = tmp_path / "plain.csv", tmp_path / "defaults.csv"
+    argv = ["wpd", "--preset", "fig2", "--h-grid", "0.1:2:4"]
+    assert main(argv + ["--out", str(plain)]) == 0
+    given = ["--problem", "logistic", "--q", "1", "--prior", "ibm", "--theta", "0"]
+    given += ["--sigma", "1", "--noise", "zero"]
+    assert main(argv + given + ["--out", str(defaults)]) == 0
+    assert plain.read_bytes() == defaults.read_bytes()
+
+
+class TestRunConfig:
+    def run_both(self, tmp_path, argv, text, flags):
+        """Run argv from a config file and from the equivalent flags; return both outputs."""
+        path = tmp_path / "run.cfg"
+        path.write_text(text.format(d=tmp_path))
+        assert main(argv + ["--config", str(path)]) == 0
+        file_out = (tmp_path / "file.csv").read_bytes()
+        assert main(argv + flags + ["--out", str(tmp_path / "flags.csv")]) == 0
+        return file_out, (tmp_path / "flags.csv").read_bytes()
+
+    def test_solve_keys_match_their_flags(self, tmp_path):
+        text = (
+            "# every key solve reads\n"
+            "problem = linear\n"
+            "q = 2\n"
+            "prior = ioup\n"
+            "theta = 0.5\n"
+            "sigma = 2.0\n"
+            "h = 0.05\n"
+            "noise = power:2:1\n"
+            "init = perturbed:0.5\n"
+            "seed = 7\n"
+            "out = {d}/file.csv\n"
+        )
+        flags = "--problem linear --q 2 --prior ioup --theta 0.5 --sigma 2.0 --h 0.05"
+        flags += " --noise power:2:1 --init perturbed:0.5 --seed 7"
+        from_file, from_flags = self.run_both(tmp_path, ["solve"], text, flags.split())
+        assert from_file == from_flags
+        assert len(read_csv(tmp_path / "file.csv")) == 200
+
+    def test_sweep_keys_match_their_flags(self, tmp_path):
+        text = (
+            "problem = riccati\n"
+            "q = 1,2\n"
+            "sigma = 3.0\n"
+            "h_grid = 0.1:2:4\n"
+            "noise = zero, power:1:1\n"
+            "out = {d}/file.csv\n"
+            "svg = {d}/file.svg\n"
+        )
+        flags = "--problem riccati --q 1,2 --sigma 3.0 --h-grid 0.1:2:4 --noise zero,power:1:1"
+        from_file, from_flags = self.run_both(tmp_path, ["wpd"], text, flags.split())
+        assert from_file == from_flags
+        rows = read_csv(tmp_path / "file.csv")
+        pairs = {(row["q"], row["p"]) for row in rows}
+        assert pairs == {("1", "inf"), ("1", "1"), ("2", "inf"), ("2", "1")}
+        assert ET.parse(tmp_path / "file.svg").getroot().tag.endswith("svg")
+
+    def test_preset_key_matches_its_flag(self, tmp_path):
+        text = "preset = figC\nh_grid = 0.1:2:4\nout = {d}/file.csv\n"
+        flags = ["--preset", "figC", "--h-grid", "0.1:2:4"]
+        from_file, from_flags = self.run_both(tmp_path, ["misalign"], text, flags)
+        assert from_file == from_flags
+        assert {row["problem"] for row in read_csv(tmp_path / "file.csv")} == {"riccati"}
+
+    def test_blank_value_gives_the_default(self, tmp_path):
+        text = "problem =\nq =\nsigma =\nnoise =\ninit =\nseed =\nh = 0.1\nout = {d}/file.csv\n"
+        from_file, from_flags = self.run_both(tmp_path, ["solve"], text, ["--h", "0.1"])
+        assert from_file == from_flags
+        assert len(read_csv(tmp_path / "file.csv")) == 15  # logistic, T = 1.5
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text(RunConfig(problem="logistic", sigma=50.0, h=0.1).to_text())
+        path.write_text("problem = logistic\nsigma = 50.0\nh = 0.1\n")
         out = tmp_path / "out.csv"
         code = main(
             [
@@ -405,9 +551,14 @@ class TestRunConfig:
         rows = read_csv(out)
         assert len(rows) == 10  # riccati horizon T=1 at the file's h=0.1
 
-    def test_bad_config_line(self):
-        with pytest.raises(Exception):
-            RunConfig.from_text("problem riccati\n")
+    def test_bad_config_line(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("problem riccati\n")
+        assert main(["solve", "--config", str(path), "--h", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "odefilter: error: config line 1: expected 'key = value', got 'problem riccati'\n"
+        )
 
     def test_perturbed_init_flag(self, tmp_path):
         out = tmp_path / "p.csv"
