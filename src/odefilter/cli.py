@@ -455,7 +455,10 @@ def _read_config(path: str, keys: Sequence[str]) -> dict:
         if key not in keys:
             raise CliError(f"config line {lineno}: unknown key {key!r}")
         if value:
-            values[key] = SETTINGS[key][0](value)
+            try:
+                values[key] = SETTINGS[key][0](value)
+            except (CliError, ValueError) as exc:
+                raise CliError(f"config line {lineno}: bad value for {key!r}: {exc}") from None
     return values
 
 

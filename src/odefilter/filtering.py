@@ -17,17 +17,30 @@ measurement variance R, and the covariance recursion never sees the data.
 Both covariance updates end in a plain symmetrization 0.5 (P + P^T): for
 q <= 5 and h >= 1e-4 this float64 recursion matches the exact one to
 about 1e-13 (gains relative, P_pred relative to sqrt(P_ii P_jj)).
-``covariance_pass`` is that recursion, and the only loop that runs it:
-``solve``, the only code that advances a mean, zips it with its mesh loop
-of mean updates, and the steady-state orbits of ``steady_state`` iterate
-it alone.  ``solve`` writes each step into preallocated arrays (means and
+``covariance_pass`` runs that recursion step by step.  ``solve``, the
+only code that advances a mean, zips ``gain_schedule`` with its mesh loop
+of mean updates and writes each step into preallocated arrays (means and
 data per dimension; covariances and gains once), from which diagnostics
 read predictive quantities, gains, residuals and posteriors.
+
+The gain schedule.  A is upper triangular and the data is on x_1, so the
+gain and every entry of P_pred and P_post but [0, 0] are computed from the
+previous posterior's closed block P[:, 1:] alone: P_00 enters only through
+products with the zero entries A_j0 (j >= 1), which are 0 for any finite
+P_00.  So once step n's finite closed block repeats, byte for byte, that of
+an earlier step i, every later step m repeats step
+k = i + 1 + (m - n - 1) mod (n - i) in all but P_00.  ``periodic_pass``
+tags that first repeat; ``gain_schedule`` then copies each step from step k
+and recomputes the growing P_00 with the kernel's own arithmetic (one full
+A P A^T of the rebuilt P, then the scalar symmetrize and update), so every
+step equals the full recursion's bit for bit.  At the first non-finite P_00
+(0 * inf is NaN) it hands the rest back to the full kernel.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Iterator, Union
 
 import numpy as np
@@ -48,7 +61,9 @@ __all__ = [
     "covariance_pass",
     "evaluate_data",
     "gain",
+    "gain_schedule",
     "initialize",
+    "periodic_pass",
     "solve",
 ]
 
@@ -204,7 +219,7 @@ def solve(
     """Run the filter over the uniform mesh {h, 2h, ..., T}.
 
     The mesh loop runs the mean arithmetic of each step and takes the
-    step's covariances and gain from ``covariance_pass``; every dimension
+    step's covariances and gain from ``gain_schedule``; every dimension
     shares the prior and the initial covariance, so one covariance track
     serves all d dimensions.  Each step is written into arrays allocated
     for the whole mesh.
@@ -238,7 +253,7 @@ def solve(
     reached = 0
     with np.errstate(over="ignore", invalid="ignore"):
         # zip asks range first, so the pass runs no step beyond the mesh.
-        for n, (Pp, P, b) in zip(range(n_steps), covariance_pass(tm, R, initial.P)):
+        for n, (Pp, P, b) in zip(range(n_steps), gain_schedule(tm, R, initial.P)):
             mp = A @ m
             if not np.isfinite(mp).all():
                 break
@@ -265,6 +280,50 @@ def covariance_pass(tm: TransitionModel, R: float, P: np.ndarray) -> Iterator[tu
         P_pred = predict_covariance(P, tm)
         P, beta = update_covariance(P_pred, R)
         yield P_pred, P, beta
+
+
+def periodic_pass(tm: TransitionModel, R: float, P: np.ndarray) -> Iterator[tuple]:
+    """``covariance_pass`` from P, each step tagged with the earlier step it repeats.
+
+    Yields (P_pred, P, beta, first), where ``first`` indexes the earlier step
+    whose closed block P[:, 1:] this step's finite one repeats byte for byte,
+    or is None (always None if some A_j0, j >= 1, is nonzero).
+    """
+    closed = not tm.A[1:, 0].any()
+    seen = {}
+    for n, (P_pred, P, beta) in enumerate(covariance_pass(tm, R, P)):
+        first = seen.setdefault(P[:, 1:].tobytes(), n)
+        periodic = closed and first < n and np.isfinite(P[:, 1:]).all()
+        yield P_pred, P, beta, (first if periodic else None)
+
+
+def gain_schedule(tm: TransitionModel, R: float, P: np.ndarray) -> Iterator[tuple]:
+    """The steps of ``covariance_pass`` from P, bit for bit, with the period copied.
+
+    Full steps up to the first one ``periodic_pass`` tags, then copies of the
+    period with P_00 recomputed (see the module docstring).  Never ends.
+    """
+    steps = []
+    for P_pred, P, beta, first in periodic_pass(tm, R, P):
+        yield P_pred, P, beta
+        steps.append((P_pred, P, beta))
+        if first is not None:
+            break
+    # drop is what the update subtracts from P_pred_00; it repeats with the period.
+    cycle = [(Pp, Pn, b, Pp[0, 1] * Pp[0, 1] / (Pp[1, 1] + R)) for Pp, Pn, b in steps[first + 1 :]]
+    A, Q00 = tm.A, tm.Q[0, 0]
+    while True:
+        for P_pred_k, P_k, beta, drop in cycle:
+            if not math.isfinite(P[0, 0]):
+                yield from covariance_pass(tm, R, P)  # never returns
+            # The full product of predict_covariance: A[:1] P A[:1]^T rounds differently.
+            v = (A @ P @ A.T)[0, 0] + Q00
+            P_pred = P_pred_k.copy()
+            P_pred[0, 0] = 0.5 * (v + v)
+            v = P_pred[0, 0] - drop
+            P = P_k.copy()
+            P[0, 0] = 0.5 * (v + v)
+            yield P_pred, P, beta
 
 
 def predict_covariance(P: np.ndarray, tm: TransitionModel) -> np.ndarray:

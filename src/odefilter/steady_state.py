@@ -5,23 +5,16 @@ discrete algebraic Riccati equation.  Its velocity block and the gains
 converge to unique attractive fixed points with closed forms in
 (h, sigma, R); the position variance has no fixed point (that state is
 undetectable) and is deliberately excluded.  ``orbit_limit`` iterates
-``filtering.covariance_pass``, the same recursion ``solve`` runs, as a
-numerical oracle for the closed forms (from a zero start the orbit is a
-q = 1 solve's covariance track bit for bit), and ``verify_order_bounds``
-runs the same pass to measure the h-orders of the maximal covariance/gain
-quantities against the predicted exponents for a power-law noise model
-R = K_R h^p.
+the covariance recursion ``solve`` runs, as a numerical oracle for the
+closed forms (from a zero start the orbit is a q = 1 solve's covariance
+track bit for bit), and ``verify_order_bounds`` runs the same recursion
+to measure the h-orders of the maximal covariance/gain quantities
+against the predicted exponents for a power-law noise model R = K_R h^p.
 
-Both ``orbit_limit`` and ``verify_order_bounds`` stop an orbit once it
-is periodic.  A is upper triangular and the data is on x_1, so the
-closed block P[:, 1:] of a posterior covariance (P_01 and P_11) is
-computed from the previous closed block alone: P_00 enters only through
-products with the zero entry A_10, which are 0 for any finite P_00.
-Every tracked quantity of a step is likewise computed from the previous
-closed block.  So once step n's closed block repeats, byte for byte,
-that of an earlier step i, every later step m repeats step
-i + 1 + (m - n - 1) mod (n - i), and nothing after step n can change a
-maximum or settle an orbit that has not settled within one more period.
+Both run ``filtering.periodic_pass`` and stop an orbit at its first
+repeated closed block P[:, 1:]: every tracked quantity repeats with it
+(see ``filtering``), so nothing after that step can change a maximum, or
+settle an orbit that has not settled within one more period.
 """
 
 from __future__ import annotations
@@ -29,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -123,9 +116,8 @@ def orbit_limit(
     """
     previous = None
     period, cycle = None, []  # cycle: the tracked quantities after the first repeat
-    for n, (P_pred, P, beta, first) in enumerate(
-        islice(_periodic_pass(h, sigma, R), max_steps)
-    ):
+    orbit = filtering.periodic_pass(ibm_transition(1, sigma, h), R, np.zeros((2, 2)))
+    for n, (P_pred, P, beta, first) in enumerate(islice(orbit, max_steps)):
         current = np.array(
             [P_pred[1, 1], P[1, 1], P_pred[0, 1], P[0, 1], beta[0], beta[1]]
         )
@@ -139,21 +131,6 @@ def orbit_limit(
             period = n - first
         previous = current
     raise RuntimeError(f"orbit did not settle within {max_steps} iterations")
-
-
-def _periodic_pass(h: float, sigma: float, R: float) -> Iterator[tuple]:
-    """The q = 1 covariance pass from a zero start, each step tagged with its first repeat.
-
-    Yields (P_pred, P, beta, first) per step, where ``first`` is the index of
-    the earlier step whose closed block P[:, 1:] this step's repeats byte for
-    byte, or None.  From the first tagged step on the orbit is periodic (see
-    the module docstring).
-    """
-    seen = {}
-    orbit = filtering.covariance_pass(ibm_transition(1, sigma, h), R, np.zeros((2, 2)))
-    for n, (P_pred, P, beta) in enumerate(orbit):
-        first = seen.setdefault(P[:, 1:].tobytes(), n)
-        yield P_pred, P, beta, (None if first == n else first)
 
 
 ORDER_BOUND_QUANTITIES = ("P11_pred", "P11", "abs_P01", "abs_beta0", "one_minus_beta1")
@@ -221,7 +198,8 @@ def verify_order_bounds(h_grid: Sequence[float], sigma: float, p: float, K_R: fl
         # asks the rows first, so the pass runs no step beyond them.
         track = np.empty((round(ORDER_BOUND_T / h), len(ORDER_BOUND_QUANTITIES)))
         rows = 0
-        orbit = _periodic_pass(h, sigma, noise.evaluate(h))
+        tm, R = ibm_transition(1, sigma, h), noise.evaluate(h)
+        orbit = filtering.periodic_pass(tm, R, np.zeros((2, 2)))
         for step, (P_pred, P, beta, first) in zip(track, orbit):
             step[:] = P_pred[1, 1], P[1, 1], abs(P[0, 1]), abs(beta[0]), abs(1.0 - beta[1])
             rows += 1

@@ -4,7 +4,9 @@ The replay oracle: one filter step driven by hand (``predict``, then
 ``update``, each returning a ``Belief`` and the second a ``StepRecord``),
 the belief invariants (``validate_belief``), and the per-point weighted
 derivative norm ``h_norm``, against which ``solve`` and the whole-mesh
-diagnostics are compared.  The per-point diagnostics
+diagnostics are compared.  ``full_pass_solve``, ``solve`` with the full
+covariance kernel at every step, which ``solve``'s gain schedule must
+match byte for byte.  The per-point diagnostics
 (``global_error_loop``, ``misalignment_loop``, ``credible_width_loop``),
 run on problems with one-time closed forms (``SCALAR_EXACT``,
 ``pointwise_problem``), which the whole-mesh diagnostics must match byte
@@ -29,9 +31,15 @@ import numpy as np
 from odefilter.diagnostics import CredibleWidth, ErrorSeries, MissingExact
 from odefilter.filtering import (
     Belief,
+    DivergedEvaluation,
+    ExactInit,
+    InitMode,
+    NonIntegerMesh,
     Trajectory,
     _row_norms,
     covariance_pass,
+    evaluate_data,
+    initialize,
     predict_covariance,
     update_covariance,
 )
@@ -102,6 +110,61 @@ def update(pred: Belief, y: np.ndarray, R: float):
         P_post=P_post,
     )
     return posterior, record
+
+
+def full_pass_solve(
+    problem: IVProblem,
+    prior: PriorSpec,
+    h: float,
+    noise: NoiseModel,
+    mode: InitMode = ExactInit(),
+) -> Trajectory:
+    """``solve`` as it was before the gain schedule: the full kernel at every step.
+
+    Zips ``covariance_pass`` with the mean loop; ``solve`` must return the
+    same arrays byte for byte.
+    """
+    if prior.q < 1:
+        raise ValueError("the solver requires q >= 1 (q = 0 models no derivative)")
+    if not h > 0.0:
+        raise ValueError("h must be positive")
+    n_float = problem.T / h
+    n_steps = int(round(n_float))
+    if n_steps < 1 or abs(n_float - n_steps) > 1e-9:
+        raise NonIntegerMesh(f"T/h = {n_float!r} is not an integer mesh count")
+
+    q, d = prior.q, problem.d
+    tm = prior.transition(h)
+    R = noise.evaluate(h)
+    initial = initialize(problem, prior, h, mode)
+
+    m_pred = np.empty((n_steps, q + 1, d))
+    y = np.empty((n_steps, d))
+    P_pred = np.empty((n_steps, q + 1, q + 1))
+    P_post = np.empty((n_steps, q + 1, q + 1))
+    beta = np.empty((n_steps, q + 1))
+    m_post = np.empty((n_steps, q + 1, d))
+
+    A, f = tm.A, problem.f
+    m = initial.m
+    reached = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # zip asks range first, so the pass runs no step beyond the mesh.
+        for n, (Pp, P, b) in zip(range(n_steps), covariance_pass(tm, R, initial.P)):
+            mp = A @ m
+            if not np.isfinite(mp).all():
+                break
+            try:
+                yn = evaluate_data(f, mp)
+            except DivergedEvaluation:
+                break
+            m = mp + b[:, None] * (yn - mp[1])[None, :]
+            m_pred[n], y[n], P_pred[n], P_post[n], beta[n], m_post[n] = mp, yn, Pp, P, b, m
+            reached = n + 1
+    arrays = [a[:reached] for a in (m_pred, y, P_pred, P_post, beta, m_post)]
+    for a in arrays:
+        a.setflags(write=False)
+    return Trajectory(h, initial, *arrays, diverged=reached < n_steps)
 
 
 def h_norm(eps: np.ndarray, h: float) -> float:

@@ -4,7 +4,9 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from oracles import full_pass_solve
 
+from odefilter import cli
 from odefilter.cli import FIG3_KR_LADDER, _build_parser, main
 
 SQRT10 = math.sqrt(10.0)
@@ -361,6 +363,25 @@ class TestPresetSlopes:
         assert slope_q2 > slope_q1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [cmd, "--preset", preset, "--h-grid", "0.1:2:4"] + init
+        for cmd, preset in (("wpd", "fig1"), ("wpd", "fig2"), ("wpd", "fig3"), ("misalign", "figC"))
+        for init in ([], ["--init", "perturbed:1.0", "--seed", "3"])
+    ],
+    ids=lambda argv: "-".join(argv[2:3] + argv[6:7]),
+)
+def test_preset_csv_equals_the_full_pass(argv, tmp_path, monkeypatch):
+    """Each preset CSV is byte-identical to one written with the full-pass solve."""
+    out = tmp_path / "schedule.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    monkeypatch.setattr(cli, "solve", full_pass_solve)
+    expected = tmp_path / "full.csv"
+    assert main(argv + ["--out", str(expected)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+
+
 #: The settings each subcommand reads, besides --config.
 CELL = {"problem", "q", "prior", "theta", "sigma"}
 READS = {
@@ -559,6 +580,20 @@ class TestRunConfig:
         assert err == (
             "odefilter: error: config line 1: expected 'key = value', got 'problem riccati'\n"
         )
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("sigma = abc", "bad value for 'sigma': could not convert string to float: 'abc'"),
+            ("q = 1,x", "bad value for 'q': bad --q value '1,x'"),
+            ("seed = 1.5", "bad value for 'seed': invalid literal for int() with base 10: '1.5'"),
+        ],
+    )
+    def test_bad_config_value_names_its_line_and_key(self, line, message, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"problem = riccati\n{line}\n")
+        assert main(["solve", "--config", str(path), "--h", "0.1"]) == 1
+        assert capsys.readouterr().err == f"odefilter: error: config line 2: {message}\n"
 
     def test_perturbed_init_flag(self, tmp_path):
         out = tmp_path / "p.csv"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odefilter import filtering
 from odefilter.filtering import (
     Belief,
     ExactInit,
@@ -22,7 +23,8 @@ from odefilter.filtering import (
 from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise, parse_noise
 from odefilter.priors import PriorSpec, ibm_transition
 from odefilter.problems import IVProblem, MissingDerivative, get_problem, logistic, riccati
-from oracles import ibm_covariance_pass_mp, predict, update, validate_belief
+import oracles
+from oracles import full_pass_solve, ibm_covariance_pass_mp, predict, update, validate_belief
 
 SQRT10 = math.sqrt(10.0)
 
@@ -413,3 +415,70 @@ class TestOneKernelReplay:
         np.testing.assert_array_equal(traj.P_pred, stacked["P_pred"])
         np.testing.assert_array_equal(traj.P_post, stacked["P_post"])
         np.testing.assert_array_equal(traj.beta, stacked["beta"])
+
+
+TRAJECTORY_ARRAYS = ("m_pred", "y", "P_pred", "P_post", "beta", "m_post")
+
+
+def assert_same_bytes(traj, expected):
+    """Every Trajectory array equal as bytes (so -0.0 and 0.0 differ, and NaNs compare)."""
+    for field in TRAJECTORY_ARRAYS:
+        assert getattr(traj, field).tobytes() == getattr(expected, field).tobytes(), field
+    assert traj.diverged == expected.diverged
+
+
+class TestGainSchedule:
+    """solve copies the periodic covariance track; it must equal the full pass bit for bit."""
+
+    #: The sigma each problem has in its presets (fig1, figC).
+    SIGMA = {"logistic": 50.0, "linear": 1.0, "riccati": SQRT10}
+
+    # Every cell at h = 0.1 and 0.025 except linear at 0.025 (the slowest),
+    # plus logistic q = 4 at h = 0.003125: a short cell in which P_00 taken
+    # from the row-0 product A[:1] P A[:1]^T, not the full A P A^T, differs.
+    @pytest.mark.parametrize(
+        "name, h, q",
+        [(name, h, q) for name in ("logistic", "riccati") for h in (0.1, 0.025) for q in range(1, 6)]
+        + [("linear", 0.1, q) for q in range(1, 6)]
+        + [("logistic", 0.003125, 4)],
+    )
+    def test_arrays_equal_the_full_pass(self, name, h, q):
+        problem = get_problem(name)
+        for kind, theta in (("ibm", 0.0), ("ioup", 1.0)):
+            prior = PriorSpec(q, kind, theta=theta, sigma=self.SIGMA[name])
+            for noise_spec in ("zero", f"power:{q}:1", "const:0.25", "power:1:5000"):
+                noise = parse_noise(noise_spec)
+                for mode in (ExactInit(), PerturbedInit(1.0, seed=3)):
+                    traj = solve(problem, prior, h, noise, mode)
+                    assert_same_bytes(traj, full_pass_solve(problem, prior, h, noise, mode))
+
+    @pytest.mark.parametrize("name, q", [("logistic", 1), ("linear", 3)])
+    def test_diverging_start_equals_the_full_pass(self, name, q):
+        args = (get_problem(name), PriorSpec(q), 0.0125, ZeroNoise(), PerturbedInit(1e300))
+        traj = solve(*args)
+        assert traj.diverged
+        assert_same_bytes(traj, full_pass_solve(*args))
+
+    def test_hands_back_to_the_full_kernel_at_a_non_finite_P00(self, monkeypatch):
+        # The closed block (P_01, P_11) starts at a fixed point: P_11 is so far
+        # below R, and P_01 so far above P_11 and Q, that neither moves.  It
+        # repeats at step 1, while P_00 falls by P_01^2 / R = 1e306 per step
+        # and overflows to -inf some 90 steps later.  The next full step is
+        # NaN (0 * inf), so the run ends there; with a constant field every
+        # residual is 0 and the mean stays finite until then.
+        problem = constant_field_problem(T=20.0)
+        start = np.array([[0.0, 1e153], [1e153, 1e-17]])
+
+        def crafted(problem, prior, h, mode):
+            return Belief(t=0.0, m=np.array([[2.0], [0.5]]), P=start)
+
+        monkeypatch.setattr(filtering, "initialize", crafted)
+        monkeypatch.setattr(oracles, "initialize", crafted)
+        args = (problem, PriorSpec(1, sigma=1e-17), 0.1, ConstantNoise(R=1.0))
+        traj = solve(*args)
+        assert_same_bytes(traj, full_pass_solve(*args))
+        assert traj.P_post[1, :, 1:].tobytes() == traj.P_post[0, :, 1:].tobytes()
+        P00 = traj.P_post[:, 0, 0]
+        assert np.isneginf(P00[-2]) and np.isfinite(P00[:-2]).all()
+        assert np.isnan(traj.P_pred[-1, :, 1:]).all()
+        assert traj.diverged and 50 < len(traj.y) < 200

@@ -1,3 +1,4 @@
+import csv
 import math
 from itertools import islice
 
@@ -6,6 +7,7 @@ import pytest
 from oracles import order_bound_tracks
 
 from odefilter import filtering
+from odefilter.cli import main
 from odefilter.filtering import covariance_pass, solve
 from odefilter.noise import parse_noise
 from odefilter.priors import PriorSpec, ibm_transition
@@ -118,7 +120,11 @@ class TestDareOrbit:
 
 
 class TestOneCovariancePass:
-    """solve, orbit_limit and verify_order_bounds all run filtering.covariance_pass."""
+    """solve, orbit_limit and verify_order_bounds all run filtering.covariance_pass.
+
+    solve runs it up to the first repeated closed block and copies the
+    period after that; the other two stop there.
+    """
 
     @pytest.mark.parametrize("name", ["logistic", "linear"])
     @pytest.mark.parametrize("noise_spec", ["zero", "power:1:5000"])
@@ -151,10 +157,26 @@ class TestOneCovariancePass:
     def once_each(n):
         return {"predict_covariance": n, "update_covariance": n, "gain": n}
 
-    def test_solve_runs_the_kernel_once_per_step(self, kernel_calls):
+    def test_solve_runs_the_kernel_once_per_step_up_to_the_first_repeat(self, kernel_calls):
         traj = solve(get_problem("linear"), PriorSpec(2, sigma=1.0), 0.1, parse_noise("zero"))
         assert len(traj.y) == 100
-        assert kernel_calls == self.once_each(100)
+        seen = {}
+        for n, P in enumerate(traj.P_post):
+            if seen.setdefault(P[:, 1:].tobytes(), n) < n:
+                break
+        # Step n repeats an earlier closed block; the later steps copy the period.
+        assert n + 1 == 17
+        assert kernel_calls == self.once_each(n + 1)
+
+    def test_fig2_runs_the_kernel_on_under_30_percent_of_its_steps(self, kernel_calls, tmp_path):
+        out = tmp_path / "fig2.csv"
+        assert main(["wpd", "--preset", "fig2", "--out", str(out)]) == 0
+        with open(out, encoding="utf-8") as fh:
+            steps = sum(int(row["n_evals"]) for row in csv.DictReader(fh))
+        assert steps == 58_650
+        calls = kernel_calls["predict_covariance"]
+        assert kernel_calls == self.once_each(calls)
+        assert calls <= 0.3 * steps
 
     def test_orbit_limit_runs_the_kernel_once_per_step(self, kernel_calls):
         h, sigma, R = 0.05, 1.3, 0.01
