@@ -80,7 +80,10 @@ def _ints(text: str) -> tuple:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise CliError(f"bad --q value {text!r}") from None
+        # argparse names the flag, and _read_config the line and key.
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _names(text: str) -> tuple:
@@ -457,7 +460,7 @@ def _read_config(path: str, keys: Sequence[str]) -> dict:
         if value:
             try:
                 values[key] = SETTINGS[key][0](value)
-            except (CliError, ValueError) as exc:
+            except (CliError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise CliError(f"config line {lineno}: bad value for {key!r}: {exc}") from None
     return values
 

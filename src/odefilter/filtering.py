@@ -18,23 +18,28 @@ Both covariance updates end in a plain symmetrization 0.5 (P + P^T): for
 q <= 5 and h >= 1e-4 this float64 recursion matches the exact one to
 about 1e-13 (gains relative, P_pred relative to sqrt(P_ii P_jj)).
 ``covariance_pass`` runs that recursion step by step.  ``solve``, the
-only code that advances a mean, zips ``gain_schedule`` with its mesh loop
-of mean updates and writes each step into preallocated arrays (means and
-data per dimension; covariances and gains once), from which diagnostics
-read predictive quantities, gains, residuals and posteriors.
+only code that advances a mean, makes two passes over arrays allocated
+for the whole mesh: ``covariance_track`` fills the covariances and gains
+of every step (stored once), then a mesh loop of mean updates reads each
+step's gain and writes the means and data (per dimension) in place.
+Diagnostics read predictive quantities, gains, residuals and posteriors
+from those arrays.
 
-The gain schedule.  A is upper triangular and the data is on x_1, so the
-gain and every entry of P_pred and P_post but [0, 0] are computed from the
-previous posterior's closed block P[:, 1:] alone: P_00 enters only through
-products with the zero entries A_j0 (j >= 1), which are 0 for any finite
-P_00.  So once step n's finite closed block repeats, byte for byte, that of
-an earlier step i, every later step m repeats step
+The covariance track.  A is upper triangular and the data is on x_1, so
+the gain and every entry of P_pred and P_post but [0, 0] are computed from
+the previous posterior's closed block P[:, 1:] alone: P_00 enters only
+through products with the zero entries A_j0 (j >= 1), which are 0 for any
+finite P_00.  So once step n's finite closed block repeats, byte for byte,
+that of an earlier step i, every later step m repeats step
 k = i + 1 + (m - n - 1) mod (n - i) in all but P_00.  ``periodic_pass``
-tags that first repeat; ``gain_schedule`` then copies each step from step k
-and recomputes the growing P_00 with the kernel's own arithmetic (one full
-A P A^T of the rebuilt P, then the scalar symmetrize and update), so every
-step equals the full recursion's bit for bit.  At the first non-finite P_00
-(0 * inf is NaN) it hands the rest back to the full kernel.
+tags that first repeat; ``covariance_track`` runs the full kernel up to
+it, copies every later step from its step k in bulk, then recomputes the
+growing P_00 step by step with the kernel's own arithmetic (one full
+A P A^T of the previous posterior, then the scalar symmetrize and
+update), so every step equals the full recursion's bit for bit.  At the
+first non-finite P_00 (0 * inf is NaN) it hands the rest back to the full
+kernel.  A singular innovation ends the track; ``solve`` raises it only
+if its mean loop reaches that step, as a step-by-step run would.
 """
 
 from __future__ import annotations
@@ -59,9 +64,9 @@ __all__ = [
     "SingularInnovation",
     "Trajectory",
     "covariance_pass",
+    "covariance_track",
     "evaluate_data",
     "gain",
-    "gain_schedule",
     "initialize",
     "periodic_pass",
     "solve",
@@ -196,7 +201,7 @@ def initialize(
 def evaluate_data(f: Callable[[np.ndarray], np.ndarray], m_pred: np.ndarray) -> np.ndarray:
     """One vector-field evaluation at the predicted value: the step's data."""
     y = np.asarray(f(m_pred[0]), dtype=float)
-    if not np.isfinite(y).all():
+    if np.count_nonzero(np.isfinite(y)) != y.size:
         raise DivergedEvaluation(f"vector field returned a non-finite value: {y}")
     return y
 
@@ -218,14 +223,16 @@ def solve(
 ) -> Trajectory:
     """Run the filter over the uniform mesh {h, 2h, ..., T}.
 
-    The mesh loop runs the mean arithmetic of each step and takes the
-    step's covariances and gain from ``gain_schedule``; every dimension
-    shares the prior and the initial covariance, so one covariance track
-    serves all d dimensions.  Each step is written into arrays allocated
-    for the whole mesh.
+    ``covariance_track`` first fills the covariances and gains of the whole
+    mesh; every dimension shares the prior and the initial covariance, so
+    one track serves all d dimensions.  The mesh loop then runs the mean
+    arithmetic of each step, writing straight into arrays allocated for
+    the whole mesh.
 
     A non-finite predicted mean or vector-field value ends the run; the
     trajectory then holds the steps completed, with ``diverged=True``.
+    A singular innovation raises ``SingularInnovation`` when the mean loop
+    reaches its step.
     """
     if prior.q < 1:
         raise ValueError("the solver requires q >= 1 (q = 0 models no derivative)")
@@ -243,31 +250,94 @@ def solve(
 
     m_pred = np.empty((n_steps, q + 1, d))
     y = np.empty((n_steps, d))
-    P_pred = np.empty((n_steps, q + 1, q + 1))
-    P_post = np.empty((n_steps, q + 1, q + 1))
-    beta = np.empty((n_steps, q + 1))
     m_post = np.empty((n_steps, q + 1, d))
 
     A, f = tm.A, problem.f
     m = initial.m
     reached = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        # zip asks range first, so the pass runs no step beyond the mesh.
-        for n, (Pp, P, b) in zip(range(n_steps), gain_schedule(tm, R, initial.P)):
-            mp = A @ m
-            if not np.isfinite(mp).all():
+        P_pred, P_post, beta, singular = covariance_track(tm, R, initial.P, n_steps)
+        gains = beta[:, :, None]
+        for n in range(len(beta)):
+            mp = np.matmul(A, m, out=m_pred[n])
+            if np.count_nonzero(np.isfinite(mp)) != mp.size:
                 break
             try:
                 yn = evaluate_data(f, mp)
             except DivergedEvaluation:
                 break
-            m = mp + b[:, None] * (yn - mp[1])[None, :]
-            m_pred[n], y[n], P_pred[n], P_post[n], beta[n], m_post[n] = mp, yn, Pp, P, b, m
+            y[n] = yn
+            m = m_post[n]
+            np.multiply(gains[n], yn - mp[1], out=m)
+            np.add(mp, m, out=m)
             reached = n + 1
+    if singular is not None and reached == len(beta):
+        raise singular
     arrays = [a[:reached] for a in (m_pred, y, P_pred, P_post, beta, m_post)]
     for a in arrays:
         a.setflags(write=False)
     return Trajectory(h, initial, *arrays, diverged=reached < n_steps)
+
+
+def covariance_track(tm: TransitionModel, R: float, P: np.ndarray, n_steps: int) -> tuple:
+    """The first n_steps steps of ``covariance_pass`` from P, bit for bit, as arrays.
+
+    Returns (P_pred, P_post, beta, singular): stacks of the steps before the
+    first singular innovation, and the ``SingularInnovation`` raised there,
+    or None if all n_steps steps are filled.  Runs ``periodic_pass`` up to
+    the first step it tags, then fills the rest from the period (see the
+    module docstring).
+    """
+    P_pred = np.empty((n_steps,) + P.shape)
+    P_post = np.empty((n_steps,) + P.shape)
+    beta = np.empty((n_steps, len(P)))
+    track = (P_pred, P_post, beta)
+    filled = 0
+    try:
+        # zip asks range first, so the pass runs no step beyond the mesh.
+        for n, (Pp, Pn, b, first) in zip(range(n_steps), periodic_pass(tm, R, P)):
+            P_pred[n], P_post[n], beta[n] = Pp, Pn, b
+            filled = n + 1
+            if first is not None:
+                filled = _fill_period(tm, R, track, first, n)
+                break
+        # A non-finite P_00 hands the rest back to the full kernel.
+        steps = covariance_pass(tm, R, P_post[filled - 1])
+        for n, (Pp, Pn, b) in zip(range(filled, n_steps), steps):
+            P_pred[n], P_post[n], beta[n] = Pp, Pn, b
+            filled = n + 1
+    except SingularInnovation as exc:
+        return tuple(a[:filled] for a in track) + (exc,)
+    return track + (None,)
+
+
+def _fill_period(tm: TransitionModel, R: float, track: tuple, i: int, n: int) -> int:
+    """Fill the steps after step n, whose closed block repeats step i's, from the period.
+
+    Every array is copied from step k = i + 1 + (m - n - 1) mod (n - i); then
+    P_00 is recomputed step by step with the kernel's own arithmetic.
+    Returns the number of steps filled: all of them, or up to the first
+    step whose previous P_00 is not finite.
+    """
+    P_pred, P_post, beta = track
+    k = i + 1 + np.arange(len(beta) - n - 1) % (n - i)
+    for a in track:
+        a[n + 1 :] = a[k]
+    # drop is what the update subtracts from P_pred_00; it repeats with the period.
+    Pp = P_pred[n + 1 :]
+    drops = (Pp[:, 0, 1] * Pp[:, 0, 1] / (Pp[:, 1, 1] + R)).tolist()
+    A, AT, Q00 = tm.A, tm.A.T, tm.Q[0, 0].item()
+    for m, drop in enumerate(drops, start=n + 1):
+        P = P_post[m - 1]
+        if not math.isfinite(P[0, 0]):
+            return m
+        # The full product of predict_covariance: A[:1] P A[:1]^T rounds differently.
+        v = (A @ P @ AT).item(0) + Q00
+        v = 0.5 * (v + v)
+        P_pred[m, 0, 0] = v
+        v -= drop
+        P_post[m, 0, 0] = 0.5 * (v + v)
+    return len(beta)
 
 
 def covariance_pass(tm: TransitionModel, R: float, P: np.ndarray) -> Iterator[tuple]:
@@ -295,35 +365,6 @@ def periodic_pass(tm: TransitionModel, R: float, P: np.ndarray) -> Iterator[tupl
         first = seen.setdefault(P[:, 1:].tobytes(), n)
         periodic = closed and first < n and np.isfinite(P[:, 1:]).all()
         yield P_pred, P, beta, (first if periodic else None)
-
-
-def gain_schedule(tm: TransitionModel, R: float, P: np.ndarray) -> Iterator[tuple]:
-    """The steps of ``covariance_pass`` from P, bit for bit, with the period copied.
-
-    Full steps up to the first one ``periodic_pass`` tags, then copies of the
-    period with P_00 recomputed (see the module docstring).  Never ends.
-    """
-    steps = []
-    for P_pred, P, beta, first in periodic_pass(tm, R, P):
-        yield P_pred, P, beta
-        steps.append((P_pred, P, beta))
-        if first is not None:
-            break
-    # drop is what the update subtracts from P_pred_00; it repeats with the period.
-    cycle = [(Pp, Pn, b, Pp[0, 1] * Pp[0, 1] / (Pp[1, 1] + R)) for Pp, Pn, b in steps[first + 1 :]]
-    A, Q00 = tm.A, tm.Q[0, 0]
-    while True:
-        for P_pred_k, P_k, beta, drop in cycle:
-            if not math.isfinite(P[0, 0]):
-                yield from covariance_pass(tm, R, P)  # never returns
-            # The full product of predict_covariance: A[:1] P A[:1]^T rounds differently.
-            v = (A @ P @ A.T)[0, 0] + Q00
-            P_pred = P_pred_k.copy()
-            P_pred[0, 0] = 0.5 * (v + v)
-            v = P_pred[0, 0] - drop
-            P = P_k.copy()
-            P[0, 0] = 0.5 * (v + v)
-            yield P_pred, P, beta
 
 
 def predict_covariance(P: np.ndarray, tm: TransitionModel) -> np.ndarray:

@@ -98,6 +98,28 @@ def _per_time(formula: Callable, ts: np.ndarray, d: int = 1) -> np.ndarray:
     return np.fromiter(map(formula, ts.tolist()), dtype=(float, d), count=len(ts))
 
 
+def _scalar_field(poly: Polynomial) -> Callable[[np.ndarray], np.ndarray]:
+    """``poly`` as a vector field on one state ``(1,)``, in Python floats.
+
+    Runs the operations of ``poly(x)`` (the domain map ``off + scl * x``,
+    then numpy's Horner loop ``c0 = c[-1] + x * 0``, ``c0 = c[i] + c0 * x``)
+    on one float, so the value is the same bit for bit, without the array
+    machinery of ``Polynomial.__call__``.
+    """
+    off, scl = (float(a) for a in poly.mapparms())
+    *rest, last = poly.coef.tolist()
+    rest.reverse()
+
+    def f(x):
+        v = off + scl * float(x[0])
+        c0 = last + v * 0
+        for c in rest:
+            c0 = c + c0 * v
+        return np.array((c0,))
+
+    return f
+
+
 def _polynomial_problem(
     name: str,
     f_poly: Polynomial,
@@ -117,7 +139,7 @@ def _polynomial_problem(
     problem = IVProblem(
         name=name,
         d=1,
-        f=as_map(f_poly),
+        f=_scalar_field(f_poly),
         derivatives=tuple(as_map(p) for p in chain),
         x0=np.array([x0]),
         T=T,

@@ -5,8 +5,9 @@ The replay oracle: one filter step driven by hand (``predict``, then
 the belief invariants (``validate_belief``), and the per-point weighted
 derivative norm ``h_norm``, against which ``solve`` and the whole-mesh
 diagnostics are compared.  ``full_pass_solve``, ``solve`` with the full
-covariance kernel at every step, which ``solve``'s gain schedule must
-match byte for byte.  The per-point diagnostics
+covariance kernel at every step, run in lockstep with the mean loop,
+which ``solve`` (the whole covariance track first, then the mean loop)
+must match byte for byte, errors included.  The per-point diagnostics
 (``global_error_loop``, ``misalignment_loop``, ``credible_width_loop``),
 run on problems with one-time closed forms (``SCALAR_EXACT``,
 ``pointwise_problem``), which the whole-mesh diagnostics must match byte
@@ -119,10 +120,12 @@ def full_pass_solve(
     noise: NoiseModel,
     mode: InitMode = ExactInit(),
 ) -> Trajectory:
-    """``solve`` as it was before the gain schedule: the full kernel at every step.
+    """``solve`` as a step-by-step run: the full kernel at every step, in lockstep with the mean.
 
-    Zips ``covariance_pass`` with the mean loop; ``solve`` must return the
-    same arrays byte for byte.
+    Zips the lazy ``covariance_pass`` with the mean loop, so no covariance
+    step runs past the step the mean stops at; ``solve``, which fills its
+    covariance track before its mean loop, must return the same arrays
+    byte for byte and raise what this raises.
     """
     if prior.q < 1:
         raise ValueError("the solver requires q >= 1 (q = 0 models no derivative)")

@@ -585,7 +585,7 @@ class TestRunConfig:
         "line, message",
         [
             ("sigma = abc", "bad value for 'sigma': could not convert string to float: 'abc'"),
-            ("q = 1,x", "bad value for 'q': bad --q value '1,x'"),
+            ("q = 1,x", "bad value for 'q': expected comma-separated integers, got '1,x'"),
             ("seed = 1.5", "bad value for 'seed': invalid literal for int() with base 10: '1.5'"),
         ],
     )
@@ -594,6 +594,12 @@ class TestRunConfig:
         path.write_text(f"problem = riccati\n{line}\n")
         assert main(["solve", "--config", str(path), "--h", "0.1"]) == 1
         assert capsys.readouterr().err == f"odefilter: error: config line 2: {message}\n"
+
+    def test_bad_q_flag_names_the_flag(self, capsys):
+        assert main(["solve", "--q", "1,x", "--h", "0.1"]) == 1
+        assert capsys.readouterr().err == (
+            "odefilter: error: argument --q: expected comma-separated integers, got '1,x'\n"
+        )
 
     def test_perturbed_init_flag(self, tmp_path):
         out = tmp_path / "p.csv"

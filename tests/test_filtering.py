@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -482,3 +483,67 @@ class TestGainSchedule:
         assert np.isneginf(P00[-2]) and np.isfinite(P00[:-2]).all()
         assert np.isnan(traj.P_pred[-1, :, 1:]).all()
         assert traj.diverged and 50 < len(traj.y) < 200
+
+
+def counted_field(problem, calls):
+    """``problem`` with an ``f`` that appends a copy of each state it is called at to ``calls``."""
+
+    def f(x):
+        calls.append(np.array(x))
+        return problem.f(x)
+
+    return dataclasses.replace(problem, f=f)
+
+
+class TestCovarianceTrack:
+    """solve fills the covariance track before its mean loop; it must act as the lazy pass did."""
+
+    @pytest.mark.parametrize("m0, raises", [(0.5, True), (math.inf, False)])
+    def test_singular_innovation_is_raised_only_when_the_mean_loop_reaches_it(
+        self, monkeypatch, m0, raises
+    ):
+        # Q underflows to 0 and R = 0, so step 0 leaves P_11 = 0 and step 1's
+        # innovation P_pred_11 + R is 0.  A finite start reaches step 1 and
+        # raises; an infinite one diverges at step 0, before step 1 is asked for.
+        def crafted(problem, prior, h, mode):
+            return Belief(t=0.0, m=np.array([[m0], [0.1]]), P=np.array([[0.0, 0.0], [0.0, 1.0]]))
+
+        monkeypatch.setattr(filtering, "initialize", crafted)
+        monkeypatch.setattr(oracles, "initialize", crafted)
+        args = (get_problem("logistic"), PriorSpec(1, sigma=1e-170), 0.1, ZeroNoise())
+        assert not PriorSpec(1, sigma=1e-170).transition(0.1).Q.any()
+        if raises:
+            with pytest.raises(SingularInnovation):
+                full_pass_solve(*args)
+            with pytest.raises(SingularInnovation):
+                solve(*args)
+        else:
+            traj = solve(*args)
+            assert traj.diverged and len(traj.y) == 0
+            assert_same_bytes(traj, full_pass_solve(*args))
+
+    @pytest.mark.parametrize("name, q, expected", [("logistic", 1, 1), ("linear", 3, 2)])
+    def test_f_is_called_as_in_the_full_pass(self, name, q, expected):
+        args = (PriorSpec(q), 0.0125, ZeroNoise(), PerturbedInit(1e300))
+        calls, oracle_calls = [], []
+        solve(counted_field(get_problem(name), calls), *args)
+        full_pass_solve(counted_field(get_problem(name), oracle_calls), *args)
+        assert len(calls) == len(oracle_calls) == expected
+        assert all(np.isfinite(x).all() for x in calls)
+        assert [x.tobytes() for x in calls] == [x.tobytes() for x in oracle_calls]
+
+    def test_predict_covariance_is_looked_up_at_call_time(self, monkeypatch):
+        # The benchmark's tracer counts covariance kernel calls by wrapping the
+        # module attribute, so solve must call it through the module.
+        calls = []
+        original = filtering.predict_covariance
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(filtering, "predict_covariance", counted)
+        noise = parse_noise("power:1:5000")
+        traj = solve(get_problem("linear"), PriorSpec(1), 0.1 / 128, noise)
+        assert len(traj.y) == 12_800
+        assert len(calls) == 2_369

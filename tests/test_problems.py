@@ -79,6 +79,24 @@ class TestRiccati:
             )
 
 
+class TestScalarField:
+    """The scalar problems' f runs Polynomial.__call__'s operations in Python floats."""
+
+    @pytest.mark.parametrize("name", ["logistic", "riccati"])
+    def test_f_equals_the_polynomial_bit_for_bit(self, name):
+        p = get_problem(name)
+        rng = np.random.default_rng(0)
+        magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, 10_000)
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308]
+        states = np.concatenate((rng.choice([-1.0, 1.0], 10_000) * magnitudes, special))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in states[:, None]:
+                value, expected = p.f(x), p.derivative(1)(x)  # derivative(1) is the Polynomial
+                assert value.shape == expected.shape == (1,)
+                assert value.dtype == expected.dtype
+                assert value.tobytes() == expected.tobytes(), x
+
+
 class TestDerivativeChain:
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_g1_is_f_on_probes(self, name):
