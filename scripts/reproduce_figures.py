@@ -2,7 +2,7 @@
 """Run every figure preset and collect CSV tables plus SVG charts.
 
 Writes fig1/fig2/fig3/figC outputs into a results directory (default
-./results).  The full default grids took 8–9 s in three runs on a
+./results).  The full default grids took 4.6–5.6 s in three runs on a
 2-vCPU Xeon VM with OPENBLAS_NUM_THREADS=1; pass --quick for a 5-point
 grid smoke run.
 """

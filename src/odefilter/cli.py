@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import diagnostics, steady_state, svgchart
+from . import diagnostics, filtering, steady_state, svgchart
 from .filtering import ExactInit, PerturbedInit, solve
 from .noise import NoiseModel, parse_noise
 from .priors import IBM, PriorSpec
@@ -155,9 +155,9 @@ class RunSpec:
         return (self.problem, self.prior.q, -self.noise.p, self.noise.K_R, -self.h)
 
 
-def _execute(spec: RunSpec, cfg: RunConfig) -> dict:
+def _execute(spec: RunSpec, cfg: RunConfig, prefix: filtering.CovariancePrefix) -> dict:
     problem = get_problem(spec.problem)
-    traj = solve(problem, spec.prior, spec.h, spec.noise, cfg.init_mode())
+    traj = solve(problem, spec.prior, spec.h, spec.noise, cfg.init_mode(), prefix=prefix)
     row = {
         "problem": spec.problem,
         "q": spec.prior.q,
@@ -181,6 +181,32 @@ def _execute(spec: RunSpec, cfg: RunConfig) -> dict:
         row["final_std"] = float(np.linalg.norm(widths, axis=1)[-1])
         row["delta1_final"] = float(diagnostics.misalignment(traj, problem, 1)[-1])
     return row
+
+
+def _covariance_prefixes(specs: Sequence[RunSpec], mode: filtering.InitMode) -> list:
+    """Each cell's ``filtering.covariance_prefixes`` entry, from one stacked pass per q.
+
+    The covariance recursion never sees the data, so cells with one prior,
+    h, R and start covariance share a pass, whose bound is their longest
+    mesh (a shorter mesh takes a prefix of it).
+    """
+    horizons = {name: get_problem(name).T for name in {spec.problem for spec in specs}}
+    stacks = {}  # q -> {cell key: [transition, R, start covariance, bound]}
+    keys = []
+    for spec in specs:
+        q, h = spec.prior.q, spec.h
+        R, start = spec.noise.evaluate(h), filtering.initial_covariance(q, h, mode)
+        key = (spec.prior, h, R, start.tobytes())
+        cells = stacks.setdefault(q, {})
+        if key not in cells:
+            cells[key] = [spec.prior.transition(h), R, start, 0]
+        cells[key][3] = max(cells[key][3], round(horizons[spec.problem] / h))
+        keys.append((q, key))
+    found = {}
+    for q, cells in stacks.items():
+        prefixes = filtering.covariance_prefixes(*zip(*cells.values()))
+        found.update(zip(((q, key) for key in cells), prefixes))
+    return [found[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +325,9 @@ def cmd_sweep(command: str, cfg: RunConfig) -> int:
         prior = PriorSpec(q=q, kind=cfg.prior, theta=cfg.theta, sigma=sigma)
         model = parse_noise(noise)
         specs += [RunSpec(problem, prior, model, h) for h in grid]
-    rows = [_execute(spec, cfg) for spec in sorted(specs, key=RunSpec.sort_key)]
+    specs.sort(key=RunSpec.sort_key)
+    prefixes = _covariance_prefixes(specs, cfg.init_mode())
+    rows = [_execute(spec, cfg, prefix) for spec, prefix in zip(specs, prefixes)]
     _write_csv(cfg.out, columns, [[row[c] for c in columns] for row in rows])
     if cfg.svg:
         _render_wpd_svg(cfg.svg, rows, value_key, ylabel)

@@ -32,21 +32,29 @@ through products with the zero entries A_j0 (j >= 1), which are 0 for any
 finite P_00.  So once step n's finite closed block repeats, byte for byte,
 that of an earlier step i, every later step m repeats step
 k = i + 1 + (m - n - 1) mod (n - i) in all but P_00.  ``periodic_pass``
-tags that first repeat; ``covariance_track`` runs the full kernel up to
-it, copies every later step from its step k in bulk, then recomputes the
-growing P_00 step by step with the kernel's own arithmetic (one full
-A P A^T of the previous posterior, then the scalar symmetrize and
-update), so every step equals the full recursion's bit for bit.  At the
-first non-finite P_00 (0 * inf is NaN) it hands the rest back to the full
-kernel.  A singular innovation ends the track; ``solve`` raises it only
-if its mean loop reaches that step, as a step-by-step run would.
+runs the recursion of a stack of cells side by side, one kernel call per
+step for the whole stack (numpy's stacked matmul runs the same BLAS
+product per matrix, so each cell keeps its bytes), and tags each cell's
+first repeat.  ``covariance_prefixes`` runs each cell up to that repeat,
+its mesh or its first singular innovation, whichever comes first; a sweep
+runs all its cells' prefixes this way before its first mean, since the
+recursion never sees the data, and ``solve`` alone runs a stack of one.
+``covariance_track`` takes a cell's prefix, copies every later step from
+its step k in bulk, then recomputes the growing P_00 step by step with
+the kernel's own arithmetic (one full A P A^T of the previous posterior,
+then the scalar symmetrize and update), so every step equals the full
+recursion's bit for bit.  At the first non-finite P_00 (0 * inf is NaN)
+it hands the rest back to the full kernel.  A singular innovation ends
+the prefix; ``solve`` raises it only if its mean loop reaches that step,
+as a step-by-step run would.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,6 +64,7 @@ from .problems import IVProblem
 
 __all__ = [
     "Belief",
+    "CovariancePrefix",
     "DivergedEvaluation",
     "ExactInit",
     "InitMode",
@@ -64,9 +73,11 @@ __all__ = [
     "SingularInnovation",
     "Trajectory",
     "covariance_pass",
+    "covariance_prefixes",
     "covariance_track",
     "evaluate_data",
     "gain",
+    "initial_covariance",
     "initialize",
     "periodic_pass",
     "solve",
@@ -182,20 +193,26 @@ def initialize(
 
     Exact mode pins a Dirac at (x0, f(x0), ..., g_q(x0)); perturbed mode
     adds seeded offsets and a covariance whose entries carry the
-    order-matched powers of h.  Raises MissingDerivative if the problem
-    does not supply derivatives up to order q.
+    order-matched powers of h (``initial_covariance``).  Raises
+    MissingDerivative if the problem does not supply derivatives up to
+    order q.
     """
     q, d = prior.q, problem.d
     x0 = np.asarray(problem.x0, dtype=float)
     m = np.stack([np.asarray(problem.derivative(i)(x0), dtype=float) for i in range(q + 1)])
-    P = np.zeros((q + 1, q + 1))
     if isinstance(mode, PerturbedInit):
         rng = np.random.default_rng(mode.seed)
         bounds = mode.k0 * h ** (q + 1 - np.arange(q + 1, dtype=float))
         m = m + rng.uniform(-1.0, 1.0, size=(q + 1, d)) * bounds[:, None]
+    return Belief(t=0.0, m=m, P=initial_covariance(q, h, mode))
+
+
+def initial_covariance(q: int, h: float, mode: InitMode = ExactInit()) -> np.ndarray:
+    """The start covariance of ``initialize``, which depends on q, h and the mode alone."""
+    if isinstance(mode, PerturbedInit):
         scale = h ** (q - np.arange(q + 1, dtype=float))
-        P = mode.k0 * h * np.outer(scale, scale)
-    return Belief(t=0.0, m=m, P=P)
+        return mode.k0 * h * np.outer(scale, scale)
+    return np.zeros((q + 1, q + 1))
 
 
 def evaluate_data(f: Callable[[np.ndarray], np.ndarray], m_pred: np.ndarray) -> np.ndarray:
@@ -206,12 +223,15 @@ def evaluate_data(f: Callable[[np.ndarray], np.ndarray], m_pred: np.ndarray) -> 
     return y
 
 
-def gain(P_pred: np.ndarray, R: float) -> np.ndarray:
-    """Kalman gain vector beta_i = P_pred[i, 1] / (P_pred[1, 1] + R)."""
-    denom = P_pred[1, 1] + R
-    if denom == 0.0:
+def gain(P_pred: np.ndarray, R) -> np.ndarray:
+    """Kalman gain vector beta_i = P_pred[i, 1] / (P_pred[1, 1] + R), per cell of a stack."""
+    denom = _innovation_variance(P_pred, R)
+    if np.count_nonzero(denom) != denom.size:
         raise SingularInnovation("P_pred[1, 1] + R = 0")
-    return P_pred[:, 1] / denom
+    return P_pred[..., :, 1] / denom[..., None]
+
+
+_Q_AT_LEAST_1 = "the solver requires q >= 1 (q = 0 models no derivative)"
 
 
 def solve(
@@ -220,6 +240,8 @@ def solve(
     h: float,
     noise: NoiseModel,
     mode: InitMode = ExactInit(),
+    *,
+    prefix: Optional["CovariancePrefix"] = None,
 ) -> Trajectory:
     """Run the filter over the uniform mesh {h, 2h, ..., T}.
 
@@ -229,13 +251,18 @@ def solve(
     arithmetic of each step, writing straight into arrays allocated for
     the whole mesh.
 
+    ``prefix`` is this cell's ``covariance_prefixes`` entry, run from the
+    prior's transition at h, R and ``initial_covariance`` with a bound of
+    at least the mesh's step count, so that a sweep runs all its cells'
+    covariance passes side by side; without it, solve runs a stack of one.
+
     A non-finite predicted mean or vector-field value ends the run; the
     trajectory then holds the steps completed, with ``diverged=True``.
     A singular innovation raises ``SingularInnovation`` when the mean loop
     reaches its step.
     """
     if prior.q < 1:
-        raise ValueError("the solver requires q >= 1 (q = 0 models no derivative)")
+        raise ValueError(_Q_AT_LEAST_1)
     if not h > 0.0:
         raise ValueError("h must be positive")
     n_float = problem.T / h
@@ -247,6 +274,8 @@ def solve(
     tm = prior.transition(h)
     R = noise.evaluate(h)
     initial = initialize(problem, prior, h, mode)
+    if prefix is None:
+        (prefix,) = covariance_prefixes([tm], [R], [initial.P], [n_steps])
 
     m_pred = np.empty((n_steps, q + 1, d))
     y = np.empty((n_steps, d))
@@ -256,7 +285,7 @@ def solve(
     m = initial.m
     reached = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        P_pred, P_post, beta, singular = covariance_track(tm, R, initial.P, n_steps)
+        P_pred, P_post, beta, singular = covariance_track(tm, R, prefix, n_steps)
         gains = beta[:, :, None]
         for n in range(len(beta)):
             mp = np.matmul(A, m, out=m_pred[n])
@@ -279,29 +308,98 @@ def solve(
     return Trajectory(h, initial, *arrays, diverged=reached < n_steps)
 
 
-def covariance_track(tm: TransitionModel, R: float, P: np.ndarray, n_steps: int) -> tuple:
-    """The first n_steps steps of ``covariance_pass`` from P, bit for bit, as arrays.
+@dataclasses.dataclass(frozen=True, eq=False)
+class CovariancePrefix:
+    """The steps of one cell's covariance pass up to where the rest can be filled.
+
+    P_pred, P_post and beta stack the steps run, read-only.  ``first`` is
+    the earlier step whose closed block the last step repeats, or None;
+    ``singular`` says that the step after the last one has a singular
+    innovation.
+    """
+
+    P_pred: np.ndarray
+    P_post: np.ndarray
+    beta: np.ndarray
+    first: Optional[int]
+    singular: bool
+
+
+def covariance_prefixes(
+    tms: Sequence[TransitionModel], Rs: Sequence[float], Ps: Sequence[np.ndarray], bounds
+) -> list:
+    """Each cell's covariance pass up to where its track can be filled, from one stacked pass.
+
+    Cell c runs ``covariance_pass(tms[c], Rs[c], Ps[c])`` bit for bit up
+    to its first repeated closed block, its ``bounds[c]``-th step or its
+    first singular innovation, whichever comes first; ``covariance_track``
+    fills any longer mesh from that prefix.  All cells share one
+    ``periodic_pass``, so a step of it costs one kernel call for the
+    whole stack.
+    """
+    n = len(Ps[0])
+    if n < 2:
+        raise ValueError(_Q_AT_LEAST_1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells, *columns = _joined(periodic_pass(tms, Rs, Ps, bounds), n)
+    # Each cell's rows in step order: the joined steps sorted by cell.
+    order = np.argsort(cells, kind="stable")
+    ends = np.cumsum(np.bincount(cells, minlength=len(Ps)))[:-1]
+    prefixes = []
+    for bound, P_pred, P_post, beta, first in zip(
+        bounds, *(np.split(a[order], ends) for a in columns)
+    ):
+        for a in (P_pred, P_post, beta):
+            a.setflags(write=False)
+        repeat = int(first[-1]) if len(first) and first[-1] >= 0 else None
+        singular = repeat is None and len(beta) < bound
+        prefixes.append(CovariancePrefix(P_pred, P_post, beta, repeat, singular))
+    return prefixes
+
+
+def _joined(steps: Iterator[tuple], n: int) -> list:
+    """The columns (cells, P_pred, P, beta, first) of a pass's steps, each joined into one array.
+
+    Joins every 64 steps as the pass runs, so that no array is kept per
+    step (the empty first row sets the shapes if no step runs).
+    """
+    index = np.empty(0, np.intp)
+    joined = [(index, np.empty((0, n, n)), np.empty((0, n, n)), np.empty((0, n)), index)]
+    pending = []
+    for step in steps:
+        pending.append(step)
+        if len(pending) == 64:
+            joined.append([np.concatenate(column) for column in zip(*pending)])
+            pending.clear()
+    return [np.concatenate(column) for column in zip(*joined, *pending)]
+
+
+def covariance_track(
+    tm: TransitionModel, R: float, prefix: CovariancePrefix, n_steps: int
+) -> tuple:
+    """The first n_steps steps of ``covariance_pass`` from the prefix's start, bit for bit.
 
     Returns (P_pred, P_post, beta, singular): stacks of the steps before the
     first singular innovation, and the ``SingularInnovation`` raised there,
-    or None if all n_steps steps are filled.  Runs ``periodic_pass`` up to
-    the first step it tags, then fills the rest from the period (see the
-    module docstring).
+    or None if all n_steps steps are filled.  Takes the steps the prefix
+    ran, then fills the rest from the period (see the module docstring).
     """
-    P_pred = np.empty((n_steps,) + P.shape)
-    P_post = np.empty((n_steps,) + P.shape)
-    beta = np.empty((n_steps, len(P)))
-    track = (P_pred, P_post, beta)
-    filled = 0
+    run = len(prefix.beta)
+    ran = (prefix.P_pred, prefix.P_post, prefix.beta)
+    if n_steps <= run:
+        return tuple(a[:n_steps] for a in ran) + (None,)
+    if prefix.singular:
+        return ran + (SingularInnovation("P_pred[1, 1] + R = 0"),)
+    track = tuple(np.empty((n_steps,) + a.shape[1:]) for a in ran)
+    for a, steps in zip(track, ran):
+        a[:run] = steps
+    filled = run
+    if prefix.first is not None:
+        filled = _fill_period(tm, R, track, prefix.first, run - 1)
+    P_pred, P_post, beta = track
     try:
-        # zip asks range first, so the pass runs no step beyond the mesh.
-        for n, (Pp, Pn, b, first) in zip(range(n_steps), periodic_pass(tm, R, P)):
-            P_pred[n], P_post[n], beta[n] = Pp, Pn, b
-            filled = n + 1
-            if first is not None:
-                filled = _fill_period(tm, R, track, first, n)
-                break
-        # A non-finite P_00 hands the rest back to the full kernel.
+        # A non-finite P_00, or a prefix cut short by its bound, hands the
+        # rest back to the full kernel.
         steps = covariance_pass(tm, R, P_post[filled - 1])
         for n, (Pp, Pn, b) in zip(range(filled, n_steps), steps):
             P_pred[n], P_post[n], beta[n] = Pp, Pn, b
@@ -331,8 +429,9 @@ def _fill_period(tm: TransitionModel, R: float, track: tuple, i: int, n: int) ->
         P = P_post[m - 1]
         if not math.isfinite(P[0, 0]):
             return m
-        # The full product of predict_covariance: A[:1] P A[:1]^T rounds differently.
-        v = (A @ P @ AT).item(0) + Q00
+        # The full product of predict_covariance (the same BLAS gemm calls):
+        # A[:1] P A[:1]^T rounds differently.
+        v = A.dot(P).dot(AT).item(0) + Q00
         v = 0.5 * (v + v)
         P_pred[m, 0, 0] = v
         v -= drop
@@ -352,32 +451,78 @@ def covariance_pass(tm: TransitionModel, R: float, P: np.ndarray) -> Iterator[tu
         yield P_pred, P, beta
 
 
-def periodic_pass(tm: TransitionModel, R: float, P: np.ndarray) -> Iterator[tuple]:
-    """``covariance_pass`` from P, each step tagged with the earlier step it repeats.
+def periodic_pass(
+    tms: Sequence[TransitionModel], Rs: Sequence[float], Ps: Sequence[np.ndarray], bounds=None
+) -> Iterator[tuple]:
+    """``covariance_pass`` of a stack of cells side by side, each step tagged with its repeat.
 
-    Yields (P_pred, P, beta, first), where ``first`` indexes the earlier step
-    whose closed block P[:, 1:] this step's finite one repeats byte for byte,
-    or is None (always None if some A_j0, j >= 1, is nonzero).
+    Cell c runs from Ps[c] with transition tms[c] and variance Rs[c] (one
+    matrix size for all); a step calls each kernel once on the stack of
+    cells still running.  Yields (cells, P_pred, P, beta, first) per step:
+    those cells' indices, their stacked step, and for each the earlier step
+    whose closed block P[:, 1:] its finite one repeats byte for byte, or -1
+    (always -1 if some A_j0, j >= 1, is nonzero).  A cell leaves the stack
+    at a singular innovation, before that step's update; with ``bounds``,
+    cell c also leaves after bounds[c] steps or after its first repeat.
+    The pass ends when no cell is left.
     """
-    closed = not tm.A[1:, 0].any()
-    seen = {}
-    for n, (P_pred, P, beta) in enumerate(covariance_pass(tm, R, P)):
-        first = seen.setdefault(P[:, 1:].tobytes(), n)
-        periodic = closed and first < n and np.isfinite(P[:, 1:]).all()
-        yield P_pred, P, beta, (first if periodic else None)
+    tm = TransitionModel(
+        np.array([t.h for t in tms]), np.array([t.A for t in tms]), np.array([t.Q for t in tms])
+    )
+    R, P = np.array(Rs, dtype=float), np.array(Ps, dtype=float)
+    cells = np.arange(len(P))
+    closed = (~tm.A[:, 1:, 0].any(axis=1)).tolist()
+    seen = [{} for _ in closed]
+    if bounds is not None:
+        limit, end, first = np.asarray(bounds), 0, [-1] * len(P)
+    for n in itertools.count():
+        if bounds is not None and (n >= end or max(first) >= 0):
+            keep = (n < limit[cells]) & (np.array(first) < 0)
+            cells, tm, R, P = _narrow(keep, cells, tm, R, P)
+            if not len(cells):
+                return
+            end = limit[cells].min()
+        P_pred = predict_covariance(P, tm)
+        try:
+            P, beta = update_covariance(P_pred, R)
+        except SingularInnovation:
+            # The cells with a singular innovation leave before the update.
+            regular = _innovation_variance(P_pred, R) != 0.0
+            cells, tm, R, P_pred = _narrow(regular, cells, tm, R, P_pred)
+            if not len(cells):
+                return
+            P, beta = update_covariance(P_pred, R)
+        first = [-1] * len(cells)
+        for k, c in enumerate(cells.tolist()):
+            i = seen[c].setdefault(P[k, :, 1:].tobytes(), n)
+            if i < n and closed[c] and np.isfinite(P[k, :, 1:]).all():
+                first[k] = i
+        yield cells, P_pred, P, beta, first
+
+
+def _narrow(keep: np.ndarray, cells: np.ndarray, tm: TransitionModel, R: np.ndarray, P: np.ndarray):
+    """The stack (cells, tm, R, P) cut down to the cells that ``keep`` marks."""
+    return cells[keep], TransitionModel(tm.h[keep], tm.A[keep], tm.Q[keep]), R[keep], P[keep]
 
 
 def predict_covariance(P: np.ndarray, tm: TransitionModel) -> np.ndarray:
-    """A P A^T + Q, symmetrized."""
-    P_pred = tm.A @ P @ tm.A.T + tm.Q
-    return 0.5 * (P_pred + P_pred.T)
+    """A P A^T + Q, symmetrized; P, A and Q may carry a leading cell axis."""
+    P_pred = tm.A @ P @ tm.A.mT + tm.Q
+    return 0.5 * (P_pred + P_pred.mT)
 
 
-def update_covariance(P_pred: np.ndarray, R: float):
-    """Measurement update of one covariance matrix, symmetrized; returns (P, beta)."""
+def update_covariance(P_pred: np.ndarray, R):
+    """Measurement update of a covariance (or a stack of them), symmetrized; returns (P, beta)."""
     beta = gain(P_pred, R)
-    P = P_pred - np.outer(P_pred[:, 1], P_pred[:, 1]) / (P_pred[1, 1] + R)
-    return 0.5 * (P + P.T), beta
+    col = P_pred[..., :, 1]
+    denom = _innovation_variance(P_pred, R)[..., None, None]
+    P = P_pred - col[..., :, None] * col[..., None, :] / denom
+    return 0.5 * (P + P.mT), beta
+
+
+def _innovation_variance(P_pred: np.ndarray, R):
+    """P_pred[1, 1] + R, per cell of a stack."""
+    return P_pred[..., 1, 1] + R
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

@@ -83,7 +83,11 @@ class PriorSpec:
 
 @dataclasses.dataclass(frozen=True)
 class TransitionModel:
-    """Discrete-time transition pair (A, Q) for a fixed step size h."""
+    """Discrete-time transition pair (A, Q) for a fixed step size h.
+
+    ``filtering.periodic_pass`` stacks the pairs of several cells along a
+    leading cell axis of h, A and Q.
+    """
 
     h: float
     A: np.ndarray

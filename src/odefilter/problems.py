@@ -179,10 +179,20 @@ def linear_rotation() -> IVProblem:
     def exact(ts: np.ndarray) -> np.ndarray:
         return _per_time(lambda t: (-math.sin(math.pi * t), math.cos(math.pi * t)), ts, 2)
 
+    pi = math.pi
+
+    def f(x):
+        # rot @ x in Python floats: BLAS starts each sum at +0.0 (so a zero
+        # product gives +0.0, not -0.0) and adds the zero entry's product
+        # last.  Only a state of two NaNs, one of them negative, can differ
+        # (in the sign of the NaN).
+        x0, x1 = np.asarray(x, dtype=float).tolist()
+        return np.array((0.0 + -pi * x1 + 0.0 * x0, 0.0 + pi * x0 + 0.0 * x1))
+
     problem = IVProblem(
         name="linear",
         d=2,
-        f=lambda x: rot @ np.asarray(x, dtype=float),
+        f=f,
         # Every power of the rotation has one nonzero per row (the other
         # entry is +0.0), so each entry of x @ M.T is one product plus a
         # signed zero: bit-equal to M @ x point by point, in any order.

@@ -11,10 +11,12 @@ track bit for bit), and ``verify_order_bounds`` runs the same recursion
 to measure the h-orders of the maximal covariance/gain quantities
 against the predicted exponents for a power-law noise model R = K_R h^p.
 
-Both run ``filtering.periodic_pass`` and stop an orbit at its first
-repeated closed block P[:, 1:]: every tracked quantity repeats with it
-(see ``filtering``), so nothing after that step can change a maximum, or
-settle an orbit that has not settled within one more period.
+``orbit_limit`` iterates ``filtering.periodic_pass`` on a stack of one
+orbit; ``verify_order_bounds`` stacks the orbits of its whole h grid in
+one pass (``filtering.covariance_prefixes``).  Both stop an orbit at its
+first repeated closed block P[:, 1:]: every tracked quantity repeats with
+it (see ``filtering``), so nothing after that step can change a maximum,
+or settle an orbit that has not settled within one more period.
 """
 
 from __future__ import annotations
@@ -116,20 +118,29 @@ def orbit_limit(
     """
     previous = None
     period, cycle = None, []  # cycle: the tracked quantities after the first repeat
-    orbit = filtering.periodic_pass(ibm_transition(1, sigma, h), R, np.zeros((2, 2)))
-    for n, (P_pred, P, beta, first) in enumerate(islice(orbit, max_steps)):
-        current = np.array(
-            [P_pred[1, 1], P[1, 1], P_pred[0, 1], P[0, 1], beta[0], beta[1]]
+    orbit = filtering.periodic_pass([ibm_transition(1, sigma, h)], [R], [np.zeros((2, 2))])
+    n = -1
+    for n, (_, P_pred, P, beta, first) in enumerate(islice(orbit, max_steps)):
+        current = (
+            P_pred.item(0, 1, 1),
+            P.item(0, 1, 1),
+            P_pred.item(0, 0, 1),
+            P.item(0, 0, 1),
+            beta.item(0, 0),
+            beta.item(0, 1),
         )
-        if previous is not None and np.max(np.abs(current - previous)) < tol:
+        # Settled when every change is below tol (a NaN change never is).
+        if previous is not None and all(abs(a - b) < tol for a, b in zip(current, previous)):
             return SteadyState(*current, h=h, sigma=sigma, R=R)
         if period is not None:
             cycle.append(current)
             if len(cycle) == period:
                 raise OrbitCycle(period, float(np.ptp(cycle, axis=0).max()), tol)
-        elif first is not None:
-            period = n - first
+        elif first[0] >= 0:
+            period = n - first[0]
         previous = current
+    if n + 1 < max_steps:  # the stack of one left the pass
+        raise filtering.SingularInnovation("P_pred[1, 1] + R = 0")
     raise RuntimeError(f"orbit did not settle within {max_steps} iterations")
 
 
@@ -178,11 +189,13 @@ def verify_order_bounds(h_grid: Sequence[float], sigma: float, p: float, K_R: fl
     Quantities that vanish identically (R = 0) are flagged exact_zero
     instead of fitted.
 
-    Each pass stops at the first step whose closed block repeats that of
-    an earlier step, or at the end of the mesh if that comes first.  Every
-    later step of the mesh would repeat one of the steps already run (see
-    the module docstring), and a maximum does not depend on order, so the
-    maxima equal those over the whole mesh bit for bit.
+    The passes of the whole grid run side by side, as one stack
+    (``filtering.covariance_prefixes``).  Each stops at the first step
+    whose closed block repeats that of an earlier step, or at the end of
+    the mesh if that comes first.  Every later step of the mesh would
+    repeat one of the steps already run (see the module docstring), and a
+    maximum does not depend on order, so the maxima equal those over the
+    whole mesh bit for bit.
     """
     hs = np.asarray(list(h_grid), dtype=float)
     if len(hs) < 4:
@@ -192,20 +205,23 @@ def verify_order_bounds(h_grid: Sequence[float], sigma: float, p: float, K_R: fl
     if hs[0] / hs[-1] < 100.0:
         raise InsufficientGrid("step sizes must span at least 2 decades")
     noise = ZeroNoise() if math.isinf(p) else PowerLawNoise(K_R=K_R, p=p)
+    prefixes = filtering.covariance_prefixes(
+        [ibm_transition(1, sigma, h) for h in hs],
+        [noise.evaluate(h) for h in hs],
+        [np.zeros((2, 2))] * len(hs),
+        [round(ORDER_BOUND_T / h) for h in hs],
+    )
     maxima = np.empty((len(hs), len(ORDER_BOUND_QUANTITIES)))
-    for row, h in enumerate(hs):
-        # One row per step, one column per ORDER_BOUND_QUANTITIES entry; zip
-        # asks the rows first, so the pass runs no step beyond them.
-        track = np.empty((round(ORDER_BOUND_T / h), len(ORDER_BOUND_QUANTITIES)))
-        rows = 0
-        tm, R = ibm_transition(1, sigma, h), noise.evaluate(h)
-        orbit = filtering.periodic_pass(tm, R, np.zeros((2, 2)))
-        for step, (P_pred, P, beta, first) in zip(track, orbit):
-            step[:] = P_pred[1, 1], P[1, 1], abs(P[0, 1]), abs(beta[0]), abs(1.0 - beta[1])
-            rows += 1
-            if first is not None:
-                break
-        maxima[row] = track[:rows].max(axis=0)
+    for row, prefix in enumerate(prefixes):
+        if prefix.singular:
+            raise filtering.SingularInnovation("P_pred[1, 1] + R = 0")
+        P_pred, P, beta = prefix.P_pred, prefix.P_post, prefix.beta
+        # One row per step, one column per ORDER_BOUND_QUANTITIES entry.
+        track = np.stack(
+            [P_pred[:, 1, 1], P[:, 1, 1], abs(P[:, 0, 1]), abs(beta[:, 0]), abs(1.0 - beta[:, 1])],
+            axis=1,
+        )
+        maxima[row] = track.max(axis=0)
     fits = []
     keep = slice(ORDER_BOUND_DROP_LARGEST, None)
     for col, quantity in enumerate(ORDER_BOUND_QUANTITIES):

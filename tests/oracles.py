@@ -119,13 +119,16 @@ def full_pass_solve(
     h: float,
     noise: NoiseModel,
     mode: InitMode = ExactInit(),
+    *,
+    prefix=None,
 ) -> Trajectory:
     """``solve`` as a step-by-step run: the full kernel at every step, in lockstep with the mean.
 
     Zips the lazy ``covariance_pass`` with the mean loop, so no covariance
     step runs past the step the mean stops at; ``solve``, which fills its
     covariance track before its mean loop, must return the same arrays
-    byte for byte and raise what this raises.
+    byte for byte and raise what this raises.  A ``prefix`` (a sweep's
+    stacked covariance pass) is ignored: the oracle runs its own.
     """
     if prior.q < 1:
         raise ValueError("the solver requires q >= 1 (q = 0 models no derivative)")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odefilter import filtering
+from odefilter import cli, filtering
 from odefilter.filtering import (
     Belief,
     ExactInit,
@@ -16,8 +16,10 @@ from odefilter.filtering import (
     SingularInnovation,
     DivergedEvaluation,
     covariance_pass,
+    covariance_prefixes,
     evaluate_data,
     gain,
+    initial_covariance,
     initialize,
     solve,
 )
@@ -547,3 +549,140 @@ class TestCovarianceTrack:
         traj = solve(get_problem("linear"), PriorSpec(1), 0.1 / 128, noise)
         assert len(traj.y) == 12_800
         assert len(calls) == 2_369
+
+
+def per_cell_prefix(tm, R, P, bound):
+    """One cell's prefix from the 2-D kernel: ``covariance_pass`` up to its first
+    finite repeated closed block, its bound or its singular innovation.
+
+    Returns (steps, first, singular).
+    """
+    steps, seen = [], {}
+    closed = not tm.A[1:, 0].any()
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for n, step in zip(range(bound), covariance_pass(tm, R, P)):
+                steps.append(step)
+                first = seen.setdefault(step[1][:, 1:].tobytes(), n)
+                if closed and first < n and np.isfinite(step[1][:, 1:]).all():
+                    return steps, first, False
+        except SingularInnovation:
+            return steps, None, True
+    return steps, None, False
+
+
+def assert_prefix_equals(prefix, steps, first, singular):
+    """The prefix holds ``steps`` (from ``per_cell_prefix``) as bytes, and ends as it did."""
+    assert len(prefix.beta) == len(steps)
+    for got, expected in zip((prefix.P_pred, prefix.P_post, prefix.beta), zip(*steps)):
+        assert got.tobytes() == np.array(expected).tobytes()
+    assert prefix.first == first
+    assert prefix.singular == singular
+
+
+def crafted_singular_cell(q):
+    """Q underflows to 0, R = 0 and P0 = e_1 e_1^T: the first update leaves P = 0,
+    so the innovation of step 1 is singular."""
+    P0 = np.zeros((q + 1, q + 1))
+    P0[1, 1] = 1.0
+    return PriorSpec(q, sigma=1e-170).transition(0.1), 0.0, P0, 50
+
+
+class TestStackedPass:
+    """covariance_prefixes runs its cells side by side; each must equal its own 2-D pass."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_each_cell_equals_the_per_cell_kernel(self, seed):
+        rng = np.random.default_rng(seed)
+        q = 1 + seed % 4
+        cells = []
+        for _ in range(12):
+            h = 0.1 * 2.0 ** -int(rng.integers(0, 6))
+            kind, theta = [("ibm", 0.0), ("ioup", 1.0)][rng.integers(0, 2)]
+            prior = PriorSpec(q, kind, theta=theta, sigma=float(rng.choice([1.0, 50.0])))
+            R = float(rng.choice([0.0, h**q, 5000.0 * h]))
+            mode = [ExactInit(), PerturbedInit(1.0, seed=seed)][rng.integers(0, 2)]
+            bound = int(rng.integers(1, 1000))
+            cells.append((prior.transition(h), R, initial_covariance(q, h, mode), bound))
+        cells.append(crafted_singular_cell(q))
+        # P_00 overflows at step 0, and every later closed block is NaN.
+        start = initial_covariance(q, 0.0125, PerturbedInit(1e300))
+        cells.append((PriorSpec(q).transition(0.0125), 0.0, start, 300))
+        order = list(rng.permutation(len(cells)))
+        cells = [cells[i] for i in order]
+        prefixes = covariance_prefixes(*zip(*cells))
+        outcomes = [per_cell_prefix(*cell) for cell in cells]
+        assert sum(singular for _, _, singular in outcomes) == 1
+        assert sum(first is not None for _, first, _ in outcomes) >= 2
+        overflowing = prefixes[order.index(len(cells) - 1)]
+        assert len(overflowing.beta) == 300
+        assert not np.isfinite(overflowing.P_post[:, 0, 0]).any()
+        for cell, prefix, outcome in zip(cells, prefixes, outcomes):
+            assert_prefix_equals(prefix, *outcome)
+            # A cell's prefix does not depend on the other cells of its stack.
+            (alone,) = covariance_prefixes(*zip(cell))
+            assert_prefix_equals(alone, *outcome)
+
+    def test_a_bound_of_zero_runs_no_step(self):
+        tm = ibm_transition(1, 1.0, 0.1)
+        zero, one = covariance_prefixes([tm, tm], [0.0, 0.0], [np.zeros((2, 2))] * 2, [0, 1])
+        assert len(zero.beta) == 0 and not zero.singular and zero.first is None
+        assert len(one.beta) == 1
+
+    def test_q0_is_rejected_as_solve_rejects_it(self):
+        with pytest.raises(ValueError, match="q >= 1"):
+            covariance_prefixes([PriorSpec(0).transition(0.1)], [0.0], [np.zeros((1, 1))], [5])
+
+
+def preset_specs(preset, grid):
+    """Every (problem, prior, noise, h) cell of a preset on an h grid, as the CLI builds them."""
+    return [
+        cli.RunSpec(problem, PriorSpec(q, sigma=sigma), parse_noise(noise), h)
+        for problem, q, sigma, noise in cli._preset_cells(preset)
+        for h in cli._h_values(grid)
+    ]
+
+
+class TestSolveWithPrefix:
+    """solve given its cell's prefix from a sweep's stacked pass equals solve alone."""
+
+    @pytest.mark.parametrize(
+        "preset, grid, mode, diverged",
+        [
+            # fig1's two smallest step sizes hold three quarters of its steps.
+            ("fig1", (0.1, 2.0, 6), ExactInit(), False),
+            ("fig1", (0.1, 2.0, 4), PerturbedInit(1e300), True),
+            ("fig2", (0.1, 2.0, 8), ExactInit(), False),
+            ("fig2", (0.1, 2.0, 8), PerturbedInit(1.0, seed=3), False),
+            ("fig2", (0.1, 2.0, 8), PerturbedInit(1e300), True),
+        ],
+    )
+    def test_every_preset_cell(self, preset, grid, mode, diverged):
+        specs = preset_specs(preset, grid)
+        prefixes = cli._covariance_prefixes(specs, mode)
+        for spec, prefix in zip(specs, prefixes):
+            args = (get_problem(spec.problem), spec.prior, spec.h, spec.noise, mode)
+            traj = solve(*args, prefix=prefix)
+            assert_same_bytes(traj, solve(*args))
+            assert traj.diverged == diverged
+
+    @pytest.mark.parametrize("m0, raises", [(0.5, True), (math.inf, False)])
+    def test_singular_innovation(self, monkeypatch, m0, raises):
+        tm, R, P0, _ = crafted_singular_cell(1)
+
+        def crafted(problem, prior, h, mode):
+            return Belief(t=0.0, m=np.array([[m0], [0.1]]), P=P0)
+
+        monkeypatch.setattr(filtering, "initialize", crafted)
+        args = (get_problem("logistic"), PriorSpec(1, sigma=1e-170), 0.1, ZeroNoise())
+        (prefix,) = covariance_prefixes([tm], [R], [P0], [15])
+        assert prefix.singular and len(prefix.beta) == 1
+        if raises:
+            with pytest.raises(SingularInnovation):
+                solve(*args, prefix=prefix)
+            with pytest.raises(SingularInnovation):
+                solve(*args)
+        else:
+            traj = solve(*args, prefix=prefix)
+            assert traj.diverged and len(traj.y) == 0
+            assert_same_bytes(traj, solve(*args))

@@ -97,6 +97,27 @@ class TestScalarField:
                 assert value.tobytes() == expected.tobytes(), x
 
 
+class TestLinearField:
+    """The linear problem's f runs the BLAS product ROTATION @ x in Python floats."""
+
+    def test_f_equals_the_matrix_product_bit_for_bit(self):
+        f = get_problem("linear").f
+        rng = np.random.default_rng(0)
+        magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, (10_000, 2))
+        random = rng.choice([-1.0, 1.0], (10_000, 2)) * magnitudes
+        # Signed zeros, subnormals and the extremes in each position, against
+        # each other and a plain value; -0.0 * pi is where BLAS's +0.0 start shows.
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e308, -1e308, 1.5, -1.5]
+        special += [math.inf, -math.inf, math.nan]
+        pairs = np.array([(a, b) for a in special for b in special])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in np.concatenate((random, pairs)):
+                value, expected = f(x), ROTATION @ x
+                assert value.shape == expected.shape == (2,)
+                assert value.dtype == expected.dtype
+                assert value.tobytes() == expected.tobytes(), x
+
+
 class TestDerivativeChain:
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_g1_is_f_on_probes(self, name):

@@ -178,6 +178,16 @@ class TestOneCovariancePass:
         assert kernel_calls == self.once_each(calls)
         assert calls <= 0.3 * steps
 
+    def test_fig2_runs_one_stacked_pass(self, kernel_calls, tmp_path):
+        # fig2's 32 cells are all q = 1 and have 16 distinct covariance passes
+        # (a logistic cell's is a prefix of the linear cell's with the same h
+        # and R).  They run side by side, so the kernel runs as often as the
+        # longest prefix: 2,369 steps, at h = 0.1/128 with R = 5000 h.
+        assert main(["wpd", "--preset", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
+        calls = kernel_calls["predict_covariance"]
+        assert kernel_calls == self.once_each(calls)
+        assert calls <= 2_400
+
     def test_orbit_limit_runs_the_kernel_once_per_step(self, kernel_calls):
         h, sigma, R = 0.05, 1.3, 0.01
         orbit_limit(h, sigma, R)
@@ -196,6 +206,11 @@ class TestOneCovariancePass:
         steps = kernel_calls["predict_covariance"]
         assert kernel_calls == self.once_each(steps)
         assert steps <= 500
+
+    def test_orbit_limit_raises_a_singular_innovation(self):
+        # sigma^2 h underflows, so Q = 0 and with R = 0 the first innovation is 0.
+        with pytest.raises(filtering.SingularInnovation):
+            orbit_limit(0.1, 1e-170, 0.0)
 
     @pytest.mark.parametrize(
         "h, sigma, R, tol, period",
