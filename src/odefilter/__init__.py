@@ -18,17 +18,15 @@ from .diagnostics import (
 )
 from .filtering import (
     Belief,
-    DivergedEvaluation,
     ExactInit,
     NonIntegerMesh,
     PerturbedInit,
     SingularInnovation,
     Trajectory,
-    covariance_pass,
-    evaluate_data,
     gain,
     initialize,
     solve,
+    solve_cells,
 )
 from .noise import (
     ConstantNoise,

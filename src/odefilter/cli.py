@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import itertools
 import math
 import sys
 from typing import Optional, Sequence
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import diagnostics, filtering, steady_state, svgchart
-from .filtering import ExactInit, PerturbedInit, solve
+from .filtering import ExactInit, PerturbedInit, solve, solve_cells
 from .noise import NoiseModel, parse_noise
 from .priors import IBM, PriorSpec
 from .problems import PROBLEMS, get_problem
@@ -155,9 +156,8 @@ class RunSpec:
         return (self.problem, self.prior.q, -self.noise.p, self.noise.K_R, -self.h)
 
 
-def _execute(spec: RunSpec, cfg: RunConfig, prefix: filtering.CovariancePrefix) -> dict:
-    problem = get_problem(spec.problem)
-    traj = solve(problem, spec.prior, spec.h, spec.noise, cfg.init_mode(), prefix=prefix)
+def _execute(spec: RunSpec, problem, traj: filtering.Trajectory) -> dict:
+    """The CSV row of one sweep cell, from its trajectory."""
     row = {
         "problem": spec.problem,
         "q": spec.prior.q,
@@ -326,8 +326,18 @@ def cmd_sweep(command: str, cfg: RunConfig) -> int:
         model = parse_noise(noise)
         specs += [RunSpec(problem, prior, model, h) for h in grid]
     specs.sort(key=RunSpec.sort_key)
-    prefixes = _covariance_prefixes(specs, cfg.init_mode())
-    rows = [_execute(spec, cfg, prefix) for spec, prefix in zip(specs, prefixes)]
+    mode = cfg.init_mode()
+    cells = list(zip(specs, _covariance_prefixes(specs, mode)))
+    rows = []
+    # One stacked mean pass per (problem, q); the sort keeps each group's
+    # cells together, and its arrays are freed once its rows are made.
+    for (name, _), group in itertools.groupby(cells, key=lambda c: (c[0].problem, c[0].prior.q)):
+        group = list(group)
+        problem = get_problem(name)
+        stack = [(spec.prior, spec.h, spec.noise, mode) for spec, _ in group]
+        trajs = solve_cells(problem, stack, [prefix for _, prefix in group])
+        # map holds no trajectory while the next one is gathered.
+        rows += map(_execute, [spec for spec, _ in group], itertools.repeat(problem), trajs)
     _write_csv(cfg.out, columns, [[row[c] for c in columns] for row in rows])
     if cfg.svg:
         _render_wpd_svg(cfg.svg, rows, value_key, ylabel)

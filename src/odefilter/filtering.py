@@ -17,13 +17,15 @@ measurement variance R, and the covariance recursion never sees the data.
 Both covariance updates end in a plain symmetrization 0.5 (P + P^T): for
 q <= 5 and h >= 1e-4 this float64 recursion matches the exact one to
 about 1e-13 (gains relative, P_pred relative to sqrt(P_ii P_jj)).
-``covariance_pass`` runs that recursion step by step.  ``solve``, the
-only code that advances a mean, makes two passes over arrays allocated
-for the whole mesh: ``covariance_track`` fills the covariances and gains
-of every step (stored once), then a mesh loop of mean updates reads each
-step's gain and writes the means and data (per dimension) in place.
-Diagnostics read predictive quantities, gains, residuals and posteriors
-from those arrays.
+``solve_cells``, the only code that advances a mean, solves a stack of
+cells that share a problem and q in two passes: ``covariance_track``
+fills each cell's covariances and gains (each distinct step stored once),
+then one mean loop steps all the cells side by side, with one stacked
+``A m``, one call of ``f`` on the ``(cells, d)`` stack of predicted values
+(``f`` is pointwise on stacks) and one update per step, writing the means
+and data (per dimension) into step-major arrays.  ``solve`` is
+``solve_cells`` on a stack of one.  Diagnostics read predictive
+quantities, gains, residuals and posteriors from each cell's arrays.
 
 The covariance track.  A is upper triangular and the data is on x_1, so
 the gain and every entry of P_pred and P_post but [0, 0] are computed from
@@ -39,12 +41,14 @@ first repeat.  ``covariance_prefixes`` runs each cell up to that repeat,
 its mesh or its first singular innovation, whichever comes first; a sweep
 runs all its cells' prefixes this way before its first mean, since the
 recursion never sees the data, and ``solve`` alone runs a stack of one.
-``covariance_track`` takes a cell's prefix, copies every later step from
-its step k in bulk, then recomputes the growing P_00 step by step with
-the kernel's own arithmetic (one full A P A^T of the previous posterior,
-then the scalar symmetrize and update), so every step equals the full
-recursion's bit for bit.  At the first non-finite P_00 (0 * inf is NaN)
-it hands the rest back to the full kernel.  A singular innovation ends
+``covariance_track`` takes a cell's prefix, maps every later step to its
+step k, then recomputes the growing P_00 step by step with the kernel's
+own arithmetic (one full A P A^T of the previous posterior, then the
+scalar symmetrize and update), so every step equals the full recursion's
+bit for bit.  At the first non-finite P_00 (0 * inf is NaN) it hands the
+rest to a pass of its own.  A non-finite step whose whole P_post repeats
+the step before it is a fixed point of the recursion: ``periodic_pass``
+tags it, and the track copies it forward.  A singular innovation ends
 the prefix; ``solve`` raises it only if its mean loop reaches that step,
 as a step-by-step run would.
 """
@@ -54,7 +58,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -65,31 +69,26 @@ from .problems import IVProblem
 __all__ = [
     "Belief",
     "CovariancePrefix",
-    "DivergedEvaluation",
+    "CovarianceTrack",
     "ExactInit",
     "InitMode",
     "NonIntegerMesh",
     "PerturbedInit",
     "SingularInnovation",
     "Trajectory",
-    "covariance_pass",
     "covariance_prefixes",
     "covariance_track",
-    "evaluate_data",
     "gain",
     "initial_covariance",
     "initialize",
     "periodic_pass",
     "solve",
+    "solve_cells",
 ]
 
 
 class NonIntegerMesh(ValueError):
     """T/h is not within 1e-9 of an integer."""
-
-
-class DivergedEvaluation(FloatingPointError):
-    """The vector field returned a non-finite value."""
 
 
 class SingularInnovation(ZeroDivisionError):
@@ -215,14 +214,6 @@ def initial_covariance(q: int, h: float, mode: InitMode = ExactInit()) -> np.nda
     return np.zeros((q + 1, q + 1))
 
 
-def evaluate_data(f: Callable[[np.ndarray], np.ndarray], m_pred: np.ndarray) -> np.ndarray:
-    """One vector-field evaluation at the predicted value: the step's data."""
-    y = np.asarray(f(m_pred[0]), dtype=float)
-    if np.count_nonzero(np.isfinite(y)) != y.size:
-        raise DivergedEvaluation(f"vector field returned a non-finite value: {y}")
-    return y
-
-
 def gain(P_pred: np.ndarray, R) -> np.ndarray:
     """Kalman gain vector beta_i = P_pred[i, 1] / (P_pred[1, 1] + R), per cell of a stack."""
     denom = _innovation_variance(P_pred, R)
@@ -240,27 +231,87 @@ def solve(
     h: float,
     noise: NoiseModel,
     mode: InitMode = ExactInit(),
-    *,
-    prefix: Optional["CovariancePrefix"] = None,
 ) -> Trajectory:
-    """Run the filter over the uniform mesh {h, 2h, ..., T}.
-
-    ``covariance_track`` first fills the covariances and gains of the whole
-    mesh; every dimension shares the prior and the initial covariance, so
-    one track serves all d dimensions.  The mesh loop then runs the mean
-    arithmetic of each step, writing straight into arrays allocated for
-    the whole mesh.
-
-    ``prefix`` is this cell's ``covariance_prefixes`` entry, run from the
-    prior's transition at h, R and ``initial_covariance`` with a bound of
-    at least the mesh's step count, so that a sweep runs all its cells'
-    covariance passes side by side; without it, solve runs a stack of one.
+    """Run the filter over the uniform mesh {h, 2h, ..., T}: ``solve_cells`` on a stack of one.
 
     A non-finite predicted mean or vector-field value ends the run; the
-    trajectory then holds the steps completed, with ``diverged=True``.
-    A singular innovation raises ``SingularInnovation`` when the mean loop
-    reaches its step.
+    trajectory then holds the steps completed, with ``diverged=True``.  A
+    singular innovation raises ``SingularInnovation`` when the mean loop
+    reaches it.
     """
+    (traj,) = solve_cells(problem, [(prior, h, noise, mode)])
+    return traj
+
+
+def solve_cells(
+    problem: IVProblem, cells: Sequence[tuple], prefixes: Optional[Sequence] = None
+) -> Iterator[Trajectory]:
+    """``solve`` of each (prior, h, noise, mode) cell, all of one q, with one mean loop for all.
+
+    Yields the cells' trajectories in order, each equal bit for bit to the
+    cell's own run.  ``prefixes[c]`` is cell c's ``covariance_prefixes``
+    entry, run from the prior's transition at h, R and
+    ``initial_covariance`` with a bound of at least the mesh's step count,
+    so that a sweep runs all its cells' covariance passes side by side;
+    without them the cells share one stacked pass.  Each cell's
+    ``covariance_track`` is filled before the first call to ``f``.
+
+    The mean loop then steps the cells side by side, longest track first,
+    so the cells still running at step n are a leading slice of the stack:
+    one stacked ``A m``, one call of ``f`` on the stack of predicted values
+    and one update per step, stored step-major without padding.  A cell
+    whose predicted mean or data is not finite leaves with the steps it
+    completed; its slot is zeroed, with gain 0, so the stack stays finite.
+    A cell's arrays are gathered when it is yielded, and a cell whose loop
+    reached its singular innovation raises ``SingularInnovation`` there.
+    """
+    runs = [_setup(problem, *cell) for cell in cells]
+    if len({initial.m.shape for _, _, initial, _ in runs}) > 1:
+        raise ValueError("the cells of one stack must share q")
+    if prefixes is None:
+        prefixes = covariance_prefixes(*zip(*((tm, R, init.P, n) for tm, R, init, n in runs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tracks = [covariance_track(tm, R, p, n) for (tm, R, _, n), p in zip(runs, prefixes)]
+        order = sorted(range(len(runs)), key=lambda c: -len(tracks[c].rows))
+        lengths = np.array([len(tracks[c].rows) for c in order], dtype=np.intp)
+        # Step n holds the cells whose track is longer than n, in rows
+        # starts[n] .. starts[n + 1] - 1.
+        steps = np.arange(lengths[0])
+        starts = np.zeros(len(steps) + 1, np.intp)
+        np.cumsum(len(lengths) - np.searchsorted(lengths[::-1], steps, "right"), out=starts[1:])
+        q1, d = runs[0][2].m.shape
+        y, m_post = np.empty((starts[-1], d)), np.empty((starts[-1], q1, d))
+        gains = np.empty((starts[-1], q1, 1))
+        for j, c in enumerate(order):
+            gains[starts[: lengths[j]] + j, :, 0] = tracks[c].beta[tracks[c].rows]
+        A = np.array([runs[c][0].A for c in order])
+        m = np.array([runs[c][2].m for c in order])
+        reached = _mean_loop(problem.f, A, m, starts, lengths, y, gains, m_post)
+    del gains
+    slot = {c: j for j, c in enumerate(order)}
+    for c, run in enumerate(runs):
+        # Each track is freed once its cell is gathered, and no array of a
+        # cell is held here once it is yielded.
+        track, tracks[c] = tracks[c], None
+        yield _gather(cells[c][1], run, track, starts, slot[c], reached[slot[c]], y, m_post)
+
+
+def _gather(h, run, track, starts, j, n, y, m_post) -> Trajectory:
+    """The trajectory of the cell in slot j of a stacked mean pass, n steps completed."""
+    tm, _, initial, n_steps = run
+    if track.singular is not None and n == len(track.rows):
+        raise track.singular
+    rows = starts[:n] + j
+    means = np.concatenate((initial.m[None], m_post[rows]))
+    # m_pred again from the same stacked product the loop ran.
+    arrays = [np.matmul(tm.A, means[:n]), y[rows], *track.steps(n), means[1:]]
+    for a in arrays:
+        a.setflags(write=False)
+    return Trajectory(h, initial, *arrays, diverged=n < n_steps)
+
+
+def _setup(problem: IVProblem, prior: PriorSpec, h: float, noise: NoiseModel, mode: InitMode):
+    """A cell's (transition, R, initial belief, step count), its settings checked."""
     if prior.q < 1:
         raise ValueError(_Q_AT_LEAST_1)
     if not h > 0.0:
@@ -269,43 +320,52 @@ def solve(
     n_steps = int(round(n_float))
     if n_steps < 1 or abs(n_float - n_steps) > 1e-9:
         raise NonIntegerMesh(f"T/h = {n_float!r} is not an integer mesh count")
+    return prior.transition(h), noise.evaluate(h), initialize(problem, prior, h, mode), n_steps
 
-    q, d = prior.q, problem.d
-    tm = prior.transition(h)
-    R = noise.evaluate(h)
-    initial = initialize(problem, prior, h, mode)
-    if prefix is None:
-        (prefix,) = covariance_prefixes([tm], [R], [initial.P], [n_steps])
 
-    m_pred = np.empty((n_steps, q + 1, d))
-    y = np.empty((n_steps, d))
-    m_post = np.empty((n_steps, q + 1, d))
+def _mean_loop(f, A, m, starts, lengths, y, gains, m_post) -> list:
+    """The mean recursion of a stack of cells, longest first; returns each cell's steps completed.
 
-    A, f = tm.A, problem.f
-    m = initial.m
-    reached = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        P_pred, P_post, beta, singular = covariance_track(tm, R, prefix, n_steps)
-        gains = beta[:, :, None]
-        for n in range(len(beta)):
-            mp = np.matmul(A, m, out=m_pred[n])
-            if np.count_nonzero(np.isfinite(mp)) != mp.size:
+    Step n reads rows starts[n] .. of ``gains`` and writes the same rows of
+    ``y`` and ``m_post``, one per cell still running; m holds the start means.
+    """
+    bounds, reached = starts.tolist(), lengths.tolist()
+    stop = max(reached, default=0)
+    predicted, residual = np.empty_like(m), np.empty((len(m), 1, m.shape[2]))
+
+    def leave(n, bad, *rows):
+        # Cells whose step n is not finite: record the steps they completed,
+        # and zero their slots and later gains so the stack stays finite.
+        nonlocal stop
+        for j in np.flatnonzero(bad).tolist():
+            if reached[j] > n:
+                gains[starts[n : reached[j]] + j] = 0.0
+                reached[j] = n
+            for a in rows:
+                a[j] = 0.0
+        stop = max(reached)
+
+    n, k = 0, 0
+    while n < stop:
+        lo, hi = bounds[n], bounds[n + 1]
+        if hi - lo != k:  # the views change only when a track ends
+            k = hi - lo
+            Ak, mp, r, m = A[:k], predicted[:k], residual[:k], m[:k]
+        np.matmul(Ak, m, out=mp)
+        if np.count_nonzero(np.isfinite(mp)) != mp.size:
+            leave(n, ~np.isfinite(mp).all(axis=(1, 2)), mp)
+            if n >= stop:
                 break
-            try:
-                yn = evaluate_data(f, mp)
-            except DivergedEvaluation:
-                break
-            y[n] = yn
-            m = m_post[n]
-            np.multiply(gains[n], yn - mp[1], out=m)
-            np.add(mp, m, out=m)
-            reached = n + 1
-    if singular is not None and reached == len(beta):
-        raise singular
-    arrays = [a[:reached] for a in (m_pred, y, P_pred, P_post, beta, m_post)]
-    for a in arrays:
-        a.setflags(write=False)
-    return Trajectory(h, initial, *arrays, diverged=reached < n_steps)
+        yn = y[lo:hi]
+        yn[...] = f(mp[:, 0])
+        if np.count_nonzero(np.isfinite(yn)) != yn.size:
+            leave(n, ~np.isfinite(yn).all(axis=1), mp, yn)
+        np.subtract(yn, mp[:, 1], out=r[:, 0])
+        m = m_post[lo:hi]
+        np.multiply(gains[lo:hi], r, out=m)
+        np.add(mp, m, out=m)
+        n += 1
+    return reached
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -313,9 +373,9 @@ class CovariancePrefix:
     """The steps of one cell's covariance pass up to where the rest can be filled.
 
     P_pred, P_post and beta stack the steps run, read-only.  ``first`` is
-    the earlier step whose closed block the last step repeats, or None;
-    ``singular`` says that the step after the last one has a singular
-    innovation.
+    the earlier step whose closed block the last step repeats (in full, at
+    a non-finite fixed point), or None; ``singular`` says that the step
+    after the last one has a singular innovation.
     """
 
     P_pred: np.ndarray
@@ -330,7 +390,7 @@ def covariance_prefixes(
 ) -> list:
     """Each cell's covariance pass up to where its track can be filled, from one stacked pass.
 
-    Cell c runs ``covariance_pass(tms[c], Rs[c], Ps[c])`` bit for bit up
+    Cell c runs the recursion from ``Ps[c]`` bit for bit up
     to its first repeated closed block, its ``bounds[c]``-th step or its
     first singular innovation, whichever comes first; ``covariance_track``
     fills any longer mesh from that prefix.  All cells share one
@@ -374,94 +434,116 @@ def _joined(steps: Iterator[tuple], n: int) -> list:
     return [np.concatenate(column) for column in zip(*joined, *pending)]
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class CovarianceTrack:
+    """One cell's covariances and gains over its mesh, each distinct step stored once.
+
+    Step n is row ``rows[n]`` of P_pred, P_post and beta, but for its two
+    P_00 entries, which are ``P00[n]`` (predicted, updated).  The track
+    ends before a singular innovation; ``singular`` is the
+    ``SingularInnovation`` raised there, or None.
+    """
+
+    P_pred: np.ndarray
+    P_post: np.ndarray
+    beta: np.ndarray
+    rows: np.ndarray
+    P00: np.ndarray
+    singular: Optional[SingularInnovation]
+
+    def steps(self, n: int) -> tuple:
+        """(P_pred, P_post, beta) of the first n steps, one row per step."""
+        rows = self.rows[:n]
+        P_pred, P_post = self.P_pred[rows], self.P_post[rows]
+        P_pred[:, 0, 0], P_post[:, 0, 0] = self.P00[:n].T
+        return P_pred, P_post, self.beta[rows]
+
+
 def covariance_track(
     tm: TransitionModel, R: float, prefix: CovariancePrefix, n_steps: int
-) -> tuple:
-    """The first n_steps steps of ``covariance_pass`` from the prefix's start, bit for bit.
+) -> CovarianceTrack:
+    """The first n_steps steps of the recursion from the prefix's start, bit for bit.
 
-    Returns (P_pred, P_post, beta, singular): stacks of the steps before the
-    first singular innovation, and the ``SingularInnovation`` raised there,
-    or None if all n_steps steps are filled.  Takes the steps the prefix
-    ran, then fills the rest from the period (see the module docstring).
+    Takes the steps the prefix ran, then fills the rest from the period
+    (see the module docstring).  A non-finite P_00, or a prefix cut short
+    by its bound, hands the rest to a pass of its own from the last step
+    filled.
     """
-    run = len(prefix.beta)
-    ran = (prefix.P_pred, prefix.P_post, prefix.beta)
-    if n_steps <= run:
-        return tuple(a[:n_steps] for a in ran) + (None,)
-    if prefix.singular:
-        return ran + (SingularInnovation("P_pred[1, 1] + R = 0"),)
-    track = tuple(np.empty((n_steps,) + a.shape[1:]) for a in ran)
-    for a, steps in zip(track, ran):
-        a[:run] = steps
-    filled = run
-    if prefix.first is not None:
-        filled = _fill_period(tm, R, track, prefix.first, run - 1)
-    P_pred, P_post, beta = track
-    try:
-        # A non-finite P_00, or a prefix cut short by its bound, hands the
-        # rest back to the full kernel.
-        steps = covariance_pass(tm, R, P_post[filled - 1])
-        for n, (Pp, Pn, b) in zip(range(filled, n_steps), steps):
-            P_pred[n], P_post[n], beta[n] = Pp, Pn, b
-            filled = n + 1
-    except SingularInnovation as exc:
-        return tuple(a[:filled] for a in track) + (exc,)
-    return track + (None,)
+    run = min(len(prefix.beta), n_steps)
+    P_pred, P_post, beta = (a[:run] for a in (prefix.P_pred, prefix.P_post, prefix.beta))
+    rows = np.arange(n_steps)
+    P00 = np.empty((n_steps, 2))
+    P00[:run] = np.stack((P_pred[:, 0, 0], P_post[:, 0, 0]), axis=1)
+    filled, singular = run, None
+    if run < n_steps and prefix.singular:
+        singular = SingularInnovation("P_pred[1, 1] + R = 0")
+    elif run < n_steps and prefix.first is not None:
+        i, n = prefix.first, run - 1
+        rows[run:] = i + 1 + np.arange(n_steps - run) % (n - i)
+        if P_post[n].tobytes() == P_post[i].tobytes():
+            # The whole step repeats, P_00 too (a NaN pass ends at such a
+            # fixed point), so the period fills P_00 as well.
+            P00[run:] = P00[rows[run:]]
+            filled = n_steps
+        else:
+            # The period rows of P_post are rewritten with each step's P_00.
+            P_post = P_post.copy()
+            filled = _fill_period(tm, R, P_pred, P_post, rows, P00, n)
+    if filled < n_steps and singular is None:
+        (rest,) = covariance_prefixes([tm], [R], [P_post[rows[filled - 1]]], [n_steps - filled])
+        tail = covariance_track(tm, R, rest, n_steps - filled)
+        end, base = filled + len(tail.rows), len(beta)
+        P_pred, P_post, beta = (
+            np.concatenate((a, b))
+            for a, b in zip((P_pred, P_post, beta), (tail.P_pred, tail.P_post, tail.beta))
+        )
+        rows[filled:end] = tail.rows + base
+        P00[filled:end] = tail.P00
+        filled, singular = end, tail.singular
+    return CovarianceTrack(P_pred, P_post, beta, rows[:filled], P00[:filled], singular)
 
 
-def _fill_period(tm: TransitionModel, R: float, track: tuple, i: int, n: int) -> int:
-    """Fill the steps after step n, whose closed block repeats step i's, from the period.
+def _fill_period(tm, R, P_pred, P_post, rows, P00, n: int) -> int:
+    """Recompute P_00 of the steps after step n, whose other entries repeat rows[m].
 
-    Every array is copied from step k = i + 1 + (m - n - 1) mod (n - i); then
-    P_00 is recomputed step by step with the kernel's own arithmetic.
-    Returns the number of steps filled: all of them, or up to the first
-    step whose previous P_00 is not finite.
+    Step m's posterior P_00 is written into its row of P_post, from which
+    step m + 1 is computed with the kernel's own arithmetic.  Returns the
+    number of steps filled: all of them, or up to the first step whose
+    previous P_00 is not finite.
     """
-    P_pred, P_post, beta = track
-    k = i + 1 + np.arange(len(beta) - n - 1) % (n - i)
-    for a in track:
-        a[n + 1 :] = a[k]
+    k = rows[n + 1 :]
     # drop is what the update subtracts from P_pred_00; it repeats with the period.
-    Pp = P_pred[n + 1 :]
-    drops = (Pp[:, 0, 1] * Pp[:, 0, 1] / (Pp[:, 1, 1] + R)).tolist()
+    drops = (P_pred[:, 0, 1] * P_pred[:, 0, 1] / (P_pred[:, 1, 1] + R))[k].tolist()
     A, AT, Q00 = tm.A, tm.A.T, tm.Q[0, 0].item()
-    for m, drop in enumerate(drops, start=n + 1):
-        P = P_post[m - 1]
+    P = P_post[n]
+    for m, (row, drop) in enumerate(zip(k.tolist(), drops), start=n + 1):
         if not math.isfinite(P[0, 0]):
             return m
         # The full product of predict_covariance (the same BLAS gemm calls):
         # A[:1] P A[:1]^T rounds differently.
         v = A.dot(P).dot(AT).item(0) + Q00
         v = 0.5 * (v + v)
-        P_pred[m, 0, 0] = v
+        P00[m, 0] = v
         v -= drop
-        P_post[m, 0, 0] = 0.5 * (v + v)
-    return len(beta)
-
-
-def covariance_pass(tm: TransitionModel, R: float, P: np.ndarray) -> Iterator[tuple]:
-    """The data-free covariance recursion from P: yields (P_pred, P_post, beta) per step.
-
-    Each step is ``predict_covariance`` then ``update_covariance``, looked
-    up at call time.  The generator never ends; callers bound it.
-    """
-    while True:
-        P_pred = predict_covariance(P, tm)
-        P, beta = update_covariance(P_pred, R)
-        yield P_pred, P, beta
+        P00[m, 1] = v = 0.5 * (v + v)
+        P = P_post[row]
+        P[0, 0] = v
+    return len(rows)
 
 
 def periodic_pass(
     tms: Sequence[TransitionModel], Rs: Sequence[float], Ps: Sequence[np.ndarray], bounds=None
 ) -> Iterator[tuple]:
-    """``covariance_pass`` of a stack of cells side by side, each step tagged with its repeat.
+    """The covariance recursion of a stack of cells side by side, each step tagged with its repeat.
 
     Cell c runs from Ps[c] with transition tms[c] and variance Rs[c] (one
     matrix size for all); a step calls each kernel once on the stack of
     cells still running.  Yields (cells, P_pred, P, beta, first) per step:
     those cells' indices, their stacked step, and for each the earlier step
-    whose closed block P[:, 1:] its finite one repeats byte for byte, or -1
-    (always -1 if some A_j0, j >= 1, is nonzero).  A cell leaves the stack
+    whose closed block P[:, 1:] its finite one repeats byte for byte (never
+    if some A_j0, j >= 1, is nonzero), or, for a non-finite step that
+    repeats the step before it in full (a fixed point: every later step
+    repeats it too), that step; otherwise -1.  A cell leaves the stack
     at a singular innovation, before that step's update; with ``bounds``,
     cell c also leaves after bounds[c] steps or after its first repeat.
     The pass ends when no cell is left.
@@ -495,8 +577,16 @@ def periodic_pass(
         first = [-1] * len(cells)
         for k, c in enumerate(cells.tolist()):
             i = seen[c].setdefault(P[k, :, 1:].tobytes(), n)
-            if i < n and closed[c] and np.isfinite(P[k, :, 1:]).all():
-                first[k] = i
+            if i == n:
+                continue
+            if np.isfinite(P[k, :, 1:]).all():
+                if closed[c]:
+                    first[k] = i
+            elif P[k].tobytes() == last[1][np.searchsorted(last[0], c)].tobytes():
+                # A non-finite step that repeats the one before it in full
+                # (so its closed block repeats an earlier one).
+                first[k] = n - 1
+        last = cells, P
         yield cells, P_pred, P, beta, first
 
 

@@ -8,9 +8,11 @@ rule along the flow.  The scalar problems have polynomial vector fields,
 so the whole derivative chain is generated exactly by polynomial algebra;
 the linear system uses matrix powers.
 
-``f`` takes one state ``(d,)``; ``exact`` maps times ``(N,)`` to ``(N, d)``, and
-each derivative map ``(..., d)`` to the same shape, pointwise.  ``exact`` uses
-``math`` per time: numpy's vectorized transcendentals may round differently.
+``f`` and each derivative map take a stack of states ``(..., d)`` to the same
+shape, pointwise (each packaged problem's ``f`` is its ``derivatives[1]``), so
+a sweep evaluates the field of all its cells in one call; ``exact`` maps times
+``(N,)`` to ``(N, d)``.  ``exact`` uses ``math`` per time: numpy's vectorized
+transcendentals may round differently.
 
 Closed-form solutions are validated at load time against the ODE by
 finite differences; the independent RK4 oracle that checks them lives
@@ -55,7 +57,7 @@ class IVProblem:
 
     name: str
     d: int
-    f: Callable[[np.ndarray], np.ndarray]  # one state (d,) -> (d,)
+    f: Callable[[np.ndarray], np.ndarray]  # maps (..., d) -> (..., d)
     derivatives: tuple  # maps (..., d) -> (..., d)
     x0: np.ndarray
     T: float
@@ -83,13 +85,13 @@ class IVProblem:
         x = self.exact(ts)
         dx = (self.exact(ts + FD_STEP) - self.exact(ts - FD_STEP)) / (2.0 * FD_STEP)
         g1 = self.derivative(1)(x)
-        for t, residual, x_n, g1_n in zip(ts, np.linalg.norm(dx - g1, axis=1), x, g1):
+        for t, residual, g1_n, f_n in zip(ts, np.linalg.norm(dx - g1, axis=1), g1, self.f(x)):
             if not residual <= 1e-8:
                 raise ValueError(
                     f"exact solution of {self.name!r} violates the ODE at t={t:g} "
                     f"(residual {residual:.3e})"
                 )
-            if not np.allclose(g1_n, self.f(x_n), rtol=1e-12, atol=1e-12):
+            if not np.allclose(g1_n, f_n, rtol=1e-12, atol=1e-12):
                 raise ValueError(f"derivatives[1] of {self.name!r} differs from f at t={t:g}")
 
 
@@ -98,26 +100,25 @@ def _per_time(formula: Callable, ts: np.ndarray, d: int = 1) -> np.ndarray:
     return np.fromiter(map(formula, ts.tolist()), dtype=(float, d), count=len(ts))
 
 
-def _scalar_field(poly: Polynomial) -> Callable[[np.ndarray], np.ndarray]:
-    """``poly`` as a vector field on one state ``(1,)``, in Python floats.
+def _horner(poly: Polynomial) -> Callable[[np.ndarray], np.ndarray]:
+    """``poly`` as a pointwise map on arrays, equal bit for bit to ``poly(x)``.
 
-    Runs the operations of ``poly(x)`` (the domain map ``off + scl * x``,
-    then numpy's Horner loop ``c0 = c[-1] + x * 0``, ``c0 = c[i] + c0 * x``)
-    on one float, so the value is the same bit for bit, without the array
-    machinery of ``Polynomial.__call__``.
+    Runs the operations of ``Polynomial.__call__`` (the domain map
+    ``off + scl * x``, then numpy's Horner loop ``c0 = c[-1] + x * 0``,
+    ``c0 = c[i] + c0 * x``) without its per-call array set-up.
     """
     off, scl = (float(a) for a in poly.mapparms())
     *rest, last = poly.coef.tolist()
     rest.reverse()
 
-    def f(x):
-        v = off + scl * float(x[0])
+    def g(x):
+        v = off + scl * np.asarray(x, dtype=float)
         c0 = last + v * 0
         for c in rest:
             c0 = c + c0 * v
-        return np.array((c0,))
+        return c0
 
-    return f
+    return g
 
 
 def _polynomial_problem(
@@ -132,15 +133,13 @@ def _polynomial_problem(
     chain = [Polynomial([0.0, 1.0]), f_poly]
     for _ in range(2, depth + 1):
         chain.append(chain[-1].deriv() * f_poly)
-
-    def as_map(poly):
-        return lambda x: np.asarray(poly(np.asarray(x, dtype=float)), dtype=float)
+    derivatives = tuple(_horner(p) for p in chain)
 
     problem = IVProblem(
         name=name,
         d=1,
-        f=_scalar_field(f_poly),
-        derivatives=tuple(as_map(p) for p in chain),
+        f=derivatives[1],
+        derivatives=derivatives,
         x0=np.array([x0]),
         T=T,
         exact=exact,
@@ -179,26 +178,16 @@ def linear_rotation() -> IVProblem:
     def exact(ts: np.ndarray) -> np.ndarray:
         return _per_time(lambda t: (-math.sin(math.pi * t), math.cos(math.pi * t)), ts, 2)
 
-    pi = math.pi
-
-    def f(x):
-        # rot @ x in Python floats: BLAS starts each sum at +0.0 (so a zero
-        # product gives +0.0, not -0.0) and adds the zero entry's product
-        # last.  Only a state of two NaNs, one of them negative, can differ
-        # (in the sign of the NaN).
-        x0, x1 = np.asarray(x, dtype=float).tolist()
-        return np.array((0.0 + -pi * x1 + 0.0 * x0, 0.0 + pi * x0 + 0.0 * x1))
+    # Every power of the rotation has one nonzero per row (the other entry
+    # is +0.0), so each entry of x @ M.T is one product plus a signed zero:
+    # bit-equal to M @ x point by point, in any order.
+    derivatives = tuple((lambda x, M=M: np.asarray(x, dtype=float) @ M.T) for M in powers)
 
     problem = IVProblem(
         name="linear",
         d=2,
-        f=f,
-        # Every power of the rotation has one nonzero per row (the other
-        # entry is +0.0), so each entry of x @ M.T is one product plus a
-        # signed zero: bit-equal to M @ x point by point, in any order.
-        derivatives=tuple(
-            (lambda x, M=M: np.asarray(x, dtype=float) @ M.T) for M in powers
-        ),
+        f=derivatives[1],
+        derivatives=derivatives,
         x0=np.array([0.0, 1.0]),
         T=10.0,
         exact=exact,

@@ -1,13 +1,17 @@
 """Test-only oracles, independent of the code paths they check.
 
 The replay oracle: one filter step driven by hand (``predict``, then
-``update``, each returning a ``Belief`` and the second a ``StepRecord``),
-the belief invariants (``validate_belief``), and the per-point weighted
-derivative norm ``h_norm``, against which ``solve`` and the whole-mesh
-diagnostics are compared.  ``full_pass_solve``, ``solve`` with the full
-covariance kernel at every step, run in lockstep with the mean loop,
-which ``solve`` (the whole covariance track first, then the mean loop)
-must match byte for byte, errors included.  The per-point diagnostics
+``update``, each returning a ``Belief`` and the second a ``StepRecord``,
+with the one-state ``evaluate_data``), the belief invariants
+(``validate_belief``), and the per-point weighted derivative norm
+``h_norm``, against which ``solve`` and the whole-mesh diagnostics are
+compared.  ``covariance_pass``, the covariance recursion one 2-D kernel
+step at a time.  ``full_pass_solve``, ``solve`` with that full kernel at
+every step, run in lockstep with the mean loop, which ``solve`` and each
+cell of ``solve_cells`` (the whole covariance track first, then one mean
+loop for the stack) must match byte for byte, errors included, and
+``full_pass_cells``, the same per cell in place of ``solve_cells``.  The
+per-point diagnostics
 (``global_error_loop``, ``misalignment_loop``, ``credible_width_loop``),
 run on problems with one-time closed forms (``SCALAR_EXACT``,
 ``pointwise_problem``), which the whole-mesh diagnostics must match byte
@@ -29,17 +33,15 @@ from typing import Optional, Sequence
 import mpmath
 import numpy as np
 
+from odefilter import filtering
 from odefilter.diagnostics import CredibleWidth, ErrorSeries, MissingExact
 from odefilter.filtering import (
     Belief,
-    DivergedEvaluation,
     ExactInit,
     InitMode,
     NonIntegerMesh,
     Trajectory,
     _row_norms,
-    covariance_pass,
-    evaluate_data,
     initialize,
     predict_covariance,
     update_covariance,
@@ -51,6 +53,10 @@ from odefilter.problems import IVProblem
 
 class DimensionMismatch(ValueError):
     """Kronecker factor matrices disagree in size."""
+
+
+class DivergedEvaluation(FloatingPointError):
+    """The vector field returned a non-finite value."""
 
 
 class OracleNotConverged(RuntimeError):
@@ -113,22 +119,40 @@ def update(pred: Belief, y: np.ndarray, R: float):
     return posterior, record
 
 
+def covariance_pass(tm: TransitionModel, R: float, P: np.ndarray):
+    """The data-free covariance recursion from P: yields (P_pred, P_post, beta) per step.
+
+    Each step is ``predict_covariance`` then ``update_covariance`` on one
+    2-D covariance, looked up on ``filtering`` at call time (so a test can
+    count them).  The generator never ends; callers bound it.
+    """
+    while True:
+        P_pred = filtering.predict_covariance(P, tm)
+        P, beta = filtering.update_covariance(P_pred, R)
+        yield P_pred, P, beta
+
+
+def evaluate_data(f, m_pred: np.ndarray) -> np.ndarray:
+    """One vector-field evaluation at the predicted value: the step's data."""
+    y = np.asarray(f(m_pred[0]), dtype=float)
+    if np.count_nonzero(np.isfinite(y)) != y.size:
+        raise DivergedEvaluation(f"vector field returned a non-finite value: {y}")
+    return y
+
+
 def full_pass_solve(
     problem: IVProblem,
     prior: PriorSpec,
     h: float,
     noise: NoiseModel,
     mode: InitMode = ExactInit(),
-    *,
-    prefix=None,
 ) -> Trajectory:
     """``solve`` as a step-by-step run: the full kernel at every step, in lockstep with the mean.
 
     Zips the lazy ``covariance_pass`` with the mean loop, so no covariance
     step runs past the step the mean stops at; ``solve``, which fills its
     covariance track before its mean loop, must return the same arrays
-    byte for byte and raise what this raises.  A ``prefix`` (a sweep's
-    stacked covariance pass) is ignored: the oracle runs its own.
+    byte for byte and raise what this raises.
     """
     if prior.q < 1:
         raise ValueError("the solver requires q >= 1 (q = 0 models no derivative)")
@@ -171,6 +195,15 @@ def full_pass_solve(
     for a in arrays:
         a.setflags(write=False)
     return Trajectory(h, initial, *arrays, diverged=reached < n_steps)
+
+
+def full_pass_cells(problem: IVProblem, cells, prefixes=None):
+    """``solve_cells`` as step-by-step runs: ``full_pass_solve`` of each cell in turn.
+
+    Each cell is (prior, h, noise, mode); ``prefixes`` is ignored.
+    """
+    for prior, h, noise, mode in cells:
+        yield full_pass_solve(problem, prior, h, noise, mode)
 
 
 def h_norm(eps: np.ndarray, h: float) -> float:

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from odefilter.diagnostics import credible_width, global_error, misalignment
-from odefilter.filtering import covariance_pass, solve
+from odefilter.filtering import solve
 from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise
 from odefilter.priors import PriorSpec, ibm_transition
 from odefilter.problems import IVProblem, get_problem, riccati
 from odefilter.steady_state import closed_form, verify_order_bounds
-from oracles import kron_extend, loglog_slope, transition_oracle
+from oracles import covariance_pass, kron_extend, loglog_slope, transition_oracle
 
 SQRT10 = math.sqrt(10.0)
 H_GRID = [0.1 * 2.0**-k for k in range(6)]  # 0.1 .. 0.003125

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from oracles import full_pass_solve
+from oracles import full_pass_cells
 
 from odefilter import cli
 from odefilter.cli import FIG3_KR_LADDER, _build_parser, main
@@ -373,10 +373,10 @@ class TestPresetSlopes:
     ids=lambda argv: "-".join(argv[2:3] + argv[6:7]),
 )
 def test_preset_csv_equals_the_full_pass(argv, tmp_path, monkeypatch):
-    """Each preset CSV is byte-identical to one written with the full-pass solve."""
+    """Each preset CSV is byte-identical to one written with the full-pass solve per cell."""
     out = tmp_path / "schedule.csv"
     assert main(argv + ["--out", str(out)]) == 0
-    monkeypatch.setattr(cli, "solve", full_pass_solve)
+    monkeypatch.setattr(cli, "solve_cells", full_pass_cells)
     expected = tmp_path / "full.csv"
     assert main(argv + ["--out", str(expected)]) == 0
     assert out.read_bytes() == expected.read_bytes()

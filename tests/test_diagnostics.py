@@ -7,7 +7,7 @@ import pytest
 
 from odefilter import cli
 from odefilter.diagnostics import MissingExact, credible_width, global_error, misalignment
-from odefilter.filtering import ExactInit, PerturbedInit, solve
+from odefilter.filtering import ExactInit, PerturbedInit, solve, solve_cells
 from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise
 from odefilter.priors import PriorSpec
 from odefilter.problems import IVProblem, get_problem, logistic, riccati
@@ -242,13 +242,17 @@ class TestWorkBound:
         )
 
         def solve_then_count(*args, **kwargs):
+            # A cell's Counter opens when its trajectory is handed out, and
+            # closes when the next one is asked for.
             cells.append(None)
-            traj = solve(*args, **kwargs)
-            cells[-1] = collections.Counter()
-            return traj
+            for traj in solve_cells(*args, **kwargs):
+                cells[-1] = collections.Counter()
+                yield traj
+                cells.append(None)
+            cells.pop()
 
         monkeypatch.setattr(cli, "get_problem", lambda _: traced)
-        monkeypatch.setattr(cli, "solve", solve_then_count)
+        monkeypatch.setattr(cli, "solve_cells", solve_then_count)
         argv = f"wpd --problem {name} --q {q} --noise zero,power:{q}:1 --h-grid 0.1:2:4"
         assert cli.main(argv.split() + ["--out", str(tmp_path / "wpd.csv")]) == 0
         assert cells == [{"exact": 1, "derivative": q + 2}] * 8

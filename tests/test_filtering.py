@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import mpmath
@@ -14,10 +15,7 @@ from odefilter.filtering import (
     NonIntegerMesh,
     PerturbedInit,
     SingularInnovation,
-    DivergedEvaluation,
-    covariance_pass,
     covariance_prefixes,
-    evaluate_data,
     gain,
     initial_covariance,
     initialize,
@@ -27,7 +25,16 @@ from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise, parse_noise
 from odefilter.priors import PriorSpec, ibm_transition
 from odefilter.problems import IVProblem, MissingDerivative, get_problem, logistic, riccati
 import oracles
-from oracles import full_pass_solve, ibm_covariance_pass_mp, predict, update, validate_belief
+from oracles import (
+    DivergedEvaluation,
+    covariance_pass,
+    evaluate_data,
+    full_pass_solve,
+    ibm_covariance_pass_mp,
+    predict,
+    update,
+    validate_belief,
+)
 
 SQRT10 = math.sqrt(10.0)
 
@@ -553,7 +560,8 @@ class TestCovarianceTrack:
 
 def per_cell_prefix(tm, R, P, bound):
     """One cell's prefix from the 2-D kernel: ``covariance_pass`` up to its first
-    finite repeated closed block, its bound or its singular innovation.
+    finite repeated closed block, its first non-finite step equal in full to
+    the step before it, its bound or its singular innovation.
 
     Returns (steps, first, singular).
     """
@@ -566,6 +574,9 @@ def per_cell_prefix(tm, R, P, bound):
                 first = seen.setdefault(step[1][:, 1:].tobytes(), n)
                 if closed and first < n and np.isfinite(step[1][:, 1:]).all():
                     return steps, first, False
+                fixed = n > 0 and step[1].tobytes() == steps[-2][1].tobytes()
+                if fixed and not np.isfinite(step[1][:, 1:]).all():
+                    return steps, n - 1, False
         except SingularInnovation:
             return steps, None, True
     return steps, None, False
@@ -614,8 +625,9 @@ class TestStackedPass:
         outcomes = [per_cell_prefix(*cell) for cell in cells]
         assert sum(singular for _, _, singular in outcomes) == 1
         assert sum(first is not None for _, first, _ in outcomes) >= 2
+        # It stops at its first NaN fixed point, not at its bound.
         overflowing = prefixes[order.index(len(cells) - 1)]
-        assert len(overflowing.beta) == 300
+        assert 2 <= len(overflowing.beta) < 10 and overflowing.first is not None
         assert not np.isfinite(overflowing.P_post[:, 0, 0]).any()
         for cell, prefix, outcome in zip(cells, prefixes, outcomes):
             assert_prefix_equals(prefix, *outcome)
@@ -644,27 +656,24 @@ def preset_specs(preset, grid):
 
 
 class TestSolveWithPrefix:
-    """solve given its cell's prefix from a sweep's stacked pass equals solve alone."""
+    """solve_cells given its cells' prefixes from a sweep's stacked pass equals solve alone."""
 
     @pytest.mark.parametrize(
         "preset, grid, mode, diverged",
         [
             # fig1's two smallest step sizes hold three quarters of its steps.
             ("fig1", (0.1, 2.0, 6), ExactInit(), False),
-            ("fig1", (0.1, 2.0, 4), PerturbedInit(1e300), True),
+            ("fig1", (0.1, 2.0, 8), PerturbedInit(1e300), True),
             ("fig2", (0.1, 2.0, 8), ExactInit(), False),
             ("fig2", (0.1, 2.0, 8), PerturbedInit(1.0, seed=3), False),
             ("fig2", (0.1, 2.0, 8), PerturbedInit(1e300), True),
         ],
     )
     def test_every_preset_cell(self, preset, grid, mode, diverged):
-        specs = preset_specs(preset, grid)
-        prefixes = cli._covariance_prefixes(specs, mode)
-        for spec, prefix in zip(specs, prefixes):
-            args = (get_problem(spec.problem), spec.prior, spec.h, spec.noise, mode)
-            traj = solve(*args, prefix=prefix)
-            assert_same_bytes(traj, solve(*args))
-            assert traj.diverged == diverged
+        for problem, cells, prefixes in preset_groups(preset, grid, mode):
+            for cell, traj in zip(cells, filtering.solve_cells(problem, cells, prefixes)):
+                assert_same_bytes(traj, solve(problem, *cell))
+                assert traj.diverged == diverged
 
     @pytest.mark.parametrize("m0, raises", [(0.5, True), (math.inf, False)])
     def test_singular_innovation(self, monkeypatch, m0, raises):
@@ -674,15 +683,187 @@ class TestSolveWithPrefix:
             return Belief(t=0.0, m=np.array([[m0], [0.1]]), P=P0)
 
         monkeypatch.setattr(filtering, "initialize", crafted)
-        args = (get_problem("logistic"), PriorSpec(1, sigma=1e-170), 0.1, ZeroNoise())
+        problem, cell = get_problem("logistic"), (PriorSpec(1, sigma=1e-170), 0.1, ZeroNoise())
         (prefix,) = covariance_prefixes([tm], [R], [P0], [15])
         assert prefix.singular and len(prefix.beta) == 1
+        trajs = filtering.solve_cells(problem, [cell + (ExactInit(),)], [prefix])
         if raises:
             with pytest.raises(SingularInnovation):
-                solve(*args, prefix=prefix)
+                next(trajs)
             with pytest.raises(SingularInnovation):
-                solve(*args)
+                solve(problem, *cell)
         else:
-            traj = solve(*args, prefix=prefix)
+            traj = next(trajs)
             assert traj.diverged and len(traj.y) == 0
-            assert_same_bytes(traj, solve(*args))
+            assert_same_bytes(traj, solve(problem, *cell))
+
+
+def preset_groups(preset, grid, mode):
+    """The CLI's stacks for a preset: (problem, cells, prefixes) per (problem, q), in CSV order."""
+    specs = sorted(preset_specs(preset, grid), key=cli.RunSpec.sort_key)
+    prefixes = cli._covariance_prefixes(specs, mode)
+    groups = {}
+    for spec, prefix in zip(specs, prefixes):
+        cells, kept = groups.setdefault((spec.problem, spec.prior.q), ([], []))
+        cells.append((spec.prior, spec.h, spec.noise, mode))
+        kept.append(prefix)
+    return [(get_problem(name), *stack) for (name, _), stack in groups.items()]
+
+
+def blowup_lite():
+    """x' = x^2 from x(0) = 0.5 on [0, 1] (the solution 1 / (2 - t) stays finite);
+    a start far from x0 overflows f within a few steps."""
+    return IVProblem(
+        name="blowup",
+        d=1,
+        f=lambda x: np.asarray(x, dtype=float) ** 2,
+        derivatives=(
+            lambda x: np.asarray(x, dtype=float),
+            lambda x: np.asarray(x, dtype=float) ** 2,
+            lambda x: 2.0 * np.asarray(x, dtype=float) ** 3,
+        ),
+        x0=np.array([0.5]),
+        T=1.0,
+    )
+
+
+class TestStackedMeanPass:
+    """solve_cells steps a stack of cells side by side; each must equal its own full pass."""
+
+    @pytest.mark.parametrize(
+        "mode", [ExactInit(), PerturbedInit(1.0, seed=3)], ids=["exact", "perturbed"]
+    )
+    @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3", "figC"])
+    def test_every_preset_cell_equals_the_full_pass(self, preset, mode):
+        for problem, cells, prefixes in preset_groups(preset, (0.1, 2.0, 4), mode):
+            trajs = list(filtering.solve_cells(problem, cells, prefixes))
+            assert len(trajs) == len(cells)
+            for traj, (prior, h, noise, cell_mode) in zip(trajs, cells):
+                assert_same_bytes(traj, full_pass_solve(problem, prior, h, noise, cell_mode))
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_mixed_stack_equals_the_full_pass(self, q):
+        # Different priors, h, R and starts in one stack, in no order of track
+        # length: a regular start, a finite perturbed one, and a start whose
+        # covariance overflows (NaN gains from step 1 on).
+        rng = np.random.default_rng(q)
+        problem = get_problem("logistic")
+        cells = []
+        for kind, theta in (("ibm", 0.0), ("ioup", 1.0)):
+            for sigma in (1.0, 50.0):
+                h = 0.1 * 2.0 ** -int(rng.integers(0, 4))
+                noise = parse_noise(["zero", f"power:{q}:1", "const:0.25"][rng.integers(0, 3)])
+                for mode in (ExactInit(), PerturbedInit(1.0, seed=q), PerturbedInit(1e300)):
+                    cells.append((PriorSpec(q, kind, theta=theta, sigma=sigma), h, noise, mode))
+        cells = [cells[i] for i in rng.permutation(len(cells))]
+        trajs = list(filtering.solve_cells(problem, cells))
+        for traj, (prior, h, noise, mode) in zip(trajs, cells):
+            assert_same_bytes(traj, full_pass_solve(problem, prior, h, noise, mode))
+            assert traj.diverged == (mode == PerturbedInit(1e300))
+
+    def test_cells_that_diverge_leave_the_stack(self):
+        # The blow-up cells overflow f at different steps; the others run on.
+        problem = blowup_lite()
+        cells = [
+            (PriorSpec(1), h, noise, mode)
+            for h in (0.1, 0.05, 0.0125)
+            for noise in (ZeroNoise(), ConstantNoise(R=0.5))
+            for mode in (ExactInit(), *(PerturbedInit(k0) for k0 in (1e10, 1e60, 1e300)))
+        ]
+        trajs = list(filtering.solve_cells(problem, cells))
+        overflowed = set()
+        for traj, (prior, h, noise, mode) in zip(trajs, cells):
+            assert_same_bytes(traj, full_pass_solve(problem, prior, h, noise, mode))
+            assert traj.diverged == isinstance(mode, PerturbedInit)
+            assert np.isfinite(traj.y).all()
+            if traj.diverged and mode.k0 < 1e300:
+                overflowed.add(len(traj.y))
+        assert len(overflowed) > 2 and min(overflowed) > 0
+
+    @pytest.mark.parametrize("m0, raises", [(0.5, True), (math.inf, False)])
+    def test_a_singular_cell_raises_in_its_turn(self, monkeypatch, m0, raises):
+        # The crafted cell (sigma = 1e-170) has a singular innovation at step 1.
+        # The cells before it are yielded, and it raises only if its own mean
+        # reaches that step.
+        def crafted(problem, prior, h, mode):
+            if prior.sigma != 1e-170:
+                return initialize(problem, prior, h, mode)
+            return Belief(t=0.0, m=np.array([[m0], [0.1]]), P=np.array([[0.0, 0.0], [0.0, 1.0]]))
+
+        monkeypatch.setattr(filtering, "initialize", crafted)
+        monkeypatch.setattr(oracles, "initialize", crafted)
+        problem = get_problem("logistic")
+        regular = [(PriorSpec(1), h, ZeroNoise(), ExactInit()) for h in (0.1, 0.05, 0.025)]
+        cells = regular[:2] + [(PriorSpec(1, sigma=1e-170), 0.1, ZeroNoise(), ExactInit())]
+        cells += regular[2:]
+        trajs = filtering.solve_cells(problem, cells)
+        for cell, traj in zip(cells[:2], trajs):  # cells first: zip stops before a third
+            assert_same_bytes(traj, full_pass_solve(problem, *cell))
+        if raises:
+            with pytest.raises(SingularInnovation):
+                next(trajs)
+        else:
+            rest = list(trajs)
+            assert rest[0].diverged and len(rest[0].y) == 0
+            for traj, cell in zip(rest, cells[2:]):
+                assert_same_bytes(traj, full_pass_solve(problem, *cell))
+
+    def test_cells_of_one_stack_share_q(self):
+        cells = [(PriorSpec(q), 0.1, ZeroNoise(), ExactInit()) for q in (1, 2)]
+        with pytest.raises(ValueError, match="share q"):
+            list(filtering.solve_cells(get_problem("logistic"), cells))
+
+    def test_fig2_calls_f_once_per_step_of_each_stack(self, monkeypatch, tmp_path):
+        # The stacks are (logistic, 1) and (linear, 1): their longest meshes
+        # have 15 * 128 and 100 * 128 steps.
+        calls = []
+        original = cli.get_problem
+
+        def counted(name):
+            problem = original(name)
+
+            def f(x):
+                calls.append(len(x))
+                return problem.f(x)
+
+            return dataclasses.replace(problem, f=f)
+
+        monkeypatch.setattr(cli, "get_problem", counted)
+        assert cli.main(["wpd", "--preset", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
+        assert len(calls) == 14_720
+        assert sum(calls) == 58_650  # one row per cell step
+
+
+class TestNonFiniteFixedPoint:
+    """A NaN covariance pass stops at its first fixed point, and the track copies it forward."""
+
+    def test_an_overflowing_cell_runs_few_kernel_steps(self, monkeypatch):
+        calls = []
+        original = filtering.predict_covariance
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(filtering, "predict_covariance", counted)
+        h, prior = 0.1 / 128, PriorSpec(1)
+        start = initial_covariance(1, h, PerturbedInit(1e300))
+        (prefix,) = covariance_prefixes([prior.transition(h)], [0.0], [start], [12_800])
+        assert len(calls) == len(prefix.beta) < 10 and prefix.first is not None
+        calls.clear()
+        args = (get_problem("linear"), prior, h, ZeroNoise(), PerturbedInit(1e300))
+        traj = solve(*args)
+        assert len(calls) < 10
+        assert traj.diverged
+        assert_same_bytes(traj, full_pass_solve(*args))
+
+    def test_the_track_equals_the_full_pass_over_the_whole_mesh(self):
+        h, prior = 0.0125, PriorSpec(3)
+        tm = prior.transition(h)
+        start = initial_covariance(3, h, PerturbedInit(1e300))
+        (prefix,) = covariance_prefixes([tm], [0.0], [start], [800])
+        track = filtering.covariance_track(tm, 0.0, prefix, 800)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = list(itertools.islice(covariance_pass(tm, 0.0, start), 800))
+        for got, column in zip(track.steps(800), zip(*expected)):
+            assert got.tobytes() == np.array(column).tobytes()

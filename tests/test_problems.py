@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from odefilter.problems import (
     IVProblem,
@@ -79,43 +81,79 @@ class TestRiccati:
             )
 
 
+#: The packaged polynomial fields, from which each scalar problem builds its chain.
+FIELDS = {
+    "logistic": Polynomial([0.0, 3.0, -3.0]),
+    "riccati": Polynomial([0.0, 0.0, 0.0, -0.5]),
+}
+
+
+def special_states(d: int, n: int = 10_000) -> np.ndarray:
+    """Random magnitudes 1e+-300 of both signs, then every pair of special values."""
+    rng = np.random.default_rng(0)
+    random = rng.choice([-1.0, 1.0], (n, d)) * 10.0 ** rng.uniform(-300.0, 300.0, (n, d))
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.5, -1.5]
+    special += [math.inf, -math.inf, math.nan]
+    pairs = np.array(list(itertools.product(special, repeat=d)))
+    return np.concatenate((random, pairs))
+
+
 class TestScalarField:
-    """The scalar problems' f runs Polynomial.__call__'s operations in Python floats."""
+    """The scalar problems' maps run Polynomial.__call__'s operations on whole arrays."""
 
     @pytest.mark.parametrize("name", ["logistic", "riccati"])
-    def test_f_equals_the_polynomial_bit_for_bit(self, name):
+    def test_every_map_equals_the_polynomial_bit_for_bit(self, name):
         p = get_problem(name)
-        rng = np.random.default_rng(0)
-        magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, 10_000)
-        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308]
-        states = np.concatenate((rng.choice([-1.0, 1.0], 10_000) * magnitudes, special))
+        chain = [Polynomial([0.0, 1.0]), FIELDS[name]]
+        while len(chain) < len(p.derivatives):
+            chain.append(chain[-1].deriv() * FIELDS[name])
+        states = special_states(1)
         with np.errstate(over="ignore", invalid="ignore"):
-            for x in states[:, None]:
-                value, expected = p.f(x), p.derivative(1)(x)  # derivative(1) is the Polynomial
-                assert value.shape == expected.shape == (1,)
-                assert value.dtype == expected.dtype
-                assert value.tobytes() == expected.tobytes(), x
+            for i, poly in enumerate(chain):
+                value, expected = p.derivative(i)(states), poly(states)
+                assert value.shape == expected.shape == states.shape
+                assert value.tobytes() == expected.tobytes(), i
+            assert p.f is p.derivative(1)
 
 
 class TestLinearField:
-    """The linear problem's f runs the BLAS product ROTATION @ x in Python floats."""
+    """The linear problem's f is the BLAS product ROTATION @ x, row by row."""
 
     def test_f_equals_the_matrix_product_bit_for_bit(self):
         f = get_problem("linear").f
-        rng = np.random.default_rng(0)
-        magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, (10_000, 2))
-        random = rng.choice([-1.0, 1.0], (10_000, 2)) * magnitudes
-        # Signed zeros, subnormals and the extremes in each position, against
-        # each other and a plain value; -0.0 * pi is where BLAS's +0.0 start shows.
-        special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e308, -1e308, 1.5, -1.5]
-        special += [math.inf, -math.inf, math.nan]
-        pairs = np.array([(a, b) for a in special for b in special])
+        states = special_states(2)
         with np.errstate(over="ignore", invalid="ignore"):
-            for x in np.concatenate((random, pairs)):
-                value, expected = f(x), ROTATION @ x
-                assert value.shape == expected.shape == (2,)
-                assert value.dtype == expected.dtype
-                assert value.tobytes() == expected.tobytes(), x
+            expected = np.stack([ROTATION @ x for x in states])
+            assert f(states).tobytes() == expected.tobytes()
+            for x, row in zip(states, expected):
+                value = f(x)
+                assert value.shape == (2,) and value.dtype == row.dtype
+                assert value.tobytes() == row.tobytes(), x
+
+
+class TestFieldOnStacks:
+    """f is pointwise: on a stack it equals f row by row, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_stack_equals_rows(self, name):
+        p = get_problem(name)
+        states = special_states(p.d, 2_000)
+        # A strided stack: the value rows of a (N, q+1, d) mean stack, as the
+        # filter passes them, and every other row of that.
+        means = np.zeros((len(states), 3, p.d))
+        means[:, 0] = states
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.stack([p.f(x) for x in states])
+            cases = [
+                (states, rows),
+                (means[:, 0], rows),
+                (means[::2, 0], rows[::2]),
+                (states.reshape(-1, 1, p.d), rows.reshape(-1, 1, p.d)),
+            ]
+            for stack, expected in cases:
+                value = p.f(stack)
+                assert value.shape == stack.shape
+                assert value.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 class TestDerivativeChain:

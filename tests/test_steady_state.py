@@ -4,11 +4,11 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from oracles import order_bound_tracks
+from oracles import covariance_pass, order_bound_tracks
 
 from odefilter import filtering
 from odefilter.cli import main
-from odefilter.filtering import covariance_pass, solve
+from odefilter.filtering import solve
 from odefilter.noise import parse_noise
 from odefilter.priors import PriorSpec, ibm_transition
 from odefilter.problems import get_problem
@@ -120,7 +120,7 @@ class TestDareOrbit:
 
 
 class TestOneCovariancePass:
-    """solve, orbit_limit and verify_order_bounds all run filtering.covariance_pass.
+    """solve, orbit_limit and verify_order_bounds all run the recursion of oracles.covariance_pass.
 
     solve runs it up to the first repeated closed block and copies the
     period after that; the other two stop there.
