@@ -156,8 +156,9 @@ class RunSpec:
         return (self.problem, self.prior.q, -self.noise.p, self.noise.K_R, -self.h)
 
 
-def _execute(spec: RunSpec, problem, traj: filtering.Trajectory) -> dict:
-    """The CSV row of one sweep cell, from its trajectory."""
+def _execute(spec: RunSpec, problem, mode: filtering.InitMode, stack) -> dict:
+    """The CSV row of one sweep cell; ``stack`` is the ``solve_cells`` run of its group."""
+    traj = solve(problem, spec.prior, spec.h, spec.noise, mode, stack=stack)
     row = {
         "problem": spec.problem,
         "q": spec.prior.q,
@@ -329,15 +330,15 @@ def cmd_sweep(command: str, cfg: RunConfig) -> int:
     mode = cfg.init_mode()
     cells = list(zip(specs, _covariance_prefixes(specs, mode)))
     rows = []
-    # One stacked mean pass per (problem, q); the sort keeps each group's
-    # cells together, and its arrays are freed once its rows are made.
+    # One stacked mean pass per (problem, q), whose cells solve hands out in
+    # turn; the sort keeps each group's cells together, and its arrays are
+    # freed once its rows are made.
     for (name, _), group in itertools.groupby(cells, key=lambda c: (c[0].problem, c[0].prior.q)):
         group = list(group)
         problem = get_problem(name)
-        stack = [(spec.prior, spec.h, spec.noise, mode) for spec, _ in group]
-        trajs = solve_cells(problem, stack, [prefix for _, prefix in group])
-        # map holds no trajectory while the next one is gathered.
-        rows += map(_execute, [spec for spec, _ in group], itertools.repeat(problem), trajs)
+        runs = [(spec.prior, spec.h, spec.noise, mode) for spec, _ in group]
+        stack = solve_cells(problem, runs, [prefix for _, prefix in group])
+        rows += [_execute(spec, problem, mode, stack) for spec, _ in group]
     _write_csv(cfg.out, columns, [[row[c] for c in columns] for row in rows])
     if cfg.svg:
         _render_wpd_svg(cfg.svg, rows, value_key, ylabel)

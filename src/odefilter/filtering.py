@@ -24,8 +24,9 @@ then one mean loop steps all the cells side by side, with one stacked
 ``A m``, one call of ``f`` on the ``(cells, d)`` stack of predicted values
 (``f`` is pointwise on stacks) and one update per step, writing the means
 and data (per dimension) into step-major arrays.  ``solve`` is
-``solve_cells`` on a stack of one.  Diagnostics read predictive
-quantities, gains, residuals and posteriors from each cell's arrays.
+``solve_cells`` on a stack of one, or hands out one cell of a stack.
+Diagnostics read predictive quantities, gains, residuals and posteriors
+from each cell's arrays.
 
 The covariance track.  A is upper triangular and the data is on x_1, so
 the gain and every entry of P_pred and P_post but [0, 0] are computed from
@@ -231,15 +232,22 @@ def solve(
     h: float,
     noise: NoiseModel,
     mode: InitMode = ExactInit(),
+    stack: Optional[Iterator[Trajectory]] = None,
 ) -> Trajectory:
     """Run the filter over the uniform mesh {h, 2h, ..., T}: ``solve_cells`` on a stack of one.
 
     A non-finite predicted mean or vector-field value ends the run; the
     trajectory then holds the steps completed, with ``diverged=True``.  A
     singular innovation raises ``SingularInnovation`` when the mean loop
-    reaches it.
+    reaches it.  ``stack``, a ``solve_cells`` run whose next cell is this
+    one, hands out that cell's trajectory in place of a run of its own
+    (a sweep solves each (problem, q) group so).
     """
-    (traj,) = solve_cells(problem, [(prior, h, noise, mode)])
+    if stack is None:
+        stack = solve_cells(problem, [(prior, h, noise, mode)])
+    traj = next(stack)
+    if traj.h != h or traj.q != prior.q:
+        raise ValueError("the stack's next cell is not this one")
     return traj
 
 

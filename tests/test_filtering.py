@@ -829,9 +829,20 @@ class TestStackedMeanPass:
             return dataclasses.replace(problem, f=f)
 
         monkeypatch.setattr(cli, "get_problem", counted)
+        handed = []
+        monkeypatch.setattr(cli, "solve", lambda *a, **k: handed.append(a[2]) or solve(*a, **k))
         assert cli.main(["wpd", "--preset", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
         assert len(calls) == 14_720
         assert sum(calls) == 58_650  # one row per cell step
+        assert len(handed) == 32  # each cell's trajectory is handed out by solve
+
+    def test_solve_hands_out_the_next_cell_of_a_stack(self):
+        problem = get_problem("logistic")
+        cells = [(PriorSpec(1), h, ZeroNoise(), ExactInit()) for h in (0.1, 0.05)]
+        stack = filtering.solve_cells(problem, cells)
+        assert_same_bytes(solve(problem, *cells[0], stack=stack), solve(problem, *cells[0]))
+        with pytest.raises(ValueError, match="not this one"):
+            solve(problem, *cells[0], stack=stack)
 
 
 class TestNonFiniteFixedPoint:

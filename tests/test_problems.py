@@ -89,10 +89,15 @@ FIELDS = {
 
 
 def special_states(d: int, n: int = 10_000) -> np.ndarray:
-    """Random magnitudes 1e+-300 of both signs, then every pair of special values."""
+    """Random magnitudes 1e+-300 of both signs, then every d-tuple of special values.
+
+    Signed zeros, subnormals and the extremes in each position, against each
+    other and a plain value; -0.0 * pi is where BLAS's +0.0 start shows.
+    """
     rng = np.random.default_rng(0)
-    random = rng.choice([-1.0, 1.0], (n, d)) * 10.0 ** rng.uniform(-300.0, 300.0, (n, d))
-    special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.5, -1.5]
+    magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, (n, d))
+    random = rng.choice([-1.0, 1.0], (n, d)) * magnitudes
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e308, -1e308, 1.5, -1.5]
     special += [math.inf, -math.inf, math.nan]
     pairs = np.array(list(itertools.product(special, repeat=d)))
     return np.concatenate((random, pairs))

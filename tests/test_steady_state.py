@@ -225,6 +225,15 @@ class TestOneCovariancePass:
         assert info.value.spread >= tol
         assert kernel_calls["predict_covariance"] <= 100
 
+    def test_orbit_limit_raises_at_once_on_a_nan_fixed_point(self, kernel_calls):
+        # R = NaN makes every step NaN; the pass tags the second NaN step,
+        # which repeats the first in full, so the orbit cannot settle.
+        with pytest.raises(OrbitCycle) as info:
+            orbit_limit(0.1, 1.0, math.nan)
+        assert info.value.period == 1
+        assert math.isnan(info.value.spread)
+        assert kernel_calls["predict_covariance"] <= 5
+
 
 class TestPeriodicStop:
     """verify_order_bounds stops each pass at its first repeated closed block."""
