@@ -11,20 +11,17 @@ import pathlib
 import sys
 
 from odefilter.cli import main as odefilter_main
+from odefilter.noise import parse_noise
 from odefilter.steady_state import verify_order_bounds
 
 
 def run(out_dir: pathlib.Path, sigma: float) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = [0.1 * 2.0**-k for k in range(8)]
-    for p, K_R, spec in (
-        (1.0, 1.0, "power:1:1"),
-        (2.0, 1.0, "power:2:1"),
-        (3.0, 1.0, "power:3:1"),
-        (float("inf"), 0.0, "zero"),
-    ):
+    for spec in ("power:1:1", "power:2:1", "power:3:1", "zero"):
         print(f"--- noise {spec} ---")
-        for fit in verify_order_bounds(grid, sigma, p, K_R):
+        noise = parse_noise(spec)
+        for fit in verify_order_bounds(grid, sigma, noise.p, noise.K_R):
             fitted = "exact 0" if fit.exact_zero else f"{fit.fitted:.3f}"
             print(f"  {fit.quantity:16s} fitted {fitted:>8s}   predicted {fit.predicted:g}")
         csv_path = out_dir / f"steady_{spec.replace(':', '_')}.csv"

@@ -3,7 +3,8 @@
 Models the solution and its first q derivatives as an integrated
 Brownian-motion (or Ornstein-Uhlenbeck) process and conditions it on
 vector-field evaluations step by step.  Ships exact prior
-transitions, configurable measurement-noise models, steady-state
+transitions, a power-law measurement-noise model R = K_R h^p (noiseless
+data is p = inf, a constant variance p = 0), steady-state
 analysis of the covariance recursion, benchmark problems, and an
 experiment harness for convergence-order and calibration studies.
 """
@@ -28,13 +29,7 @@ from .filtering import (
     solve,
     solve_cells,
 )
-from .noise import (
-    ConstantNoise,
-    NoiseModel,
-    PowerLawNoise,
-    ZeroNoise,
-    parse_noise,
-)
+from .noise import PowerLawNoise, parse_noise
 from .priors import (
     IBM,
     IOUP,

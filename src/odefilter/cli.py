@@ -31,7 +31,7 @@ import numpy as np
 
 from . import diagnostics, filtering, steady_state, svgchart
 from .filtering import ExactInit, PerturbedInit, solve, solve_cells
-from .noise import NoiseModel, parse_noise
+from .noise import PowerLawNoise, parse_noise
 from .priors import IBM, PriorSpec
 from .problems import PROBLEMS, get_problem
 
@@ -149,7 +149,7 @@ class RunSpec:
 
     problem: str
     prior: PriorSpec
-    noise: NoiseModel
+    noise: PowerLawNoise
     h: float
 
     def sort_key(self):
@@ -383,7 +383,7 @@ def cmd_steady(cfg: RunConfig) -> int:
         cf = steady_state.closed_form(h, cfg.sigma, R)
         try:
             orbit = steady_state.orbit_limit(h, cfg.sigma, R)
-        except steady_state.OrbitCycle as exc:
+        except RuntimeError as exc:  # OrbitCycle, or no settling within its max_steps
             raise CliError(f"h = {h!r}: {exc}") from None
         for name, bound_name in STEADY_QUANTITIES:
             closed, limit = _steady_value(cf, name), _steady_value(orbit, name)
@@ -516,15 +516,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; a configuration error prints one line and returns 1.
 
     The package rejects a bad value with a ValueError (NonIntegerMesh,
-    InsufficientGrid, a bad noise spec or prior) or a LookupError (an
-    unknown problem, MissingDerivative); this is the one place either is
-    caught.
+    InsufficientGrid, a bad noise spec or prior), a LookupError (an
+    unknown problem, MissingDerivative) or a SingularInnovation (a cell
+    whose innovation variance P_pred[1, 1] + R is 0, as for a tiny sigma
+    with R = 0); this is the one place any of them is caught.
     """
     try:
         args = _build_parser().parse_args(argv)
         handler, _, keys = COMMANDS[args.command]
         return handler(_config_from_args(args, keys))
-    except (CliError, ValueError, LookupError) as exc:
+    except (CliError, ValueError, LookupError, filtering.SingularInnovation) as exc:
         print(f"odefilter: error: {exc}", file=sys.stderr)
         return 1
 

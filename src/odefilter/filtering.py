@@ -63,7 +63,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .noise import NoiseModel
+from .noise import PowerLawNoise
 from .priors import PriorSpec, TransitionModel
 from .problems import IVProblem
 
@@ -219,7 +219,7 @@ def gain(P_pred: np.ndarray, R) -> np.ndarray:
     """Kalman gain vector beta_i = P_pred[i, 1] / (P_pred[1, 1] + R), per cell of a stack."""
     denom = _innovation_variance(P_pred, R)
     if np.count_nonzero(denom) != denom.size:
-        raise SingularInnovation("P_pred[1, 1] + R = 0")
+        raise SingularInnovation("singular innovation: P_pred[1, 1] + R = 0")
     return P_pred[..., :, 1] / denom[..., None]
 
 
@@ -230,7 +230,7 @@ def solve(
     problem: IVProblem,
     prior: PriorSpec,
     h: float,
-    noise: NoiseModel,
+    noise: PowerLawNoise,
     mode: InitMode = ExactInit(),
     stack: Optional[Iterator[Trajectory]] = None,
 ) -> Trajectory:
@@ -318,7 +318,7 @@ def _gather(h, run, track, starts, j, n, y, m_post) -> Trajectory:
     return Trajectory(h, initial, *arrays, diverged=n < n_steps)
 
 
-def _setup(problem: IVProblem, prior: PriorSpec, h: float, noise: NoiseModel, mode: InitMode):
+def _setup(problem: IVProblem, prior: PriorSpec, h: float, noise: PowerLawNoise, mode: InitMode):
     """A cell's (transition, R, initial belief, step count), its settings checked."""
     if prior.q < 1:
         raise ValueError(_Q_AT_LEAST_1)
@@ -484,7 +484,7 @@ def covariance_track(
     P00[:run] = np.stack((P_pred[:, 0, 0], P_post[:, 0, 0]), axis=1)
     filled, singular = run, None
     if run < n_steps and prefix.singular:
-        singular = SingularInnovation("P_pred[1, 1] + R = 0")
+        singular = SingularInnovation("singular innovation: P_pred[1, 1] + R = 0")
     elif run < n_steps and prefix.first is not None:
         i, n = prefix.first, run - 1
         rows[run:] = i + 1 + np.arange(n_steps - run) % (n - i)

@@ -1,62 +1,19 @@
-"""Measurement-variance models for the derivative data y = f(m_pred).
+"""The measurement-variance model for the derivative data y = f(m_pred).
 
 A run evaluates its model once for the chosen step size; R stays constant
-along the mesh.  The power law ``R = K_R * h**p`` (with ``h**inf`` taken as
-0) is the family the convergence analysis is parameterized by: p >= q is
-the permissible regime, and the benchmarks deliberately cross that line.
+along the mesh.  Every model is a power law ``R = K_R * h**p`` (with
+``h**inf`` taken as 0), the family the convergence analysis is
+parameterized by: p >= q is the permissible regime, and the benchmarks
+deliberately cross that line.  Noiseless data is the p = inf case and a
+step-independent variance R > 0 the p = 0 case.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Union
 
-__all__ = [
-    "ConstantNoise",
-    "NoiseModel",
-    "PowerLawNoise",
-    "ZeroNoise",
-    "parse_noise",
-]
-
-
-@dataclasses.dataclass(frozen=True)
-class ZeroNoise:
-    """Noiseless data: R = 0."""
-
-    def evaluate(self, h: float) -> float:
-        return 0.0
-
-    @property
-    def p(self) -> float:
-        return math.inf
-
-    @property
-    def K_R(self) -> float:
-        return 0.0
-
-
-@dataclasses.dataclass(frozen=True)
-class ConstantNoise:
-    """Fixed variance R independent of the step size."""
-
-    R: float
-
-    def __post_init__(self):
-        if not self.R >= 0.0:
-            raise ValueError("R must be non-negative")
-
-    def evaluate(self, h: float) -> float:
-        return self.R
-
-    @property
-    def p(self) -> float:
-        return math.inf if self.R == 0.0 else 0.0
-
-    @property
-    def K_R(self) -> float:
-        return self.R
+__all__ = ["PowerLawNoise", "parse_noise"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,18 +37,21 @@ class PowerLawNoise:
         return self.K_R * h**self.p
 
 
-NoiseModel = Union[ZeroNoise, ConstantNoise, PowerLawNoise]
+def parse_noise(spec: str) -> PowerLawNoise:
+    """Parse the CLI syntax ``zero``, ``const:<R>``, or ``power:<p>:<K_R>``.
 
-
-def parse_noise(spec: str) -> NoiseModel:
-    """Parse the CLI syntax ``zero``, ``const:<R>``, or ``power:<p>:<K_R>``."""
+    ``zero`` is ``(K_R, p) = (0, inf)``; ``const:<R>`` is ``(R, 0)``, or
+    ``(R, inf)`` when R = 0, so that R = 0 is noiseless data whatever its
+    spelling.
+    """
     parts = spec.strip().split(":")
     kind = parts[0].lower()
     try:
         if kind == "zero" and len(parts) == 1:
-            return ZeroNoise()
+            return PowerLawNoise(K_R=0.0, p=math.inf)
         if kind == "const" and len(parts) == 2:
-            return ConstantNoise(R=float(parts[1]))
+            R = float(parts[1])
+            return PowerLawNoise(K_R=R, p=math.inf if R == 0.0 else 0.0)
         if kind == "power" and len(parts) == 3:
             return PowerLawNoise(p=float(parts[1]), K_R=float(parts[2]))
     except ValueError as exc:

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import filtering
-from .noise import PowerLawNoise, ZeroNoise
+from .noise import PowerLawNoise
 from .priors import ibm_transition
 
 __all__ = [
@@ -140,7 +140,7 @@ def orbit_limit(
             period = n - first[0]
         previous = current
     if n + 1 < max_steps:  # the stack of one left the pass
-        raise filtering.SingularInnovation("P_pred[1, 1] + R = 0")
+        raise filtering.SingularInnovation("singular innovation: P_pred[1, 1] + R = 0")
     raise RuntimeError(f"orbit did not settle within {max_steps} iterations")
 
 
@@ -204,7 +204,7 @@ def verify_order_bounds(h_grid: Sequence[float], sigma: float, p: float, K_R: fl
         raise InsufficientGrid("step sizes must be strictly decreasing")
     if hs[0] / hs[-1] < 100.0:
         raise InsufficientGrid("step sizes must span at least 2 decades")
-    noise = ZeroNoise() if math.isinf(p) else PowerLawNoise(K_R=K_R, p=p)
+    noise = PowerLawNoise(K_R=K_R, p=p)
     prefixes = filtering.covariance_prefixes(
         [ibm_transition(1, sigma, h) for h in hs],
         [noise.evaluate(h) for h in hs],
@@ -214,7 +214,7 @@ def verify_order_bounds(h_grid: Sequence[float], sigma: float, p: float, K_R: fl
     maxima = np.empty((len(hs), len(ORDER_BOUND_QUANTITIES)))
     for row, prefix in enumerate(prefixes):
         if prefix.singular:
-            raise filtering.SingularInnovation("P_pred[1, 1] + R = 0")
+            raise filtering.SingularInnovation("singular innovation: P_pred[1, 1] + R = 0")
         P_pred, P, beta = prefix.P_pred, prefix.P_post, prefix.beta
         # One row per step, one column per ORDER_BOUND_QUANTITIES entry.
         track = np.stack(

@@ -46,7 +46,7 @@ from odefilter.filtering import (
     predict_covariance,
     update_covariance,
 )
-from odefilter.noise import NoiseModel
+from odefilter.noise import PowerLawNoise
 from odefilter.priors import PriorSpec, TransitionModel, _expm, ibm_transition
 from odefilter.problems import IVProblem
 
@@ -144,7 +144,7 @@ def full_pass_solve(
     problem: IVProblem,
     prior: PriorSpec,
     h: float,
-    noise: NoiseModel,
+    noise: PowerLawNoise,
     mode: InitMode = ExactInit(),
 ) -> Trajectory:
     """``solve`` as a step-by-step run: the full kernel at every step, in lockstep with the mean.
@@ -399,7 +399,7 @@ def ibm_covariance_pass_mp(q: int, sigma: float, h: float, R: float, n_steps: in
 
 
 def order_bound_tracks(
-    h_grid: Sequence[float], sigma: float, noise: NoiseModel, T: float = 1.0
+    h_grid: Sequence[float], sigma: float, noise: PowerLawNoise, T: float = 1.0
 ) -> list:
     """The q = 1 covariance pass from P = 0 over every step of each mesh.
 

@@ -13,7 +13,7 @@ import pytest
 
 from odefilter.diagnostics import credible_width, global_error, misalignment
 from odefilter.filtering import solve
-from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise
+from odefilter.noise import PowerLawNoise, parse_noise
 from odefilter.priors import PriorSpec, ibm_transition
 from odefilter.problems import IVProblem, get_problem, riccati
 from odefilter.steady_state import closed_form, verify_order_bounds
@@ -42,7 +42,7 @@ def test_criterion_01_worked_example_golden():
     start = time.perf_counter()
     problem = riccati()
     prior = PriorSpec(1, sigma=SQRT10)
-    traj = solve(problem, prior, 0.1, ZeroNoise())
+    traj = solve(problem, prior, 0.1, parse_noise("zero"))
     m_pred, y, beta, m_post = traj.m_pred[0], traj.y[0], traj.beta[0], traj.m_post[0]
     tol = 1e-14
     checks = {
@@ -60,7 +60,7 @@ def test_criterion_01_worked_example_golden():
     }
     golden_ok = all(v <= tol for v in checks.values())
     delta_zero = misalignment(traj, problem, 1)[1]
-    traj_unit = solve(problem, prior, 0.1, ConstantNoise(R=1.0))
+    traj_unit = solve(problem, prior, 0.1, parse_noise("const:1.0"))
     delta_unit = misalignment(traj_unit, problem, 1)[1]
     delta_ok = abs(delta_zero - 0.00485) <= 5e-5 and abs(delta_unit - 0.03324) <= 5e-6
 
@@ -68,7 +68,7 @@ def test_criterion_01_worked_example_golden():
     durations = []
     for _ in range(6):
         t0 = time.perf_counter()
-        solve(problem, prior, 0.1, ZeroNoise())
+        solve(problem, prior, 0.1, parse_noise("zero"))
         durations.append(time.perf_counter() - t0)
     step_seconds = min(durations[1:]) / 10
     elapsed = time.perf_counter() - start
@@ -172,7 +172,7 @@ def test_criterion_05_global_convergence_q1():
     for name, sigma in (("logistic", 50.0), ("linear", 1.0)):
         problem = get_problem(name)
         prior = PriorSpec(1, sigma=sigma)
-        zero = final_errors(problem, prior, lambda h: ZeroNoise())
+        zero = final_errors(problem, prior, lambda h: parse_noise("zero"))
         noisy = final_errors(problem, prior, lambda h: PowerLawNoise(K_R=1.0, p=1.0))
         results[name] = (
             loglog_slope(H_GRID[1:], zero[1:]),
@@ -191,7 +191,7 @@ def test_criterion_06_higher_q_extension():
     problem = get_problem("logistic")
     slopes = {}
     for q in (2, 3, 4):
-        errors = final_errors(problem, PriorSpec(q, sigma=50.0), lambda h: ZeroNoise())
+        errors = final_errors(problem, PriorSpec(q, sigma=50.0), lambda h: parse_noise("zero"))
         slopes[q] = loglog_slope(H_GRID[1:], errors[1:])
     ok = slopes[2] >= 2.5 and slopes[3] >= 3.5
     elapsed = time.perf_counter() - start
@@ -212,7 +212,7 @@ def test_criterion_07_credible_interval_contraction():
     detail = []
     ok = True
     for label, noise_for_h in (
-        ("p=inf", lambda h: ZeroNoise()),
+        ("p=inf", lambda h: parse_noise("zero")),
         ("p=1", lambda h: PowerLawNoise(K_R=1.0, p=1.0)),
     ):
         widths, errors = [], []
@@ -266,7 +266,7 @@ def test_criterion_09_misalignment_convergence():
     finals = []
     bounded = True
     for h in H_GRID:
-        traj = solve(problem, prior, h, ZeroNoise())
+        traj = solve(problem, prior, h, parse_noise("zero"))
         series = misalignment(traj, problem, 1)
         finals.append(float(series[-1]))
         half = len(series) // 2
@@ -290,12 +290,12 @@ def test_criterion_10_invariant_suite():
     # PSD covariances, gain bounds, velocity-floor, and the R-identities
     # along randomized trajectories (>= 100 sampled steps per property).
     cases = [
-        ("logistic", 1, 50.0, ZeroNoise()),
+        ("logistic", 1, 50.0, parse_noise("zero")),
         ("logistic", 1, 1.0, PowerLawNoise(K_R=1.0, p=1.0)),
-        ("riccati", 1, SQRT10, ConstantNoise(R=0.25)),
+        ("riccati", 1, SQRT10, parse_noise("const:0.25")),
         ("linear", 1, 1.0, PowerLawNoise(K_R=2.0, p=1.0)),
         ("logistic", 2, 50.0, PowerLawNoise(K_R=1.0, p=2.0)),
-        ("linear", 3, 1.0, ZeroNoise()),
+        ("linear", 3, 1.0, parse_noise("zero")),
     ]
     checked_steps = 0
     for name, q, sigma, noise in cases:
@@ -352,7 +352,7 @@ def test_criterion_10_invariant_suite():
             exact=lambda ts, c=c, x0=x0: (x0 + c * ts)[:, None],
         )
         q = int(rng.integers(1, 3))
-        traj = solve(problem, PriorSpec(q, sigma=1.0), 0.25, ZeroNoise())
+        traj = solve(problem, PriorSpec(q, sigma=1.0), 0.25, parse_noise("zero"))
         if traj.residual_norms().max() > 1e-13:
             failures.append("constant field produced non-zero residuals")
         if global_error(traj, problem).max_eps0 > 1e-13:

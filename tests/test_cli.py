@@ -1,4 +1,5 @@
 import csv
+import functools
 import math
 import xml.etree.ElementTree as ET
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import full_pass_cells
 
-from odefilter import cli
+from odefilter import cli, steady_state
 from odefilter.cli import FIG3_KR_LADDER, _build_parser, main
 
 SQRT10 = math.sqrt(10.0)
@@ -89,7 +90,8 @@ class TestSolveCommand:
         assert len(read_csv(out)) < 15
 
 
-#: Bad configurations, each caught in main as a ValueError or LookupError.
+#: Bad configurations, each caught in main as a ValueError, a LookupError or,
+#: for sigma = 1e-170 with R = 0, a SingularInnovation.
 CONFIG_ERRORS = {
     "ioup-no-theta": "solve --problem logistic --h 0.1 --prior ioup",
     "wpd-ioup-no-theta": "wpd --problem logistic --h-grid 0.1:2:4 --prior ioup",
@@ -103,15 +105,22 @@ CONFIG_ERRORS = {
     "wpd-bad-noise": "wpd --noise gauss --h-grid 0.1:2:4",
     "steady-bad-noise": "steady --noise gauss --h-grid 0.1:2:8",
     "steady-insufficient-grid": "steady --h-grid 0.1:2:4",
+    "singular": "solve --problem logistic --q 1 --h 0.1 --sigma 1e-170",
+    "wpd-singular": "wpd --problem logistic --q 1 --sigma 1e-170 --h-grid 0.1:2:4",
+    "misalign-singular": "misalign --problem logistic --q 1 --sigma 1e-170 --h-grid 0.1:2:4",
+    "steady-singular": "steady --sigma 1e-170 --noise zero --h-grid 0.1:2:8",
 }
 
 
 @pytest.mark.parametrize("argv", list(CONFIG_ERRORS.values()), ids=list(CONFIG_ERRORS))
 def test_configuration_error_exits_1_without_traceback(argv, tmp_path, capsys):
-    assert main(argv.split() + ["--out", str(tmp_path / "out.csv")]) == 1
+    out = tmp_path / "out.csv"
+    assert main(argv.split() + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("odefilter: error:")
+    assert err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out.exists()
     init = argv.partition("--init ")[2]
     if init:
         assert f"bad init spec {init!r}; expected exact or perturbed:<K0>" in err
@@ -286,6 +295,19 @@ class TestSteadyCommand:
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("odefilter: error: h = 0.1: orbit cycles with period 2 ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise", ["const:inf", "power:1:1e300"])
+    def test_orbit_that_never_settles_exits_1(self, noise, tmp_path, capsys, monkeypatch):
+        # These orbits run out orbit_limit's max_steps without settling or
+        # repeating; a small bound keeps the run short.
+        limit = functools.partial(steady_state.orbit_limit, max_steps=1000)
+        monkeypatch.setattr(steady_state, "orbit_limit", limit)
+        out = tmp_path / "steady.csv"
+        argv = ["steady", "--sigma", "1", "--noise", noise, "--h-grid", "0.1:2:8"]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "odefilter: error: h = 0.1: orbit did not settle within 1000 iterations\n"
         assert not out.exists()
 
 

@@ -8,7 +8,7 @@ import pytest
 from odefilter import cli
 from odefilter.diagnostics import MissingExact, credible_width, global_error, misalignment
 from odefilter.filtering import ExactInit, PerturbedInit, solve, solve_cells
-from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise
+from odefilter.noise import PowerLawNoise, parse_noise
 from odefilter.priors import PriorSpec
 from odefilter.problems import IVProblem, get_problem, logistic, riccati
 from oracles import (
@@ -39,7 +39,7 @@ def constant_problem():
 class TestGlobalError:
     def test_zero_for_exactly_solved_field(self):
         problem = constant_problem()
-        traj = solve(problem, PriorSpec(1, sigma=1.0), 0.25, ZeroNoise())
+        traj = solve(problem, PriorSpec(1, sigma=1.0), 0.25, parse_noise("zero"))
         series = global_error(traj, problem)
         assert series.max_eps0 == 0.0
         assert np.all(series.eps == 0.0)
@@ -50,7 +50,7 @@ class TestGlobalError:
         # posterior mean, 305141/320000 - (1.1)^(-1/2).
         expected = 305141 / 320000 - 1.1**-0.5
         problem = riccati()
-        traj = solve(problem, PriorSpec(1, sigma=SQRT10), 0.1, ZeroNoise())
+        traj = solve(problem, PriorSpec(1, sigma=SQRT10), 0.1, parse_noise("zero"))
         series = global_error(traj, problem)
         assert series.eps[1, 0, 0] == pytest.approx(expected, abs=1e-14)
         assert expected == pytest.approx(1.0304e-4, abs=1e-8)
@@ -58,8 +58,8 @@ class TestGlobalError:
     def test_halving_h_shrinks_max_error(self):
         problem = logistic()
         prior = PriorSpec(1, sigma=1.0)
-        coarse = global_error(solve(problem, prior, 0.1, ZeroNoise()), problem)
-        fine = global_error(solve(problem, prior, 0.05, ZeroNoise()), problem)
+        coarse = global_error(solve(problem, prior, 0.1, parse_noise("zero")), problem)
+        fine = global_error(solve(problem, prior, 0.05, parse_noise("zero")), problem)
         assert fine.max_eps0 < coarse.max_eps0
 
     @pytest.mark.parametrize("name,q", [("logistic", 2), ("linear", 3)])
@@ -82,7 +82,7 @@ class TestGlobalError:
             T=problem.T,
             exact=None,
         )
-        traj = solve(bare, PriorSpec(1), 0.25, ZeroNoise())
+        traj = solve(bare, PriorSpec(1), 0.25, parse_noise("zero"))
         with pytest.raises(MissingExact):
             global_error(traj, bare)
 
@@ -110,14 +110,14 @@ class TestHNorm:
 class TestMisalignment:
     def test_riccati_zero_noise_value(self):
         problem = riccati()
-        traj = solve(problem, PriorSpec(1, sigma=SQRT10), 0.1, ZeroNoise())
+        traj = solve(problem, PriorSpec(1, sigma=SQRT10), 0.1, parse_noise("zero"))
         delta1 = misalignment(traj, problem, 1)
         assert delta1[0] == 0.0
         assert delta1[1] == pytest.approx(0.00485, abs=5e-5)
 
     def test_riccati_unit_noise_value(self):
         problem = riccati()
-        traj = solve(problem, PriorSpec(1, sigma=SQRT10), 0.1, ConstantNoise(R=1.0))
+        traj = solve(problem, PriorSpec(1, sigma=SQRT10), 0.1, parse_noise("const:1.0"))
         delta1 = misalignment(traj, problem, 1)
         assert delta1[1] == pytest.approx(0.03324, abs=5e-6)
 
@@ -129,7 +129,7 @@ class TestMisalignment:
     @pytest.mark.parametrize("name,q,i", [("logistic", 3, 1), ("logistic", 3, 3), ("linear", 2, 2)])
     def test_matches_per_point_loop(self, name, q, i):
         problem = get_problem(name)
-        traj = solve(problem, PriorSpec(q, sigma=1.0), 0.05, ConstantNoise(R=0.01))
+        traj = solve(problem, PriorSpec(q, sigma=1.0), 0.05, parse_noise("const:0.01"))
         g_i = problem.derivative(i)
         oracle = [np.linalg.norm(m[i] - np.asarray(g_i(m[0]))) for m in traj.means()]
         np.testing.assert_allclose(misalignment(traj, problem, i), oracle, rtol=1e-15, atol=0.0)
@@ -137,14 +137,14 @@ class TestMisalignment:
     def test_constant_field_has_no_misalignment(self):
         problem = constant_problem()
         for h in (0.5, 0.25, 0.125):
-            traj = solve(problem, PriorSpec(1, sigma=1.0), h, ZeroNoise())
+            traj = solve(problem, PriorSpec(1, sigma=1.0), h, parse_noise("zero"))
             assert np.all(misalignment(traj, problem, 1) == 0.0)
 
 
 class TestCredibleWidth:
     def test_dirac_start_has_zero_width(self):
         problem = riccati()
-        traj = solve(problem, PriorSpec(1, sigma=SQRT10), 0.1, ZeroNoise())
+        traj = solve(problem, PriorSpec(1, sigma=SQRT10), 0.1, parse_noise("zero"))
         cw = credible_width(traj)
         assert np.all(cw.widths[0] == 0.0)
         assert np.all(cw.widths[1:] > 0.0)
@@ -160,15 +160,15 @@ class TestCredibleWidth:
 
     def test_width_scales_linearly_with_sigma(self):
         problem = logistic()
-        lo = solve(problem, PriorSpec(1, sigma=1.0), 0.1, ZeroNoise())
-        hi = solve(problem, PriorSpec(1, sigma=2.0), 0.1, ZeroNoise())
+        lo = solve(problem, PriorSpec(1, sigma=1.0), 0.1, parse_noise("zero"))
+        hi = solve(problem, PriorSpec(1, sigma=2.0), 0.1, parse_noise("zero"))
         np.testing.assert_allclose(
             credible_width(hi).widths[1:], 2.0 * credible_width(lo).widths[1:], rtol=1e-10
         )
 
     def test_ratio_series(self):
         problem = riccati()
-        traj = solve(problem, PriorSpec(1, sigma=SQRT10), 0.1, ZeroNoise())
+        traj = solve(problem, PriorSpec(1, sigma=SQRT10), 0.1, parse_noise("zero"))
         cw = credible_width(traj, problem)
         assert cw.ratios is not None
         assert cw.ratios[0, 0] == 1.0  # 0/0 at the Dirac start
@@ -185,7 +185,7 @@ class TestCredibleWidth:
             T=problem.T,
             exact=None,
         )
-        traj = solve(bare, PriorSpec(1, sigma=1.0), 0.1, ZeroNoise())
+        traj = solve(bare, PriorSpec(1, sigma=1.0), 0.1, parse_noise("zero"))
         assert credible_width(traj).ratios is None
         with pytest.raises(MissingExact):
             credible_width(traj, bare)

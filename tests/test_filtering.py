@@ -21,7 +21,7 @@ from odefilter.filtering import (
     initialize,
     solve,
 )
-from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise, parse_noise
+from odefilter.noise import PowerLawNoise, parse_noise
 from odefilter.priors import PriorSpec, ibm_transition
 from odefilter.problems import IVProblem, MissingDerivative, get_problem, logistic, riccati
 import oracles
@@ -199,7 +199,7 @@ class TestUpdate:
 
 class TestSolve:
     def test_riccati_golden_step(self):
-        traj = solve(riccati(), PriorSpec(1, sigma=SQRT10), 0.1, ZeroNoise())
+        traj = solve(riccati(), PriorSpec(1, sigma=SQRT10), 0.1, parse_noise("zero"))
         m_pred, m_post, beta = traj.m_pred[0], traj.m_post[0], traj.beta[0]
         assert abs(m_pred[0, 0] - 19 / 20) <= 1e-14
         assert abs(m_pred[1, 0] + 0.5) <= 1e-14
@@ -214,14 +214,14 @@ class TestSolve:
     def test_constant_field_reproduced_exactly(self):
         # Dyadic parameters so the float accumulation is itself exact.
         problem = constant_field_problem(c=0.5, x0=2.0, T=8.0)
-        traj = solve(problem, PriorSpec(1, sigma=1.0), 0.25, ZeroNoise())
+        traj = solve(problem, PriorSpec(1, sigma=1.0), 0.25, parse_noise("zero"))
         assert np.all(traj.residual_norms() == 0.0)
         for n, m in enumerate(traj.m_post, start=1):
             assert m[0, 0] == 2.0 + 0.5 * (n * 0.25)
 
     def test_constant_field_generic_params(self):
         problem = constant_field_problem(c=0.37, x0=1.1, T=1.0)
-        traj = solve(problem, PriorSpec(1, sigma=2.0), 0.1, ZeroNoise())
+        traj = solve(problem, PriorSpec(1, sigma=2.0), 0.1, parse_noise("zero"))
         assert np.all(traj.residual_norms() <= 1e-15)
         eps = np.abs(traj.m_post[:, 0, 0] - (1.1 + 0.37 * traj.times()[1:]))
         assert eps.max() <= 1e-14
@@ -231,20 +231,20 @@ class TestSolve:
         prior = PriorSpec(1, sigma=1.0)
         errors = {}
         for h in (0.1, 0.01):
-            traj = solve(problem, prior, h, ZeroNoise())
+            traj = solve(problem, prior, h, parse_noise("zero"))
             errors[h] = abs(traj.m_post[-1, 0, 0] - problem.exact(np.array([problem.T]))[0, 0])
         assert errors[0.01] * 50.0 < errors[0.1]
 
     def test_non_integer_mesh(self):
         with pytest.raises(NonIntegerMesh):
-            solve(logistic(), PriorSpec(1), 0.4, ZeroNoise())
+            solve(logistic(), PriorSpec(1), 0.4, parse_noise("zero"))
 
     def test_q0_rejected(self):
         with pytest.raises(ValueError, match="q >= 1"):
-            solve(logistic(), PriorSpec(0), 0.1, ZeroNoise())
+            solve(logistic(), PriorSpec(0), 0.1, parse_noise("zero"))
 
     def test_mesh_times(self):
-        traj = solve(logistic(), PriorSpec(1), 0.01, ZeroNoise())
+        traj = solve(logistic(), PriorSpec(1), 0.01, parse_noise("zero"))
         times = traj.times()
         assert len(traj.y) == 150
         spacings = np.diff(times)
@@ -263,7 +263,7 @@ class TestSolve:
             T=problem.T,
             exact=problem.exact,
         )
-        solve(counted, PriorSpec(1), 0.1, ZeroNoise())
+        solve(counted, PriorSpec(1), 0.1, parse_noise("zero"))
         assert len(calls) == 15
 
     def test_divergence_flags_partial_trajectory(self):
@@ -279,7 +279,7 @@ class TestSolve:
             T=50.0,
             exact=None,
         )
-        traj = solve(blowup, PriorSpec(1, sigma=1.0), 0.5, ZeroNoise())
+        traj = solve(blowup, PriorSpec(1, sigma=1.0), 0.5, parse_noise("zero"))
         assert traj.diverged
         reached = len(traj.y)
         assert reached < 100
@@ -290,7 +290,7 @@ class TestSolve:
         assert np.all(np.isfinite(traj.m_post))
 
     def test_arrays_are_read_only(self):
-        traj = solve(get_problem("linear"), PriorSpec(2, sigma=1.0), 0.1, ConstantNoise(R=0.3))
+        traj = solve(get_problem("linear"), PriorSpec(2, sigma=1.0), 0.1, parse_noise("const:0.3"))
         for a in (traj.m_pred, traj.y, traj.P_pred, traj.P_post, traj.beta, traj.m_post):
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
@@ -300,11 +300,11 @@ class TestTrajectoryInvariants:
     @pytest.mark.parametrize(
         "name,q,sigma,noise",
         [
-            ("logistic", 1, 50.0, ZeroNoise()),
+            ("logistic", 1, 50.0, parse_noise("zero")),
             ("logistic", 2, 50.0, PowerLawNoise(K_R=1.0, p=2.0)),
-            ("riccati", 1, SQRT10, ConstantNoise(R=0.5)),
+            ("riccati", 1, SQRT10, parse_noise("const:0.5")),
             ("linear", 1, 1.0, PowerLawNoise(K_R=1.0, p=1.0)),
-            ("linear", 3, 1.0, ZeroNoise()),
+            ("linear", 3, 1.0, parse_noise("zero")),
         ],
     )
     def test_psd_and_gain_bounds(self, name, q, sigma, noise):
@@ -464,7 +464,7 @@ class TestGainSchedule:
 
     @pytest.mark.parametrize("name, q", [("logistic", 1), ("linear", 3)])
     def test_diverging_start_equals_the_full_pass(self, name, q):
-        args = (get_problem(name), PriorSpec(q), 0.0125, ZeroNoise(), PerturbedInit(1e300))
+        args = (get_problem(name), PriorSpec(q), 0.0125, parse_noise("zero"), PerturbedInit(1e300))
         traj = solve(*args)
         assert traj.diverged
         assert_same_bytes(traj, full_pass_solve(*args))
@@ -484,7 +484,7 @@ class TestGainSchedule:
 
         monkeypatch.setattr(filtering, "initialize", crafted)
         monkeypatch.setattr(oracles, "initialize", crafted)
-        args = (problem, PriorSpec(1, sigma=1e-17), 0.1, ConstantNoise(R=1.0))
+        args = (problem, PriorSpec(1, sigma=1e-17), 0.1, parse_noise("const:1.0"))
         traj = solve(*args)
         assert_same_bytes(traj, full_pass_solve(*args))
         assert traj.P_post[1, :, 1:].tobytes() == traj.P_post[0, :, 1:].tobytes()
@@ -519,7 +519,7 @@ class TestCovarianceTrack:
 
         monkeypatch.setattr(filtering, "initialize", crafted)
         monkeypatch.setattr(oracles, "initialize", crafted)
-        args = (get_problem("logistic"), PriorSpec(1, sigma=1e-170), 0.1, ZeroNoise())
+        args = (get_problem("logistic"), PriorSpec(1, sigma=1e-170), 0.1, parse_noise("zero"))
         assert not PriorSpec(1, sigma=1e-170).transition(0.1).Q.any()
         if raises:
             with pytest.raises(SingularInnovation):
@@ -533,7 +533,7 @@ class TestCovarianceTrack:
 
     @pytest.mark.parametrize("name, q, expected", [("logistic", 1, 1), ("linear", 3, 2)])
     def test_f_is_called_as_in_the_full_pass(self, name, q, expected):
-        args = (PriorSpec(q), 0.0125, ZeroNoise(), PerturbedInit(1e300))
+        args = (PriorSpec(q), 0.0125, parse_noise("zero"), PerturbedInit(1e300))
         calls, oracle_calls = [], []
         solve(counted_field(get_problem(name), calls), *args)
         full_pass_solve(counted_field(get_problem(name), oracle_calls), *args)
@@ -683,7 +683,8 @@ class TestSolveWithPrefix:
             return Belief(t=0.0, m=np.array([[m0], [0.1]]), P=P0)
 
         monkeypatch.setattr(filtering, "initialize", crafted)
-        problem, cell = get_problem("logistic"), (PriorSpec(1, sigma=1e-170), 0.1, ZeroNoise())
+        problem = get_problem("logistic")
+        cell = (PriorSpec(1, sigma=1e-170), 0.1, parse_noise("zero"))
         (prefix,) = covariance_prefixes([tm], [R], [P0], [15])
         assert prefix.singular and len(prefix.beta) == 1
         trajs = filtering.solve_cells(problem, [cell + (ExactInit(),)], [prefix])
@@ -767,7 +768,7 @@ class TestStackedMeanPass:
         cells = [
             (PriorSpec(1), h, noise, mode)
             for h in (0.1, 0.05, 0.0125)
-            for noise in (ZeroNoise(), ConstantNoise(R=0.5))
+            for noise in (parse_noise("zero"), parse_noise("const:0.5"))
             for mode in (ExactInit(), *(PerturbedInit(k0) for k0 in (1e10, 1e60, 1e300)))
         ]
         trajs = list(filtering.solve_cells(problem, cells))
@@ -793,8 +794,8 @@ class TestStackedMeanPass:
         monkeypatch.setattr(filtering, "initialize", crafted)
         monkeypatch.setattr(oracles, "initialize", crafted)
         problem = get_problem("logistic")
-        regular = [(PriorSpec(1), h, ZeroNoise(), ExactInit()) for h in (0.1, 0.05, 0.025)]
-        cells = regular[:2] + [(PriorSpec(1, sigma=1e-170), 0.1, ZeroNoise(), ExactInit())]
+        regular = [(PriorSpec(1), h, parse_noise("zero"), ExactInit()) for h in (0.1, 0.05, 0.025)]
+        cells = regular[:2] + [(PriorSpec(1, sigma=1e-170), 0.1, parse_noise("zero"), ExactInit())]
         cells += regular[2:]
         trajs = filtering.solve_cells(problem, cells)
         for cell, traj in zip(cells[:2], trajs):  # cells first: zip stops before a third
@@ -809,7 +810,7 @@ class TestStackedMeanPass:
                 assert_same_bytes(traj, full_pass_solve(problem, *cell))
 
     def test_cells_of_one_stack_share_q(self):
-        cells = [(PriorSpec(q), 0.1, ZeroNoise(), ExactInit()) for q in (1, 2)]
+        cells = [(PriorSpec(q), 0.1, parse_noise("zero"), ExactInit()) for q in (1, 2)]
         with pytest.raises(ValueError, match="share q"):
             list(filtering.solve_cells(get_problem("logistic"), cells))
 
@@ -838,7 +839,7 @@ class TestStackedMeanPass:
 
     def test_solve_hands_out_the_next_cell_of_a_stack(self):
         problem = get_problem("logistic")
-        cells = [(PriorSpec(1), h, ZeroNoise(), ExactInit()) for h in (0.1, 0.05)]
+        cells = [(PriorSpec(1), h, parse_noise("zero"), ExactInit()) for h in (0.1, 0.05)]
         stack = filtering.solve_cells(problem, cells)
         assert_same_bytes(solve(problem, *cells[0], stack=stack), solve(problem, *cells[0]))
         with pytest.raises(ValueError, match="not this one"):
@@ -862,7 +863,7 @@ class TestNonFiniteFixedPoint:
         (prefix,) = covariance_prefixes([prior.transition(h)], [0.0], [start], [12_800])
         assert len(calls) == len(prefix.beta) < 10 and prefix.first is not None
         calls.clear()
-        args = (get_problem("linear"), prior, h, ZeroNoise(), PerturbedInit(1e300))
+        args = (get_problem("linear"), prior, h, parse_noise("zero"), PerturbedInit(1e300))
         traj = solve(*args)
         assert len(calls) < 10
         assert traj.diverged

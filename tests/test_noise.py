@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odefilter.noise import ConstantNoise, PowerLawNoise, ZeroNoise, parse_noise
+from odefilter.noise import PowerLawNoise, parse_noise
 
 
 class TestEvaluate:
@@ -19,8 +19,8 @@ class TestEvaluate:
         assert PowerLawNoise(K_R=1e9, p=math.inf).evaluate(2.0) == 0.0
 
     def test_zero_and_constant(self):
-        assert ZeroNoise().evaluate(0.3) == 0.0
-        assert ConstantNoise(R=2.5).evaluate(0.3) == 2.5
+        assert parse_noise("zero").evaluate(0.3) == 0.0
+        assert parse_noise("const:2.5").evaluate(0.3) == 2.5
 
 
 class TestPermissibility:
@@ -33,12 +33,12 @@ class TestPermissibility:
         assert PowerLawNoise(K_R=1.0, p=1.0).p >= 1
 
     def test_zero_always_passes(self):
-        assert ZeroNoise().p >= 3
+        assert parse_noise("zero").p >= 3
 
     def test_constant_only_at_zero(self):
         # A step-independent variance has order p = 0, so only R = 0 passes.
-        assert ConstantNoise(R=0.0).p >= 2
-        assert not ConstantNoise(R=1.0).p >= 2
+        assert parse_noise("const:0").p >= 2
+        assert not parse_noise("const:1").p >= 2
 
 
 class TestProperties:
@@ -62,7 +62,7 @@ class TestProperties:
 
     def test_nonnegative_validation(self):
         with pytest.raises(ValueError):
-            ConstantNoise(R=-1.0)
+            parse_noise("const:-1")
         with pytest.raises(ValueError):
             PowerLawNoise(K_R=-1.0, p=1.0)
         with pytest.raises(ValueError):
@@ -70,19 +70,26 @@ class TestProperties:
 
 
 class TestParse:
-    def test_zero(self):
-        assert parse_noise("zero") == ZeroNoise()
+    #: spec -> (p, K_R, R), R being the variance at every step size.
+    TABLE = {
+        "zero": (math.inf, 0.0, 0.0),
+        "const:0": (math.inf, 0.0, 0.0),
+        "const:0.25": (0.0, 0.25, 0.25),
+        "const:3.7e3": (0.0, 3700.0, 3700.0),
+        "power:inf:7": (math.inf, 7.0, 0.0),
+    }
 
-    def test_const(self):
-        assert parse_noise("const:0.25") == ConstantNoise(R=0.25)
+    @pytest.mark.parametrize("spec", list(TABLE))
+    def test_spec_table(self, spec):
+        p, K_R, R = self.TABLE[spec]
+        model = parse_noise(spec)
+        assert model == PowerLawNoise(K_R=K_R, p=p)
+        assert (model.p, model.K_R) == (p, K_R)
+        assert model.evaluate(0.5) == R
+        assert model.evaluate(0.0125) == R
 
     def test_power(self):
         assert parse_noise("power:1:5e3") == PowerLawNoise(K_R=5000.0, p=1.0)
-
-    def test_power_inf(self):
-        model = parse_noise("power:inf:7.0")
-        assert math.isinf(model.p)
-        assert model.evaluate(0.5) == 0.0
 
     @pytest.mark.parametrize("bad", ["", "gauss", "const", "power:1", "power:a:b", "const:x"])
     def test_bad_specs(self, bad):
