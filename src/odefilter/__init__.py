@@ -50,6 +50,7 @@ from .problems import (
 from .steady_state import (
     InsufficientGrid,
     OrbitCycle,
+    OrbitUnsettled,
     OrderBoundFit,
     SteadyState,
     closed_form,

@@ -158,7 +158,13 @@ class RunSpec:
 
 def _execute(spec: RunSpec, problem, mode: filtering.InitMode, stack) -> dict:
     """The CSV row of one sweep cell; ``stack`` is the ``solve_cells`` run of its group."""
-    traj = solve(problem, spec.prior, spec.h, spec.noise, mode, stack=stack)
+    try:
+        traj = solve(problem, spec.prior, spec.h, spec.noise, mode, stack=stack)
+    except filtering.SingularInnovation as exc:
+        raise CliError(
+            f"problem = {spec.problem}, q = {spec.prior.q}, p = {spec.noise.p!r}, "
+            f"K_R = {spec.noise.K_R!r}, h = {spec.h!r}: {exc}"
+        ) from None
     row = {
         "problem": spec.problem,
         "q": spec.prior.q,
@@ -375,15 +381,19 @@ def cmd_steady(cfg: RunConfig) -> int:
     if len(cfg.noise) != 1:
         raise CliError("steady takes a single noise model")
     model = parse_noise(cfg.noise[0])
-    bounds = steady_state.verify_order_bounds(grid, cfg.sigma, model.p, model.K_R)
+    # One pass from zero per h serves the order bounds and the orbit limits.
+    prefixes = steady_state.order_bound_prefixes(grid, cfg.sigma, model.p, model.K_R)
+    bounds = steady_state.verify_order_bounds(
+        grid, cfg.sigma, model.p, model.K_R, prefixes=prefixes
+    )
     bound_by_name = {fit.quantity: fit for fit in bounds}
     rows = []
-    for k, h in enumerate(grid):
+    for k, (h, prefix) in enumerate(zip(grid, prefixes)):
         R = model.evaluate(h)
         cf = steady_state.closed_form(h, cfg.sigma, R)
         try:
-            orbit = steady_state.orbit_limit(h, cfg.sigma, R)
-        except RuntimeError as exc:  # OrbitCycle, or no settling within its max_steps
+            orbit = steady_state.orbit_limit(h, cfg.sigma, R, prefix=prefix)
+        except (steady_state.OrbitCycle, steady_state.OrbitUnsettled) as exc:
             raise CliError(f"h = {h!r}: {exc}") from None
         for name, bound_name in STEADY_QUANTITIES:
             closed, limit = _steady_value(cf, name), _steady_value(orbit, name)
@@ -467,6 +477,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache  # one parser per process; parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="odefilter", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -519,7 +530,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     InsufficientGrid, a bad noise spec or prior), a LookupError (an
     unknown problem, MissingDerivative) or a SingularInnovation (a cell
     whose innovation variance P_pred[1, 1] + R is 0, as for a tiny sigma
-    with R = 0); this is the one place any of them is caught.
+    with R = 0); this is the one place any of them is caught (a sweep
+    names the cell of a singular innovation first).
     """
     try:
         args = _build_parser().parse_args(argv)

@@ -11,12 +11,16 @@ track bit for bit), and ``verify_order_bounds`` runs the same recursion
 to measure the h-orders of the maximal covariance/gain quantities
 against the predicted exponents for a power-law noise model R = K_R h^p.
 
-``orbit_limit`` iterates ``filtering.periodic_pass`` on a stack of one
-orbit; ``verify_order_bounds`` stacks the orbits of its whole h grid in
-one pass (``filtering.covariance_prefixes``).  Both stop an orbit at its
-first repeated closed block P[:, 1:]: every tracked quantity repeats with
-it (see ``filtering``), so nothing after that step can change a maximum,
-or settle an orbit that has not settled within one more period.
+``verify_order_bounds`` runs the orbits of its whole h grid from zero side
+by side, as one stack (``order_bound_prefixes``, through
+``filtering.covariance_prefixes``), each over its mesh.  Both functions stop
+an orbit at its first repeated closed block P[:, 1:]: every tracked
+quantity repeats with it (see ``filtering``), so nothing after that step
+can change a maximum, or settle an orbit that has not settled within one
+more period.  Given that prefix of its orbit, ``orbit_limit`` reads the
+orbit from it, since its rows are the orbit's first steps bit for bit; only
+an orbit that outlives its mesh without settling or repeating runs again,
+alone (``filtering.periodic_pass`` on a stack of one).
 """
 
 from __future__ import annotations
@@ -35,11 +39,13 @@ from .priors import ibm_transition
 __all__ = [
     "InsufficientGrid",
     "OrbitCycle",
+    "OrbitUnsettled",
     "ORDER_BOUND_QUANTITIES",
     "OrderBoundFit",
     "SteadyState",
     "closed_form",
     "orbit_limit",
+    "order_bound_prefixes",
     "predicted_exponent",
     "verify_order_bounds",
 ]
@@ -59,6 +65,17 @@ class OrbitCycle(RuntimeError):
         )
         self.period = period
         self.spread = spread
+
+
+class OrbitUnsettled(RuntimeError):
+    """The orbit has neither settled nor been shown to cycle within max_steps steps."""
+
+    def __init__(self, max_steps: int):
+        super().__init__(f"orbit did not settle within {max_steps} iterations")
+        self.max_steps = max_steps
+
+
+_SINGULAR = "singular innovation: P_pred[1, 1] + R = 0"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,14 +125,29 @@ def closed_form(h: float, sigma: float, R: float) -> SteadyState:
 
 
 def orbit_limit(
-    h: float, sigma: float, R: float, tol: float = 1e-13, max_steps: int = 200_000
+    h: float,
+    sigma: float,
+    R: float,
+    tol: float = 1e-13,
+    max_steps: int = 200_000,
+    prefix: Optional[filtering.CovariancePrefix] = None,
 ) -> SteadyState:
     """Iterate the covariance pass from zero until the six tracked quantities settle below tol.
 
     Raises OrbitCycle once the orbit has repeated a state and then run one
-    full period without settling (it never will), and RuntimeError if it
+    full period without settling (it never will), and OrbitUnsettled if it
     has not settled after ``max_steps`` steps.
+
+    ``prefix``, this orbit's ``filtering.covariance_prefixes`` entry from a
+    zero start (one of ``order_bound_prefixes``), holds the orbit's first
+    steps bit for bit, and the orbit is read from it with the same result
+    and errors.  Only an orbit that outlives a prefix cut by its bound
+    runs a pass of its own from zero.
     """
+    if prefix is not None:
+        settled = _read_prefix(prefix, tol, max_steps)
+        if settled is not None:
+            return SteadyState(*settled, h=h, sigma=sigma, R=R)
     previous = None
     period, cycle = None, []  # cycle: the tracked quantities after the first repeat
     orbit = filtering.periodic_pass([ibm_transition(1, sigma, h)], [R], [np.zeros((2, 2))])
@@ -140,8 +172,44 @@ def orbit_limit(
             period = n - first[0]
         previous = current
     if n + 1 < max_steps:  # the stack of one left the pass
-        raise filtering.SingularInnovation("singular innovation: P_pred[1, 1] + R = 0")
-    raise RuntimeError(f"orbit did not settle within {max_steps} iterations")
+        raise filtering.SingularInnovation(_SINGULAR)
+    raise OrbitUnsettled(max_steps)
+
+
+def _read_prefix(prefix: filtering.CovariancePrefix, tol: float, max_steps: int) -> Optional[list]:
+    """What orbit_limit's loop finds on the orbit whose first steps ``prefix`` holds.
+
+    Returns the settled quantities, or None if the orbit runs past the
+    prefix's bound unsettled, and raises where the loop would.  Step n
+    settles when no quantity moved by tol since step n - 1.  An orbit
+    whose prefix ends at step n on a repeat of step i goes on as steps
+    i + 1, ..., n over and over, so of the steps after the prefix only
+    step n + 1 (step i + 1 again, after step n) makes a new pair: the
+    orbit settles there or cycles with period n - i.
+    """
+    P_pred, P, beta = prefix.P_pred, prefix.P_post, prefix.beta
+    # One row per step, one column per quantity, in SteadyState order.
+    track = np.stack(
+        [P_pred[:, 1, 1], P[:, 1, 1], P_pred[:, 0, 1], P[:, 0, 1], beta[:, 0], beta[:, 1]], axis=1
+    )
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN change, which never settles
+        settles = np.flatnonzero((abs(np.diff(track, axis=0)) < tol).all(axis=1)) + 1
+    if len(settles) and settles[0] < max_steps:
+        return track[settles[0]].tolist()
+    run = len(track)
+    if max_steps <= run:
+        raise OrbitUnsettled(max_steps)
+    if prefix.singular:
+        raise filtering.SingularInnovation(_SINGULAR)
+    if prefix.first is None:
+        return None
+    i, n = prefix.first, run - 1
+    with np.errstate(invalid="ignore"):
+        if (abs(track[i + 1] - track[n]) < tol).all():
+            return track[i + 1].tolist()
+    if n + (n - i) < max_steps:
+        raise OrbitCycle(n - i, float(np.ptp(track[i + 1 :], axis=0).max()), tol)
+    raise OrbitUnsettled(max_steps)
 
 
 ORDER_BOUND_QUANTITIES = ("P11_pred", "P11", "abs_P01", "abs_beta0", "one_minus_beta1")
@@ -179,7 +247,40 @@ ORDER_BOUND_T = 1.0
 ORDER_BOUND_DROP_LARGEST = 1
 
 
-def verify_order_bounds(h_grid: Sequence[float], sigma: float, p: float, K_R: float) -> list:
+def order_bound_prefixes(h_grid: Sequence[float], sigma: float, p: float, K_R: float) -> list:
+    """Each h's orbit from a zero start over the mesh of round(ORDER_BOUND_T/h) steps, in one pass.
+
+    Checks the grid, then returns each h's ``filtering.covariance_prefixes``
+    entry: the orbit up to its first repeated closed block, the end of its
+    mesh or its first singular innovation, whichever comes first; the
+    orbits of the grid run side by side, as one stack.
+    ``verify_order_bounds`` takes its maxima over these, and
+    ``orbit_limit`` reads each orbit from its entry.
+    """
+    hs = _checked_grid(h_grid)
+    noise = PowerLawNoise(K_R=K_R, p=p)
+    return filtering.covariance_prefixes(
+        [ibm_transition(1, sigma, h) for h in hs],
+        [noise.evaluate(h) for h in hs],
+        [np.zeros((2, 2))] * len(hs),
+        [round(ORDER_BOUND_T / h) for h in hs],
+    )
+
+
+def _checked_grid(h_grid: Sequence[float]) -> list:
+    hs = [float(h) for h in h_grid]
+    if len(hs) < 4:
+        raise InsufficientGrid("need at least 4 step sizes")
+    if any(a <= b for a, b in zip(hs, hs[1:])):
+        raise InsufficientGrid("step sizes must be strictly decreasing")
+    if hs[0] / hs[-1] < 100.0:
+        raise InsufficientGrid("step sizes must span at least 2 decades")
+    return hs
+
+
+def verify_order_bounds(
+    h_grid: Sequence[float], sigma: float, p: float, K_R: float, prefixes: Optional[list] = None
+) -> list:
     """Fit the h-orders of max-over-mesh covariance/gain quantities.
 
     For each h the recursion runs from a zero start over the mesh of
@@ -190,31 +291,20 @@ def verify_order_bounds(h_grid: Sequence[float], sigma: float, p: float, K_R: fl
     instead of fitted.
 
     The passes of the whole grid run side by side, as one stack
-    (``filtering.covariance_prefixes``).  Each stops at the first step
-    whose closed block repeats that of an earlier step, or at the end of
-    the mesh if that comes first.  Every later step of the mesh would
-    repeat one of the steps already run (see the module docstring), and a
-    maximum does not depend on order, so the maxima equal those over the
-    whole mesh bit for bit.
+    (``order_bound_prefixes``, or ``prefixes`` if the caller has built
+    them).  Each stops at the first step whose closed block repeats that
+    of an earlier step, or at the end of the mesh if that comes first.
+    Every later step of the mesh would repeat one of the steps already run
+    (see the module docstring), and a maximum does not depend on order, so
+    the maxima equal those over the whole mesh bit for bit.
     """
-    hs = np.asarray(list(h_grid), dtype=float)
-    if len(hs) < 4:
-        raise InsufficientGrid("need at least 4 step sizes")
-    if np.any(np.diff(hs) >= 0.0):
-        raise InsufficientGrid("step sizes must be strictly decreasing")
-    if hs[0] / hs[-1] < 100.0:
-        raise InsufficientGrid("step sizes must span at least 2 decades")
-    noise = PowerLawNoise(K_R=K_R, p=p)
-    prefixes = filtering.covariance_prefixes(
-        [ibm_transition(1, sigma, h) for h in hs],
-        [noise.evaluate(h) for h in hs],
-        [np.zeros((2, 2))] * len(hs),
-        [round(ORDER_BOUND_T / h) for h in hs],
-    )
+    hs = _checked_grid(h_grid)
+    if prefixes is None:
+        prefixes = order_bound_prefixes(hs, sigma, p, K_R)
     maxima = np.empty((len(hs), len(ORDER_BOUND_QUANTITIES)))
-    for row, prefix in enumerate(prefixes):
+    for row, (h, prefix) in enumerate(zip(hs, prefixes)):
         if prefix.singular:
-            raise filtering.SingularInnovation("singular innovation: P_pred[1, 1] + R = 0")
+            raise filtering.SingularInnovation(f"h = {h!r}: {_SINGULAR}")
         P_pred, P, beta = prefix.P_pred, prefix.P_post, prefix.beta
         # One row per step, one column per ORDER_BOUND_QUANTITIES entry.
         track = np.stack(

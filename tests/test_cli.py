@@ -112,18 +112,34 @@ CONFIG_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("argv", list(CONFIG_ERRORS.values()), ids=list(CONFIG_ERRORS))
-def test_configuration_error_exits_1_without_traceback(argv, tmp_path, capsys):
+#: The cell a singular innovation is named by, as the CSV columns spell it.
+SINGULAR_CELLS = {
+    "wpd-singular": "error: problem = logistic, q = 1, p = inf, K_R = 0.0, h = 0.1: singular",
+    "misalign-singular": "error: problem = logistic, q = 1, p = inf, K_R = 0.0, h = 0.1: singular",
+    "steady-singular": "error: h = 0.1: singular",
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIG_ERRORS), ids=list(CONFIG_ERRORS))
+def test_configuration_error_exits_1_without_traceback(name, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    assert main(argv.split() + ["--out", str(out)]) == 1
+    assert main(CONFIG_ERRORS[name].split() + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("odefilter: error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
-    init = argv.partition("--init ")[2]
+    init = CONFIG_ERRORS[name].partition("--init ")[2]
     if init:
         assert f"bad init spec {init!r}; expected exact or perturbed:<K0>" in err
+    assert SINGULAR_CELLS.get(name, "") in err
+
+
+def test_three_calls_build_the_parser_once():
+    _build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["steady", "--noise", "zero", "--h-grid", "0.1:2:3"]) == 1
+    assert _build_parser.cache_info().misses == 1
 
 
 class TestWpdCommand:
@@ -309,6 +325,16 @@ class TestSteadyCommand:
         err = capsys.readouterr().err
         assert err == "odefilter: error: h = 0.1: orbit did not settle within 1000 iterations\n"
         assert not out.exists()
+
+    def test_other_runtime_errors_in_orbit_limit_escape(self, monkeypatch):
+        # Only OrbitCycle and OrbitUnsettled are orbit outcomes to report as
+        # a user error; any other RuntimeError is a fault in the program.
+        def broken(*args, **kwargs):
+            raise RuntimeError("fault inside orbit_limit")
+
+        monkeypatch.setattr(steady_state, "orbit_limit", broken)
+        with pytest.raises(RuntimeError, match="fault inside orbit_limit"):
+            main(["steady", "--noise", "zero", "--h-grid", "0.1:2:8"])
 
 
 class TestMisalignCommand:

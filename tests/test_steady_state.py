@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 from itertools import islice
 
@@ -16,8 +17,10 @@ from odefilter.steady_state import (
     InsufficientGrid,
     ORDER_BOUND_QUANTITIES,
     OrbitCycle,
+    OrbitUnsettled,
     closed_form,
     orbit_limit,
+    order_bound_prefixes,
     predicted_exponent,
     verify_order_bounds,
 )
@@ -195,7 +198,7 @@ class TestOneCovariancePass:
         assert kernel_calls == self.once_each(steps)
         # The orbit settles on exactly its step count, no sooner.
         orbit_limit(h, sigma, R, max_steps=steps)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(OrbitUnsettled):
             orbit_limit(h, sigma, R, max_steps=steps - 1)
 
     @pytest.mark.parametrize("noise_spec", ["power:1:1", "power:2:1", "power:3:1", "zero"])
@@ -206,6 +209,24 @@ class TestOneCovariancePass:
         steps = kernel_calls["predict_covariance"]
         assert kernel_calls == self.once_each(steps)
         assert steps <= 500
+
+    def test_steady_benchmark_runs_one_pass_per_grid(self, kernel_calls, monkeypatch, tmp_path):
+        # The benchmark's four steady calls: one pass per grid serves the
+        # order bounds and 45 of the 48 orbits; power:1:1 at h = 0.1 and 0.05
+        # and power:2:1 at h = 0.1 outlive their mesh and run alone.
+        passes = []
+        original = filtering.periodic_pass
+
+        def counted(*args, **kwargs):
+            passes.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(filtering, "periodic_pass", counted)
+        for noise in ("power:1:1", "power:2:1", "power:3:1", "zero"):
+            argv = ["steady", "--sigma", "1", "--noise", noise, "--h-grid", "0.1:2:12"]
+            assert main(argv + ["--out", str(tmp_path / "steady.csv")]) == 0
+        assert kernel_calls["predict_covariance"] <= 150
+        assert len(passes) <= 8
 
     def test_orbit_limit_raises_a_singular_innovation(self):
         # sigma^2 h underflows, so Q = 0 and with R = 0 the first innovation is 0.
@@ -233,6 +254,74 @@ class TestOneCovariancePass:
         assert info.value.period == 1
         assert math.isnan(info.value.spread)
         assert kernel_calls["predict_covariance"] <= 5
+
+
+class TestOrbitFromPrefix:
+    """orbit_limit reads an orbit from its prefix with the result and errors of its own run."""
+
+    @staticmethod
+    def outcome(h, sigma, R, **kwargs):
+        """orbit_limit's SteadyState as bytes, or its error's type, period, spread and message."""
+        try:
+            state = orbit_limit(h, sigma, R, **kwargs)
+        except (OrbitCycle, OrbitUnsettled, filtering.SingularInnovation) as exc:
+            spread = getattr(exc, "spread", None)
+            return type(exc), getattr(exc, "period", None), np.float64(spread).tobytes(), str(exc)
+        return [np.float64(value).tobytes() for value in dataclasses.astuple(state)]
+
+    def assert_same(self, h, sigma, R, prefix, **kwargs):
+        assert self.outcome(h, sigma, R, prefix=prefix, **kwargs) == self.outcome(
+            h, sigma, R, **kwargs
+        )
+
+    @staticmethod
+    def prefix(h, sigma, R, bound):
+        (prefix,) = filtering.covariance_prefixes(
+            [ibm_transition(1, sigma, h)], [R], [np.zeros((2, 2))], [bound]
+        )
+        return prefix
+
+    @pytest.mark.parametrize("h0", [0.1, 0.099738])
+    @pytest.mark.parametrize("sigma", [1.0, 50.0, 100.0])
+    @pytest.mark.parametrize(
+        "noise_spec", ["power:1:1", "power:2:1", "power:3:1", "zero", "const:0.25", "power:1:5000"]
+    )
+    def test_grid_orbits(self, noise_spec, sigma, h0):
+        grid = [h0 * 2.0**-k for k in range(12)]
+        noise = parse_noise(noise_spec)
+        for h, prefix in zip(grid, order_bound_prefixes(grid, sigma, noise.p, noise.K_R)):
+            self.assert_same(h, sigma, noise.evaluate(h), prefix)
+
+    #: (h, sigma, R, tol) and how the orbit ends (a cycle's period, "singular"
+    #: or "settles"): orbits that repeat with period 1 and 2 within their
+    #: mesh, a NaN fixed point, a singular first innovation, an orbit that
+    #: outlives its 10-step mesh, and one that settles within its mesh.
+    CELLS = {
+        "period-1": ((0.05, 1.3, 0.01, 0.0), 1),
+        "period-2": ((0.1, 100.0, parse_noise("power:1:1").evaluate(0.1), 0.0), 2),
+        "nan": ((0.1, 1.0, math.nan, 1e-13), 1),
+        "singular": ((0.1, 1e-170, 0.0, 1e-13), "singular"),
+        "past-the-mesh": ((0.1, 1.0, 0.1, 1e-13), "settles"),
+        "settles": ((0.05, 1.3, 0.01, 1e-13), "settles"),
+    }
+
+    @pytest.mark.parametrize("cell, ends", list(CELLS.values()), ids=list(CELLS))
+    def test_special_orbits_at_each_step_budget(self, cell, ends):
+        h, sigma, R, tol = cell
+        prefix = self.prefix(h, sigma, R, round(1.0 / h))
+        try:
+            orbit_limit(h, sigma, R, tol=tol, prefix=prefix)
+        except OrbitCycle as exc:
+            assert exc.period == ends
+        except filtering.SingularInnovation:
+            assert ends == "singular"
+        else:
+            assert ends == "settles"
+        self.assert_same(h, sigma, R, prefix, tol=tol)
+        # Every budget up to two past the prefix's length, where a period-2
+        # cycle is first seen through.
+        for max_steps in range(len(prefix.beta) + 3):
+            self.assert_same(h, sigma, R, prefix, tol=tol, max_steps=max_steps)
 
 
 class TestPeriodicStop:
