@@ -19,7 +19,6 @@ from .diagnostics import (
 )
 from .filtering import (
     Belief,
-    ExactInit,
     NonIntegerMesh,
     PerturbedInit,
     SingularInnovation,

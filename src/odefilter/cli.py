@@ -25,12 +25,12 @@ import functools
 import itertools
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import diagnostics, filtering, steady_state, svgchart
-from .filtering import ExactInit, PerturbedInit, solve, solve_cells
+from .filtering import PerturbedInit, solve, solve_cells
 from .noise import PowerLawNoise, parse_noise
 from .priors import IBM, PriorSpec
 from .problems import PROBLEMS, get_problem
@@ -70,7 +70,7 @@ class RunConfig:
 
     def init_mode(self):
         if self.init == "exact":
-            return ExactInit()
+            return PerturbedInit(0.0, seed=self.seed)
         if self.init.startswith("perturbed:"):
             with contextlib.suppress(ValueError):
                 return PerturbedInit(k0=float(self.init.split(":", 1)[1]), seed=self.seed)
@@ -156,7 +156,7 @@ class RunSpec:
         return (self.problem, self.prior.q, -self.noise.p, self.noise.K_R, -self.h)
 
 
-def _execute(spec: RunSpec, problem, mode: filtering.InitMode, stack) -> dict:
+def _execute(spec: RunSpec, problem, mode: PerturbedInit, stack) -> dict:
     """The CSV row of one sweep cell; ``stack`` is the ``solve_cells`` run of its group."""
     try:
         traj = solve(problem, spec.prior, spec.h, spec.noise, mode, stack=stack)
@@ -190,30 +190,33 @@ def _execute(spec: RunSpec, problem, mode: filtering.InitMode, stack) -> dict:
     return row
 
 
-def _covariance_prefixes(specs: Sequence[RunSpec], mode: filtering.InitMode) -> list:
-    """Each cell's ``filtering.covariance_prefixes`` entry, from one stacked pass per q.
+def _covariance_tracks(specs: Sequence[RunSpec], mode: PerturbedInit) -> Iterator:
+    """Each cell's ``filtering.CovarianceTrack`` in turn, from one stacked prefix pass per q.
 
-    The covariance recursion never sees the data, so cells with one prior,
-    h, R and start covariance share a pass, whose bound is their longest
-    mesh (a shorter mesh takes a prefix of it).
+    Cells with one prior, h, R and start covariance share a pass (the
+    recursion never sees the data), filled over their longest mesh at its
+    first cell and let go after its last, so only the tracks in use are held.
     """
     horizons = {name: get_problem(name).T for name in {spec.problem for spec in specs}}
-    stacks = {}  # q -> {cell key: [transition, R, start covariance, bound]}
+    passes = {}  # cell key -> [transition, R, start covariance, then track, bound]
     keys = []
     for spec in specs:
         q, h = spec.prior.q, spec.h
         R, start = spec.noise.evaluate(h), filtering.initial_covariance(q, h, mode)
         key = (spec.prior, h, R, start.tobytes())
-        cells = stacks.setdefault(q, {})
-        if key not in cells:
-            cells[key] = [spec.prior.transition(h), R, start, 0]
-        cells[key][3] = max(cells[key][3], round(horizons[spec.problem] / h))
-        keys.append((q, key))
-    found = {}
-    for q, cells in stacks.items():
-        prefixes = filtering.covariance_prefixes(*zip(*cells.values()))
-        found.update(zip(((q, key) for key in cells), prefixes))
-    return [found[key] for key in keys]
+        if key not in passes:
+            passes[key] = [spec.prior.transition(h), R, start, 0]
+        passes[key][3] = max(passes[key][3], round(horizons[spec.problem] / h))
+        keys.append(key)
+    for q in sorted({prior.q for prior, *_ in passes}):
+        cells = [cell for (prior, *_), cell in passes.items() if prior.q == q]
+        for cell, prefix in zip(cells, filtering.covariance_prefixes(*zip(*cells))):
+            cell[2] = prefix
+    last = {key: c for c, key in enumerate(keys)}
+    for c, key in enumerate(keys):
+        cell = passes[key] if last[key] > c else passes.pop(key)
+        cell[2] = filtering.covariance_track(*cell)  # a prefix is filled at its first cell
+        yield cell[2]
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +259,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+#: The text of the common value types, found by one type lookup; any other type takes _fmt.
+_FORMAT = {float: "%.17g".__mod__, np.float64: "%.17g".__mod__, int: str, str: str}
+
+
 def _write_csv(path: Optional[str], header: Sequence[str], rows: Sequence[Sequence]) -> None:
     text = ",".join(header) + "\n"
     for row in rows:
-        text += ",".join(_fmt(v) for v in row) + "\n"
+        text += ",".join(_FORMAT.get(type(v), _fmt)(v) for v in row) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -334,7 +341,7 @@ def cmd_sweep(command: str, cfg: RunConfig) -> int:
         specs += [RunSpec(problem, prior, model, h) for h in grid]
     specs.sort(key=RunSpec.sort_key)
     mode = cfg.init_mode()
-    cells = list(zip(specs, _covariance_prefixes(specs, mode)))
+    cells = zip(specs, _covariance_tracks(specs, mode))
     rows = []
     # One stacked mean pass per (problem, q), whose cells solve hands out in
     # turn; the sort keeps each group's cells together, and its arrays are
@@ -343,7 +350,7 @@ def cmd_sweep(command: str, cfg: RunConfig) -> int:
         group = list(group)
         problem = get_problem(name)
         runs = [(spec.prior, spec.h, spec.noise, mode) for spec, _ in group]
-        stack = solve_cells(problem, runs, [prefix for _, prefix in group])
+        stack = solve_cells(problem, runs, [track for _, track in group])
         rows += [_execute(spec, problem, mode, stack) for spec, _ in group]
     _write_csv(cfg.out, columns, [[row[c] for c in columns] for row in rows])
     if cfg.svg:

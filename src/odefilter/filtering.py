@@ -18,9 +18,9 @@ Both covariance updates end in a plain symmetrization 0.5 (P + P^T): for
 q <= 5 and h >= 1e-4 this float64 recursion matches the exact one to
 about 1e-13 (gains relative, P_pred relative to sqrt(P_ii P_jj)).
 ``solve_cells``, the only code that advances a mean, solves a stack of
-cells that share a problem and q in two passes: ``covariance_track``
-fills each cell's covariances and gains (each distinct step stored once),
-then one mean loop steps all the cells side by side, with one stacked
+cells that share a problem and q in two passes: each cell's covariances
+and gains over its mesh (``covariance_track``, each distinct step stored
+once), then one mean loop steps all the cells side by side, with one stacked
 ``A m``, one call of ``f`` on the ``(cells, d)`` stack of predicted values
 (``f`` is pointwise on stacks) and one update per step, writing the means
 and data (per dimension) into step-major arrays.  ``solve`` is
@@ -38,20 +38,19 @@ k = i + 1 + (m - n - 1) mod (n - i) in all but P_00.  ``periodic_pass``
 runs the recursion of a stack of cells side by side, one kernel call per
 step for the whole stack (numpy's stacked matmul runs the same BLAS
 product per matrix, so each cell keeps its bytes), and tags each cell's
-first repeat.  ``covariance_prefixes`` runs each cell up to that repeat,
-its mesh or its first singular innovation, whichever comes first; a sweep
-runs all its cells' prefixes this way before its first mean, since the
-recursion never sees the data, and ``solve`` alone runs a stack of one.
-``covariance_track`` takes a cell's prefix, maps every later step to its
-step k, then recomputes the growing P_00 step by step with the kernel's
-own arithmetic (one full A P A^T of the previous posterior, then the
-scalar symmetrize and update), so every step equals the full recursion's
-bit for bit.  At the first non-finite P_00 (0 * inf is NaN) it hands the
-rest to a pass of its own.  A non-finite step whose whole P_post repeats
-the step before it is a fixed point of the recursion: ``periodic_pass``
-tags it, and the track copies it forward.  A singular innovation ends
-the prefix; ``solve`` raises it only if its mean loop reaches that step,
-as a step-by-step run would.
+first repeat.  ``CovarianceTrack`` holds a cell's steps, each distinct
+step once; ``covariance_prefixes`` returns each cell's *prefix*, a track
+whose rows are its own steps, up to that repeat, its mesh or its first
+singular innovation.  A sweep runs all its prefixes, and fills each
+shared pass once, before its first mean.  ``covariance_track`` cuts a
+track that is long enough and fills a shorter one bit for bit: each later
+step maps to its step k, and the growing P_00 is recomputed with the
+kernel's own arithmetic (a full A P A^T of the previous posterior, then
+the scalar symmetrize and update); a non-finite P_00 (0 * inf is NaN)
+hands the rest to a fresh pass.  A non-finite step whose whole P_post
+repeats the one before it is a fixed point that ``periodic_pass`` tags
+and the track copies forward.  A singular innovation ends the track;
+``solve`` raises it only if its mean loop reaches that step.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -69,10 +68,7 @@ from .problems import IVProblem
 
 __all__ = [
     "Belief",
-    "CovariancePrefix",
     "CovarianceTrack",
-    "ExactInit",
-    "InitMode",
     "NonIntegerMesh",
     "PerturbedInit",
     "SingularInnovation",
@@ -97,16 +93,13 @@ class SingularInnovation(ZeroDivisionError):
 
 
 @dataclasses.dataclass(frozen=True)
-class ExactInit:
-    """Dirac initialization at the true value and its total derivatives."""
-
-
-@dataclasses.dataclass(frozen=True)
 class PerturbedInit:
-    """Seeded random initialization within the order-matched envelope.
+    """The start: the true value and its total derivatives, widened by k0 >= 0.
 
-    Mean offsets are drawn uniformly from [-k0 h^(q+1-i), k0 h^(q+1-i)]
-    per derivative i, and the initial covariance is k0 h^(2q+1-k-l).
+    With k0 > 0, each derivative i gets a seeded offset drawn uniformly
+    from [-k0 h^(q+1-i), k0 h^(q+1-i)], and the start covariance is
+    k0 h^(2q+1-k-l).  k0 = 0 is the exact start, a Dirac: nothing is drawn
+    or added (a -0.0 entry stays -0.0), and the covariance is all +0.0.
     """
 
     k0: float
@@ -115,9 +108,6 @@ class PerturbedInit:
     def __post_init__(self):
         if not self.k0 >= 0.0:
             raise ValueError("k0 must be non-negative")
-
-
-InitMode = Union[ExactInit, PerturbedInit]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,29 +177,29 @@ class Trajectory:
 
 
 def initialize(
-    problem: IVProblem, prior: PriorSpec, h: float, mode: InitMode = ExactInit()
+    problem: IVProblem, prior: PriorSpec, h: float, mode: PerturbedInit = PerturbedInit(0.0)
 ) -> Belief:
     """Belief at t = 0 from the problem's total derivatives at x0.
 
-    Exact mode pins a Dirac at (x0, f(x0), ..., g_q(x0)); perturbed mode
-    adds seeded offsets and a covariance whose entries carry the
-    order-matched powers of h (``initial_covariance``).  Raises
+    The exact start (k0 = 0) pins a Dirac at (x0, f(x0), ..., g_q(x0)); a
+    perturbed one adds seeded offsets and a covariance whose entries carry
+    the order-matched powers of h (``initial_covariance``).  Raises
     MissingDerivative if the problem does not supply derivatives up to
     order q.
     """
     q, d = prior.q, problem.d
     x0 = np.asarray(problem.x0, dtype=float)
     m = np.stack([np.asarray(problem.derivative(i)(x0), dtype=float) for i in range(q + 1)])
-    if isinstance(mode, PerturbedInit):
+    if mode.k0 > 0.0:
         rng = np.random.default_rng(mode.seed)
         bounds = mode.k0 * h ** (q + 1 - np.arange(q + 1, dtype=float))
         m = m + rng.uniform(-1.0, 1.0, size=(q + 1, d)) * bounds[:, None]
     return Belief(t=0.0, m=m, P=initial_covariance(q, h, mode))
 
 
-def initial_covariance(q: int, h: float, mode: InitMode = ExactInit()) -> np.ndarray:
+def initial_covariance(q: int, h: float, mode: PerturbedInit = PerturbedInit(0.0)) -> np.ndarray:
     """The start covariance of ``initialize``, which depends on q, h and the mode alone."""
-    if isinstance(mode, PerturbedInit):
+    if mode.k0 > 0.0:
         scale = h ** (q - np.arange(q + 1, dtype=float))
         return mode.k0 * h * np.outer(scale, scale)
     return np.zeros((q + 1, q + 1))
@@ -231,7 +221,7 @@ def solve(
     prior: PriorSpec,
     h: float,
     noise: PowerLawNoise,
-    mode: InitMode = ExactInit(),
+    mode: PerturbedInit = PerturbedInit(0.0),
     stack: Optional[Iterator[Trajectory]] = None,
 ) -> Trajectory:
     """Run the filter over the uniform mesh {h, 2h, ..., T}: ``solve_cells`` on a stack of one.
@@ -252,17 +242,16 @@ def solve(
 
 
 def solve_cells(
-    problem: IVProblem, cells: Sequence[tuple], prefixes: Optional[Sequence] = None
+    problem: IVProblem, cells: Sequence[tuple], tracks: Optional[Sequence] = None
 ) -> Iterator[Trajectory]:
     """``solve`` of each (prior, h, noise, mode) cell, all of one q, with one mean loop for all.
 
     Yields the cells' trajectories in order, each equal bit for bit to the
-    cell's own run.  ``prefixes[c]`` is cell c's ``covariance_prefixes``
-    entry, run from the prior's transition at h, R and
-    ``initial_covariance`` with a bound of at least the mesh's step count,
-    so that a sweep runs all its cells' covariance passes side by side;
-    without them the cells share one stacked pass.  Each cell's
-    ``covariance_track`` is filled before the first call to ``f``.
+    cell's own run.  ``tracks[c]`` is a ``CovarianceTrack`` of cell c's
+    recursion from the prior's transition at h, R and ``initial_covariance``
+    (a sweep fills each shared pass once); without them the cells share one
+    stacked pass.  Each track is cut or filled to its cell's mesh
+    (``covariance_track``) before the first call to ``f``.
 
     The mean loop then steps the cells side by side, longest track first,
     so the cells still running at step n are a leading slice of the stack:
@@ -276,10 +265,10 @@ def solve_cells(
     runs = [_setup(problem, *cell) for cell in cells]
     if len({initial.m.shape for _, _, initial, _ in runs}) > 1:
         raise ValueError("the cells of one stack must share q")
-    if prefixes is None:
-        prefixes = covariance_prefixes(*zip(*((tm, R, init.P, n) for tm, R, init, n in runs)))
+    if tracks is None:
+        tracks = covariance_prefixes(*zip(*((tm, R, init.P, n) for tm, R, init, n in runs)))
+    tracks = [covariance_track(tm, R, track, n) for (tm, R, _, n), track in zip(runs, tracks)]
     with np.errstate(over="ignore", invalid="ignore"):
-        tracks = [covariance_track(tm, R, p, n) for (tm, R, _, n), p in zip(runs, prefixes)]
         order = sorted(range(len(runs)), key=lambda c: -len(tracks[c].rows))
         lengths = np.array([len(tracks[c].rows) for c in order], dtype=np.intp)
         # Step n holds the cells whose track is longer than n, in rows
@@ -307,8 +296,8 @@ def solve_cells(
 def _gather(h, run, track, starts, j, n, y, m_post) -> Trajectory:
     """The trajectory of the cell in slot j of a stacked mean pass, n steps completed."""
     tm, _, initial, n_steps = run
-    if track.singular is not None and n == len(track.rows):
-        raise track.singular
+    if track.singular and n == len(track.rows):
+        raise SingularInnovation("singular innovation: P_pred[1, 1] + R = 0")
     rows = starts[:n] + j
     means = np.concatenate((initial.m[None], m_post[rows]))
     # m_pred again from the same stacked product the loop ran.
@@ -318,7 +307,7 @@ def _gather(h, run, track, starts, j, n, y, m_post) -> Trajectory:
     return Trajectory(h, initial, *arrays, diverged=n < n_steps)
 
 
-def _setup(problem: IVProblem, prior: PriorSpec, h: float, noise: PowerLawNoise, mode: InitMode):
+def _setup(problem: IVProblem, prior: PriorSpec, h: float, noise: PowerLawNoise, mode):
     """A cell's (transition, R, initial belief, step count), its settings checked."""
     if prior.q < 1:
         raise ValueError(_Q_AT_LEAST_1)
@@ -377,20 +366,31 @@ def _mean_loop(f, A, m, starts, lengths, y, gains, m_post) -> list:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class CovariancePrefix:
-    """The steps of one cell's covariance pass up to where the rest can be filled.
+class CovarianceTrack:
+    """One cell's covariances and gains over its first steps, each distinct step stored once.
 
-    P_pred, P_post and beta stack the steps run, read-only.  ``first`` is
+    Step n is row ``rows[n]`` of P_pred, P_post and beta, but for its two
+    P_00 entries, which are ``P00[n]`` (predicted, updated).  ``first`` is
     the earlier step whose closed block the last step repeats (in full, at
     a non-finite fixed point), or None; ``singular`` says that the step
-    after the last one has a singular innovation.
+    after the last one has a singular innovation.  A prefix
+    (``covariance_prefixes``, read-only) is a track whose rows are its steps.
     """
 
     P_pred: np.ndarray
     P_post: np.ndarray
     beta: np.ndarray
+    rows: np.ndarray
+    P00: np.ndarray
     first: Optional[int]
     singular: bool
+
+    def steps(self, n: int) -> tuple:
+        """(P_pred, P_post, beta) of the first n steps, one row per step."""
+        rows = self.rows[:n]
+        P_pred, P_post = self.P_pred[rows], self.P_post[rows]
+        P_pred[:, 0, 0], P_post[:, 0, 0] = self.P00[:n].T
+        return P_pred, P_post, self.beta[rows]
 
 
 def covariance_prefixes(
@@ -398,11 +398,11 @@ def covariance_prefixes(
 ) -> list:
     """Each cell's covariance pass up to where its track can be filled, from one stacked pass.
 
-    Cell c runs the recursion from ``Ps[c]`` bit for bit up
-    to its first repeated closed block, its ``bounds[c]``-th step or its
-    first singular innovation, whichever comes first; ``covariance_track``
-    fills any longer mesh from that prefix.  All cells share one
-    ``periodic_pass``, so a step of it costs one kernel call for the
+    Cell c runs the recursion from ``Ps[c]`` bit for bit up to its first
+    repeated closed block, its ``bounds[c]``-th step or its first singular
+    innovation, whichever comes first, and is returned as a prefix;
+    ``covariance_track`` fills any longer mesh from it.  All cells share
+    one ``periodic_pass``, so a step of it costs one kernel call for the
     whole stack.
     """
     n = len(Ps[0])
@@ -414,14 +414,14 @@ def covariance_prefixes(
     order = np.argsort(cells, kind="stable")
     ends = np.cumsum(np.bincount(cells, minlength=len(Ps)))[:-1]
     prefixes = []
-    for bound, P_pred, P_post, beta, first in zip(
-        bounds, *(np.split(a[order], ends) for a in columns)
-    ):
+    columns = [np.split(a[order], ends) for a in columns]
+    for bound, P_pred, P_post, beta, first in zip(bounds, *columns):
         for a in (P_pred, P_post, beta):
             a.setflags(write=False)
         repeat = int(first[-1]) if len(first) and first[-1] >= 0 else None
         singular = repeat is None and len(beta) < bound
-        prefixes.append(CovariancePrefix(P_pred, P_post, beta, repeat, singular))
+        rows, P00 = np.arange(len(beta)), np.stack((P_pred[:, 0, 0], P_post[:, 0, 0]), axis=1)
+        prefixes.append(CovarianceTrack(P_pred, P_post, beta, rows, P00, repeat, singular))
     return prefixes
 
 
@@ -442,89 +442,65 @@ def _joined(steps: Iterator[tuple], n: int) -> list:
     return [np.concatenate(column) for column in zip(*joined, *pending)]
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class CovarianceTrack:
-    """One cell's covariances and gains over its mesh, each distinct step stored once.
-
-    Step n is row ``rows[n]`` of P_pred, P_post and beta, but for its two
-    P_00 entries, which are ``P00[n]`` (predicted, updated).  The track
-    ends before a singular innovation; ``singular`` is the
-    ``SingularInnovation`` raised there, or None.
-    """
-
-    P_pred: np.ndarray
-    P_post: np.ndarray
-    beta: np.ndarray
-    rows: np.ndarray
-    P00: np.ndarray
-    singular: Optional[SingularInnovation]
-
-    def steps(self, n: int) -> tuple:
-        """(P_pred, P_post, beta) of the first n steps, one row per step."""
-        rows = self.rows[:n]
-        P_pred, P_post = self.P_pred[rows], self.P_post[rows]
-        P_pred[:, 0, 0], P_post[:, 0, 0] = self.P00[:n].T
-        return P_pred, P_post, self.beta[rows]
-
-
 def covariance_track(
-    tm: TransitionModel, R: float, prefix: CovariancePrefix, n_steps: int
+    tm: TransitionModel, R: float, track: CovarianceTrack, n_steps: int
 ) -> CovarianceTrack:
-    """The first n_steps steps of the recursion from the prefix's start, bit for bit.
+    """The first n_steps steps of the recursion that ``track`` begins, bit for bit.
 
-    Takes the steps the prefix ran, then fills the rest from the period
-    (see the module docstring).  A non-finite P_00, or a prefix cut short
-    by its bound, hands the rest to a pass of its own from the last step
-    filled.
+    A track at least that long is cut, and shares its arrays.  A shorter
+    one is filled: after a prefix that ends at a repeat, the later steps
+    repeat its period (see the module docstring); a non-finite P_00, or a
+    track cut short by its bound, hands the rest to a fresh pass from the
+    last step filled, until the mesh or a singular innovation ends it.
     """
-    run = min(len(prefix.beta), n_steps)
-    P_pred, P_post, beta = (a[:run] for a in (prefix.P_pred, prefix.P_post, prefix.beta))
-    rows = np.arange(n_steps)
-    P00 = np.empty((n_steps, 2))
-    P00[:run] = np.stack((P_pred[:, 0, 0], P_post[:, 0, 0]), axis=1)
-    filled, singular = run, None
-    if run < n_steps and prefix.singular:
-        singular = SingularInnovation("singular innovation: P_pred[1, 1] + R = 0")
-    elif run < n_steps and prefix.first is not None:
-        i, n = prefix.first, run - 1
-        rows[run:] = i + 1 + np.arange(n_steps - run) % (n - i)
-        if P_post[n].tobytes() == P_post[i].tobytes():
-            # The whole step repeats, P_00 too (a NaN pass ends at such a
-            # fixed point), so the period fills P_00 as well.
-            P00[run:] = P00[rows[run:]]
-            filled = n_steps
-        else:
-            # The period rows of P_post are rewritten with each step's P_00.
-            P_post = P_post.copy()
-            filled = _fill_period(tm, R, P_pred, P_post, rows, P00, n)
-    if filled < n_steps and singular is None:
-        (rest,) = covariance_prefixes([tm], [R], [P_post[rows[filled - 1]]], [n_steps - filled])
-        tail = covariance_track(tm, R, rest, n_steps - filled)
-        end, base = filled + len(tail.rows), len(beta)
-        P_pred, P_post, beta = (
-            np.concatenate((a, b))
-            for a, b in zip((P_pred, P_post, beta), (tail.P_pred, tail.P_post, tail.beta))
-        )
-        rows[filled:end] = tail.rows + base
-        P00[filled:end] = tail.P00
-        filled, singular = end, tail.singular
-    return CovarianceTrack(P_pred, P_post, beta, rows[:filled], P00[:filled], singular)
+    if len(track.rows) >= n_steps:
+        cut = (track.rows[:n_steps], track.P00[:n_steps], None, False)
+        return CovarianceTrack(track.P_pred, track.P_post, track.beta, *cut)
+    rows, P00 = np.empty(n_steps, np.intp), np.empty((n_steps, 2))
+    columns, filled, base = [], 0, 0  # base: the rows of the pieces before this one
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            P_pred, P_post, beta = track.P_pred, track.P_post, track.beta
+            end = filled + len(track.rows)
+            rows[filled:end], P00[filled:end] = track.rows + base, track.P00
+            if end < n_steps and track.first is not None:
+                i, n = track.first, len(track.rows) - 1
+                period = i + 1 + np.arange(n_steps - end) % (n - i)
+                rows[end:] = period + base
+                if P_post[n].tobytes() == P_post[i].tobytes():
+                    # The whole step repeats, P_00 too (a NaN pass ends at such
+                    # a fixed point), so the period fills P_00 as well.
+                    P00[end:] = P00[filled + period]
+                    end = n_steps
+                else:
+                    # The period rows of P_post are rewritten with each step's P_00.
+                    P_post = P_post.copy()
+                    end += _fill_period(tm, R, P_pred, P_post, period, P00[end:], n)
+            columns.append((P_pred, P_post, beta))
+            filled = end
+            if filled == n_steps or track.singular:
+                break
+            start = P_post[rows[filled - 1] - base].copy()
+            start[0, 0] = P00[filled - 1, 1]
+            (track,) = covariance_prefixes([tm], [R], [start], [n_steps - filled])
+            base += len(beta)
+    if len(columns) > 1:
+        P_pred, P_post, beta = (np.concatenate(column) for column in zip(*columns))
+    return CovarianceTrack(P_pred, P_post, beta, rows[:filled], P00[:filled], None, track.singular)
 
 
-def _fill_period(tm, R, P_pred, P_post, rows, P00, n: int) -> int:
-    """Recompute P_00 of the steps after step n, whose other entries repeat rows[m].
+def _fill_period(tm, R, P_pred, P_post, period, P00, n: int) -> int:
+    """Recompute P_00 of the steps after step n, whose other entries repeat rows ``period``.
 
-    Step m's posterior P_00 is written into its row of P_post, from which
-    step m + 1 is computed with the kernel's own arithmetic.  Returns the
-    number of steps filled: all of them, or up to the first step whose
-    previous P_00 is not finite.
+    Writes each step's (predicted, updated) P_00 into its row of ``P00``,
+    and the updated one into its row of P_post for the next step.  Returns
+    the steps filled: all, or up to the first whose previous P_00 is not finite.
     """
-    k = rows[n + 1 :]
     # drop is what the update subtracts from P_pred_00; it repeats with the period.
-    drops = (P_pred[:, 0, 1] * P_pred[:, 0, 1] / (P_pred[:, 1, 1] + R))[k].tolist()
+    drops = (P_pred[:, 0, 1] * P_pred[:, 0, 1] / (P_pred[:, 1, 1] + R))[period].tolist()
     A, AT, Q00 = tm.A, tm.A.T, tm.Q[0, 0].item()
     P = P_post[n]
-    for m, (row, drop) in enumerate(zip(k.tolist(), drops), start=n + 1):
+    for m, (row, drop) in enumerate(zip(period.tolist(), drops)):
         if not math.isfinite(P[0, 0]):
             return m
         # The full product of predict_covariance (the same BLAS gemm calls):
@@ -536,7 +512,7 @@ def _fill_period(tm, R, P_pred, P_post, rows, P00, n: int) -> int:
         P00[m, 1] = v = 0.5 * (v + v)
         P = P_post[row]
         P[0, 0] = v
-    return len(rows)
+    return len(period)
 
 
 def periodic_pass(

@@ -130,7 +130,7 @@ def orbit_limit(
     R: float,
     tol: float = 1e-13,
     max_steps: int = 200_000,
-    prefix: Optional[filtering.CovariancePrefix] = None,
+    prefix: Optional[filtering.CovarianceTrack] = None,
 ) -> SteadyState:
     """Iterate the covariance pass from zero until the six tracked quantities settle below tol.
 
@@ -176,7 +176,7 @@ def orbit_limit(
     raise OrbitUnsettled(max_steps)
 
 
-def _read_prefix(prefix: filtering.CovariancePrefix, tol: float, max_steps: int) -> Optional[list]:
+def _read_prefix(prefix: filtering.CovarianceTrack, tol: float, max_steps: int) -> Optional[list]:
     """What orbit_limit's loop finds on the orbit whose first steps ``prefix`` holds.
 
     Returns the settled quantities, or None if the orbit runs past the

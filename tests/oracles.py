@@ -37,9 +37,8 @@ from odefilter import filtering
 from odefilter.diagnostics import CredibleWidth, ErrorSeries, MissingExact
 from odefilter.filtering import (
     Belief,
-    ExactInit,
-    InitMode,
     NonIntegerMesh,
+    PerturbedInit,
     Trajectory,
     _row_norms,
     initialize,
@@ -145,7 +144,7 @@ def full_pass_solve(
     prior: PriorSpec,
     h: float,
     noise: PowerLawNoise,
-    mode: InitMode = ExactInit(),
+    mode: PerturbedInit = PerturbedInit(0.0),
 ) -> Trajectory:
     """``solve`` as a step-by-step run: the full kernel at every step, in lockstep with the mean.
 

@@ -142,6 +142,44 @@ def test_three_calls_build_the_parser_once():
     assert _build_parser.cache_info().misses == 1
 
 
+#: (value, the text the isinstance chain of ``cli._fmt`` gives it).
+CSV_TEXT = [
+    (True, "true"),
+    (False, "false"),
+    (0, "0"),
+    (-7, "-7"),
+    (np.int64(12), "12"),
+    (0.1, "0.10000000000000001"),
+    (np.float64(1 / 3), "0.33333333333333331"),
+    (np.float32(0.1), "0.10000000149011612"),
+    ("riccati", "riccati"),
+    ("", ""),
+    (math.nan, "nan"),
+    (np.float64(math.nan), "nan"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+    (-0.0, "-0"),
+    (np.float64(-0.0), "-0"),
+    (5e-324, "4.9406564584124654e-324"),
+    (1e300, "1.0000000000000001e+300"),
+]
+
+
+@pytest.mark.parametrize("value, text", CSV_TEXT, ids=[repr(v) for v, _ in CSV_TEXT])
+def test_csv_writer_formats_each_type_as_fmt_does(value, text, tmp_path):
+    out = tmp_path / "values.csv"
+    cli._write_csv(str(out), ["a", "b"], [[value, value]])
+    assert out.read_bytes() == f"a,b\n{text},{text}\n".encode()
+    assert cli._fmt(value) == text
+
+
+def test_exact_start_and_a_zero_width_perturbed_start_write_the_same_csv(tmp_path):
+    paths = [tmp_path / "exact.csv", tmp_path / "perturbed.csv"]
+    for path, init in zip(paths, ("exact", "perturbed:0")):
+        assert main(["wpd", "--preset", "fig2", "--init", init, "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 class TestWpdCommand:
     def test_sweep_and_determinism(self, tmp_path):
         args = [

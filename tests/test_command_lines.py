@@ -91,3 +91,22 @@ def test_readme_examples_parse():
     assert [argv[0] for argv in argvs] == ["solve", "wpd", "steady", "misalign"]
     for argv in argvs:
         check_parses(argv)
+
+
+def test_output_matrix_argvs_parse(monkeypatch, tmp_path, capsys):
+    argvs = recorded_argvs("output_matrix.py", monkeypatch, tmp_path)
+    # 5 presets x 3 starts, 4 README examples, 3 error runs, 28 steady runs.
+    assert len(argvs) == 15 + 4 + 3 + 28
+    for argv in argvs:
+        check_parses(argv)
+
+
+def test_output_matrix_runs_the_readme_examples():
+    module = load(ROOT / "scripts" / "output_matrix.py", "script_output_matrix")
+    readme = []
+    for argv in readme_argvs():
+        # The matrix picks its own --out and --svg paths.
+        drop = {i + k for i, arg in enumerate(argv) if arg in ("--out", "--svg") for k in (0, 1)}
+        readme.append([arg for i, arg in enumerate(argv) if i not in drop])
+    runs = module.runs()
+    assert [runs[name][0] for name in module.README] == readme

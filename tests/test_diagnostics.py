@@ -7,7 +7,7 @@ import pytest
 
 from odefilter import cli
 from odefilter.diagnostics import MissingExact, credible_width, global_error, misalignment
-from odefilter.filtering import ExactInit, PerturbedInit, solve, solve_cells
+from odefilter.filtering import PerturbedInit, solve, solve_cells
 from odefilter.noise import PowerLawNoise, parse_noise
 from odefilter.priors import PriorSpec
 from odefilter.problems import IVProblem, get_problem, logistic, riccati
@@ -196,7 +196,7 @@ class TestMatchesPerPointLoops:
 
     @pytest.mark.parametrize("h", [0.1, 0.05])
     @pytest.mark.parametrize(
-        "init", [ExactInit(), PerturbedInit(k0=1.0)], ids=["exact", "perturbed"]
+        "init", [PerturbedInit(0.0), PerturbedInit(k0=1.0)], ids=["exact", "perturbed"]
     )
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", ["logistic", "linear", "riccati"])

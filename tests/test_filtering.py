@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from odefilter import cli, filtering
 from odefilter.filtering import (
     Belief,
-    ExactInit,
     NonIntegerMesh,
     PerturbedInit,
     SingularInnovation,
@@ -72,7 +71,7 @@ class TestInitialize:
 
     def test_perturbed_with_zero_k0_is_exact(self):
         prior = PriorSpec(2, sigma=1.0)
-        exact = initialize(logistic(), prior, 0.1, ExactInit())
+        exact = initialize(logistic(), prior, 0.1, PerturbedInit(0.0))
         perturbed = initialize(logistic(), prior, 0.1, PerturbedInit(k0=0.0, seed=3))
         np.testing.assert_array_equal(exact.m, perturbed.m)
         np.testing.assert_array_equal(exact.P, perturbed.P)
@@ -81,7 +80,7 @@ class TestInitialize:
     def test_perturbed_envelope(self, seed):
         q, h, k0 = 2, 0.2, 0.7
         prior = PriorSpec(q, sigma=1.0)
-        exact = initialize(logistic(), prior, h, ExactInit())
+        exact = initialize(logistic(), prior, h, PerturbedInit(0.0))
         belief = initialize(logistic(), prior, h, PerturbedInit(k0=k0, seed=seed))
         for i in range(q + 1):
             bound = k0 * h ** (q + 1 - i)
@@ -91,6 +90,33 @@ class TestInitialize:
                 expected = k0 * h ** (2 * q + 1 - k - ell)
                 assert belief.P[k, ell] == pytest.approx(expected, rel=1e-12)
         validate_belief(belief)
+
+    def test_exact_start_is_a_zero_width_perturbed_start(self):
+        # Maps that keep the sign of a zero (the packaged Horner maps turn
+        # -0.0 into +0.0), so every start derivative is -0.0.
+        problem = dataclasses.replace(
+            logistic(),
+            x0=np.array([-0.0]),
+            derivatives=(
+                lambda x: np.asarray(x, dtype=float),
+                lambda x: 3.0 * x * (1.0 - x),
+                lambda x: (3.0 - 6.0 * x) * 3.0 * x * (1.0 - x),
+            ),
+        )
+        expected = np.stack([g(problem.x0) for g in problem.derivatives])
+        assert np.signbit(expected).all()
+        for seed in (0, 1, 7):
+            belief = initialize(problem, PriorSpec(2), 0.1, PerturbedInit(0.0, seed=seed))
+            assert belief.m.tobytes() == expected.tobytes()
+            assert belief.P.tobytes() == np.zeros((3, 3)).tobytes()  # a Dirac, all +0.0
+
+    @pytest.mark.parametrize("name, q", [("logistic", 2), ("linear", 3)])
+    def test_zero_width_start_does_not_depend_on_the_seed(self, name, q):
+        args = (get_problem(name), PriorSpec(q), 0.05, parse_noise("zero"))
+        first, *rest = (solve(*args, PerturbedInit(0.0, seed=seed)) for seed in (0, 1, 7))
+        for traj in rest:
+            assert traj.initial.m.tobytes() == first.initial.m.tobytes()
+            assert_same_bytes(traj, first)
 
     def test_missing_derivative(self):
         stub = IVProblem(
@@ -458,7 +484,7 @@ class TestGainSchedule:
             prior = PriorSpec(q, kind, theta=theta, sigma=self.SIGMA[name])
             for noise_spec in ("zero", f"power:{q}:1", "const:0.25", "power:1:5000"):
                 noise = parse_noise(noise_spec)
-                for mode in (ExactInit(), PerturbedInit(1.0, seed=3)):
+                for mode in (PerturbedInit(0.0), PerturbedInit(1.0, seed=3)):
                     traj = solve(problem, prior, h, noise, mode)
                     assert_same_bytes(traj, full_pass_solve(problem, prior, h, noise, mode))
 
@@ -612,7 +638,7 @@ class TestStackedPass:
             kind, theta = [("ibm", 0.0), ("ioup", 1.0)][rng.integers(0, 2)]
             prior = PriorSpec(q, kind, theta=theta, sigma=float(rng.choice([1.0, 50.0])))
             R = float(rng.choice([0.0, h**q, 5000.0 * h]))
-            mode = [ExactInit(), PerturbedInit(1.0, seed=seed)][rng.integers(0, 2)]
+            mode = [PerturbedInit(0.0), PerturbedInit(1.0, seed=seed)][rng.integers(0, 2)]
             bound = int(rng.integers(1, 1000))
             cells.append((prior.transition(h), R, initial_covariance(q, h, mode), bound))
         cells.append(crafted_singular_cell(q))
@@ -656,22 +682,22 @@ def preset_specs(preset, grid):
 
 
 class TestSolveWithPrefix:
-    """solve_cells given its cells' prefixes from a sweep's stacked pass equals solve alone."""
+    """solve_cells given its cells' tracks from a sweep's shared passes equals solve alone."""
 
     @pytest.mark.parametrize(
         "preset, grid, mode, diverged",
         [
             # fig1's two smallest step sizes hold three quarters of its steps.
-            ("fig1", (0.1, 2.0, 6), ExactInit(), False),
+            ("fig1", (0.1, 2.0, 6), PerturbedInit(0.0), False),
             ("fig1", (0.1, 2.0, 8), PerturbedInit(1e300), True),
-            ("fig2", (0.1, 2.0, 8), ExactInit(), False),
+            ("fig2", (0.1, 2.0, 8), PerturbedInit(0.0), False),
             ("fig2", (0.1, 2.0, 8), PerturbedInit(1.0, seed=3), False),
             ("fig2", (0.1, 2.0, 8), PerturbedInit(1e300), True),
         ],
     )
     def test_every_preset_cell(self, preset, grid, mode, diverged):
-        for problem, cells, prefixes in preset_groups(preset, grid, mode):
-            for cell, traj in zip(cells, filtering.solve_cells(problem, cells, prefixes)):
+        for problem, cells, tracks in preset_groups(preset, grid, mode):
+            for cell, traj in zip(cells, filtering.solve_cells(problem, cells, tracks)):
                 assert_same_bytes(traj, solve(problem, *cell))
                 assert traj.diverged == diverged
 
@@ -687,7 +713,7 @@ class TestSolveWithPrefix:
         cell = (PriorSpec(1, sigma=1e-170), 0.1, parse_noise("zero"))
         (prefix,) = covariance_prefixes([tm], [R], [P0], [15])
         assert prefix.singular and len(prefix.beta) == 1
-        trajs = filtering.solve_cells(problem, [cell + (ExactInit(),)], [prefix])
+        trajs = filtering.solve_cells(problem, [cell + (PerturbedInit(0.0),)], [prefix])
         if raises:
             with pytest.raises(SingularInnovation):
                 next(trajs)
@@ -700,15 +726,71 @@ class TestSolveWithPrefix:
 
 
 def preset_groups(preset, grid, mode):
-    """The CLI's stacks for a preset: (problem, cells, prefixes) per (problem, q), in CSV order."""
+    """The CLI's stacks for a preset: (problem, cells, tracks) per (problem, q), in CSV order."""
     specs = sorted(preset_specs(preset, grid), key=cli.RunSpec.sort_key)
-    prefixes = cli._covariance_prefixes(specs, mode)
+    tracks = cli._covariance_tracks(specs, mode)
     groups = {}
-    for spec, prefix in zip(specs, prefixes):
+    for spec, track in zip(specs, tracks):
         cells, kept = groups.setdefault((spec.problem, spec.prior.q), ([], []))
         cells.append((spec.prior, spec.h, spec.noise, mode))
-        kept.append(prefix)
+        kept.append(track)
     return [(get_problem(name), *stack) for (name, _), stack in groups.items()]
+
+
+class TestSharedTracks:
+    """A sweep fills each shared covariance pass once; each cell takes a cut of it."""
+
+    def test_fig2_fills_each_shared_pass_once(self, monkeypatch, tmp_path):
+        # Each logistic cell shares its pass with the linear cell of its h and
+        # noise, whose mesh is longer; filling each cell's own track took 19.
+        calls = []
+        original = filtering._fill_period
+        monkeypatch.setattr(filtering, "_fill_period", lambda *a: calls.append(1) or original(*a))
+        assert cli.main(["wpd", "--preset", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
+        assert 0 < len(calls) <= 11
+
+    def test_each_logistic_cell_equals_the_track_of_its_own_prefix(self):
+        mode = PerturbedInit(0.0)
+        specs = sorted(preset_specs("fig2", (0.1, 2.0, 8)), key=cli.RunSpec.sort_key)
+        longer = 0
+        for spec, track in zip(specs, cli._covariance_tracks(specs, mode)):
+            if spec.problem != "logistic":
+                continue
+            n = round(1.5 / spec.h)
+            tm, R = spec.prior.transition(spec.h), spec.noise.evaluate(spec.h)
+            (prefix,) = covariance_prefixes([tm], [R], [initial_covariance(1, spec.h, mode)], [n])
+            own = filtering.covariance_track(tm, R, prefix, n).steps(n)
+            longer += len(track.rows) == round(10.0 / spec.h)
+            for got in (track.steps(n), filtering.covariance_track(tm, R, track, n).steps(n)):
+                for a, b in zip(got, own):
+                    assert a.tobytes() == b.tobytes()
+        assert longer == 16  # every logistic cell's track is its linear twin's
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_a_track_cut_or_cut_short_fills_on_to_the_same_steps(self, q):
+        # Prefixes cut short by their bound, and cuts of a filled track, hand
+        # the rest to fresh passes; every way must give the full pass's steps.
+        h, n = 0.0125, 800
+        for prior, R in ((PriorSpec(q), 0.0), (PriorSpec(q, "ioup", theta=1.0), h**q)):
+            tm, start = prior.transition(h), initial_covariance(q, h, PerturbedInit(1.0))
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = list(itertools.islice(covariance_pass(tm, R, start), n))
+            (prefix,) = covariance_prefixes([tm], [R], [start], [n])
+            full = filtering.covariance_track(tm, R, prefix, n)
+            for bound in (1, 2, 7, 300):
+                (prefix,) = covariance_prefixes([tm], [R], [start], [bound])
+                for track in (prefix, filtering.covariance_track(tm, R, full, bound)):
+                    filled = filtering.covariance_track(tm, R, track, n)
+                    assert len(filled.rows) == n and not filled.singular
+                    for got, column in zip(filled.steps(n), zip(*expected)):
+                        assert got.tobytes() == np.array(column).tobytes()
+
+    def test_a_cut_that_ends_before_a_singular_step_does_not_raise(self):
+        tm, R, P0, _ = crafted_singular_cell(1)
+        (prefix,) = covariance_prefixes([tm], [R], [P0], [15])
+        assert prefix.singular and len(prefix.rows) == 1
+        assert not filtering.covariance_track(tm, R, prefix, 1).singular
+        assert filtering.covariance_track(tm, R, prefix, 5).singular
 
 
 def blowup_lite():
@@ -732,12 +814,12 @@ class TestStackedMeanPass:
     """solve_cells steps a stack of cells side by side; each must equal its own full pass."""
 
     @pytest.mark.parametrize(
-        "mode", [ExactInit(), PerturbedInit(1.0, seed=3)], ids=["exact", "perturbed"]
+        "mode", [PerturbedInit(0.0), PerturbedInit(1.0, seed=3)], ids=["exact", "perturbed"]
     )
     @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3", "figC"])
     def test_every_preset_cell_equals_the_full_pass(self, preset, mode):
-        for problem, cells, prefixes in preset_groups(preset, (0.1, 2.0, 4), mode):
-            trajs = list(filtering.solve_cells(problem, cells, prefixes))
+        for problem, cells, tracks in preset_groups(preset, (0.1, 2.0, 4), mode):
+            trajs = list(filtering.solve_cells(problem, cells, tracks))
             assert len(trajs) == len(cells)
             for traj, (prior, h, noise, cell_mode) in zip(trajs, cells):
                 assert_same_bytes(traj, full_pass_solve(problem, prior, h, noise, cell_mode))
@@ -754,7 +836,7 @@ class TestStackedMeanPass:
             for sigma in (1.0, 50.0):
                 h = 0.1 * 2.0 ** -int(rng.integers(0, 4))
                 noise = parse_noise(["zero", f"power:{q}:1", "const:0.25"][rng.integers(0, 3)])
-                for mode in (ExactInit(), PerturbedInit(1.0, seed=q), PerturbedInit(1e300)):
+                for mode in (PerturbedInit(0.0), PerturbedInit(1.0, seed=q), PerturbedInit(1e300)):
                     cells.append((PriorSpec(q, kind, theta=theta, sigma=sigma), h, noise, mode))
         cells = [cells[i] for i in rng.permutation(len(cells))]
         trajs = list(filtering.solve_cells(problem, cells))
@@ -769,13 +851,13 @@ class TestStackedMeanPass:
             (PriorSpec(1), h, noise, mode)
             for h in (0.1, 0.05, 0.0125)
             for noise in (parse_noise("zero"), parse_noise("const:0.5"))
-            for mode in (ExactInit(), *(PerturbedInit(k0) for k0 in (1e10, 1e60, 1e300)))
+            for mode in (PerturbedInit(0.0), *(PerturbedInit(k0) for k0 in (1e10, 1e60, 1e300)))
         ]
         trajs = list(filtering.solve_cells(problem, cells))
         overflowed = set()
         for traj, (prior, h, noise, mode) in zip(trajs, cells):
             assert_same_bytes(traj, full_pass_solve(problem, prior, h, noise, mode))
-            assert traj.diverged == isinstance(mode, PerturbedInit)
+            assert traj.diverged == (mode.k0 > 0)
             assert np.isfinite(traj.y).all()
             if traj.diverged and mode.k0 < 1e300:
                 overflowed.add(len(traj.y))
@@ -794,8 +876,9 @@ class TestStackedMeanPass:
         monkeypatch.setattr(filtering, "initialize", crafted)
         monkeypatch.setattr(oracles, "initialize", crafted)
         problem = get_problem("logistic")
-        regular = [(PriorSpec(1), h, parse_noise("zero"), ExactInit()) for h in (0.1, 0.05, 0.025)]
-        cells = regular[:2] + [(PriorSpec(1, sigma=1e-170), 0.1, parse_noise("zero"), ExactInit())]
+        zero, exact = parse_noise("zero"), PerturbedInit(0.0)
+        regular = [(PriorSpec(1), h, zero, exact) for h in (0.1, 0.05, 0.025)]
+        cells = regular[:2] + [(PriorSpec(1, sigma=1e-170), 0.1, zero, exact)]
         cells += regular[2:]
         trajs = filtering.solve_cells(problem, cells)
         for cell, traj in zip(cells[:2], trajs):  # cells first: zip stops before a third
@@ -810,7 +893,7 @@ class TestStackedMeanPass:
                 assert_same_bytes(traj, full_pass_solve(problem, *cell))
 
     def test_cells_of_one_stack_share_q(self):
-        cells = [(PriorSpec(q), 0.1, parse_noise("zero"), ExactInit()) for q in (1, 2)]
+        cells = [(PriorSpec(q), 0.1, parse_noise("zero"), PerturbedInit(0.0)) for q in (1, 2)]
         with pytest.raises(ValueError, match="share q"):
             list(filtering.solve_cells(get_problem("logistic"), cells))
 
@@ -839,7 +922,7 @@ class TestStackedMeanPass:
 
     def test_solve_hands_out_the_next_cell_of_a_stack(self):
         problem = get_problem("logistic")
-        cells = [(PriorSpec(1), h, parse_noise("zero"), ExactInit()) for h in (0.1, 0.05)]
+        cells = [(PriorSpec(1), h, parse_noise("zero"), PerturbedInit(0.0)) for h in (0.1, 0.05)]
         stack = filtering.solve_cells(problem, cells)
         assert_same_bytes(solve(problem, *cells[0], stack=stack), solve(problem, *cells[0]))
         with pytest.raises(ValueError, match="not this one"):
