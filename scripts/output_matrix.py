@@ -10,9 +10,10 @@ The set, each run's CSV (and SVG) plus its stderr and exit code:
 * the README examples;
 * ``steady`` on the grid ``H0:2:12`` for sigma in {1, 50}, H0 in
   {0.1, 0.099738} and seven noise models;
-* a ``steady`` orbit that cycles (sigma = 100, ``power:1:1``), and a
+* a ``steady`` orbit that cycles (sigma = 100, ``power:1:1``), a
   singular innovation (sigma = 1e-170, zero noise) in ``steady`` and in
-  ``wpd``.
+  ``wpd``, and a prior whose (A, Q) overflows (sigma = 1e200) in
+  ``steady`` and in ``solve``.
 
 About 9 s on a 2-vCPU Xeon VM with OPENBLAS_NUM_THREADS=1.
 """
@@ -55,6 +56,8 @@ ERRORS = {
     "steady-cycle": ("steady --sigma 100 --noise power:1:1 --h-grid 0.1:2:12", False),
     "steady-singular": ("steady --sigma 1e-170 --noise zero --h-grid 0.1:2:12", False),
     "wpd-singular": ("wpd --problem logistic --sigma 1e-170 --h-grid 0.1:2:4", False),
+    "steady-overflow": ("steady --sigma 1e200 --noise power:1:1 --h-grid 0.1:2:8", False),
+    "solve-overflow": ("solve --problem logistic --sigma 1e200 --h 0.1", False),
 }
 
 

@@ -18,7 +18,10 @@ the tests (``tests/oracles.py``).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
+import inspect
 import math
 
 import numpy as np
@@ -94,11 +97,29 @@ class TransitionModel:
     Q: np.ndarray
 
 
+def _finite(transition):
+    """Raise ValueError, not OverflowError or a non-finite pair, where (A, Q) overflows."""
+
+    @functools.wraps(transition)
+    def checked(*args, **kwargs) -> TransitionModel:
+        with contextlib.suppress(OverflowError):  # a float power, such as sigma**2
+            tm = transition(*args, **kwargs)
+            if np.isfinite(tm.A).all() and np.isfinite(tm.Q).all():
+                return tm
+        h = inspect.signature(transition).bind(*args, **kwargs).arguments["h"]
+        raise ValueError(f"(A, Q) overflows at h = {h:g}")
+
+    return checked
+
+
+@_finite
 def ibm_transition(q: int, sigma: float, h: float) -> TransitionModel:
     """Exact (A, Q) for the q-times integrated Brownian motion.
 
     A is the Taylor/Pascal matrix; Q has the polynomial closed form
     ``Q_ij = sigma^2 h^(2q+1-i-j) / ((2q+1-i-j) (q-i)! (q-j)!)``.
+
+    Raises ValueError if (A, Q) is not finite (sigma or h far too large).
     """
     _check_step(sigma, h)
     n = q + 1
@@ -114,6 +135,7 @@ def ibm_transition(q: int, sigma: float, h: float) -> TransitionModel:
     return TransitionModel(h=h, A=A, Q=Q)
 
 
+@_finite
 def lti_transition(F: np.ndarray, L: np.ndarray, sigma: float, h: float) -> TransitionModel:
     """(A, Q) for the linear time-invariant SDE dx = F x dt + sigma L dW.
 
@@ -129,7 +151,7 @@ def lti_transition(F: np.ndarray, L: np.ndarray, sigma: float, h: float) -> Tran
     accuracy.  Q is built for unit sigma and scaled by sigma^2 at the end,
     so sigma never sets s.
 
-    Raises ValueError if (A, Q) is not finite (h |F| far too large).
+    Raises ValueError if (A, Q) is not finite (sigma or h |F| far too large).
     """
     _check_step(sigma, h)
     F = np.asarray(F, dtype=float)
@@ -151,8 +173,6 @@ def lti_transition(F: np.ndarray, L: np.ndarray, sigma: float, h: float) -> Tran
             Q = A @ Q @ A.T + Q
             A = A @ A
         Q = sigma**2 * (0.5 * (Q + Q.T))
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(Q))):
-        raise ValueError(f"(A, Q) overflows at h = {h:g}")
     return TransitionModel(h=h, A=A, Q=Q)
 
 

@@ -13,21 +13,21 @@ against the predicted exponents for a power-law noise model R = K_R h^p.
 
 ``verify_order_bounds`` runs the orbits of its whole h grid from zero side
 by side, as one stack (``order_bound_prefixes``, through
-``filtering.covariance_prefixes``), each over its mesh.  Both functions stop
-an orbit at its first repeated closed block P[:, 1:]: every tracked
-quantity repeats with it (see ``filtering``), so nothing after that step
-can change a maximum, or settle an orbit that has not settled within one
-more period.  Given that prefix of its orbit, ``orbit_limit`` reads the
-orbit from it, since its rows are the orbit's first steps bit for bit; only
-an orbit that outlives its mesh without settling or repeating runs again,
-alone (``filtering.periodic_pass`` on a stack of one).
+``filtering.covariance_prefixes``), each over its mesh, up to its first
+repeated closed block P[:, 1:]: every tracked quantity repeats with it
+(see ``filtering``), so nothing after that step can change a maximum.
+``orbit_limit`` decides every orbit in one loop, over steps from one of
+three sources: such a prefix, whose rows are the orbit's first steps bit
+for bit, followed by its period over and over if it ends on a repeat;
+``filtering.periodic_pass`` on a stack of one, from zero, if there is no
+prefix; or a prefix cut by its bound, then that pass from the step after it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -138,29 +138,15 @@ def orbit_limit(
     full period without settling (it never will), and OrbitUnsettled if it
     has not settled after ``max_steps`` steps.
 
-    ``prefix``, this orbit's ``filtering.covariance_prefixes`` entry from a
-    zero start (one of ``order_bound_prefixes``), holds the orbit's first
-    steps bit for bit, and the orbit is read from it with the same result
-    and errors.  Only an orbit that outlives a prefix cut by its bound
-    runs a pass of its own from zero.
+    One loop decides every outcome, whatever the source of its steps (see
+    the module docstring): ``prefix``, this orbit's zero-start entry of
+    ``order_bound_prefixes`` (``filtering.covariance_prefixes``), and its
+    period, or a pass of its own from zero where no prefix reaches.
     """
-    if prefix is not None:
-        settled = _read_prefix(prefix, tol, max_steps)
-        if settled is not None:
-            return SteadyState(*settled, h=h, sigma=sigma, R=R)
     previous = None
     period, cycle = None, []  # cycle: the tracked quantities after the first repeat
-    orbit = filtering.periodic_pass([ibm_transition(1, sigma, h)], [R], [np.zeros((2, 2))])
     n = -1
-    for n, (_, P_pred, P, beta, first) in enumerate(islice(orbit, max_steps)):
-        current = (
-            P_pred.item(0, 1, 1),
-            P.item(0, 1, 1),
-            P_pred.item(0, 0, 1),
-            P.item(0, 0, 1),
-            beta.item(0, 0),
-            beta.item(0, 1),
-        )
+    for n, (current, first) in enumerate(itertools.islice(_orbit(h, sigma, R, prefix), max_steps)):
         # Settled when every change is below tol (a NaN change never is).
         if previous is not None and all(abs(a - b) < tol for a, b in zip(current, previous)):
             return SteadyState(*current, h=h, sigma=sigma, R=R)
@@ -168,48 +154,41 @@ def orbit_limit(
             cycle.append(current)
             if len(cycle) == period:
                 raise OrbitCycle(period, float(np.ptp(cycle, axis=0).max()), tol)
-        elif first[0] >= 0:
-            period = n - first[0]
+        elif first >= 0:
+            period = n - first
         previous = current
-    if n + 1 < max_steps:  # the stack of one left the pass
+    if n + 1 < max_steps:  # the orbit ended at a singular innovation
         raise filtering.SingularInnovation(_SINGULAR)
     raise OrbitUnsettled(max_steps)
 
 
-def _read_prefix(prefix: filtering.CovarianceTrack, tol: float, max_steps: int) -> Optional[list]:
-    """What orbit_limit's loop finds on the orbit whose first steps ``prefix`` holds.
+def _orbit(h: float, sigma: float, R: float, prefix: Optional[filtering.CovarianceTrack]):
+    """The orbit from zero, one (six tracked quantities, repeated step or -1) per step.
 
-    Returns the settled quantities, or None if the orbit runs past the
-    prefix's bound unsettled, and raises where the loop would.  Step n
-    settles when no quantity moved by tol since step n - 1.  An orbit
-    whose prefix ends at step n on a repeat of step i goes on as steps
-    i + 1, ..., n over and over, so of the steps after the prefix only
-    step n + 1 (step i + 1 again, after step n) makes a new pair: the
-    orbit settles there or cycles with period n - i.
+    The steps are the prefix's rows, if given; after a prefix that ends on
+    step n repeating step i, steps i + 1, ..., n over and over (see the
+    module docstring); after a singular one, none.  Otherwise the steps go
+    on from the pass from zero, run alone: from its first step without a
+    prefix, and after one cut by its bound from the step after it.
     """
-    P_pred, P, beta = prefix.P_pred, prefix.P_post, prefix.beta
-    # One row per step, one column per quantity, in SteadyState order.
-    track = np.stack(
-        [P_pred[:, 1, 1], P[:, 1, 1], P_pred[:, 0, 1], P[:, 0, 1], beta[:, 0], beta[:, 1]], axis=1
-    )
-    with np.errstate(invalid="ignore"):  # inf - inf: a NaN change, which never settles
-        settles = np.flatnonzero((abs(np.diff(track, axis=0)) < tol).all(axis=1)) + 1
-    if len(settles) and settles[0] < max_steps:
-        return track[settles[0]].tolist()
-    run = len(track)
-    if max_steps <= run:
-        raise OrbitUnsettled(max_steps)
-    if prefix.singular:
-        raise filtering.SingularInnovation(_SINGULAR)
-    if prefix.first is None:
-        return None
-    i, n = prefix.first, run - 1
-    with np.errstate(invalid="ignore"):
-        if (abs(track[i + 1] - track[n]) < tol).all():
-            return track[i + 1].tolist()
-    if n + (n - i) < max_steps:
-        raise OrbitCycle(n - i, float(np.ptp(track[i + 1 :], axis=0).max()), tol)
-    raise OrbitUnsettled(max_steps)
+    start = 0
+    if prefix is not None:
+        P_pred, P, beta = prefix.P_pred, prefix.P_post, prefix.beta
+        # One row per step, one column per quantity, in SteadyState order.
+        rows = np.stack(
+            [P_pred[:, 1, 1], P[:, 1, 1], P_pred[:, 0, 1], P[:, 0, 1], beta[:, 0], beta[:, 1]], axis=1
+        ).tolist()
+        i = -1 if prefix.first is None else prefix.first
+        yield from zip(rows, [-1] * (len(rows) - 1) + [i])
+        if i >= 0:
+            yield from itertools.cycle([(row, -1) for row in rows[i + 1 :]])
+        if prefix.singular:
+            return
+        start = len(rows)
+    orbit = filtering.periodic_pass([ibm_transition(1, sigma, h)], [R], [np.zeros((2, 2))])
+    for _, P_pred, P, beta, first in itertools.islice(orbit, start, None):
+        tracked = P_pred.item(0, 1, 1), P.item(0, 1, 1), P_pred.item(0, 0, 1), P.item(0, 0, 1)
+        yield (*tracked, beta.item(0, 0), beta.item(0, 1)), first[0]
 
 
 ORDER_BOUND_QUANTITIES = ("P11_pred", "P11", "abs_P01", "abs_beta0", "one_minus_beta1")

@@ -109,6 +109,9 @@ CONFIG_ERRORS = {
     "wpd-singular": "wpd --problem logistic --q 1 --sigma 1e-170 --h-grid 0.1:2:4",
     "misalign-singular": "misalign --problem logistic --q 1 --sigma 1e-170 --h-grid 0.1:2:4",
     "steady-singular": "steady --sigma 1e-170 --noise zero --h-grid 0.1:2:8",
+    "solve-overflow": "solve --problem logistic --h 0.1 --sigma 1e200",
+    "wpd-overflow": "wpd --problem logistic --sigma 1e200 --h-grid 0.1:2:4",
+    "steady-overflow": "steady --sigma 1e200 --h-grid 0.1:2:8",
 }
 
 

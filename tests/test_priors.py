@@ -278,3 +278,10 @@ class TestPriorSpec:
         assert ibm.A[1, 1] == 1.0
         ioup = PriorSpec(q=1, kind=IOUP, theta=1.0, sigma=2.0).transition(0.1)
         assert abs(ioup.A[1, 1] - math.exp(-0.1)) < 1e-14
+
+    @pytest.mark.parametrize("sigma", [1e200, math.inf])
+    @pytest.mark.parametrize("kind, theta", [(IBM, 0.0), (IOUP, 1.0)])
+    def test_an_overflowing_sigma_raises_a_value_error(self, kind, theta, sigma):
+        # sigma**2 overflows (1e200) or is inf: (A, Q) is not finite.
+        with pytest.raises(ValueError, match=r"\(A, Q\) overflows at h = 0.1"):
+            PriorSpec(q=1, kind=kind, theta=theta, sigma=sigma).transition(0.1)

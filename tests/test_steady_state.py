@@ -295,7 +295,9 @@ class TestOrbitFromPrefix:
     #: (h, sigma, R, tol) and how the orbit ends (a cycle's period, "singular"
     #: or "settles"): orbits that repeat with period 1 and 2 within their
     #: mesh, a NaN fixed point, a singular first innovation, an orbit that
-    #: outlives its 10-step mesh, and one that settles within its mesh.
+    #: outlives its 10-step mesh, one that settles within its mesh, and one
+    #: whose 640-step prefix ends after 2 rows, on a repeat of step 0, and
+    #: which settles on step 3, the first step of the prefix's period.
     CELLS = {
         "period-1": ((0.05, 1.3, 0.01, 0.0), 1),
         "period-2": ((0.1, 100.0, parse_noise("power:1:1").evaluate(0.1), 0.0), 2),
@@ -303,6 +305,10 @@ class TestOrbitFromPrefix:
         "singular": ((0.1, 1e-170, 0.0, 1e-13), "singular"),
         "past-the-mesh": ((0.1, 1.0, 0.1, 1e-13), "settles"),
         "settles": ((0.05, 1.3, 0.01, 1e-13), "settles"),
+        "settles-after-repeat": (
+            (0.0015625, 50.0, parse_noise("power:3:1").evaluate(0.0015625), 1e-13),
+            "settles",
+        ),
     }
 
     @pytest.mark.parametrize("cell, ends", list(CELLS.values()), ids=list(CELLS))
