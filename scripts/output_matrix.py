@@ -12,8 +12,11 @@ The set, each run's CSV (and SVG) plus its stderr and exit code:
   {0.1, 0.099738} and seven noise models;
 * a ``steady`` orbit that cycles (sigma = 100, ``power:1:1``), a
   singular innovation (sigma = 1e-170, zero noise) in ``steady`` and in
-  ``wpd``, and a prior whose (A, Q) overflows (sigma = 1e200) in
-  ``steady`` and in ``solve``.
+  ``wpd``, a prior whose (A, Q) overflows (sigma = 1e200) in ``steady``
+  and in ``solve``, and a closed form that overflows (sigma = 1e100) in
+  ``steady``;
+* sweeps whose covariance passes form no families: fig2 on a factor-3
+  grid, whose meshes do not nest, and an IOUP prior.
 
 About 9 s on a 2-vCPU Xeon VM with OPENBLAS_NUM_THREADS=1.
 """
@@ -58,6 +61,16 @@ ERRORS = {
     "wpd-singular": ("wpd --problem logistic --sigma 1e-170 --h-grid 0.1:2:4", False),
     "steady-overflow": ("steady --sigma 1e200 --noise power:1:1 --h-grid 0.1:2:8", False),
     "solve-overflow": ("solve --problem logistic --sigma 1e200 --h 0.1", False),
+    "steady-closed-overflow": ("steady --sigma 1e100 --noise power:1:1 --h-grid 0.1:2:8", False),
+}
+
+NO_FAMILIES = {
+    "wpd-fig2-factor3": ("wpd --preset fig2 --h-grid 0.1:3:4", True),
+    "wpd-ioup": (
+        "wpd --problem logistic --q 1,2 --prior ioup --theta 1 --noise zero,power:1:1 "
+        "--h-grid 0.1:2:4",
+        False,
+    ),
 }
 
 
@@ -67,7 +80,7 @@ def runs() -> dict:
     for command, preset in PRESETS:
         for init, flags in INITS.items():
             table[f"{command}-{preset}-{init}"] = ([command, "--preset", preset, *flags], True)
-    for name, (text, svg) in {**README, **ERRORS}.items():
+    for name, (text, svg) in {**README, **ERRORS, **NO_FAMILIES}.items():
         table[name] = (text.split(), svg)
     for sigma in ("1", "50"):
         for h0 in ("0.1", "0.099738"):

@@ -156,8 +156,11 @@ class RunSpec:
         return (self.problem, self.prior.q, -self.noise.p, self.noise.K_R, -self.h)
 
 
-def _execute(spec: RunSpec, problem, mode: PerturbedInit, stack) -> dict:
-    """The CSV row of one sweep cell; ``stack`` is the ``solve_cells`` run of its group."""
+def _execute(spec: RunSpec, problem, mode: PerturbedInit, stack, exact) -> dict:
+    """The CSV row of one sweep cell; ``stack`` is the ``solve_cells`` run of its group.
+
+    ``exact`` maps a trajectory to the exact solution at its times (``_mesh_exact``).
+    """
     try:
         traj = solve(problem, spec.prior, spec.h, spec.noise, mode, stack=stack)
     except filtering.SingularInnovation as exc:
@@ -181,7 +184,7 @@ def _execute(spec: RunSpec, problem, mode: PerturbedInit, stack) -> dict:
         "delta1_final": math.nan,
     }
     if not traj.diverged:
-        errs = diagnostics.global_error(traj, problem)
+        errs = diagnostics.global_error(traj, problem, exact(traj))
         widths = diagnostics.credible_width(traj).widths
         row["final_error"] = float(errs.eps0_norms()[-1])
         row["max_error"] = errs.max_eps0
@@ -190,15 +193,44 @@ def _execute(spec: RunSpec, problem, mode: PerturbedInit, stack) -> dict:
     return row
 
 
+def _mesh_exact(problem, h: float):
+    """``problem.exact`` at a trajectory's times, from one evaluation on the mesh of step h.
+
+    The mesh is evaluated at first use.  A trajectory whose times equal every
+    s-th mesh time, bit for bit, reads that slice (``exact`` is pointwise);
+    any other is evaluated on its own.
+    """
+    mesh = []
+
+    def exact(traj) -> np.ndarray:
+        times = traj.times()
+        if not mesh:
+            fine = np.concatenate(([0.0], np.arange(1, round(problem.T / h) + 1) * h))
+            mesh.extend((fine, problem.exact(fine)))
+        fine, values = mesh
+        s = max(round(traj.h / h), 1)
+        if fine[::s][: len(times)].tobytes() == times.tobytes():
+            return values[::s][: len(times)]
+        return problem.exact(times)
+
+    return exact
+
+
 def _covariance_tracks(specs: Sequence[RunSpec], mode: PerturbedInit) -> Iterator:
-    """Each cell's ``filtering.CovarianceTrack`` in turn, from one stacked prefix pass per q.
+    """Each cell's ``filtering.CovarianceTrack`` in turn, from one covariance pass per family.
 
     Cells with one prior, h, R and start covariance share a pass (the
-    recursion never sees the data), filled over their longest mesh at its
-    first cell and let go after its last, so only the tracks in use are held.
+    recursion never sees the data) over their longest mesh.  A pass that is
+    another's at a power-of-two step, every number rescaled exactly, reads
+    that pass's track (``filtering.pass_families``).  Only each family's
+    longest pass runs, in one stacked prefix pass per q.  At the family's
+    first cell it is filled, and each pass of the family takes its track, a
+    rescaled cut of it (``filtering.rescaled_tracks``), or runs on its own
+    if that is refused; each pass's track is let go after its last cell, so
+    only the tracks in use are held.
     """
     horizons = {name: get_problem(name).T for name in {spec.problem for spec in specs}}
-    passes = {}  # cell key -> [transition, R, start covariance, then track, bound]
+    passes = {}  # cell key -> [transition, R, start covariance, steps]
     keys = []
     for spec in specs:
         q, h = spec.prior.q, spec.h
@@ -208,15 +240,35 @@ def _covariance_tracks(specs: Sequence[RunSpec], mode: PerturbedInit) -> Iterato
             passes[key] = [spec.prior.transition(h), R, start, 0]
         passes[key][3] = max(passes[key][3], round(horizons[spec.problem] / h))
         keys.append(key)
-    for q in sorted({prior.q for prior, *_ in passes}):
-        cells = [cell for (prior, *_), cell in passes.items() if prior.q == q]
-        for cell, prefix in zip(cells, filtering.covariance_prefixes(*zip(*cells))):
-            cell[2] = prefix
+    names = list(passes)
+    family = filtering.pass_families(list(passes.values()))
+    family = {key: (names[r], e) for key, (r, e) in zip(names, family)}
+    heads = [key for key in names if family[key][0] == key]
+    prefixes = {}
+    for q in sorted({prior.q for prior, *_ in heads}):
+        group = [key for key in heads if key[0].q == q]
+        cells = zip(*(passes[key] for key in group))
+        prefixes.update(zip(group, filtering.covariance_prefixes(*cells)))
     last = {key: c for c, key in enumerate(keys)}
+    tracks = {}
     for c, key in enumerate(keys):
-        cell = passes[key] if last[key] > c else passes.pop(key)
-        cell[2] = filtering.covariance_track(*cell)  # a prefix is filled at its first cell
-        yield cell[2]
+        if key not in tracks:  # the first cell of its family
+            head = family[key][0]
+            tm, R, _, steps = passes[head]
+            track = filtering.covariance_track(tm, R, prefixes.pop(head), steps)
+            members = [k for k in names if family[k][0] == head]
+            scales = [(family[k][1], passes[k][3]) for k in members]
+            rescaled = filtering.rescaled_tracks(track, scales)
+            if rescaled is None:  # refused: each other pass runs on its own
+                rescaled = [track if k == head else _own_track(*passes[k]) for k in members]
+            tracks.update(zip(members, rescaled))
+        yield tracks[key] if last[key] > c else tracks.pop(key)
+
+
+def _own_track(tm, R, start, steps: int):
+    """The track of a pass (transition, R, start, steps) that runs on its own."""
+    (prefix,) = filtering.covariance_prefixes([tm], [R], [start], [steps])
+    return filtering.covariance_track(tm, R, prefix, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +397,16 @@ def cmd_sweep(command: str, cfg: RunConfig) -> int:
     rows = []
     # One stacked mean pass per (problem, q), whose cells solve hands out in
     # turn; the sort keeps each group's cells together, and its arrays are
-    # freed once its rows are made.
-    for (name, _), group in itertools.groupby(cells, key=lambda c: (c[0].problem, c[0].prior.q)):
-        group = list(group)
+    # freed once its rows are made.  The problem's exact solution on the
+    # finest mesh is freed after its last group.
+    for name, by_problem in itertools.groupby(cells, key=lambda c: c[0].problem):
         problem = get_problem(name)
-        runs = [(spec.prior, spec.h, spec.noise, mode) for spec, _ in group]
-        stack = solve_cells(problem, runs, [track for _, track in group])
-        rows += [_execute(spec, problem, mode, stack) for spec, _ in group]
+        exact = _mesh_exact(problem, min(grid))
+        for _, group in itertools.groupby(by_problem, key=lambda c: c[0].prior.q):
+            group = list(group)
+            runs = [(spec.prior, spec.h, spec.noise, mode) for spec, _ in group]
+            stack = solve_cells(problem, runs, [track for _, track in group])
+            rows += [_execute(spec, problem, mode, stack, exact) for spec, _ in group]
     _write_csv(cfg.out, columns, [[row[c] for c in columns] for row in rows])
     if cfg.svg:
         _render_wpd_svg(cfg.svg, rows, value_key, ylabel)

@@ -43,13 +43,20 @@ class ErrorSeries:
         return np.linalg.norm(self.eps[:, 0, :], axis=1)
 
 
-def global_error(traj: Trajectory, problem: IVProblem) -> ErrorSeries:
-    """Errors m^(i)(nh) - x^(i)(nh) along the whole mesh, t = 0 included."""
+def global_error(
+    traj: Trajectory, problem: IVProblem, x: Optional[np.ndarray] = None
+) -> ErrorSeries:
+    """Errors m^(i)(nh) - x^(i)(nh) along the whole mesh, t = 0 included.
+
+    ``x``, the exact solution at ``traj.times()``, is evaluated here unless
+    the caller has it.
+    """
     if problem.exact is None:
         raise MissingExact(f"problem {problem.name!r} has no exact solution")
     q = traj.q
     times = traj.times()
-    x = problem.exact(times)
+    if x is None:
+        x = problem.exact(times)
     eps = traj.means() - np.stack([problem.derivative(i)(x) for i in range(q + 1)], axis=1)
     eps0 = np.linalg.norm(eps[:, 0, :], axis=1)
     weights = traj.h ** np.arange(q + 1, dtype=float)

@@ -41,16 +41,31 @@ product per matrix, so each cell keeps its bytes), and tags each cell's
 first repeat.  ``CovarianceTrack`` holds a cell's steps, each distinct
 step once; ``covariance_prefixes`` returns each cell's *prefix*, a track
 whose rows are its own steps, up to that repeat, its mesh or its first
-singular innovation.  A sweep runs all its prefixes, and fills each
-shared pass once, before its first mean.  ``covariance_track`` cuts a
-track that is long enough and fills a shorter one bit for bit: each later
-step maps to its step k, and the growing P_00 is recomputed with the
-kernel's own arithmetic (a full A P A^T of the previous posterior, then
-the scalar symmetrize and update); a non-finite P_00 (0 * inf is NaN)
-hands the rest to a fresh pass.  A non-finite step whose whole P_post
+singular innovation.  ``covariance_track`` cuts a track that is long
+enough and fills a shorter one bit for bit: each later step maps to its
+step k, and the growing P_00 is recomputed with the kernel's own
+arithmetic (a full A P A^T of the previous posterior, then the scalar
+symmetrize and update); a non-finite P_00 (0 * inf is NaN) hands the rest
+to a fresh pass.  A non-finite step whose whole P_post
 repeats the one before it is a fixed point that ``periodic_pass`` tags
 and the track copies forward.  A singular innovation ends the track;
 ``solve`` raises it only if its mean loop reaches that step.
+
+Families of passes.  For an IBM prior A_ij = h^(j-i) / (j-i)! and Q_ij is
+h^(2q+1-i-j) times a constant, so with R = 0 or R = K h^(2q-1), and a start
+covariance of Q's degrees, every number of the recursion is homogeneous in
+h: the entries of P_pred, P_post and P_00 of degree 2q+1-i-j, the gains
+beta_i of degree 1-i.  A pass at step 2^e h then starts from its pass at h
+with every number times a power of two, and so is every product, sum and
+quotient of its recursion: scaling by a power of two commutes with each
+rounding while every number stays normal.  ``pass_families`` groups the
+passes whose inputs are such exact rescalings, bit for bit, of a pass with
+a longer mesh, and ``rescaled_tracks`` reads each member's track from that
+pass's, cut to its own mesh.  Both refuse a nonzero number outside
+[2^-480, 2^480], before or after the rescaling (a product of two such
+numbers is normal), and ``rescaled_tracks`` a singular or non-finite track;
+a refused pass runs on its own.  A sweep (``cli``) and a ``steady`` grid
+run one pass per family.
 """
 
 from __future__ import annotations
@@ -78,7 +93,9 @@ __all__ = [
     "gain",
     "initial_covariance",
     "initialize",
+    "pass_families",
     "periodic_pass",
+    "rescaled_tracks",
     "solve",
     "solve_cells",
 ]
@@ -325,6 +342,11 @@ def _mean_loop(f, A, m, starts, lengths, y, gains, m_post) -> list:
 
     Step n reads rows starts[n] .. of ``gains`` and writes the same rows of
     ``y`` and ``m_post``, one per cell still running; m holds the start means.
+    A step checks only its predicted means A m: data that is not finite makes
+    the mean it updates, and so the next predicted mean, not finite (A_00 = 1).
+    So a cell whose data at step n - 1 is not finite is found at step n, or
+    when its track ends, and leaves at step n - 1, as if checked then; ``f``
+    only ever sees a finite stack.
     """
     bounds, reached = starts.tolist(), lengths.tolist()
     stop = max(reached, default=0)
@@ -342,26 +364,40 @@ def _mean_loop(f, A, m, starts, lengths, y, gains, m_post) -> list:
                 a[j] = 0.0
         stop = max(reached)
 
+    def check_data(n):
+        # The cells whose data at step n is not finite; a zeroed slot's update
+        # leaves its mean 0.
+        yn = y[bounds[n] : bounds[n + 1]]
+        if np.count_nonzero(np.isfinite(yn)) != yn.size:
+            leave(n, ~np.isfinite(yn).all(axis=1), yn, m_post[bounds[n] : bounds[n + 1]])
+
     n, k = 0, 0
     while n < stop:
         lo, hi = bounds[n], bounds[n + 1]
         if hi - lo != k:  # the views change only when a track ends
+            if n:
+                check_data(n - 1)  # for the cells that end
+                if n >= stop:
+                    break
             k = hi - lo
             Ak, mp, r, m = A[:k], predicted[:k], residual[:k], m[:k]
+            x, dx, r0 = mp[:, 0], mp[:, 1], r[:, 0]
         np.matmul(Ak, m, out=mp)
         if np.count_nonzero(np.isfinite(mp)) != mp.size:
+            if n:
+                check_data(n - 1)
             leave(n, ~np.isfinite(mp).all(axis=(1, 2)), mp)
             if n >= stop:
                 break
         yn = y[lo:hi]
-        yn[...] = f(mp[:, 0])
-        if np.count_nonzero(np.isfinite(yn)) != yn.size:
-            leave(n, ~np.isfinite(yn).all(axis=1), mp, yn)
-        np.subtract(yn, mp[:, 1], out=r[:, 0])
+        yn[...] = f(x)
+        np.subtract(yn, dx, out=r0)
         m = m_post[lo:hi]
         np.multiply(gains[lo:hi], r, out=m)
         np.add(mp, m, out=m)
         n += 1
+    if n:
+        check_data(n - 1)
     return reached
 
 
@@ -513,6 +549,119 @@ def _fill_period(tm, R, P_pred, P_post, period, P00, n: int) -> int:
         P = P_post[row]
         P[0, 0] = v
     return len(period)
+
+
+#: The range of every nonzero number a family shares, before and after its
+#: rescaling: a product of two such numbers stays normal.
+_FAMILY_RANGE = (2.0**-480, 2.0**480)
+
+
+def pass_families(passes: Sequence[tuple]) -> list:
+    """Each pass's family: (r, e), the pass whose track it reads and its exponent.
+
+    ``passes`` are (transition, R, start covariance, steps).  Taken longest
+    first, each pass joins the first family whose pass it is at step 2^e h:
+    its A, Q, R and start equal that pass's, bit for bit, times 2^(e d),
+    where d, the degree in h of an IBM prior, is j - i for A, 2q+1-i-j for Q
+    and P and 2q-1 for R (not so for an IOUP prior, R = K_R h^p with
+    p != 2q-1 or a step ratio that is not a power of two).  Otherwise it
+    heads a family of its own, as (itself, 0).  A family whose pass has a
+    nonzero number that leaves ``_FAMILY_RANGE`` at one of the family's
+    exponents splits into families of one.
+    """
+    family, groups, members, degrees = [None] * len(passes), {}, {}, {}
+    with np.errstate(over="ignore"):
+        for c in sorted(range(len(passes)), key=lambda c: -passes[c][3]):
+            tm, R, P = passes[c][:3]
+            n, (mantissa, E), x = len(P), math.frexp(tm.h), _numbers(passes[c])
+            if n not in degrees:
+                degrees[n] = _number_degrees(n)
+            # What a family shares: the size, h's mantissa, and R scaled to h's binade.
+            key = (n, mantissa, float(np.ldexp(R, -E * (2 * n - 3))))
+            for r, E_r, x_r in groups.setdefault(key, []):
+                if np.ldexp(x_r, (E - E_r) * degrees[n]).tobytes() == x.tobytes():
+                    family[c] = (r, E - E_r)
+                    members[r].append(c)
+                    break
+            else:
+                family[c] = (c, 0)
+                members[c] = [c]
+                groups[key].append((c, E, x))
+    for r, cells in members.items():
+        es = [family[c][1] for c in cells]
+        n = len(passes[r][2])
+        if len(es) > 1 and not _fits(_numbers(passes[r]), degrees[n], min(es), max(es)):
+            for c in cells:
+                family[c] = (c, 0)
+    return family
+
+
+def rescaled_tracks(track: CovarianceTrack, members: Sequence[tuple]) -> Optional[list]:
+    """The track of each member (e, n) of a family whose pass ``track`` begins.
+
+    A member's track is the first n steps of ``track`` (all, for n None) at
+    step 2^e h: P_pred, P_post and P_00 scale by 2^(e(2q+1-i-j)) and beta by
+    2^(e(1-i)) (see the module docstring); e = 0 over all its steps is
+    ``track`` itself.  Unless every e is 0, None if the track is singular,
+    or if a number of it is not finite or leaves ``_FAMILY_RANGE`` at the
+    least or the greatest e (each number lies between its values at those
+    two).
+    """
+    _, dP = _degrees(track.P_pred.shape[-1])
+    degrees = (dP, dP, dP[1] - dP[1, 1], dP[0, 0])
+    arrays = (track.P_pred, track.P_post, track.beta, track.P00)
+    es = [0] + [e for e, _ in members]
+    if any(es) and (
+        track.singular or not all(_fits(x, d, min(es), max(es)) for x, d in zip(arrays, degrees))
+    ):
+        return None
+    tracks = []
+    for e, n in members:
+        rows = track.rows[:n]
+        whole = len(rows) == len(track.rows)
+        if e == 0 and whole:
+            tracks.append(track)
+            continue
+        k = int(rows.max()) + 1 if len(rows) else 0  # the stored steps they read
+        scaled = [np.ldexp(x[:k], e * d) for x, d in zip(arrays[:3], degrees)]
+        scaled.append(np.ldexp(track.P00[: len(rows)], e * degrees[3]))
+        for x in scaled:
+            x.setflags(write=False)
+        first = track.first if whole else None
+        tracks.append(CovarianceTrack(*scaled[:3], rows, scaled[3], first, False))
+    return tracks
+
+
+def _degrees(n: int) -> tuple:
+    """The degrees in h of A and of Q and P, for an IBM prior with n = q + 1 entries."""
+    i = np.arange(n)
+    return i - i[:, None], 2 * n - 1 - i - i[:, None]
+
+
+def _numbers(p: tuple) -> np.ndarray:
+    """A pass's A, Q, start P and R (as a matrix) in one array."""
+    tm, R, P = p[:3]
+    return np.array((tm.A, tm.Q, P, np.full_like(P, R)))
+
+
+def _number_degrees(n: int) -> np.ndarray:
+    """The degrees in h of ``_numbers`` for an IBM prior with n = q + 1 entries."""
+    dA, dP = _degrees(n)
+    return np.array((dA, dP, dP, np.full_like(dP, dP[1, 1])))
+
+
+def _fits(x: np.ndarray, d, *es) -> bool:
+    """Whether each nonzero |x| times 2^(e d), for each e, lies in ``_FAMILY_RANGE``."""
+    size = np.abs(x)
+    nonzero = size != 0.0  # NaN too, and NaN fails every test below
+    lo, hi = _FAMILY_RANGE
+    with np.errstate(over="ignore"):
+        for e in es:
+            scaled = np.ldexp(size, e * d)
+            least = scaled.min(initial=np.inf, where=nonzero)
+            if not (least >= lo and scaled.max(initial=0.0) <= hi):
+                return False
+    return True
 
 
 def periodic_pass(

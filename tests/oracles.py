@@ -10,7 +10,10 @@ step at a time.  ``full_pass_solve``, ``solve`` with that full kernel at
 every step, run in lockstep with the mean loop, which ``solve`` and each
 cell of ``solve_cells`` (the whole covariance track first, then one mean
 loop for the stack) must match byte for byte, errors included, and
-``full_pass_cells``, the same per cell in place of ``solve_cells``.  The
+``full_pass_cells``, the same per cell in place of ``solve_cells``.
+``two_check_mean_loop``, the stacked mean loop that checks both the
+predicted means and the data of every step, which the one-check
+``filtering._mean_loop`` must match byte for byte.  The
 per-point diagnostics
 (``global_error_loop``, ``misalignment_loop``, ``credible_width_loop``),
 run on problems with one-time closed forms (``SCALAR_EXACT``,
@@ -203,6 +206,50 @@ def full_pass_cells(problem: IVProblem, cells, prefixes=None):
     """
     for prior, h, noise, mode in cells:
         yield full_pass_solve(problem, prior, h, noise, mode)
+
+
+def two_check_mean_loop(f, A, m, starts, lengths, y, gains, m_post) -> list:
+    """``filtering._mean_loop`` with a finiteness check of m_pred and of y at every step.
+
+    A cell whose predicted mean or data is not finite leaves at that step:
+    its slots are zeroed, with its later gains, and the steps it completed
+    are returned, as ``_mean_loop`` returns them.
+    """
+    bounds, reached = starts.tolist(), lengths.tolist()
+    stop = max(reached, default=0)
+    predicted, residual = np.empty_like(m), np.empty((len(m), 1, m.shape[2]))
+
+    def leave(n, bad, *rows):
+        nonlocal stop
+        for j in np.flatnonzero(bad).tolist():
+            if reached[j] > n:
+                gains[starts[n : reached[j]] + j] = 0.0
+                reached[j] = n
+            for a in rows:
+                a[j] = 0.0
+        stop = max(reached)
+
+    n, k = 0, 0
+    while n < stop:
+        lo, hi = bounds[n], bounds[n + 1]
+        if hi - lo != k:
+            k = hi - lo
+            Ak, mp, r, m = A[:k], predicted[:k], residual[:k], m[:k]
+        np.matmul(Ak, m, out=mp)
+        if np.count_nonzero(np.isfinite(mp)) != mp.size:
+            leave(n, ~np.isfinite(mp).all(axis=(1, 2)), mp)
+            if n >= stop:
+                break
+        yn = y[lo:hi]
+        yn[...] = f(mp[:, 0])
+        if np.count_nonzero(np.isfinite(yn)) != yn.size:
+            leave(n, ~np.isfinite(yn).all(axis=1), mp, yn)
+        np.subtract(yn, mp[:, 1], out=r[:, 0])
+        m = m_post[lo:hi]
+        np.multiply(gains[lo:hi], r, out=m)
+        np.add(mp, m, out=m)
+        n += 1
+    return reached
 
 
 def h_norm(eps: np.ndarray, h: float) -> float:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import math
 import xml.etree.ElementTree as ET
@@ -112,6 +113,7 @@ CONFIG_ERRORS = {
     "solve-overflow": "solve --problem logistic --h 0.1 --sigma 1e200",
     "wpd-overflow": "wpd --problem logistic --sigma 1e200 --h-grid 0.1:2:4",
     "steady-overflow": "steady --sigma 1e200 --h-grid 0.1:2:8",
+    "steady-closed-overflow": "steady --sigma 1e100 --noise power:1:1 --h-grid 0.1:2:8",
 }
 
 
@@ -181,6 +183,44 @@ def test_exact_start_and_a_zero_width_perturbed_start_write_the_same_csv(tmp_pat
     for path, init in zip(paths, ("exact", "perturbed:0")):
         assert main(["wpd", "--preset", "fig2", "--init", init, "--out", str(path)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("factor, nested", [(2.0, True), (3.0, False)])
+def test_exact_is_read_from_the_finest_mesh_where_the_meshes_nest(
+    monkeypatch, tmp_path, factor, nested
+):
+    # A factor-2 grid's meshes are every 2^k-th point of the finest one, bit
+    # for bit, and read its exact values.  On the factor-3 grid only h = 0.1/9
+    # is every third point of h = 0.1/27 (0.1/9 * n rounds as 0.1/27 * 3n);
+    # h = 0.1 and 0.1/3 evaluate exact on their own times.  Either way the
+    # CSV is the one that evaluating exact per cell writes.
+    handed = []
+    original = cli.get_problem
+
+    def counted(name):
+        problem = original(name)
+
+        def exact(ts):
+            handed.append((name, len(ts)))
+            return problem.exact(ts)
+
+        return dataclasses.replace(problem, exact=exact)
+
+    monkeypatch.setattr(cli, "get_problem", counted)
+    argv = ["wpd", "--preset", "fig2", "--h-grid", f"0.1:{factor}:4"]
+    assert main(argv + ["--out", str(tmp_path / "shared.csv")]) == 0
+    hs = cli._h_values((0.1, factor, 4))
+    expected = []
+    for name, T in (("logistic", 1.5), ("linear", 10.0)):
+        expected.append((name, round(T / hs[-1]) + 1))  # the finest mesh
+        if not nested:  # each noise's 2 coarsest meshes
+            expected += [(name, round(T / h) + 1) for h in hs[:2]] * 2
+    assert sorted(handed) == sorted(expected)
+    monkeypatch.setattr(
+        cli, "_mesh_exact", lambda problem, h: lambda traj: problem.exact(traj.times())
+    )
+    assert main(argv + ["--out", str(tmp_path / "per_cell.csv")]) == 0
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
 
 
 class TestWpdCommand:

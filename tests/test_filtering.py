@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -23,6 +24,7 @@ from odefilter.filtering import (
 from odefilter.noise import PowerLawNoise, parse_noise
 from odefilter.priors import PriorSpec, ibm_transition
 from odefilter.problems import IVProblem, MissingDerivative, get_problem, logistic, riccati
+from odefilter.steady_state import order_bound_prefixes
 import oracles
 from oracles import (
     DivergedEvaluation,
@@ -793,6 +795,202 @@ class TestSharedTracks:
         assert filtering.covariance_track(tm, R, prefix, 5).singular
 
 
+def sweep_tracks(specs, mode, monkeypatch):
+    """Each cell's track from ``cli._covariance_tracks``, and the cells of each covariance pass run."""
+    passes, original = [], filtering.covariance_prefixes
+
+    def counted(tms, *args):
+        passes.append(len(tms))
+        return original(tms, *args)
+
+    monkeypatch.setattr(filtering, "covariance_prefixes", counted)
+    specs = sorted(specs, key=cli.RunSpec.sort_key)
+    tracks = list(zip(specs, cli._covariance_tracks(specs, mode)))
+    monkeypatch.undo()
+    return tracks, passes
+
+
+def assert_own_passes(tracks, mode):
+    """Every cell's track holds its own pass's steps over its mesh, bit for bit; returns the passes."""
+    meshes = {}
+    for spec, _ in tracks:
+        key = (spec.prior, spec.h, spec.noise.evaluate(spec.h))
+        meshes[key] = max(meshes.get(key, 0), round(get_problem(spec.problem).T / spec.h))
+    own = {}
+    for (prior, h, R), n in meshes.items():
+        tm, start = prior.transition(h), initial_covariance(prior.q, h, mode)
+        (prefix,) = covariance_prefixes([tm], [R], [start], [n])
+        own[prior, h, R] = filtering.covariance_track(tm, R, prefix, n)
+    for spec, track in tracks:
+        expected = own[spec.prior, spec.h, spec.noise.evaluate(spec.h)]
+        n = round(get_problem(spec.problem).T / spec.h)
+        assert track.singular == expected.singular
+        for got, column in zip(track.steps(n), expected.steps(n)):
+            assert got.tobytes() == column.tobytes()
+    return len(own)
+
+
+def grid_specs(problem, priors, noises, grid):
+    """(problem, prior, noise, h) cells of a sweep: every prior and noise spec on the grid."""
+    return [
+        cli.RunSpec(problem, prior, parse_noise(noise), h)
+        for prior in priors
+        for noise in noises
+        for h in cli._h_values(grid)
+    ]
+
+
+class TestPassFamilies:
+    """A pass at step 2^e h reads its family's track rescaled; it must equal its own pass."""
+
+    EXACT, PERTURBED = PerturbedInit(0.0), PerturbedInit(1.0, seed=3)
+
+    # fig2: one family per noise.  fig1 (logistic sigma = 50, linear sigma = 1):
+    # q = 1 both noises, q = 2..4 zero noise, and each R = h^q pass of q >= 2
+    # alone, so 2 x (2 + 3 + 3 x 8) passes.  figC: one family per q.
+    @pytest.mark.parametrize(
+        "preset, grid, mode, heads",
+        [
+            ("fig2", (0.1, 2.0, 8), EXACT, 2),
+            ("fig2", (0.1, 2.0, 8), PERTURBED, 2),
+            ("fig1", (0.1, 2.0, 8), EXACT, 58),
+            ("figC", (0.1, 2.0, 8), EXACT, 4),
+        ],
+    )
+    def test_every_preset_track_is_its_family_pass_rescaled(
+        self, monkeypatch, preset, grid, mode, heads
+    ):
+        tracks, passes = sweep_tracks(preset_specs(preset, grid), mode, monkeypatch)
+        assert sum(passes) == heads < assert_own_passes(tracks, mode)
+
+    @pytest.mark.parametrize("mode", [EXACT, PERTURBED], ids=["exact", "perturbed"])
+    def test_zero_noise_and_R_of_degree_2q_minus_1_form_one_family_per_q(self, monkeypatch, mode):
+        for q in (1, 2, 3, 4):
+            noise = f"power:{2 * q - 1}:1"
+            specs = grid_specs("linear", [PriorSpec(q)], ["zero", noise], (0.1, 2.0, 8))
+            tracks, passes = sweep_tracks(specs, mode, monkeypatch)
+            assert passes == [2]
+            assert assert_own_passes(tracks, mode) == 16
+
+    REFUSED = {
+        "ioup": ([PriorSpec(2, "ioup", theta=1.0)], ["zero"], (0.1, 2.0, 4), EXACT),
+        "power-q-1": ([PriorSpec(2)], ["power:2:1"], (0.1, 2.0, 4), EXACT),
+        "factor-3": ([PriorSpec(1)], ["zero"], (0.1, 3.0, 4), EXACT),
+        "singular": ([PriorSpec(1, sigma=1e-170)], ["zero"], (0.1, 2.0, 4), EXACT),
+        "perturbed-1e300": ([PriorSpec(1)], ["zero"], (0.1, 2.0, 4), PerturbedInit(1e300)),
+    }
+
+    @pytest.mark.parametrize("case", list(REFUSED), ids=list(REFUSED))
+    def test_a_refused_pass_runs_on_its_own(self, monkeypatch, case):
+        priors, noises, grid, mode = self.REFUSED[case]
+        tracks, passes = sweep_tracks(grid_specs("logistic", priors, noises, grid), mode, monkeypatch)
+        # The singular family's pass runs, and refuses its members one by one.
+        assert passes == ([1, 1, 1, 1] if case == "singular" else [4])
+        assert assert_own_passes(tracks, mode) == 4
+
+    def test_the_family_rule_refuses_a_number_out_of_range(self):
+        start = np.zeros((2, 2))
+        fine, coarse = ibm_transition(1, 1.0, 0.05), ibm_transition(1, 1.0, 0.1)
+        # R = K h is of degree 2q - 1 = 1; at K = 2^-600 it is out of range.
+        for K, family in ((2.0**-10, [(0, 0), (0, 1)]), (2.0**-600, [(0, 0), (1, 0)])):
+            passes = [(fine, K * 0.05, start, 20), (coarse, K * 0.1, start, 10)]
+            assert filtering.pass_families(passes) == family
+        # R = 0.1 at h = 0.1 is not R = 0 rescaled.
+        assert filtering.pass_families([(fine, 0.0, start, 20), (coarse, 0.1, start, 10)]) == [
+            (0, 0),
+            (1, 0),
+        ]
+        (prefix,) = covariance_prefixes([coarse], [0.0], [start], [50])
+        track = filtering.covariance_track(coarse, 0.0, prefix, 50)
+        (same,) = filtering.rescaled_tracks(track, [(0, 50)])
+        assert same is track
+        assert filtering.rescaled_tracks(track, [(-10, 50), (0, 50)]) is not None
+        # P_00, of degree 3, leaves the range long before 2^(3e) underflows;
+        # one member out of range refuses the whole family.
+        assert filtering.rescaled_tracks(track, [(-200, 50), (0, 50)]) is None
+        assert filtering.rescaled_tracks(track, [(200, 50), (1, 25)]) is None
+
+    #: (noise, sigma) -> the cells of each covariance pass a steady grid of 12 runs.
+    STEADY_PASSES = {
+        ("power:1:1", 1.0): [1],
+        ("zero", 1.0): [1],
+        ("power:2:1", 1.0): [12],
+        ("const:0.25", 1.0): [12],
+        ("power:1:1", 1e-170): [1],  # Q underflows to 0, and P stays 0 for R > 0
+        ("zero", 1e-170): [1] * 12,  # the family's orbit is singular
+        ("power:2:1", 1e-170): [12],
+    }
+
+    @pytest.mark.parametrize("noise_spec, sigma", list(STEADY_PASSES))
+    def test_steady_reads_one_orbit_per_family(self, monkeypatch, noise_spec, sigma):
+        noise, grid = parse_noise(noise_spec), [0.1 * 2.0**-k for k in range(12)]
+        passes, original = [], filtering.covariance_prefixes
+
+        def counted(tms, *args):
+            passes.append(len(tms))
+            return original(tms, *args)
+
+        monkeypatch.setattr(filtering, "covariance_prefixes", counted)
+        orbits = order_bound_prefixes(grid, sigma, noise.p, noise.K_R)
+        monkeypatch.undo()
+        assert passes == self.STEADY_PASSES[noise_spec, sigma]
+        for h, orbit in zip(grid, orbits):
+            tm, R = ibm_transition(1, sigma, h), noise.evaluate(h)
+            (own,) = covariance_prefixes([tm], [R], [np.zeros((2, 2))], [round(1.0 / h)])
+            # A family's orbit may run past the mesh of h, its own stops there.
+            n = len(own.rows)
+            assert len(orbit.rows) >= n and orbit.singular == own.singular
+            if len(orbit.rows) == n:
+                assert orbit.first == own.first
+            for got, expected in zip(orbit.steps(n), own.steps(n)):
+                assert got.tobytes() == expected.tobytes()
+
+    def test_fig2_and_steady_work_at_seed_0(self, monkeypatch, tmp_path):
+        # Before one pass per family: 40,769 P_00 fill steps, 16 cells in the
+        # stacked prefix pass, exact on 58,682 points, and 137 steady kernel steps.
+        work = collections.Counter()
+        original = {
+            name: getattr(filtering, name)
+            for name in ("_fill_period", "covariance_prefixes", "predict_covariance")
+        }
+
+        def fill(*args):
+            filled = original["_fill_period"](*args)
+            work["fill"] += filled
+            return filled
+
+        def prefixes(tms, *args):
+            work["passes"] += len(tms)
+            return original["covariance_prefixes"](tms, *args)
+
+        def predict(*args):
+            work["predict"] += 1
+            return original["predict_covariance"](*args)
+
+        get = cli.get_problem
+
+        def counted_problem(name):
+            problem = get(name)
+
+            def exact(ts):
+                work["exact"] += len(ts)
+                return problem.exact(ts)
+
+            return dataclasses.replace(problem, exact=exact)
+
+        monkeypatch.setattr(cli, "get_problem", counted_problem)
+        monkeypatch.setattr(filtering, "_fill_period", fill)
+        monkeypatch.setattr(filtering, "covariance_prefixes", prefixes)
+        monkeypatch.setattr(filtering, "predict_covariance", predict)
+        assert cli.main(["wpd", "--preset", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
+        assert work["fill"] <= 23_228 and work["passes"] == 2 and work["exact"] <= 14_722
+        work.clear()
+        for noise in ("power:1:1", "power:2:1", "power:3:1", "zero"):
+            argv = ["steady", "--sigma", "1", "--noise", noise, "--h-grid", "0.1:2:12"]
+            assert cli.main(argv + ["--out", str(tmp_path / "steady.csv")]) == 0
+        assert work["predict"] <= 80
+
+
 def blowup_lite():
     """x' = x^2 from x(0) = 0.5 on [0, 1] (the solution 1 / (2 - t) stays finite);
     a start far from x0 overflows f within a few steps."""
@@ -927,6 +1125,78 @@ class TestStackedMeanPass:
         assert_same_bytes(solve(problem, *cells[0], stack=stack), solve(problem, *cells[0]))
         with pytest.raises(ValueError, match="not this one"):
             solve(problem, *cells[0], stack=stack)
+
+
+class TestOneCheckMeanLoop:
+    """_mean_loop checks one finiteness per step; it must act as the loop that checks two."""
+
+    #: Each case: track lengths, and what goes wrong: gains that turn NaN
+    #: (slot, from step), a field f = x^2 from start means scaled per slot so
+    #: that it overflows, data made infinite at (step, slot), and f(0) = inf,
+    #: which a slot zeroed after its cell left gives.  f = -x otherwise.
+    CASES = {
+        "nan-gains": dict(lengths=[40, 40, 30, 12], nan_gains=[(1, 5)]),
+        "f-overflows": dict(lengths=[40, 30, 30, 12], square={2: 1e60, 3: 1e150}),
+        "data-at-a-track-end": dict(lengths=[40, 30, 12], bad_data=[(11, 2), (29, 1)]),
+        "data-at-the-last-step": dict(lengths=[40, 30, 12], bad_data=[(39, 0)]),
+        "every-cell-at-once": dict(lengths=[20, 20, 20], bad_data=[(7, 0), (7, 1), (7, 2)]),
+        "f-of-zero": dict(lengths=[40, 30, 30], nan_gains=[(0, 3)], zero_is_bad=True),
+        "nan-gains-at-the-last-step": dict(lengths=[40, 30], nan_gains=[(1, 29)]),
+    }
+
+    #: Each case's steps completed per cell.
+    REACHED = {
+        "nan-gains": [40, 6, 30, 12],
+        "f-overflows": [11, 13, 2, 1],
+        "data-at-a-track-end": [40, 29, 11],
+        "data-at-the-last-step": [39, 30, 12],
+        "every-cell-at-once": [7, 7, 7],
+        "f-of-zero": [4, 30, 30],
+        "nan-gains-at-the-last-step": [40, 30],
+    }
+
+    @staticmethod
+    def run(loop, lengths, nan_gains=(), square=None, bad_data=(), zero_is_bad=False):
+        """One mean loop on a crafted stack of q = 1 cells: (reached, y, m_post, gains, f's inputs)."""
+        rng = np.random.default_rng(len(lengths))
+        lengths = np.array(lengths)
+        steps = np.arange(lengths[0])
+        starts = np.zeros(len(steps) + 1, np.intp)
+        np.cumsum(len(lengths) - np.searchsorted(lengths[::-1], steps, "right"), out=starts[1:])
+        A = np.array([ibm_transition(1, 1.0, 0.1 * 2.0**-j).A for j in range(len(lengths))])
+        m = rng.uniform(0.5, 1.0, size=(len(lengths), 2, 1))
+        for j, scale in (square or {}).items():
+            m[j] *= scale
+        gains = rng.uniform(0.1, 0.9, size=(starts[-1], 2, 1))
+        for j, n in nan_gains:
+            gains[starts[n : lengths[j]] + j] = math.nan
+        y, m_post = np.full((starts[-1], 1), math.nan), np.full((starts[-1], 2, 1), math.nan)
+        seen = []
+
+        def f(x):
+            seen.append(np.array(x))
+            data = x * x if square else -x
+            for n, j in bad_data:
+                if n == len(seen) - 1:
+                    data[j] = math.inf
+            if zero_is_bad:
+                data[x == 0.0] = math.inf
+            return data
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            reached = loop(f, A, m, starts, lengths, y, gains, m_post)
+        return reached, y, m_post, gains, seen
+
+    @pytest.mark.parametrize("case", list(CASES), ids=list(CASES))
+    def test_equals_the_two_check_loop(self, case):
+        got = self.run(filtering._mean_loop, **self.CASES[case])
+        expected = self.run(oracles.two_check_mean_loop, **self.CASES[case])
+        assert got[0] == expected[0] == self.REACHED[case]
+        for a, b in zip(got[1:4], expected[1:4]):
+            assert a.tobytes() == b.tobytes()
+        # f sees the same stacks, all finite.
+        assert [x.tobytes() for x in got[4]] == [x.tobytes() for x in expected[4]]
+        assert all(np.isfinite(x).all() for x in got[4])
 
 
 class TestNonFiniteFixedPoint:
