@@ -13,8 +13,8 @@ The set, each run's CSV (and SVG) plus its stderr and exit code:
 * a ``steady`` orbit that cycles (sigma = 100, ``power:1:1``), a
   singular innovation (sigma = 1e-170, zero noise) in ``steady`` and in
   ``wpd``, a prior whose (A, Q) overflows (sigma = 1e200) in ``steady``
-  and in ``solve``, and a closed form that overflows (sigma = 1e100) in
-  ``steady``;
+  and in ``solve``, a closed form that overflows (sigma = 1e100) in
+  ``steady``, and a sweep with q = 0;
 * sweeps whose covariance passes form no families: fig2 on a factor-3
   grid, whose meshes do not nest, and an IOUP prior.
 
@@ -62,6 +62,7 @@ ERRORS = {
     "steady-overflow": ("steady --sigma 1e200 --noise power:1:1 --h-grid 0.1:2:8", False),
     "solve-overflow": ("solve --problem logistic --sigma 1e200 --h 0.1", False),
     "steady-closed-overflow": ("steady --sigma 1e100 --noise power:1:1 --h-grid 0.1:2:8", False),
+    "wpd-q-0": ("wpd --problem logistic --q 0 --h-grid 0.1:2:4", False),
 }
 
 NO_FAMILIES = {

@@ -217,58 +217,24 @@ def _mesh_exact(problem, h: float):
 
 
 def _covariance_tracks(specs: Sequence[RunSpec], mode: PerturbedInit) -> Iterator:
-    """Each cell's ``filtering.CovarianceTrack`` in turn, from one covariance pass per family.
+    """Each cell's ``filtering.CovarianceTrack`` in turn (``filtering.shared_tracks``).
 
-    Cells with one prior, h, R and start covariance share a pass (the
-    recursion never sees the data) over their longest mesh.  A pass that is
-    another's at a power-of-two step, every number rescaled exactly, reads
-    that pass's track (``filtering.pass_families``).  Only each family's
-    longest pass runs, in one stacked prefix pass per q.  At the family's
-    first cell it is filled, and each pass of the family takes its track, a
-    rescaled cut of it (``filtering.rescaled_tracks``), or runs on its own
-    if that is refused; each pass's track is let go after its last cell, so
-    only the tracks in use are held.
+    A cell's pass runs its prior's transition at h, its R and its start
+    covariance over its problem's mesh; the passes share their work as
+    ``filtering.shared_tracks`` says.
     """
     horizons = {name: get_problem(name).T for name in {spec.problem for spec in specs}}
-    passes = {}  # cell key -> [transition, R, start covariance, steps]
-    keys = []
-    for spec in specs:
-        q, h = spec.prior.q, spec.h
-        R, start = spec.noise.evaluate(h), filtering.initial_covariance(q, h, mode)
-        key = (spec.prior, h, R, start.tobytes())
-        if key not in passes:
-            passes[key] = [spec.prior.transition(h), R, start, 0]
-        passes[key][3] = max(passes[key][3], round(horizons[spec.problem] / h))
-        keys.append(key)
-    names = list(passes)
-    family = filtering.pass_families(list(passes.values()))
-    family = {key: (names[r], e) for key, (r, e) in zip(names, family)}
-    heads = [key for key in names if family[key][0] == key]
-    prefixes = {}
-    for q in sorted({prior.q for prior, *_ in heads}):
-        group = [key for key in heads if key[0].q == q]
-        cells = zip(*(passes[key] for key in group))
-        prefixes.update(zip(group, filtering.covariance_prefixes(*cells)))
-    last = {key: c for c, key in enumerate(keys)}
-    tracks = {}
-    for c, key in enumerate(keys):
-        if key not in tracks:  # the first cell of its family
-            head = family[key][0]
-            tm, R, _, steps = passes[head]
-            track = filtering.covariance_track(tm, R, prefixes.pop(head), steps)
-            members = [k for k in names if family[k][0] == head]
-            scales = [(family[k][1], passes[k][3]) for k in members]
-            rescaled = filtering.rescaled_tracks(track, scales)
-            if rescaled is None:  # refused: each other pass runs on its own
-                rescaled = [track if k == head else _own_track(*passes[k]) for k in members]
-            tracks.update(zip(members, rescaled))
-        yield tracks[key] if last[key] > c else tracks.pop(key)
-
-
-def _own_track(tm, R, start, steps: int):
-    """The track of a pass (transition, R, start, steps) that runs on its own."""
-    (prefix,) = filtering.covariance_prefixes([tm], [R], [start], [steps])
-    return filtering.covariance_track(tm, R, prefix, steps)
+    transition = functools.cache(PriorSpec.transition)
+    passes = [
+        (
+            transition(spec.prior, spec.h),
+            spec.noise.evaluate(spec.h),
+            filtering.initial_covariance(spec.prior.q, spec.h, mode),
+            round(horizons[spec.problem] / spec.h),
+        )
+        for spec in specs
+    ]
+    return filtering.shared_tracks(passes)
 
 
 # ---------------------------------------------------------------------------
@@ -301,24 +267,27 @@ def _preset_cells(name: str) -> list:
 # CSV helpers
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+#: The CSV text of a value, by the first class of its type (in MRO order) listed here.
+_FORMAT = {
+    bool: lambda value: "true" if value else "false",
+    int: "%d".__mod__,
+    np.integer: "%d".__mod__,
+    float: "%.17g".__mod__,
+    np.floating: "%.17g".__mod__,
+    object: str,
+}
 
 
-#: The text of the common value types, found by one type lookup; any other type takes _fmt.
-_FORMAT = {float: "%.17g".__mod__, np.float64: "%.17g".__mod__, int: str, str: str}
+@functools.cache
+def _formatter(kind: type):
+    """The ``_FORMAT`` entry of a value type."""
+    return next(_FORMAT[base] for base in kind.__mro__ if base in _FORMAT)
 
 
 def _write_csv(path: Optional[str], header: Sequence[str], rows: Sequence[Sequence]) -> None:
     text = ",".join(header) + "\n"
     for row in rows:
-        text += ",".join(_FORMAT.get(type(v), _fmt)(v) for v in row) + "\n"
+        text += ",".join(_formatter(type(v))(v) for v in row) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

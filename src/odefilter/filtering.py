@@ -58,14 +58,12 @@ h: the entries of P_pred, P_post and P_00 of degree 2q+1-i-j, the gains
 beta_i of degree 1-i.  A pass at step 2^e h then starts from its pass at h
 with every number times a power of two, and so is every product, sum and
 quotient of its recursion: scaling by a power of two commutes with each
-rounding while every number stays normal.  ``pass_families`` groups the
-passes whose inputs are such exact rescalings, bit for bit, of a pass with
-a longer mesh, and ``rescaled_tracks`` reads each member's track from that
-pass's, cut to its own mesh.  Both refuse a nonzero number outside
-[2^-480, 2^480], before or after the rescaling (a product of two such
-numbers is normal), and ``rescaled_tracks`` a singular or non-finite track;
-a refused pass runs on its own.  A sweep (``cli``) and a ``steady`` grid
-run one pass per family.
+rounding while every number stays normal.  ``shared_tracks``, the tracks of
+a sweep's passes, runs one pass per family and reads each member's track
+from it, rescaled and cut to its own mesh.  It refuses a nonzero number
+outside [2^-480, 2^480], before or after the rescaling (a product of two
+such numbers is normal), and a singular or non-finite track; a refused pass
+runs on its own.
 """
 
 from __future__ import annotations
@@ -93,9 +91,8 @@ __all__ = [
     "gain",
     "initial_covariance",
     "initialize",
-    "pass_families",
     "periodic_pass",
-    "rescaled_tracks",
+    "shared_tracks",
     "solve",
     "solve_cells",
 ]
@@ -551,12 +548,61 @@ def _fill_period(tm, R, P_pred, P_post, period, P00, n: int) -> int:
     return len(period)
 
 
+def shared_tracks(passes: Sequence[tuple]) -> Iterator[CovarianceTrack]:
+    """Each pass's ``CovarianceTrack`` over its mesh in turn, with one pass run per family.
+
+    ``passes`` are (transition, R, start covariance, steps).  Passes with
+    the same A, Q, R and start, byte for byte, share one track over their
+    longest mesh.  Only each family's longest pass runs (``_pass_families``),
+    in one stacked prefix pass per matrix size; it is filled at the family's
+    first pass, and each member takes a rescaled cut of it
+    (``_rescaled_tracks``) or, where that is refused, runs on its own.  Each
+    track is let go after its last pass.  Raises ValueError for q = 0.
+    """
+    if any(len(start) < 2 for _, _, start, _ in passes):
+        raise ValueError(_Q_AT_LEAST_1)
+    index, distinct, keys = {}, [], []
+    for tm, R, start, steps in passes:
+        k = index.setdefault(_numbers((tm, R, start)).tobytes(), len(distinct))
+        if k == len(distinct):
+            distinct.append([tm, R, start, 0])
+        distinct[k][3] = max(distinct[k][3], steps)
+        keys.append(k)
+    family = _pass_families(distinct)
+    members = {}
+    for k, (r, _) in enumerate(family):
+        members.setdefault(r, []).append(k)
+    heads, prefixes = sorted(members), {}
+    for n in sorted({len(distinct[r][2]) for r in heads}):
+        group = [r for r in heads if len(distinct[r][2]) == n]
+        prefixes.update(zip(group, covariance_prefixes(*zip(*(distinct[r] for r in group)))))
+    last = {k: c for c, k in enumerate(keys)}
+    tracks = {}
+    for c, k in enumerate(keys):
+        if k not in tracks:  # the first pass of its family
+            r = family[k][0]
+            tm, R, _, steps = distinct[r]
+            track = covariance_track(tm, R, prefixes.pop(r), steps)
+            cuts = [(family[m][1], distinct[m][3]) for m in members[r]]
+            rescaled = _rescaled_tracks(track, cuts)
+            if rescaled is None:  # refused: each other pass runs on its own
+                rescaled = [track if m == r else _own_track(*distinct[m]) for m in members[r]]
+            tracks.update(zip(members[r], rescaled))
+        yield tracks[k] if last[k] > c else tracks.pop(k)
+
+
+def _own_track(tm, R, start, steps: int) -> CovarianceTrack:
+    """The track of a pass (transition, R, start, steps) that runs on its own."""
+    (prefix,) = covariance_prefixes([tm], [R], [start], [steps])
+    return covariance_track(tm, R, prefix, steps)
+
+
 #: The range of every nonzero number a family shares, before and after its
 #: rescaling: a product of two such numbers stays normal.
 _FAMILY_RANGE = (2.0**-480, 2.0**480)
 
 
-def pass_families(passes: Sequence[tuple]) -> list:
+def _pass_families(passes: Sequence[tuple]) -> list:
     """Each pass's family: (r, e), the pass whose track it reads and its exponent.
 
     ``passes`` are (transition, R, start covariance, steps).  Taken longest
@@ -596,16 +642,15 @@ def pass_families(passes: Sequence[tuple]) -> list:
     return family
 
 
-def rescaled_tracks(track: CovarianceTrack, members: Sequence[tuple]) -> Optional[list]:
-    """The track of each member (e, n) of a family whose pass ``track`` begins.
+def _rescaled_tracks(track: CovarianceTrack, members: Sequence[tuple]) -> Optional[list]:
+    """The track of each member (e, n) of the family whose pass has the track ``track``.
 
-    A member's track is the first n steps of ``track`` (all, for n None) at
-    step 2^e h: P_pred, P_post and P_00 scale by 2^(e(2q+1-i-j)) and beta by
-    2^(e(1-i)) (see the module docstring); e = 0 over all its steps is
-    ``track`` itself.  Unless every e is 0, None if the track is singular,
-    or if a number of it is not finite or leaves ``_FAMILY_RANGE`` at the
-    least or the greatest e (each number lies between its values at those
-    two).
+    A member's track is the first n steps of ``track`` at step 2^e h: P_pred,
+    P_post and P_00 scale by 2^(e(2q+1-i-j)) and beta by 2^(e(1-i)) (see the
+    module docstring); e = 0, the family's own pass, takes ``track`` itself.
+    Unless every e is 0, None if the track is singular, or if a number of it
+    is not finite or leaves ``_FAMILY_RANGE`` at the least or the greatest e
+    (each number lies between its values at those two).
     """
     _, dP = _degrees(track.P_pred.shape[-1])
     degrees = (dP, dP, dP[1] - dP[1, 1], dP[0, 0])
@@ -617,18 +662,16 @@ def rescaled_tracks(track: CovarianceTrack, members: Sequence[tuple]) -> Optiona
         return None
     tracks = []
     for e, n in members:
-        rows = track.rows[:n]
-        whole = len(rows) == len(track.rows)
-        if e == 0 and whole:
+        if e == 0:
             tracks.append(track)
             continue
+        rows = track.rows[:n]
         k = int(rows.max()) + 1 if len(rows) else 0  # the stored steps they read
         scaled = [np.ldexp(x[:k], e * d) for x, d in zip(arrays[:3], degrees)]
         scaled.append(np.ldexp(track.P00[: len(rows)], e * degrees[3]))
         for x in scaled:
             x.setflags(write=False)
-        first = track.first if whole else None
-        tracks.append(CovarianceTrack(*scaled[:3], rows, scaled[3], first, False))
+        tracks.append(CovarianceTrack(*scaled[:3], rows, scaled[3], None, False))
     return tracks
 
 

@@ -12,17 +12,15 @@ to measure the h-orders of the maximal covariance/gain quantities
 against the predicted exponents for a power-law noise model R = K_R h^p.
 
 ``verify_order_bounds`` reads the orbits of its whole h grid from zero
-(``order_bound_prefixes``): one pass per family of the grid, at its finest
-h, whose orbit the coarser h of the family read rescaled exactly (see
-``filtering``).  The passes run side by side, as one stack
-(``filtering.covariance_prefixes``), each over its mesh, up to its first
-repeated closed block P[:, 1:]: every tracked quantity repeats with it
-(see ``filtering``), so nothing after that step can change a maximum.
-``orbit_limit`` decides every orbit in one loop, over steps from one of
-three sources: such a prefix, whose rows are the orbit's first steps bit
-for bit, followed by its period over and over if it ends on a repeat;
-``filtering.periodic_pass`` on a stack of one, from zero, if there is no
-prefix; or a prefix cut by its bound, then that pass from the step after it.
+(``order_bound_prefixes``): one stacked pass (``filtering.covariance_prefixes``)
+runs them side by side, each over its mesh, up to its first repeated closed
+block P[:, 1:]: every tracked quantity repeats with it (see ``filtering``),
+so nothing after that step can change a maximum.  ``orbit_limit`` decides
+every orbit in one loop, over steps from one of three sources: such a
+prefix, whose rows are the orbit's first steps bit for bit, followed by its
+period over and over if it ends on a repeat; ``filtering.periodic_pass`` on
+a stack of one, from zero, if there is no prefix; or a prefix cut by its
+bound, then that pass from the step after it.
 """
 
 from __future__ import annotations
@@ -235,38 +233,20 @@ ORDER_BOUND_DROP_LARGEST = 1
 
 
 def order_bound_prefixes(h_grid: Sequence[float], sigma: float, p: float, K_R: float) -> list:
-    """Each h's orbit from a zero start, at least over the mesh of round(ORDER_BOUND_T/h) steps.
+    """Each h's orbit from a zero start, over the mesh of round(ORDER_BOUND_T/h) steps.
 
-    Checks the grid, then returns each h's orbit as a prefix: up to its first
-    repeated closed block, the end of its pass's mesh or its first singular
-    innovation, whichever comes first.  One pass runs per family of the grid
-    (``filtering.pass_families``), its finest h's, and the passes run side by
-    side, as one stack; the coarser h of a family read its orbit rescaled
-    (``filtering.rescaled_tracks``), whole, so past their own mesh, and an
-    orbit it refuses runs on its own.  ``verify_order_bounds`` takes its
-    maxima over these, and ``orbit_limit`` reads each orbit from its entry.
+    Checks the grid, then returns each h's orbit as a prefix, up to its first
+    repeated closed block, the end of its mesh or its first singular
+    innovation, whichever comes first, from one stacked pass of the whole
+    grid.  ``verify_order_bounds`` takes its maxima over these, and
+    ``orbit_limit`` reads each orbit from its entry.
     """
-    hs = _checked_grid(h_grid)
     noise = PowerLawNoise(K_R=K_R, p=p)
     passes = [
         (ibm_transition(1, sigma, h), noise.evaluate(h), np.zeros((2, 2)), round(ORDER_BOUND_T / h))
-        for h in hs
+        for h in _checked_grid(h_grid)
     ]
-
-    def run(cells):  # each cell's prefix, from one stacked pass
-        return filtering.covariance_prefixes(*zip(*(passes[c] for c in cells)))
-
-    family = filtering.pass_families(passes)
-    heads = [c for c, (r, _) in enumerate(family) if r == c]
-    orbits = [None] * len(hs)
-    for r, prefix in zip(heads, run(heads)):
-        members = [c for c, (head, _) in enumerate(family) if head == r]
-        rescaled = filtering.rescaled_tracks(prefix, [(family[c][1], None) for c in members])
-        if rescaled is None:  # refused: each other orbit runs on its own
-            rescaled = [prefix if c == r else run([c])[0] for c in members]
-        for c, orbit in zip(members, rescaled):
-            orbits[c] = orbit
-    return orbits
+    return filtering.covariance_prefixes(*zip(*passes))
 
 
 def _checked_grid(h_grid: Sequence[float]) -> list:
@@ -307,8 +287,7 @@ def verify_order_bounds(
     for row, (h, prefix) in enumerate(zip(hs, prefixes)):
         if prefix.singular:
             raise filtering.SingularInnovation(f"h = {h!r}: {_SINGULAR}")
-        n = round(ORDER_BOUND_T / h)  # an orbit read from its family's runs past its mesh
-        P_pred, P, beta = prefix.P_pred[:n], prefix.P_post[:n], prefix.beta[:n]
+        P_pred, P, beta = prefix.P_pred, prefix.P_post, prefix.beta
         # One row per step, one column per ORDER_BOUND_QUANTITIES entry.
         track = np.stack(
             [P_pred[:, 1, 1], P[:, 1, 1], abs(P[:, 0, 1]), abs(beta[:, 0]), abs(1.0 - beta[:, 1])],

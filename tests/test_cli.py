@@ -102,6 +102,8 @@ CONFIG_ERRORS = {
     "init-negative": "solve --problem logistic --h 0.1 --init perturbed:-1",
     "non-integer-mesh": "solve --problem logistic --h 0.4",
     "q-0": "solve --problem logistic --h 0.1 --q 0",
+    "wpd-q-0": "wpd --problem logistic --q 0 --h-grid 0.1:2:4",
+    "misalign-q-0": "misalign --problem logistic --q 0 --h-grid 0.1:2:4",
     "missing-derivative": "solve --problem logistic --h 0.1 --q 7",
     "wpd-bad-noise": "wpd --noise gauss --h-grid 0.1:2:4",
     "steady-bad-noise": "steady --noise gauss --h-grid 0.1:2:8",
@@ -117,8 +119,14 @@ CONFIG_ERRORS = {
 }
 
 
-#: The cell a singular innovation is named by, as the CSV columns spell it.
-SINGULAR_CELLS = {
+Q_AT_LEAST_1 = "error: the solver requires q >= 1 (q = 0 models no derivative)"
+
+#: The text of an error: the cell a singular innovation is named by, as the
+#: CSV columns spell it, and the rule that q = 0 breaks.
+ERROR_TEXT = {
+    "q-0": Q_AT_LEAST_1,
+    "wpd-q-0": Q_AT_LEAST_1,
+    "misalign-q-0": Q_AT_LEAST_1,
     "wpd-singular": "error: problem = logistic, q = 1, p = inf, K_R = 0.0, h = 0.1: singular",
     "misalign-singular": "error: problem = logistic, q = 1, p = inf, K_R = 0.0, h = 0.1: singular",
     "steady-singular": "error: h = 0.1: singular",
@@ -137,7 +145,7 @@ def test_configuration_error_exits_1_without_traceback(name, tmp_path, capsys):
     init = CONFIG_ERRORS[name].partition("--init ")[2]
     if init:
         assert f"bad init spec {init!r}; expected exact or perturbed:<K0>" in err
-    assert SINGULAR_CELLS.get(name, "") in err
+    assert ERROR_TEXT.get(name, "") in err
 
 
 def test_three_calls_build_the_parser_once():
@@ -147,10 +155,11 @@ def test_three_calls_build_the_parser_once():
     assert _build_parser.cache_info().misses == 1
 
 
-#: (value, the text the isinstance chain of ``cli._fmt`` gives it).
+#: (value, its CSV text).
 CSV_TEXT = [
     (True, "true"),
     (False, "false"),
+    (np.True_, "True"),
     (0, "0"),
     (-7, "-7"),
     (np.int64(12), "12"),
@@ -171,11 +180,10 @@ CSV_TEXT = [
 
 
 @pytest.mark.parametrize("value, text", CSV_TEXT, ids=[repr(v) for v, _ in CSV_TEXT])
-def test_csv_writer_formats_each_type_as_fmt_does(value, text, tmp_path):
+def test_csv_writer_formats_each_type(value, text, tmp_path):
     out = tmp_path / "values.csv"
     cli._write_csv(str(out), ["a", "b"], [[value, value]])
     assert out.read_bytes() == f"a,b\n{text},{text}\n".encode()
-    assert cli._fmt(value) == text
 
 
 def test_exact_start_and_a_zero_width_perturbed_start_write_the_same_csv(tmp_path):

@@ -872,21 +872,34 @@ class TestPassFamilies:
             assert passes == [2]
             assert assert_own_passes(tracks, mode) == 16
 
+    LOGISTIC, FIG2 = ("logistic",), ("logistic", "linear")
+
+    # The fig2 cases' logistic passes equal their linear twins', and share
+    # their tracks before any family forms: as e = 0 family members they
+    # took 30 passes at perturbed:1e300.
     REFUSED = {
-        "ioup": ([PriorSpec(2, "ioup", theta=1.0)], ["zero"], (0.1, 2.0, 4), EXACT),
-        "power-q-1": ([PriorSpec(2)], ["power:2:1"], (0.1, 2.0, 4), EXACT),
-        "factor-3": ([PriorSpec(1)], ["zero"], (0.1, 3.0, 4), EXACT),
-        "singular": ([PriorSpec(1, sigma=1e-170)], ["zero"], (0.1, 2.0, 4), EXACT),
-        "perturbed-1e300": ([PriorSpec(1)], ["zero"], (0.1, 2.0, 4), PerturbedInit(1e300)),
+        "ioup": ([PriorSpec(2, "ioup", theta=1.0)], ["zero"], (0.1, 2.0, 4), EXACT, LOGISTIC),
+        "power-q-1": ([PriorSpec(2)], ["power:2:1"], (0.1, 2.0, 4), EXACT, LOGISTIC),
+        "factor-3": ([PriorSpec(1)], ["zero"], (0.1, 3.0, 4), EXACT, LOGISTIC),
+        "singular": ([PriorSpec(1, sigma=1e-170)], ["zero"], (0.1, 2.0, 4), EXACT, LOGISTIC),
+        "perturbed-1e300": (
+            [PriorSpec(1)], ["zero"], (0.1, 2.0, 4), PerturbedInit(1e300), LOGISTIC
+        ),
+        "fig2-singular": ([PriorSpec(1, sigma=1e-170)], ["zero"], (0.1, 2.0, 8), EXACT, FIG2),
+        "fig2-perturbed-1e300": (
+            [PriorSpec(1)], ["zero"], (0.1, 2.0, 8), PerturbedInit(1e300), FIG2
+        ),
     }
 
     @pytest.mark.parametrize("case", list(REFUSED), ids=list(REFUSED))
     def test_a_refused_pass_runs_on_its_own(self, monkeypatch, case):
-        priors, noises, grid, mode = self.REFUSED[case]
-        tracks, passes = sweep_tracks(grid_specs("logistic", priors, noises, grid), mode, monkeypatch)
+        priors, noises, grid, mode, problems = self.REFUSED[case]
+        specs = [spec for name in problems for spec in grid_specs(name, priors, noises, grid)]
+        tracks, passes = sweep_tracks(specs, mode, monkeypatch)
+        count = grid[2]
         # The singular family's pass runs, and refuses its members one by one.
-        assert passes == ([1, 1, 1, 1] if case == "singular" else [4])
-        assert assert_own_passes(tracks, mode) == 4
+        assert passes == ([1] * count if case.endswith("singular") else [count])
+        assert assert_own_passes(tracks, mode) == count
 
     def test_the_family_rule_refuses_a_number_out_of_range(self):
         start = np.zeros((2, 2))
@@ -894,35 +907,37 @@ class TestPassFamilies:
         # R = K h is of degree 2q - 1 = 1; at K = 2^-600 it is out of range.
         for K, family in ((2.0**-10, [(0, 0), (0, 1)]), (2.0**-600, [(0, 0), (1, 0)])):
             passes = [(fine, K * 0.05, start, 20), (coarse, K * 0.1, start, 10)]
-            assert filtering.pass_families(passes) == family
+            assert filtering._pass_families(passes) == family
         # R = 0.1 at h = 0.1 is not R = 0 rescaled.
-        assert filtering.pass_families([(fine, 0.0, start, 20), (coarse, 0.1, start, 10)]) == [
+        assert filtering._pass_families([(fine, 0.0, start, 20), (coarse, 0.1, start, 10)]) == [
             (0, 0),
             (1, 0),
         ]
         (prefix,) = covariance_prefixes([coarse], [0.0], [start], [50])
         track = filtering.covariance_track(coarse, 0.0, prefix, 50)
-        (same,) = filtering.rescaled_tracks(track, [(0, 50)])
+        (same,) = filtering._rescaled_tracks(track, [(0, 50)])
         assert same is track
-        assert filtering.rescaled_tracks(track, [(-10, 50), (0, 50)]) is not None
+        assert filtering._rescaled_tracks(track, [(-10, 50), (0, 50)]) is not None
         # P_00, of degree 3, leaves the range long before 2^(3e) underflows;
         # one member out of range refuses the whole family.
-        assert filtering.rescaled_tracks(track, [(-200, 50), (0, 50)]) is None
-        assert filtering.rescaled_tracks(track, [(200, 50), (1, 25)]) is None
+        assert filtering._rescaled_tracks(track, [(-200, 50), (0, 50)]) is None
+        assert filtering._rescaled_tracks(track, [(200, 50), (1, 25)]) is None
 
-    #: (noise, sigma) -> the cells of each covariance pass a steady grid of 12 runs.
-    STEADY_PASSES = {
-        ("power:1:1", 1.0): [1],
-        ("zero", 1.0): [1],
-        ("power:2:1", 1.0): [12],
-        ("const:0.25", 1.0): [12],
-        ("power:1:1", 1e-170): [1],  # Q underflows to 0, and P stays 0 for R > 0
-        ("zero", 1e-170): [1] * 12,  # the family's orbit is singular
-        ("power:2:1", 1e-170): [12],
-    }
+    #: (noise, sigma) of steady grids.  R = 0 and R = K h would form families;
+    #: at sigma = 1e-170 Q underflows to 0, so P stays 0 for R > 0 and every
+    #: zero-noise orbit is singular.
+    STEADY_PASSES = [
+        ("power:1:1", 1.0),
+        ("zero", 1.0),
+        ("power:2:1", 1.0),
+        ("const:0.25", 1.0),
+        ("power:1:1", 1e-170),
+        ("zero", 1e-170),
+        ("power:2:1", 1e-170),
+    ]
 
-    @pytest.mark.parametrize("noise_spec, sigma", list(STEADY_PASSES))
-    def test_steady_reads_one_orbit_per_family(self, monkeypatch, noise_spec, sigma):
+    @pytest.mark.parametrize("noise_spec, sigma", STEADY_PASSES)
+    def test_steady_runs_its_grid_as_one_stacked_pass(self, monkeypatch, noise_spec, sigma):
         noise, grid = parse_noise(noise_spec), [0.1 * 2.0**-k for k in range(12)]
         passes, original = [], filtering.covariance_prefixes
 
@@ -933,21 +948,19 @@ class TestPassFamilies:
         monkeypatch.setattr(filtering, "covariance_prefixes", counted)
         orbits = order_bound_prefixes(grid, sigma, noise.p, noise.K_R)
         monkeypatch.undo()
-        assert passes == self.STEADY_PASSES[noise_spec, sigma]
+        assert passes == [12]
         for h, orbit in zip(grid, orbits):
             tm, R = ibm_transition(1, sigma, h), noise.evaluate(h)
             (own,) = covariance_prefixes([tm], [R], [np.zeros((2, 2))], [round(1.0 / h)])
-            # A family's orbit may run past the mesh of h, its own stops there.
-            n = len(own.rows)
-            assert len(orbit.rows) >= n and orbit.singular == own.singular
-            if len(orbit.rows) == n:
-                assert orbit.first == own.first
-            for got, expected in zip(orbit.steps(n), own.steps(n)):
-                assert got.tobytes() == expected.tobytes()
+            assert (orbit.first, orbit.singular) == (own.first, own.singular)
+            for name in ("P_pred", "P_post", "beta", "rows", "P00"):
+                assert getattr(orbit, name).tobytes() == getattr(own, name).tobytes()
 
     def test_fig2_and_steady_work_at_seed_0(self, monkeypatch, tmp_path):
         # Before one pass per family: 40,769 P_00 fill steps, 16 cells in the
-        # stacked prefix pass, exact on 58,682 points, and 137 steady kernel steps.
+        # stacked prefix pass and exact on 58,682 points.  Steady runs each
+        # grid as one stacked pass, with no families: 137 kernel calls, as
+        # before they came.
         work = collections.Counter()
         original = {
             name: getattr(filtering, name)
@@ -988,7 +1001,7 @@ class TestPassFamilies:
         for noise in ("power:1:1", "power:2:1", "power:3:1", "zero"):
             argv = ["steady", "--sigma", "1", "--noise", noise, "--h-grid", "0.1:2:12"]
             assert cli.main(argv + ["--out", str(tmp_path / "steady.csv")]) == 0
-        assert work["predict"] <= 80
+        assert work["predict"] == 137
 
 
 def blowup_lite():
