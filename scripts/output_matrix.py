@@ -16,7 +16,9 @@ The set, each run's CSV (and SVG) plus its stderr and exit code:
   and in ``solve``, a closed form that overflows (sigma = 1e100) in
   ``steady``, and a sweep with q = 0;
 * sweeps whose covariance passes form no families: fig2 on a factor-3
-  grid, whose meshes do not nest, and an IOUP prior.
+  grid, whose meshes do not nest, and an IOUP prior;
+* a per-step ``solve`` from ``perturbed:1e300``, whose covariance pass
+  turns NaN and ends at a fixed point.
 
 About 9 s on a 2-vCPU Xeon VM with OPENBLAS_NUM_THREADS=1.
 """
@@ -74,6 +76,13 @@ NO_FAMILIES = {
     ),
 }
 
+DIVERGING = {
+    "solve-perturbed-1e300": (
+        "solve --problem logistic --q 1 --h 0.0125 --noise zero --init perturbed:1e300",
+        False,
+    ),
+}
+
 
 def runs() -> dict:
     """Output name -> (argv without --out/--svg, whether it writes an SVG)."""
@@ -81,7 +90,7 @@ def runs() -> dict:
     for command, preset in PRESETS:
         for init, flags in INITS.items():
             table[f"{command}-{preset}-{init}"] = ([command, "--preset", preset, *flags], True)
-    for name, (text, svg) in {**README, **ERRORS, **NO_FAMILIES}.items():
+    for name, (text, svg) in {**README, **ERRORS, **NO_FAMILIES, **DIVERGING}.items():
         table[name] = (text.split(), svg)
     for sigma in ("1", "50"):
         for h0 in ("0.1", "0.099738"):

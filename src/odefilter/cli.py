@@ -412,7 +412,7 @@ def cmd_steady(cfg: RunConfig) -> int:
     if len(cfg.noise) != 1:
         raise CliError("steady takes a single noise model")
     model = parse_noise(cfg.noise[0])
-    # One pass from zero per h serves the order bounds and the orbit limits.
+    # One stacked pass from zero, over the longest mesh, serves bounds and orbits.
     prefixes = steady_state.order_bound_prefixes(grid, cfg.sigma, model.p, model.K_R)
     bounds = steady_state.verify_order_bounds(
         grid, cfg.sigma, model.p, model.K_R, prefixes=prefixes

@@ -42,14 +42,15 @@ first repeat.  ``CovarianceTrack`` holds a cell's steps, each distinct
 step once; ``covariance_prefixes`` returns each cell's *prefix*, a track
 whose rows are its own steps, up to that repeat, its mesh or its first
 singular innovation.  ``covariance_track`` cuts a track that is long
-enough and fills a shorter one bit for bit: each later step maps to its
-step k, and the growing P_00 is recomputed with the kernel's own
-arithmetic (a full A P A^T of the previous posterior, then the scalar
-symmetrize and update); a non-finite P_00 (0 * inf is NaN) hands the rest
-to a fresh pass.  A non-finite step whose whole P_post
-repeats the one before it is a fixed point that ``periodic_pass`` tags
-and the track copies forward.  A singular innovation ends the track;
-``solve`` raises it only if its mean loop reaches that step.
+enough and fills a prefix that ends at a repeat once, bit for bit: each
+later step maps to its step k, and the growing P_00 is recomputed with
+the kernel's own arithmetic (a full A P A^T of the previous posterior,
+then the scalar symmetrize and update).  The fill stops at a non-finite
+P_00 (the next step would be NaN, 0 * inf), so at once at a non-finite
+fixed point, a step whose whole P_post repeats the one before it, which
+``periodic_pass`` tags.  A track that ends before the mesh ends the run
+there, diverged; a singular innovation ends the track, and ``solve``
+raises it only if its mean loop reaches that step.
 
 Families of passes.  For an IBM prior A_ij = h^(j-i) / (j-i)! and Q_ij is
 h^(2q+1-i-j) times a constant, so with R = 0 or R = K h^(2q-1), and a start
@@ -240,8 +241,9 @@ def solve(
 ) -> Trajectory:
     """Run the filter over the uniform mesh {h, 2h, ..., T}: ``solve_cells`` on a stack of one.
 
-    A non-finite predicted mean or vector-field value ends the run; the
-    trajectory then holds the steps completed, with ``diverged=True``.  A
+    A non-finite predicted mean or vector-field value, or a covariance
+    track that a non-finite P_00 ends (``covariance_track``), ends the run;
+    the trajectory then holds the steps completed, with ``diverged=True``.  A
     singular innovation raises ``SingularInnovation`` when the mean loop
     reaches it.  ``stack``, a ``solve_cells`` run whose next cell is this
     one, hands out that cell's trajectory in place of a run of its own
@@ -265,7 +267,8 @@ def solve_cells(
     recursion from the prior's transition at h, R and ``initial_covariance``
     (a sweep fills each shared pass once); without them the cells share one
     stacked pass.  Each track is cut or filled to its cell's mesh
-    (``covariance_track``) before the first call to ``f``.
+    (``covariance_track``) before the first call to ``f``; a cell whose
+    track ends sooner, at a non-finite covariance, ends there, diverged.
 
     The mean loop then steps the cells side by side, longest track first,
     so the cells still running at step n are a leading slice of the stack:
@@ -434,9 +437,9 @@ def covariance_prefixes(
     Cell c runs the recursion from ``Ps[c]`` bit for bit up to its first
     repeated closed block, its ``bounds[c]``-th step or its first singular
     innovation, whichever comes first, and is returned as a prefix;
-    ``covariance_track`` fills any longer mesh from it.  All cells share
-    one ``periodic_pass``, so a step of it costs one kernel call for the
-    whole stack.
+    ``covariance_track`` fills a longer mesh from one that ends on a
+    repeat.  All cells share one ``periodic_pass``, so a step of it costs
+    one kernel call for the whole stack.
     """
     n = len(Ps[0])
     if n < 2:
@@ -478,48 +481,28 @@ def _joined(steps: Iterator[tuple], n: int) -> list:
 def covariance_track(
     tm: TransitionModel, R: float, track: CovarianceTrack, n_steps: int
 ) -> CovarianceTrack:
-    """The first n_steps steps of the recursion that ``track`` begins, bit for bit.
+    """The first n_steps steps of the recursion that ``track`` begins, bit for bit, or fewer.
 
     A track at least that long is cut, and shares its arrays.  A shorter
-    one is filled: after a prefix that ends at a repeat, the later steps
-    repeat its period (see the module docstring); a non-finite P_00, or a
-    track cut short by its bound, hands the rest to a fresh pass from the
-    last step filled, until the mesh or a singular innovation ends it.
+    one with no repeat, which ends at a singular innovation or at a
+    non-finite P_00, is returned as it is.  A prefix that ends at a repeat
+    is filled once: the later steps repeat its period (see the module
+    docstring), up to the mesh or to the first step whose previous P_00 is
+    not finite, where the track, and so the run, ends.
     """
     if len(track.rows) >= n_steps:
         cut = (track.rows[:n_steps], track.P00[:n_steps], None, False)
         return CovarianceTrack(track.P_pred, track.P_post, track.beta, *cut)
-    rows, P00 = np.empty(n_steps, np.intp), np.empty((n_steps, 2))
-    columns, filled, base = [], 0, 0  # base: the rows of the pieces before this one
+    if track.first is None:
+        return track
+    i, n = track.first, len(track.rows) - 1
+    period = i + 1 + np.arange(n_steps - n - 1) % (n - i)
+    # The period rows of P_post are rewritten with each step's P_00.
+    P_post, P00 = track.P_post.copy(), np.concatenate((track.P00, np.empty((len(period), 2))))
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            P_pred, P_post, beta = track.P_pred, track.P_post, track.beta
-            end = filled + len(track.rows)
-            rows[filled:end], P00[filled:end] = track.rows + base, track.P00
-            if end < n_steps and track.first is not None:
-                i, n = track.first, len(track.rows) - 1
-                period = i + 1 + np.arange(n_steps - end) % (n - i)
-                rows[end:] = period + base
-                if P_post[n].tobytes() == P_post[i].tobytes():
-                    # The whole step repeats, P_00 too (a NaN pass ends at such
-                    # a fixed point), so the period fills P_00 as well.
-                    P00[end:] = P00[filled + period]
-                    end = n_steps
-                else:
-                    # The period rows of P_post are rewritten with each step's P_00.
-                    P_post = P_post.copy()
-                    end += _fill_period(tm, R, P_pred, P_post, period, P00[end:], n)
-            columns.append((P_pred, P_post, beta))
-            filled = end
-            if filled == n_steps or track.singular:
-                break
-            start = P_post[rows[filled - 1] - base].copy()
-            start[0, 0] = P00[filled - 1, 1]
-            (track,) = covariance_prefixes([tm], [R], [start], [n_steps - filled])
-            base += len(beta)
-    if len(columns) > 1:
-        P_pred, P_post, beta = (np.concatenate(column) for column in zip(*columns))
-    return CovarianceTrack(P_pred, P_post, beta, rows[:filled], P00[:filled], None, track.singular)
+        filled = n + 1 + _fill_period(tm, R, track.P_pred, P_post, period, P00[n + 1 :], n)
+    rows = np.concatenate((track.rows, period))[:filled]
+    return CovarianceTrack(track.P_pred, P_post, track.beta, rows, P00[:filled], None, False)
 
 
 def _fill_period(tm, R, P_pred, P_post, period, P00, n: int) -> int:

@@ -13,14 +13,15 @@ against the predicted exponents for a power-law noise model R = K_R h^p.
 
 ``verify_order_bounds`` reads the orbits of its whole h grid from zero
 (``order_bound_prefixes``): one stacked pass (``filtering.covariance_prefixes``)
-runs them side by side, each over its mesh, up to its first repeated closed
-block P[:, 1:]: every tracked quantity repeats with it (see ``filtering``),
-so nothing after that step can change a maximum.  ``orbit_limit`` decides
-every orbit in one loop, over steps from one of three sources: such a
-prefix, whose rows are the orbit's first steps bit for bit, followed by its
-period over and over if it ends on a repeat; ``filtering.periodic_pass`` on
-a stack of one, from zero, if there is no prefix; or a prefix cut by its
-bound, then that pass from the step after it.
+runs them side by side, each over the grid's longest mesh, up to its first
+repeated closed block P[:, 1:]: every tracked quantity repeats with it (see
+``filtering``), so nothing after that step can change a maximum.
+``orbit_limit`` decides every orbit in one loop, over steps from one of
+three sources: such a prefix, whose rows are the orbit's first steps bit for
+bit, followed by its period over and over if it ends on a repeat;
+``filtering.periodic_pass`` on a stack of one, from zero, if there is no
+prefix; or a prefix cut by the longest mesh, then that pass from the step
+after it.
 """
 
 from __future__ import annotations
@@ -233,19 +234,18 @@ ORDER_BOUND_DROP_LARGEST = 1
 
 
 def order_bound_prefixes(h_grid: Sequence[float], sigma: float, p: float, K_R: float) -> list:
-    """Each h's orbit from a zero start, over the mesh of round(ORDER_BOUND_T/h) steps.
+    """Each h's orbit from a zero start, over the grid's longest mesh.
 
     Checks the grid, then returns each h's orbit as a prefix, up to its first
-    repeated closed block, the end of its mesh or its first singular
-    innovation, whichever comes first, from one stacked pass of the whole
-    grid.  ``verify_order_bounds`` takes its maxima over these, and
-    ``orbit_limit`` reads each orbit from its entry.
+    repeated closed block, its first singular innovation or the grid's
+    longest mesh, round(ORDER_BOUND_T/h) steps at the least h, whichever
+    comes first, from one stacked pass of the whole grid.
+    ``verify_order_bounds`` takes its maxima over these, each cut to its own
+    mesh, and ``orbit_limit`` reads each orbit from its entry.
     """
-    noise = PowerLawNoise(K_R=K_R, p=p)
-    passes = [
-        (ibm_transition(1, sigma, h), noise.evaluate(h), np.zeros((2, 2)), round(ORDER_BOUND_T / h))
-        for h in _checked_grid(h_grid)
-    ]
+    hs, noise = _checked_grid(h_grid), PowerLawNoise(K_R=K_R, p=p)
+    steps = round(ORDER_BOUND_T / hs[-1])
+    passes = [(ibm_transition(1, sigma, h), noise.evaluate(h), np.zeros((2, 2)), steps) for h in hs]
     return filtering.covariance_prefixes(*zip(*passes))
 
 
@@ -275,19 +275,21 @@ def verify_order_bounds(
     The passes of the whole grid run side by side, as one stack
     (``order_bound_prefixes``, or ``prefixes`` if the caller has built
     them).  Each stops at the first step whose closed block repeats that
-    of an earlier step, or at the end of the mesh if that comes first.
-    Every later step of the mesh would repeat one of the steps already run
-    (see the module docstring), and a maximum does not depend on order, so
-    the maxima equal those over the whole mesh bit for bit.
+    of an earlier step, or at the end of the longest mesh if that comes
+    first, and each h takes its maxima over its first round(ORDER_BOUND_T/h)
+    rows.  Every later step of the mesh would repeat one of the steps
+    already run (see the module docstring), and a maximum does not depend
+    on order, so the maxima equal those over the whole mesh bit for bit.
     """
     hs = _checked_grid(h_grid)
     if prefixes is None:
         prefixes = order_bound_prefixes(hs, sigma, p, K_R)
     maxima = np.empty((len(hs), len(ORDER_BOUND_QUANTITIES)))
     for row, (h, prefix) in enumerate(zip(hs, prefixes)):
-        if prefix.singular:
+        n = round(ORDER_BOUND_T / h)
+        if prefix.singular and len(prefix.rows) < n:
             raise filtering.SingularInnovation(f"h = {h!r}: {_SINGULAR}")
-        P_pred, P, beta = prefix.P_pred, prefix.P_post, prefix.beta
+        P_pred, P, beta = prefix.P_pred[:n], prefix.P_post[:n], prefix.beta[:n]
         # One row per step, one column per ORDER_BOUND_QUANTITIES entry.
         track = np.stack(
             [P_pred[:, 1, 1], P[:, 1, 1], abs(P[:, 0, 1]), abs(beta[:, 0]), abs(1.0 - beta[:, 1])],

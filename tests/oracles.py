@@ -22,8 +22,10 @@ for byte.  A quadrature ``(A, Q)`` straight from the SDE definition,
 Kronecker coupling of output dimensions (to check that identity factors
 reduce to the scalar model the solver uses), the IBM covariance
 recursion in ``mpmath`` arithmetic, the full-mesh order-bound tracks of
-the q = 1 covariance pass, a Richardson-checked RK4 reference
-integrator, and an unguarded log-log slope.  The tests import them as
+the q = 1 covariance pass, the finite-difference check of a problem's
+closed form and derivative chain (``validate_problem``), a
+Richardson-checked RK4 reference integrator, and an unguarded log-log
+slope.  The tests import them as
 ``from oracles import ...``.
 """
 
@@ -90,6 +92,35 @@ def validate_belief(belief: Belief) -> None:
     assert np.max(np.abs(P - P.T)) <= 1e-12, "covariance must be symmetric"
     floor = -1e-10 * max(np.trace(P), 0.0)
     assert np.linalg.eigvalsh(P).min() >= floor, "covariance must be PSD"
+
+
+#: Probe times and central-difference step of ``validate_problem``.
+PROBES = 100
+FD_STEP = 1e-5
+
+
+def validate_problem(problem: IVProblem) -> None:
+    """Check a problem's closed-form solution and derivative chain.
+
+    The exact solution must satisfy the ODE to 1e-8 under central
+    differences of step FD_STEP, and derivatives[1] must coincide with f
+    on the PROBES probe points.  Raises ValueError naming the first time
+    that fails.
+    """
+    if problem.exact is None:
+        return
+    ts = np.linspace(FD_STEP, problem.T - FD_STEP, PROBES)
+    x = problem.exact(ts)
+    dx = (problem.exact(ts + FD_STEP) - problem.exact(ts - FD_STEP)) / (2.0 * FD_STEP)
+    g1 = problem.derivative(1)(x)
+    for t, residual, g1_n, f_n in zip(ts, np.linalg.norm(dx - g1, axis=1), g1, problem.f(x)):
+        if not residual <= 1e-8:
+            raise ValueError(
+                f"exact solution of {problem.name!r} violates the ODE at t={t:g} "
+                f"(residual {residual:.3e})"
+            )
+        if not np.allclose(g1_n, f_n, rtol=1e-12, atol=1e-12):
+            raise ValueError(f"derivatives[1] of {problem.name!r} differs from f at t={t:g}")
 
 
 def predict(belief: Belief, tm: TransitionModel) -> Belief:

@@ -497,13 +497,13 @@ class TestGainSchedule:
         assert traj.diverged
         assert_same_bytes(traj, full_pass_solve(*args))
 
-    def test_hands_back_to_the_full_kernel_at_a_non_finite_P00(self, monkeypatch):
+    def test_ends_at_the_last_finite_P00(self, monkeypatch):
         # The closed block (P_01, P_11) starts at a fixed point: P_11 is so far
         # below R, and P_01 so far above P_11 and Q, that neither moves.  It
         # repeats at step 1, while P_00 falls by P_01^2 / R = 1e306 per step
-        # and overflows to -inf some 90 steps later.  The next full step is
-        # NaN (0 * inf), so the run ends there; with a constant field every
-        # residual is 0 and the mean stays finite until then.
+        # and overflows to -inf some 90 steps later.  The next full step would
+        # be NaN (0 * inf), so the track, and the run, ends at the -inf step;
+        # with a constant field every residual is 0 and the mean stays finite.
         problem = constant_field_problem(T=20.0)
         start = np.array([[0.0, 1e153], [1e153, 1e-17]])
 
@@ -513,13 +513,15 @@ class TestGainSchedule:
         monkeypatch.setattr(filtering, "initialize", crafted)
         monkeypatch.setattr(oracles, "initialize", crafted)
         args = (problem, PriorSpec(1, sigma=1e-17), 0.1, parse_noise("const:1.0"))
-        traj = solve(*args)
-        assert_same_bytes(traj, full_pass_solve(*args))
+        traj, full = solve(*args), full_pass_solve(*args)
+        n = len(traj.y)
+        assert traj.diverged and 50 < n < 200 and len(full.y) == n + 1
+        for field in TRAJECTORY_ARRAYS:
+            assert getattr(traj, field).tobytes() == getattr(full, field)[:n].tobytes(), field
         assert traj.P_post[1, :, 1:].tobytes() == traj.P_post[0, :, 1:].tobytes()
         P00 = traj.P_post[:, 0, 0]
-        assert np.isneginf(P00[-2]) and np.isfinite(P00[:-2]).all()
-        assert np.isnan(traj.P_pred[-1, :, 1:]).all()
-        assert traj.diverged and 50 < len(traj.y) < 200
+        assert np.isneginf(P00[-1]) and np.isfinite(P00[:-1]).all()
+        assert not np.isnan(traj.P_pred).any()
 
 
 def counted_field(problem, calls):
@@ -769,23 +771,22 @@ class TestSharedTracks:
         assert longer == 16  # every logistic cell's track is its linear twin's
 
     @pytest.mark.parametrize("q", [1, 2, 3])
-    def test_a_track_cut_or_cut_short_fills_on_to_the_same_steps(self, q):
-        # Prefixes cut short by their bound, and cuts of a filled track, hand
-        # the rest to fresh passes; every way must give the full pass's steps.
+    def test_a_filled_track_and_its_cuts_give_the_full_pass_steps(self, q):
+        # A prefix that ends on a repeat is filled once, to the mesh; each cut
+        # of the filled track must give the full pass's first steps.
         h, n = 0.0125, 800
         for prior, R in ((PriorSpec(q), 0.0), (PriorSpec(q, "ioup", theta=1.0), h**q)):
             tm, start = prior.transition(h), initial_covariance(q, h, PerturbedInit(1.0))
-            with np.errstate(over="ignore", invalid="ignore"):
-                expected = list(itertools.islice(covariance_pass(tm, R, start), n))
+            expected = list(itertools.islice(covariance_pass(tm, R, start), n))
             (prefix,) = covariance_prefixes([tm], [R], [start], [n])
+            assert prefix.first is not None and len(prefix.rows) < n
             full = filtering.covariance_track(tm, R, prefix, n)
-            for bound in (1, 2, 7, 300):
-                (prefix,) = covariance_prefixes([tm], [R], [start], [bound])
-                for track in (prefix, filtering.covariance_track(tm, R, full, bound)):
-                    filled = filtering.covariance_track(tm, R, track, n)
-                    assert len(filled.rows) == n and not filled.singular
-                    for got, column in zip(filled.steps(n), zip(*expected)):
-                        assert got.tobytes() == np.array(column).tobytes()
+            assert len(full.rows) == n and not full.singular
+            for bound in (1, 2, 7, 300, n):
+                cut = filtering.covariance_track(tm, R, full, bound)
+                assert len(cut.rows) == bound
+                for got, column in zip(cut.steps(bound), zip(*expected[:bound])):
+                    assert got.tobytes() == np.array(column).tobytes()
 
     def test_a_cut_that_ends_before_a_singular_step_does_not_raise(self):
         tm, R, P0, _ = crafted_singular_cell(1)
@@ -951,7 +952,7 @@ class TestPassFamilies:
         assert passes == [12]
         for h, orbit in zip(grid, orbits):
             tm, R = ibm_transition(1, sigma, h), noise.evaluate(h)
-            (own,) = covariance_prefixes([tm], [R], [np.zeros((2, 2))], [round(1.0 / h)])
+            (own,) = covariance_prefixes([tm], [R], [np.zeros((2, 2))], [round(1.0 / grid[-1])])
             assert (orbit.first, orbit.singular) == (own.first, own.singular)
             for name in ("P_pred", "P_post", "beta", "rows", "P00"):
                 assert getattr(orbit, name).tobytes() == getattr(own, name).tobytes()
@@ -959,8 +960,8 @@ class TestPassFamilies:
     def test_fig2_and_steady_work_at_seed_0(self, monkeypatch, tmp_path):
         # Before one pass per family: 40,769 P_00 fill steps, 16 cells in the
         # stacked prefix pass and exact on 58,682 points.  Steady runs each
-        # grid as one stacked pass, with no families: 137 kernel calls, as
-        # before they came.
+        # grid as one stacked pass over its longest mesh, with no families:
+        # 68 kernel calls, where bounding each orbit by its own mesh took 137.
         work = collections.Counter()
         original = {
             name: getattr(filtering, name)
@@ -1001,7 +1002,7 @@ class TestPassFamilies:
         for noise in ("power:1:1", "power:2:1", "power:3:1", "zero"):
             argv = ["steady", "--sigma", "1", "--noise", noise, "--h-grid", "0.1:2:12"]
             assert cli.main(argv + ["--out", str(tmp_path / "steady.csv")]) == 0
-        assert work["predict"] == 137
+        assert work["predict"] == 68
 
 
 def blowup_lite():
@@ -1213,7 +1214,7 @@ class TestOneCheckMeanLoop:
 
 
 class TestNonFiniteFixedPoint:
-    """A NaN covariance pass stops at its first fixed point, and the track copies it forward."""
+    """A NaN covariance pass stops at its first fixed point, and its track ends there."""
 
     def test_an_overflowing_cell_runs_few_kernel_steps(self, monkeypatch):
         calls = []
@@ -1235,13 +1236,16 @@ class TestNonFiniteFixedPoint:
         assert traj.diverged
         assert_same_bytes(traj, full_pass_solve(*args))
 
-    def test_the_track_equals_the_full_pass_over_the_whole_mesh(self):
+    def test_a_nan_fixed_point_prefix_is_not_filled_past_itself(self):
         h, prior = 0.0125, PriorSpec(3)
         tm = prior.transition(h)
         start = initial_covariance(3, h, PerturbedInit(1e300))
         (prefix,) = covariance_prefixes([tm], [0.0], [start], [800])
+        n = len(prefix.rows)
+        assert prefix.first == n - 2 and np.isnan(prefix.P_post[-1]).all()
         track = filtering.covariance_track(tm, 0.0, prefix, 800)
+        assert len(track.rows) == n and not track.singular
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = list(itertools.islice(covariance_pass(tm, 0.0, start), 800))
-        for got, column in zip(track.steps(800), zip(*expected)):
+            expected = list(itertools.islice(covariance_pass(tm, 0.0, start), n))
+        for got, column in zip(track.steps(n), zip(*expected)):
             assert got.tobytes() == np.array(column).tobytes()

@@ -14,7 +14,13 @@ from odefilter.problems import (
     logistic,
     riccati,
 )
-from oracles import ROTATION, SCALAR_EXACT, OracleNotConverged, reference_solve
+from oracles import (
+    ROTATION,
+    SCALAR_EXACT,
+    OracleNotConverged,
+    reference_solve,
+    validate_problem,
+)
 
 # Frozen from reference_solve(logistic(), h_ref=1.5e-4) and confirmed by the
 # closed form lam1*x0*e^(lam0*T) / (lam1 + x0*(e^(lam0*T) - 1)).
@@ -198,7 +204,7 @@ class TestDerivativeChain:
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_validation_passes(self, name):
-        get_problem(name).validate()
+        validate_problem(get_problem(name))
 
 
 def preset_mesh(T):
@@ -266,7 +272,7 @@ class TestValidate:
         ts = np.linspace(1e-5, 1.0 - 1e-5, 100)
         first = ts[ts > 0.5][0]
         with pytest.raises(ValueError, match=f"violates the ODE at t={first:g} "):
-            self.cubic_decay(exact).validate()
+            validate_problem(self.cubic_decay(exact))
 
     def test_names_first_time_f_differs(self):
         g1 = riccati().derivative(1)
@@ -278,7 +284,7 @@ class TestValidate:
         first = ts[(ts + 1.0) ** -0.5 < 0.8][0]
         problem = self.cubic_decay(riccati().exact, f)
         with pytest.raises(ValueError, match=f"differs from f at t={first:g}$"):
-            problem.validate()
+            validate_problem(problem)
 
 
 class TestReferenceSolve:

@@ -211,9 +211,8 @@ class TestOneCovariancePass:
         assert steps <= 500
 
     def test_steady_benchmark_runs_one_pass_per_grid(self, kernel_calls, monkeypatch, tmp_path):
-        # The benchmark's four steady calls: one pass per grid serves the
-        # order bounds and 45 of the 48 orbits; power:1:1 at h = 0.1 and 0.05
-        # and power:2:1 at h = 0.1 outlive their mesh and run alone.
+        # The benchmark's four steady calls: one pass per grid, over its
+        # longest mesh, serves the order bounds and all 48 orbits.
         passes = []
         original = filtering.periodic_pass
 
@@ -225,8 +224,8 @@ class TestOneCovariancePass:
         for noise in ("power:1:1", "power:2:1", "power:3:1", "zero"):
             argv = ["steady", "--sigma", "1", "--noise", noise, "--h-grid", "0.1:2:12"]
             assert main(argv + ["--out", str(tmp_path / "steady.csv")]) == 0
-        assert kernel_calls["predict_covariance"] <= 150
-        assert len(passes) <= 8
+        assert kernel_calls["predict_covariance"] == 68
+        assert passes == [12] * 4
 
     def test_orbit_limit_raises_a_singular_innovation(self):
         # sigma^2 h underflows, so Q = 0 and with R = 0 the first innovation is 0.
@@ -387,6 +386,26 @@ class TestVerifyOrderBounds:
             assert fits[name].fitted is None
         assert abs(fits["P11_pred"].fitted - 1.0) <= 0.05
         assert abs(fits["abs_beta0"].fitted - 1.0) <= 0.05
+
+    def test_only_a_singular_step_within_its_own_mesh_raises(self):
+        # A prefix runs over the grid's longest mesh, so a singular innovation
+        # may come after the mesh of its own h, where no maximum reads it.
+        grid, noise = self.grid(), parse_noise("power:1:1")
+        prefixes = order_bound_prefixes(grid, 1.0, noise.p, noise.K_R)
+        expected = verify_order_bounds(grid, 1.0, noise.p, noise.K_R, prefixes=prefixes)
+        coarse = prefixes[0]
+        arrays = (coarse.P_pred, coarse.P_post, coarse.beta, coarse.rows, coarse.P00)
+        for n, raises in ((10, False), (9, True)):
+            track = filtering.CovarianceTrack(*(a[:n] for a in arrays), None, True)
+            args = (grid, 1.0, noise.p, noise.K_R, [track, *prefixes[1:]])
+            if raises:
+                with pytest.raises(filtering.SingularInnovation, match="h = 0.1: "):
+                    verify_order_bounds(*args)
+            else:
+                fits = verify_order_bounds(*args)
+                assert [f.max_values.tobytes() for f in fits] == [
+                    f.max_values.tobytes() for f in expected
+                ]
 
     def test_insufficient_grid(self):
         with pytest.raises(InsufficientGrid):
