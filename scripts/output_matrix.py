@@ -14,7 +14,8 @@ The set, each run's CSV (and SVG) plus its stderr and exit code:
   singular innovation (sigma = 1e-170, zero noise) in ``steady`` and in
   ``wpd``, a prior whose (A, Q) overflows (sigma = 1e200) in ``steady``
   and in ``solve``, a closed form that overflows (sigma = 1e100) in
-  ``steady``, and a sweep with q = 0;
+  ``steady``, an infinite R (``const:inf``) in ``steady``, and a sweep
+  with q = 0;
 * sweeps whose covariance passes form no families: fig2 on a factor-3
   grid, whose meshes do not nest, and an IOUP prior;
 * a per-step ``solve`` from ``perturbed:1e300``, whose covariance pass
@@ -65,6 +66,7 @@ ERRORS = {
     "solve-overflow": ("solve --problem logistic --sigma 1e200 --h 0.1", False),
     "steady-closed-overflow": ("steady --sigma 1e100 --noise power:1:1 --h-grid 0.1:2:8", False),
     "wpd-q-0": ("wpd --problem logistic --q 0 --h-grid 0.1:2:4", False),
+    "steady-const-inf": ("steady --sigma 1 --noise const:inf --h-grid 0.1:2:8", False),
 }
 
 NO_FAMILIES = {

@@ -323,7 +323,11 @@ def cmd_solve(cfg: RunConfig) -> int:
         )
     )
     _write_csv(cfg.out, header, table.tolist())
-    return 2 if traj.diverged else 0
+    if not traj.diverged:
+        return 0
+    n, steps, t = len(traj.y), round(problem.T / cfg.h), traj.times()[-1]
+    print(f"odefilter: solve diverged after {n} of {steps} steps (t = {t:g})", file=sys.stderr)
+    return 2
 
 
 _SWEEP_HEAD = ("problem", "q", "p", "K_R", "sigma", "T", "h", "n_evals")

@@ -34,23 +34,22 @@ the previous posterior's closed block P[:, 1:] alone: P_00 enters only
 through products with the zero entries A_j0 (j >= 1), which are 0 for any
 finite P_00.  So once step n's finite closed block repeats, byte for byte,
 that of an earlier step i, every later step m repeats step
-k = i + 1 + (m - n - 1) mod (n - i) in all but P_00.  ``periodic_pass``
-runs the recursion of a stack of cells side by side, one kernel call per
-step for the whole stack (numpy's stacked matmul runs the same BLAS
-product per matrix, so each cell keeps its bytes), and tags each cell's
-first repeat.  ``CovarianceTrack`` holds a cell's steps, each distinct
-step once; ``covariance_prefixes`` returns each cell's *prefix*, a track
-whose rows are its own steps, up to that repeat, its mesh or its first
-singular innovation.  ``covariance_track`` cuts a track that is long
-enough and fills a prefix that ends at a repeat once, bit for bit: each
-later step maps to its step k, and the growing P_00 is recomputed with
-the kernel's own arithmetic (a full A P A^T of the previous posterior,
-then the scalar symmetrize and update).  The fill stops at a non-finite
-P_00 (the next step would be NaN, 0 * inf), so at once at a non-finite
-fixed point, a step whose whole P_post repeats the one before it, which
-``periodic_pass`` tags.  A track that ends before the mesh ends the run
-there, diverged; a singular innovation ends the track, and ``solve``
-raises it only if its mean loop reaches that step.
+k = i + 1 + (m - n - 1) mod (n - i) in all but P_00.
+``covariance_prefixes`` runs the recursion of a stack of cells side by
+side, one kernel call per step for the whole stack (numpy's stacked matmul
+runs the same BLAS product per matrix, so each cell keeps its bytes), and
+returns each cell's *prefix*: its steps up to its first repeat, its bound
+or its first singular innovation.  ``CovarianceTrack`` holds a cell's
+steps, each distinct step once; a prefix is a track whose rows are its own
+steps.  ``covariance_track`` cuts a track that is long enough and fills a
+prefix that ends at a repeat once, bit for bit: each later step maps to its
+step k, and the growing P_00 is recomputed with the kernel's own arithmetic
+(a full A P A^T of the previous posterior, then the scalar symmetrize and
+update).  The fill stops at a non-finite P_00 (the next step would be NaN,
+0 * inf), so at once at a non-finite fixed point, a step whose whole P_post
+repeats the one before it, where a prefix also ends.  A track that ends
+before the mesh ends the run there, diverged; a singular innovation ends
+the track, and ``solve`` raises it only if its mean loop reaches that step.
 
 Families of passes.  For an IBM prior A_ij = h^(j-i) / (j-i)! and Q_ij is
 h^(2q+1-i-j) times a constant, so with R = 0 or R = K h^(2q-1), and a start
@@ -92,7 +91,6 @@ __all__ = [
     "gain",
     "initial_covariance",
     "initialize",
-    "periodic_pass",
     "shared_tracks",
     "solve",
     "solve_cells",
@@ -434,48 +432,86 @@ def covariance_prefixes(
 ) -> list:
     """Each cell's covariance pass up to where its track can be filled, from one stacked pass.
 
-    Cell c runs the recursion from ``Ps[c]`` bit for bit up to its first
-    repeated closed block, its ``bounds[c]``-th step or its first singular
-    innovation, whichever comes first, and is returned as a prefix;
-    ``covariance_track`` fills a longer mesh from one that ends on a
-    repeat.  All cells share one ``periodic_pass``, so a step of it costs
-    one kernel call for the whole stack.
+    Cell c runs the recursion from ``Ps[c]`` with transition ``tms[c]`` and
+    variance ``Rs[c]`` (one matrix size for all), bit for bit, and is
+    returned as a prefix: its steps up to its ``bounds[c]``-th, up to its
+    first step whose finite closed block P[:, 1:] repeats that of an earlier
+    step byte for byte (never if some A_j0, j >= 1, is nonzero), or up to a
+    non-finite step that repeats the step before it in full (a fixed point:
+    every later step repeats it too), whichever comes first; ``first`` is the
+    repeated step.  A cell whose innovation is singular leaves before that
+    step's update, flagged ``singular``.  ``covariance_track`` fills a longer
+    mesh from a prefix that ends on a repeat.
+
+    The cells run side by side: a step calls each kernel once on the stack
+    of cells still running.  The stacked steps are split into each cell's
+    rows when the stack changes and every 64 steps (so that few arrays are
+    kept per step), and a cell's rows are joined when it leaves.
     """
     n = len(Ps[0])
     if n < 2:
         raise ValueError(_Q_AT_LEAST_1)
+    h, A, Q = (np.array([getattr(t, x) for t in tms]) for x in ("h", "A", "Q"))
+    R, P = np.array(Rs, dtype=float), np.array(Ps, dtype=float)
+    cells, bounds = np.arange(len(P)), np.asarray(bounds)
+    closed = (~A[:, 1:, 0].any(axis=1)).tolist()
+    seen, prefixes, first = [{} for _ in closed], [None] * len(closed), {}
+    width = P[0, :, 1:].nbytes  # one cell's closed block in the step's repeat keys
+    empty = (np.empty((0, n, n)), np.empty((0, n, n)), np.empty((0, n)))
+    pieces, block = [[empty] for _ in closed], []
+
+    def leave(stay, singular=False):
+        # Each cell takes its rows of the steps since the last split, and the
+        # cells that ``stay`` does not mark become prefixes.
+        if block:
+            stacked = [np.array(column) for column in zip(*block)]
+            block.clear()
+            for j, c in enumerate(cells.tolist()):
+                pieces[c].append([a[:, j] for a in stacked])
+        for c in cells[~stay].tolist():
+            prefixes[c] = _prefix(pieces[c], first.pop(c, None), singular)
+            pieces[c] = None
+
+    end = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        cells, *columns = _joined(periodic_pass(tms, Rs, Ps, bounds), n)
-    # Each cell's rows in step order: the joined steps sorted by cell.
-    order = np.argsort(cells, kind="stable")
-    ends = np.cumsum(np.bincount(cells, minlength=len(Ps)))[:-1]
-    prefixes = []
-    columns = [np.split(a[order], ends) for a in columns]
-    for bound, P_pred, P_post, beta, first in zip(bounds, *columns):
-        for a in (P_pred, P_post, beta):
-            a.setflags(write=False)
-        repeat = int(first[-1]) if len(first) and first[-1] >= 0 else None
-        singular = repeat is None and len(beta) < bound
-        rows, P00 = np.arange(len(beta)), np.stack((P_pred[:, 0, 0], P_post[:, 0, 0]), axis=1)
-        prefixes.append(CovarianceTrack(P_pred, P_post, beta, rows, P00, repeat, singular))
+        for step in itertools.count():
+            if first or step >= end or len(block) == 64:
+                stay = (step < bounds[cells]) & [c not in first for c in cells.tolist()]
+                leave(stay)
+                cells, h, A, Q, R, P = (a[stay] for a in (cells, h, A, Q, R, P))
+                if not len(cells):
+                    break
+                tm, end = TransitionModel(h, A, Q), bounds[cells].min()
+            P_pred = predict_covariance(P, tm)
+            stay = _innovation_variance(P_pred, R) != 0.0
+            if not stay.all():
+                leave(stay, singular=True)
+                cells, h, A, Q, R, P, P_pred = (a[stay] for a in (cells, h, A, Q, R, P, P_pred))
+                if not len(cells):
+                    break
+                tm = TransitionModel(h, A, Q)
+            previous, (P, beta) = P, update_covariance(P_pred, R)
+            block.append((P_pred, P, beta))
+            keys = P[:, :, 1:].tobytes()
+            for k, c in enumerate(cells.tolist()):
+                i = seen[c].setdefault(keys[k * width : (k + 1) * width], step)
+                if i == step:
+                    continue
+                if np.isfinite(P[k, :, 1:]).all():
+                    if closed[c]:
+                        first[c] = i
+                elif P[k].tobytes() == previous[k].tobytes():
+                    first[c] = step - 1
     return prefixes
 
 
-def _joined(steps: Iterator[tuple], n: int) -> list:
-    """The columns (cells, P_pred, P, beta, first) of a pass's steps, each joined into one array.
-
-    Joins every 64 steps as the pass runs, so that no array is kept per
-    step (the empty first row sets the shapes if no step runs).
-    """
-    index = np.empty(0, np.intp)
-    joined = [(index, np.empty((0, n, n)), np.empty((0, n, n)), np.empty((0, n)), index)]
-    pending = []
-    for step in steps:
-        pending.append(step)
-        if len(pending) == 64:
-            joined.append([np.concatenate(column) for column in zip(*pending)])
-            pending.clear()
-    return [np.concatenate(column) for column in zip(*joined, *pending)]
+def _prefix(pieces: list, first: Optional[int], singular: bool) -> CovarianceTrack:
+    """A cell's prefix from its pieces, each a (P_pred, P_post, beta) run of its steps."""
+    P_pred, P_post, beta = (np.concatenate(column) for column in zip(*pieces))
+    for a in (P_pred, P_post, beta):
+        a.setflags(write=False)
+    P00 = np.stack((P_pred[:, 0, 0], P_post[:, 0, 0]), axis=1)
+    return CovarianceTrack(P_pred, P_post, beta, np.arange(len(beta)), P00, first, singular)
 
 
 def covariance_track(
@@ -688,70 +724,6 @@ def _fits(x: np.ndarray, d, *es) -> bool:
             if not (least >= lo and scaled.max(initial=0.0) <= hi):
                 return False
     return True
-
-
-def periodic_pass(
-    tms: Sequence[TransitionModel], Rs: Sequence[float], Ps: Sequence[np.ndarray], bounds=None
-) -> Iterator[tuple]:
-    """The covariance recursion of a stack of cells side by side, each step tagged with its repeat.
-
-    Cell c runs from Ps[c] with transition tms[c] and variance Rs[c] (one
-    matrix size for all); a step calls each kernel once on the stack of
-    cells still running.  Yields (cells, P_pred, P, beta, first) per step:
-    those cells' indices, their stacked step, and for each the earlier step
-    whose closed block P[:, 1:] its finite one repeats byte for byte (never
-    if some A_j0, j >= 1, is nonzero), or, for a non-finite step that
-    repeats the step before it in full (a fixed point: every later step
-    repeats it too), that step; otherwise -1.  A cell leaves the stack
-    at a singular innovation, before that step's update; with ``bounds``,
-    cell c also leaves after bounds[c] steps or after its first repeat.
-    The pass ends when no cell is left.
-    """
-    tm = TransitionModel(
-        np.array([t.h for t in tms]), np.array([t.A for t in tms]), np.array([t.Q for t in tms])
-    )
-    R, P = np.array(Rs, dtype=float), np.array(Ps, dtype=float)
-    cells = np.arange(len(P))
-    closed = (~tm.A[:, 1:, 0].any(axis=1)).tolist()
-    seen = [{} for _ in closed]
-    if bounds is not None:
-        limit, end, first = np.asarray(bounds), 0, [-1] * len(P)
-    for n in itertools.count():
-        if bounds is not None and (n >= end or max(first) >= 0):
-            keep = (n < limit[cells]) & (np.array(first) < 0)
-            cells, tm, R, P = _narrow(keep, cells, tm, R, P)
-            if not len(cells):
-                return
-            end = limit[cells].min()
-        P_pred = predict_covariance(P, tm)
-        try:
-            P, beta = update_covariance(P_pred, R)
-        except SingularInnovation:
-            # The cells with a singular innovation leave before the update.
-            regular = _innovation_variance(P_pred, R) != 0.0
-            cells, tm, R, P_pred = _narrow(regular, cells, tm, R, P_pred)
-            if not len(cells):
-                return
-            P, beta = update_covariance(P_pred, R)
-        first = [-1] * len(cells)
-        for k, c in enumerate(cells.tolist()):
-            i = seen[c].setdefault(P[k, :, 1:].tobytes(), n)
-            if i == n:
-                continue
-            if np.isfinite(P[k, :, 1:]).all():
-                if closed[c]:
-                    first[k] = i
-            elif P[k].tobytes() == last[1][np.searchsorted(last[0], c)].tobytes():
-                # A non-finite step that repeats the one before it in full
-                # (so its closed block repeats an earlier one).
-                first[k] = n - 1
-        last = cells, P
-        yield cells, P_pred, P, beta, first
-
-
-def _narrow(keep: np.ndarray, cells: np.ndarray, tm: TransitionModel, R: np.ndarray, P: np.ndarray):
-    """The stack (cells, tm, R, P) cut down to the cells that ``keep`` marks."""
-    return cells[keep], TransitionModel(tm.h[keep], tm.A[keep], tm.Q[keep]), R[keep], P[keep]
 
 
 def predict_covariance(P: np.ndarray, tm: TransitionModel) -> np.ndarray:

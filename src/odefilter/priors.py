@@ -88,8 +88,8 @@ class PriorSpec:
 class TransitionModel:
     """Discrete-time transition pair (A, Q) for a fixed step size h.
 
-    ``filtering.periodic_pass`` stacks the pairs of several cells along a
-    leading cell axis of h, A and Q.
+    ``filtering.covariance_prefixes`` stacks the pairs of several cells along
+    a leading cell axis of h, A and Q.
     """
 
     h: float

@@ -16,18 +16,16 @@ against the predicted exponents for a power-law noise model R = K_R h^p.
 runs them side by side, each over the grid's longest mesh, up to its first
 repeated closed block P[:, 1:]: every tracked quantity repeats with it (see
 ``filtering``), so nothing after that step can change a maximum.
-``orbit_limit`` decides every orbit in one loop, over steps from one of
-three sources: such a prefix, whose rows are the orbit's first steps bit for
-bit, followed by its period over and over if it ends on a repeat;
-``filtering.periodic_pass`` on a stack of one, from zero, if there is no
-prefix; or a prefix cut by the longest mesh, then that pass from the step
-after it.
+``orbit_limit`` reads an orbit from such a prefix, whose rows are the
+orbit's first steps bit for bit: if it ends on a repeat, one more period
+follows, and the first step whose changes are all below tol, or the end of
+that period or of the prefix, decides the outcome.  An orbit with no prefix,
+or whose prefix the longest mesh cut short, runs a prefix of its own.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from typing import Optional, Sequence
 
@@ -107,12 +105,13 @@ def closed_form(h: float, sigma: float, R: float) -> SteadyState:
         beta1    = (s + root) / (s + root + 2R)
 
     Raises ValueError, not OverflowError, where a float power overflows
-    (sigma or h far too large).
+    (sigma or h far too large), and for an infinite R.
     """
     if not (h > 0.0 and sigma > 0.0):
         raise ValueError("h and sigma must be positive")
     if not R >= 0.0:
         raise ValueError("R must be non-negative")
+    _finite(h, R)
     try:
         s = sigma**2 * h
         root = math.sqrt(4.0 * sigma**2 * R * h + sigma**4 * h**2)
@@ -141,61 +140,46 @@ def orbit_limit(
 ) -> SteadyState:
     """Iterate the covariance pass from zero until the six tracked quantities settle below tol.
 
-    Raises OrbitCycle once the orbit has repeated a state and then run one
-    full period without settling (it never will), and OrbitUnsettled if it
-    has not settled after ``max_steps`` steps.
+    Returns the first step whose changes are all below tol.  Raises
+    OrbitCycle once the orbit has repeated a state and then run one full
+    period without settling (it never will), SingularInnovation if it
+    reaches a singular innovation first, and OrbitUnsettled if it has not
+    settled after ``max_steps`` steps; an infinite R raises ValueError at once.
 
-    One loop decides every outcome, whatever the source of its steps (see
-    the module docstring): ``prefix``, this orbit's zero-start entry of
-    ``order_bound_prefixes`` (``filtering.covariance_prefixes``), and its
-    period, or a pass of its own from zero where no prefix reaches.
+    The orbit is read from a prefix (see the module docstring): ``prefix``,
+    this orbit's zero-start entry of ``order_bound_prefixes``, or, where
+    there is none or its bound cut it before a repeat or a singular step, a
+    prefix of its own over at most ``max_steps`` steps.
     """
-    previous = None
-    period, cycle = None, []  # cycle: the tracked quantities after the first repeat
-    n = -1
-    for n, (current, first) in enumerate(itertools.islice(_orbit(h, sigma, R, prefix), max_steps)):
+    _finite(h, R)
+    if prefix is None or (prefix.first is None and not prefix.singular):
+        start = [ibm_transition(1, sigma, h)], [R], [np.zeros((2, 2))], [max_steps]
+        (prefix,) = filtering.covariance_prefixes(*start)
+    P_pred, P, beta = prefix.P_pred, prefix.P_post, prefix.beta
+    # One row per step, one column per quantity, in SteadyState order.
+    rows = np.stack(
+        [P_pred[:, 1, 1], P[:, 1, 1], P_pred[:, 0, 1], P[:, 0, 1], beta[:, 0], beta[:, 1]], axis=1
+    )
+    # After a repeat of step i at step n, steps i + 1, ..., n over again.
+    period = 0 if prefix.first is None else len(rows) - 1 - prefix.first
+    rows = np.concatenate((rows, rows[len(rows) - period :]))[:max_steps]
+    with np.errstate(over="ignore", invalid="ignore"):
         # Settled when every change is below tol (a NaN change never is).
-        if previous is not None and all(abs(a - b) < tol for a, b in zip(current, previous)):
-            return SteadyState(*current, h=h, sigma=sigma, R=R)
-        if period is not None:
-            cycle.append(current)
-            if len(cycle) == period:
-                raise OrbitCycle(period, float(np.ptp(cycle, axis=0).max()), tol)
-        elif first >= 0:
-            period = n - first
-        previous = current
-    if n + 1 < max_steps:  # the orbit ended at a singular innovation
+        settled = (abs(np.diff(rows, axis=0)) < tol).all(axis=1)
+    if settled.any():
+        return SteadyState(*rows[1 + settled.argmax()].tolist(), h=h, sigma=sigma, R=R)
+    if period and len(rows) == len(beta) + period:
+        raise OrbitCycle(period, float(np.ptp(rows[-period:], axis=0).max()), tol)
+    if prefix.singular and len(rows) < max_steps:
         raise filtering.SingularInnovation(_SINGULAR)
     raise OrbitUnsettled(max_steps)
 
 
-def _orbit(h: float, sigma: float, R: float, prefix: Optional[filtering.CovarianceTrack]):
-    """The orbit from zero, one (six tracked quantities, repeated step or -1) per step.
-
-    The steps are the prefix's rows, if given; after a prefix that ends on
-    step n repeating step i, steps i + 1, ..., n over and over (see the
-    module docstring); after a singular one, none.  Otherwise the steps go
-    on from the pass from zero, run alone: from its first step without a
-    prefix, and after one cut by its bound from the step after it.
-    """
-    start = 0
-    if prefix is not None:
-        P_pred, P, beta = prefix.P_pred, prefix.P_post, prefix.beta
-        # One row per step, one column per quantity, in SteadyState order.
-        rows = np.stack(
-            [P_pred[:, 1, 1], P[:, 1, 1], P_pred[:, 0, 1], P[:, 0, 1], beta[:, 0], beta[:, 1]], axis=1
-        ).tolist()
-        i = -1 if prefix.first is None else prefix.first
-        yield from zip(rows, [-1] * (len(rows) - 1) + [i])
-        if i >= 0:
-            yield from itertools.cycle([(row, -1) for row in rows[i + 1 :]])
-        if prefix.singular:
-            return
-        start = len(rows)
-    orbit = filtering.periodic_pass([ibm_transition(1, sigma, h)], [R], [np.zeros((2, 2))])
-    for _, P_pred, P, beta, first in itertools.islice(orbit, start, None):
-        tracked = P_pred.item(0, 1, 1), P.item(0, 1, 1), P_pred.item(0, 0, 1), P.item(0, 0, 1)
-        yield (*tracked, beta.item(0, 0), beta.item(0, 1)), first[0]
+def _finite(h: float, R: float) -> float:
+    """R, refused if infinite: every gain is then 0, no orbit settles and the closed form is NaN."""
+    if math.isinf(R):
+        raise ValueError(f"R must be finite, not {R!r} at h = {h!r}")
+    return R
 
 
 ORDER_BOUND_QUANTITIES = ("P11_pred", "P11", "abs_P01", "abs_beta0", "one_minus_beta1")
@@ -236,16 +220,19 @@ ORDER_BOUND_DROP_LARGEST = 1
 def order_bound_prefixes(h_grid: Sequence[float], sigma: float, p: float, K_R: float) -> list:
     """Each h's orbit from a zero start, over the grid's longest mesh.
 
-    Checks the grid, then returns each h's orbit as a prefix, up to its first
-    repeated closed block, its first singular innovation or the grid's
-    longest mesh, round(ORDER_BOUND_T/h) steps at the least h, whichever
-    comes first, from one stacked pass of the whole grid.
+    Checks the grid and refuses an infinite R, then returns each h's orbit
+    as a prefix, up to its first repeated closed block, its first singular
+    innovation or the grid's longest mesh, round(ORDER_BOUND_T/h) steps at
+    the least h, whichever comes first, from one stacked pass of the grid.
     ``verify_order_bounds`` takes its maxima over these, each cut to its own
     mesh, and ``orbit_limit`` reads each orbit from its entry.
     """
     hs, noise = _checked_grid(h_grid), PowerLawNoise(K_R=K_R, p=p)
     steps = round(ORDER_BOUND_T / hs[-1])
-    passes = [(ibm_transition(1, sigma, h), noise.evaluate(h), np.zeros((2, 2)), steps) for h in hs]
+    passes = [
+        (ibm_transition(1, sigma, h), _finite(h, noise.evaluate(h)), np.zeros((2, 2)), steps)
+        for h in hs
+    ]
     return filtering.covariance_prefixes(*zip(*passes))
 
 

@@ -90,6 +90,21 @@ class TestSolveCommand:
         assert code == 2
         assert len(read_csv(out)) < 15
 
+    @pytest.mark.parametrize(
+        "argv, steps",
+        [
+            ("--q 1 --h 0.0125 --noise zero --init perturbed:1e300", "0 of 120 steps (t = 0)"),
+            ("--q 2 --h 0.01 --init perturbed:1e10", "6 of 150 steps (t = 0.06)"),
+        ],
+        ids=["at-once", "after-6-steps"],
+    )
+    def test_divergence_names_its_step(self, argv, steps, tmp_path, capsys):
+        # One line on stderr, and the CSV keeps the steps completed.
+        out = tmp_path / "d.csv"
+        assert main(["solve", "--problem", "logistic", *argv.split(), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"odefilter: solve diverged after {steps}\n"
+        assert len(read_csv(out)) == int(steps.split()[0])
+
 
 #: Bad configurations, each caught in main as a ValueError, a LookupError or,
 #: for sigma = 1e-170 with R = 0, a SingularInnovation.
@@ -116,6 +131,7 @@ CONFIG_ERRORS = {
     "wpd-overflow": "wpd --problem logistic --sigma 1e200 --h-grid 0.1:2:4",
     "steady-overflow": "steady --sigma 1e200 --h-grid 0.1:2:8",
     "steady-closed-overflow": "steady --sigma 1e100 --noise power:1:1 --h-grid 0.1:2:8",
+    "steady-const-inf": "steady --sigma 1 --noise const:inf --h-grid 0.1:2:8",
 }
 
 
@@ -130,6 +146,7 @@ ERROR_TEXT = {
     "wpd-singular": "error: problem = logistic, q = 1, p = inf, K_R = 0.0, h = 0.1: singular",
     "misalign-singular": "error: problem = logistic, q = 1, p = inf, K_R = 0.0, h = 0.1: singular",
     "steady-singular": "error: h = 0.1: singular",
+    "steady-const-inf": "error: R must be finite, not inf at h = 0.1",
 }
 
 
@@ -402,10 +419,11 @@ class TestSteadyCommand:
         assert err.startswith("odefilter: error: h = 0.1: orbit cycles with period 2 ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("noise", ["const:inf", "power:1:1e300"])
+    @pytest.mark.parametrize("noise", ["power:1:1e300"])
     def test_orbit_that_never_settles_exits_1(self, noise, tmp_path, capsys, monkeypatch):
         # These orbits run out orbit_limit's max_steps without settling or
-        # repeating; a small bound keeps the run short.
+        # repeating; a small bound keeps the run short.  (An infinite R is
+        # refused before any pass: see CONFIG_ERRORS["steady-const-inf"].)
         limit = functools.partial(steady_state.orbit_limit, max_steps=1000)
         monkeypatch.setattr(steady_state, "orbit_limit", limit)
         out = tmp_path / "steady.csv"

@@ -193,13 +193,26 @@ class TestOneCovariancePass:
 
     def test_orbit_limit_runs_the_kernel_once_per_step(self, kernel_calls):
         h, sigma, R = 0.05, 1.3, 0.01
-        orbit_limit(h, sigma, R)
+        state = orbit_limit(h, sigma, R)
         steps = kernel_calls["predict_covariance"]
-        assert kernel_calls == self.once_each(steps)
+        # Without a prefix it runs its own, one kernel call per prefix step.
+        (prefix,) = filtering.covariance_prefixes(
+            [ibm_transition(1, sigma, h)], [R], [np.zeros((2, 2))], [200_000]
+        )
+        assert len(prefix.beta) == steps
+        assert prefix.first is not None
+        # The settle step k: the first step of the orbit that is the state.
+        P_pred, P, beta = prefix.P_pred, prefix.P_post, prefix.beta
+        columns = [P_pred[:, 1, 1], P[:, 1, 1], P_pred[:, 0, 1], P[:, 0, 1], beta[:, 0], beta[:, 1]]
+        rows = np.stack(columns, axis=1)
+        k = 1 + int(np.flatnonzero((rows == tracked(state)).all(axis=1))[0])
+        assert 1 < k < steps
         # The orbit settles on exactly its step count, no sooner.
-        orbit_limit(h, sigma, R, max_steps=steps)
+        kernel_calls.clear()
+        assert orbit_limit(h, sigma, R, max_steps=k) == state
+        assert kernel_calls == self.once_each(k)
         with pytest.raises(OrbitUnsettled):
-            orbit_limit(h, sigma, R, max_steps=steps - 1)
+            orbit_limit(h, sigma, R, max_steps=k - 1)
 
     @pytest.mark.parametrize("noise_spec", ["power:1:1", "power:2:1", "power:3:1", "zero"])
     def test_verify_order_bounds_stops_each_pass_at_its_cycle(self, kernel_calls, noise_spec):
@@ -214,13 +227,13 @@ class TestOneCovariancePass:
         # The benchmark's four steady calls: one pass per grid, over its
         # longest mesh, serves the order bounds and all 48 orbits.
         passes = []
-        original = filtering.periodic_pass
+        original = filtering.covariance_prefixes
 
         def counted(*args, **kwargs):
             passes.append(len(args[0]))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(filtering, "periodic_pass", counted)
+        monkeypatch.setattr(filtering, "covariance_prefixes", counted)
         for noise in ("power:1:1", "power:2:1", "power:3:1", "zero"):
             argv = ["steady", "--sigma", "1", "--noise", noise, "--h-grid", "0.1:2:12"]
             assert main(argv + ["--out", str(tmp_path / "steady.csv")]) == 0
@@ -244,6 +257,20 @@ class TestOneCovariancePass:
         assert info.value.period == period
         assert info.value.spread >= tol
         assert kernel_calls["predict_covariance"] <= 100
+
+    def test_an_infinite_R_is_refused_before_any_pass(self, kernel_calls):
+        # With R = inf every gain is 0 and P11 grows by sigma^2 h a step, so
+        # no orbit settles, and the closed form is NaN.
+        grid = [0.1 * 2.0**-k for k in range(8)]
+        calls = [
+            lambda: closed_form(0.1, 1.0, math.inf),
+            lambda: orbit_limit(0.1, 1.0, math.inf),
+            lambda: order_bound_prefixes(grid, 1.0, 0.0, math.inf),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="R must be finite"):
+                call()
+        assert kernel_calls == {}
 
     def test_orbit_limit_raises_at_once_on_a_nan_fixed_point(self, kernel_calls):
         # R = NaN makes every step NaN; the pass tags the second NaN step,
