@@ -16,8 +16,9 @@ The set, each run's CSV (and SVG) plus its stderr and exit code:
   and in ``solve``, a closed form that overflows (sigma = 1e100) in
   ``steady``, an infinite R (``const:inf``) in ``steady``, and a sweep
   with q = 0;
-* sweeps whose covariance passes form no families: fig2 on a factor-3
-  grid, whose meshes do not nest, and an IOUP prior;
+* more sweeps: fig2 on a factor-3 grid, whose meshes do not nest, an
+  IOUP prior, and q = 5, the largest supported matrix size (linear with
+  zero noise, and logistic with an IOUP prior);
 * a per-step ``solve`` from ``perturbed:1e300``, whose covariance pass
   turns NaN and ends at a fixed point.
 
@@ -69,11 +70,17 @@ ERRORS = {
     "steady-const-inf": ("steady --sigma 1 --noise const:inf --h-grid 0.1:2:8", False),
 }
 
-NO_FAMILIES = {
+SWEEPS = {
     "wpd-fig2-factor3": ("wpd --preset fig2 --h-grid 0.1:3:4", True),
     "wpd-ioup": (
         "wpd --problem logistic --q 1,2 --prior ioup --theta 1 --noise zero,power:1:1 "
         "--h-grid 0.1:2:4",
+        False,
+    ),
+    "wpd-linear-q5": ("wpd --problem linear --q 5 --sigma 1 --noise zero --h-grid 0.1:2:5", False),
+    "wpd-ioup-q5": (
+        "wpd --problem logistic --q 5 --sigma 50 --prior ioup --theta 1 "
+        "--noise zero,power:5:1 --h-grid 0.1:2:5",
         False,
     ),
 }
@@ -92,7 +99,7 @@ def runs() -> dict:
     for command, preset in PRESETS:
         for init, flags in INITS.items():
             table[f"{command}-{preset}-{init}"] = ([command, "--preset", preset, *flags], True)
-    for name, (text, svg) in {**README, **ERRORS, **NO_FAMILIES, **DIVERGING}.items():
+    for name, (text, svg) in {**README, **ERRORS, **SWEEPS, **DIVERGING}.items():
         table[name] = (text.split(), svg)
     for sigma in ("1", "50"):
         for h0 in ("0.1", "0.099738"):

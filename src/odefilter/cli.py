@@ -220,8 +220,8 @@ def _covariance_tracks(specs: Sequence[RunSpec], mode: PerturbedInit) -> Iterato
     """Each cell's ``filtering.CovarianceTrack`` in turn (``filtering.shared_tracks``).
 
     A cell's pass runs its prior's transition at h, its R and its start
-    covariance over its problem's mesh; the passes share their work as
-    ``filtering.shared_tracks`` says.
+    covariance over its problem's mesh; cells whose passes are identical
+    share one track.
     """
     horizons = {name: get_problem(name).T for name in {spec.problem for spec in specs}}
     transition = functools.cache(PriorSpec.transition)

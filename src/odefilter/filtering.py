@@ -30,40 +30,22 @@ from each cell's arrays.
 
 The covariance track.  A is upper triangular and the data is on x_1, so
 the gain and every entry of P_pred and P_post but [0, 0] are computed from
-the previous posterior's closed block P[:, 1:] alone: P_00 enters only
-through products with the zero entries A_j0 (j >= 1), which are 0 for any
-finite P_00.  So once step n's finite closed block repeats, byte for byte,
-that of an earlier step i, every later step m repeats step
+the previous posterior's closed block P[:, 1:] alone (P_00 meets only the
+entries A_j0 = 0, j >= 1).  So once step n's finite closed block repeats,
+byte for byte, that of an earlier step i, every later step m repeats step
 k = i + 1 + (m - n - 1) mod (n - i) in all but P_00.
-``covariance_prefixes`` runs the recursion of a stack of cells side by
-side, one kernel call per step for the whole stack (numpy's stacked matmul
-runs the same BLAS product per matrix, so each cell keeps its bytes), and
-returns each cell's *prefix*: its steps up to its first repeat, its bound
-or its first singular innovation.  ``CovarianceTrack`` holds a cell's
-steps, each distinct step once; a prefix is a track whose rows are its own
-steps.  ``covariance_track`` cuts a track that is long enough and fills a
-prefix that ends at a repeat once, bit for bit: each later step maps to its
-step k, and the growing P_00 is recomputed with the kernel's own arithmetic
-(a full A P A^T of the previous posterior, then the scalar symmetrize and
-update).  The fill stops at a non-finite P_00 (the next step would be NaN,
-0 * inf), so at once at a non-finite fixed point, a step whose whole P_post
-repeats the one before it, where a prefix also ends.  A track that ends
-before the mesh ends the run there, diverged; a singular innovation ends
-the track, and ``solve`` raises it only if its mean loop reaches that step.
-
-Families of passes.  For an IBM prior A_ij = h^(j-i) / (j-i)! and Q_ij is
-h^(2q+1-i-j) times a constant, so with R = 0 or R = K h^(2q-1), and a start
-covariance of Q's degrees, every number of the recursion is homogeneous in
-h: the entries of P_pred, P_post and P_00 of degree 2q+1-i-j, the gains
-beta_i of degree 1-i.  A pass at step 2^e h then starts from its pass at h
-with every number times a power of two, and so is every product, sum and
-quotient of its recursion: scaling by a power of two commutes with each
-rounding while every number stays normal.  ``shared_tracks``, the tracks of
-a sweep's passes, runs one pass per family and reads each member's track
-from it, rescaled and cut to its own mesh.  It refuses a nonzero number
-outside [2^-480, 2^480], before or after the rescaling (a product of two
-such numbers is normal), and a singular or non-finite track; a refused pass
-runs on its own.
+``covariance_prefixes`` runs a stack of cells side by side (numpy's stacked
+matmul runs the same BLAS product per matrix, so each cell keeps its bytes)
+up to each cell's first repeat, bound or singular innovation: its *prefix*,
+a ``CovarianceTrack`` (each distinct step stored once) whose rows are its
+own steps.  ``covariance_track`` cuts a long enough track, or fills a prefix
+that ends at a repeat once: each later step maps to its step k, and P_00 is
+recomputed with the kernel's own arithmetic in verified blocks
+(``_fill_period``), up to the first non-finite P_00 (the next step would be
+NaN, 0 * inf).  A track that ends before the mesh ends the run there,
+diverged; a singular innovation ends the track, and ``solve`` raises it
+only if its mean loop reaches that step.  ``shared_tracks`` runs each
+distinct pass of a sweep once.
 """
 
 from __future__ import annotations
@@ -522,9 +504,9 @@ def covariance_track(
     A track at least that long is cut, and shares its arrays.  A shorter
     one with no repeat, which ends at a singular innovation or at a
     non-finite P_00, is returned as it is.  A prefix that ends at a repeat
-    is filled once: the later steps repeat its period (see the module
-    docstring), up to the mesh or to the first step whose previous P_00 is
-    not finite, where the track, and so the run, ends.
+    is filled once, sharing its arrays (``_fill_period``), up to the mesh
+    or to the first step whose previous P_00 is not finite, where the
+    track, and so the run, ends.
     """
     if len(track.rows) >= n_steps:
         cut = (track.rows[:n_steps], track.P00[:n_steps], None, False)
@@ -533,197 +515,91 @@ def covariance_track(
         return track
     i, n = track.first, len(track.rows) - 1
     period = i + 1 + np.arange(n_steps - n - 1) % (n - i)
-    # The period rows of P_post are rewritten with each step's P_00.
-    P_post, P00 = track.P_post.copy(), np.concatenate((track.P00, np.empty((len(period), 2))))
+    P00 = np.concatenate((track.P00, np.empty((len(period), 2))))
     with np.errstate(over="ignore", invalid="ignore"):
-        filled = n + 1 + _fill_period(tm, R, track.P_pred, P_post, period, P00[n + 1 :], n)
+        filled = n + 1 + _fill_period(tm, R, track, period, P00)
     rows = np.concatenate((track.rows, period))[:filled]
-    return CovarianceTrack(track.P_pred, P_post, track.beta, rows, P00[:filled], None, False)
+    return CovarianceTrack(track.P_pred, track.P_post, track.beta, rows, P00[:filled], None, False)
 
 
-def _fill_period(tm, R, P_pred, P_post, period, P00, n: int) -> int:
-    """Recompute P_00 of the steps after step n, whose other entries repeat rows ``period``.
+def _fill_period(tm, R, track: CovarianceTrack, period, P00) -> int:
+    """Write the (predicted, updated) P_00 of each step after the prefix ``track`` into ``P00``.
 
-    Writes each step's (predicted, updated) P_00 into its row of ``P00``,
-    and the updated one into its row of P_post for the next step.  Returns
-    the steps filled: all, or up to the first whose previous P_00 is not finite.
+    Step n + 1 + m (n the prefix's last step) repeats row ``period[m]`` but
+    for P_00.  Returns the steps filled: all, or up to the first whose
+    previous P_00 is not finite.  A block of steps guesses each previous
+    P_00 (the last exact one plus the increments one period back, exact
+    within a binade), runs at once (``_p00_steps``) and keeps its steps up
+    to the first wrong guess, bits compared, each of which read the exact
+    output of the step before.  Blocks hold 16 steps, twice as many (at
+    most 4,096) after a block kept whole, max(16, 2j) after one that kept j.
     """
+    n, p = len(track.rows) - 1, len(track.rows) - 1 - track.first
+    reads = np.concatenate(([n], period[:-1]))  # the row of each step's previous posterior
     # drop is what the update subtracts from P_pred_00; it repeats with the period.
-    drops = (P_pred[:, 0, 1] * P_pred[:, 0, 1] / (P_pred[:, 1, 1] + R))[period].tolist()
-    A, AT, Q00 = tm.A, tm.A.T, tm.Q[0, 0].item()
-    P = P_post[n]
-    for m, (row, drop) in enumerate(zip(period.tolist(), drops)):
-        if not math.isfinite(P[0, 0]):
-            return m
-        # The full product of predict_covariance (the same BLAS gemm calls):
-        # A[:1] P A[:1]^T rounds differently.
-        v = A.dot(P).dot(AT).item(0) + Q00
-        v = 0.5 * (v + v)
-        P00[m, 0] = v
-        v -= drop
-        P00[m, 1] = v = 0.5 * (v + v)
-        P = P_post[row]
-        P[0, 0] = v
-    return len(period)
+    P01, P11 = track.P_pred[:, 0, 1], track.P_pred[:, 1, 1]
+    drops = P01 * P01 / (P11 + R)
+    updated, cycle = P00[:, 1], np.arange(4096) % p
+    done, size = 0, 16
+    while done < len(period):
+        last = n + done  # the last step filled, and so exact
+        if not math.isfinite(updated[last]):
+            return done
+        b = min(size, len(period) - done)
+        block = slice(done, done + b)
+        increments = updated[last - p + 1 : last + 1] - updated[last - p : last]
+        guesses = np.concatenate((updated[last : last + 1], increments[cycle[: b - 1]])).cumsum()
+        predicted, post = _p00_steps(tm, track.P_post[reads[block]], guesses, drops[period[block]])
+        # A wrong guess, or a non-finite P_00 that the next step must not read, ends the steps kept.
+        bad = (guesses[1:].view(np.int64) != post[:-1].view(np.int64)) | ~np.isfinite(post[:-1])
+        wrong = np.flatnonzero(bad)
+        kept = int(wrong[0]) + 1 if len(wrong) else b
+        P00[n + 1 + done : n + 1 + done + kept, 0] = predicted[:kept]
+        P00[n + 1 + done : n + 1 + done + kept, 1] = post[:kept]
+        size = min(2 * size, 4096) if kept == size else max(16, 2 * kept)
+        done += kept
+    return done
+
+
+def _p00_steps(tm, P, previous, drops) -> tuple:
+    """The (predicted, updated) P_00 of the steps from the posteriors P with P_00 ``previous``.
+
+    The kernel's own arithmetic: the full A P A^T of ``predict_covariance``
+    (the same BLAS product per matrix; A[:1] P A[:1]^T rounds differently),
+    + Q_00 and its symmetrize, then the update's - drop and symmetrize.
+    """
+    P[:, 0, 0] = previous
+    v = (tm.A @ P @ tm.A.T)[:, 0, 0] + tm.Q[0, 0]
+    v = 0.5 * (v + v)
+    u = v - drops
+    return v, 0.5 * (u + u)
 
 
 def shared_tracks(passes: Sequence[tuple]) -> Iterator[CovarianceTrack]:
-    """Each pass's ``CovarianceTrack`` over its mesh in turn, with one pass run per family.
+    """Each pass's ``CovarianceTrack`` over its mesh in turn, each distinct pass run once.
 
     ``passes`` are (transition, R, start covariance, steps).  Passes with
     the same A, Q, R and start, byte for byte, share one track over their
-    longest mesh.  Only each family's longest pass runs (``_pass_families``),
-    in one stacked prefix pass per matrix size; it is filled at the family's
-    first pass, and each member takes a rescaled cut of it
-    (``_rescaled_tracks``) or, where that is refused, runs on its own.  Each
-    track is let go after its last pass.  Raises ValueError for q = 0.
+    longest mesh.  The distinct passes run in one stacked prefix pass per
+    matrix size; each track is filled at its first pass and let go after
+    its last.  Raises ValueError for q = 0.
     """
-    if any(len(start) < 2 for _, _, start, _ in passes):
-        raise ValueError(_Q_AT_LEAST_1)
-    index, distinct, keys = {}, [], []
+    distinct, keys = {}, []
     for tm, R, start, steps in passes:
-        k = index.setdefault(_numbers((tm, R, start)).tobytes(), len(distinct))
-        if k == len(distinct):
-            distinct.append([tm, R, start, 0])
-        distinct[k][3] = max(distinct[k][3], steps)
-        keys.append(k)
-    family = _pass_families(distinct)
-    members = {}
-    for k, (r, _) in enumerate(family):
-        members.setdefault(r, []).append(k)
-    heads, prefixes = sorted(members), {}
-    for n in sorted({len(distinct[r][2]) for r in heads}):
-        group = [r for r in heads if len(distinct[r][2]) == n]
-        prefixes.update(zip(group, covariance_prefixes(*zip(*(distinct[r] for r in group)))))
-    last = {k: c for c, k in enumerate(keys)}
+        key = (tm.A.tobytes(), tm.Q.tobytes(), np.float64(R).tobytes(), start.tobytes())
+        longest = max(steps, distinct[key][3]) if key in distinct else steps
+        distinct[key] = (tm, R, start, longest)
+        keys.append(key)
     tracks = {}
-    for c, k in enumerate(keys):
-        if k not in tracks:  # the first pass of its family
-            r = family[k][0]
-            tm, R, _, steps = distinct[r]
-            track = covariance_track(tm, R, prefixes.pop(r), steps)
-            cuts = [(family[m][1], distinct[m][3]) for m in members[r]]
-            rescaled = _rescaled_tracks(track, cuts)
-            if rescaled is None:  # refused: each other pass runs on its own
-                rescaled = [track if m == r else _own_track(*distinct[m]) for m in members[r]]
-            tracks.update(zip(members[r], rescaled))
-        yield tracks[k] if last[k] > c else tracks.pop(k)
-
-
-def _own_track(tm, R, start, steps: int) -> CovarianceTrack:
-    """The track of a pass (transition, R, start, steps) that runs on its own."""
-    (prefix,) = covariance_prefixes([tm], [R], [start], [steps])
-    return covariance_track(tm, R, prefix, steps)
-
-
-#: The range of every nonzero number a family shares, before and after its
-#: rescaling: a product of two such numbers stays normal.
-_FAMILY_RANGE = (2.0**-480, 2.0**480)
-
-
-def _pass_families(passes: Sequence[tuple]) -> list:
-    """Each pass's family: (r, e), the pass whose track it reads and its exponent.
-
-    ``passes`` are (transition, R, start covariance, steps).  Taken longest
-    first, each pass joins the first family whose pass it is at step 2^e h:
-    its A, Q, R and start equal that pass's, bit for bit, times 2^(e d),
-    where d, the degree in h of an IBM prior, is j - i for A, 2q+1-i-j for Q
-    and P and 2q-1 for R (not so for an IOUP prior, R = K_R h^p with
-    p != 2q-1 or a step ratio that is not a power of two).  Otherwise it
-    heads a family of its own, as (itself, 0).  A family whose pass has a
-    nonzero number that leaves ``_FAMILY_RANGE`` at one of the family's
-    exponents splits into families of one.
-    """
-    family, groups, members, degrees = [None] * len(passes), {}, {}, {}
-    with np.errstate(over="ignore"):
-        for c in sorted(range(len(passes)), key=lambda c: -passes[c][3]):
-            tm, R, P = passes[c][:3]
-            n, (mantissa, E), x = len(P), math.frexp(tm.h), _numbers(passes[c])
-            if n not in degrees:
-                degrees[n] = _number_degrees(n)
-            # What a family shares: the size, h's mantissa, and R scaled to h's binade.
-            key = (n, mantissa, float(np.ldexp(R, -E * (2 * n - 3))))
-            for r, E_r, x_r in groups.setdefault(key, []):
-                if np.ldexp(x_r, (E - E_r) * degrees[n]).tobytes() == x.tobytes():
-                    family[c] = (r, E - E_r)
-                    members[r].append(c)
-                    break
-            else:
-                family[c] = (c, 0)
-                members[c] = [c]
-                groups[key].append((c, E, x))
-    for r, cells in members.items():
-        es = [family[c][1] for c in cells]
-        n = len(passes[r][2])
-        if len(es) > 1 and not _fits(_numbers(passes[r]), degrees[n], min(es), max(es)):
-            for c in cells:
-                family[c] = (c, 0)
-    return family
-
-
-def _rescaled_tracks(track: CovarianceTrack, members: Sequence[tuple]) -> Optional[list]:
-    """The track of each member (e, n) of the family whose pass has the track ``track``.
-
-    A member's track is the first n steps of ``track`` at step 2^e h: P_pred,
-    P_post and P_00 scale by 2^(e(2q+1-i-j)) and beta by 2^(e(1-i)) (see the
-    module docstring); e = 0, the family's own pass, takes ``track`` itself.
-    Unless every e is 0, None if the track is singular, or if a number of it
-    is not finite or leaves ``_FAMILY_RANGE`` at the least or the greatest e
-    (each number lies between its values at those two).
-    """
-    _, dP = _degrees(track.P_pred.shape[-1])
-    degrees = (dP, dP, dP[1] - dP[1, 1], dP[0, 0])
-    arrays = (track.P_pred, track.P_post, track.beta, track.P00)
-    es = [0] + [e for e, _ in members]
-    if any(es) and (
-        track.singular or not all(_fits(x, d, min(es), max(es)) for x, d in zip(arrays, degrees))
-    ):
-        return None
-    tracks = []
-    for e, n in members:
-        if e == 0:
-            tracks.append(track)
-            continue
-        rows = track.rows[:n]
-        k = int(rows.max()) + 1 if len(rows) else 0  # the stored steps they read
-        scaled = [np.ldexp(x[:k], e * d) for x, d in zip(arrays[:3], degrees)]
-        scaled.append(np.ldexp(track.P00[: len(rows)], e * degrees[3]))
-        for x in scaled:
-            x.setflags(write=False)
-        tracks.append(CovarianceTrack(*scaled[:3], rows, scaled[3], None, False))
-    return tracks
-
-
-def _degrees(n: int) -> tuple:
-    """The degrees in h of A and of Q and P, for an IBM prior with n = q + 1 entries."""
-    i = np.arange(n)
-    return i - i[:, None], 2 * n - 1 - i - i[:, None]
-
-
-def _numbers(p: tuple) -> np.ndarray:
-    """A pass's A, Q, start P and R (as a matrix) in one array."""
-    tm, R, P = p[:3]
-    return np.array((tm.A, tm.Q, P, np.full_like(P, R)))
-
-
-def _number_degrees(n: int) -> np.ndarray:
-    """The degrees in h of ``_numbers`` for an IBM prior with n = q + 1 entries."""
-    dA, dP = _degrees(n)
-    return np.array((dA, dP, dP, np.full_like(dP, dP[1, 1])))
-
-
-def _fits(x: np.ndarray, d, *es) -> bool:
-    """Whether each nonzero |x| times 2^(e d), for each e, lies in ``_FAMILY_RANGE``."""
-    size = np.abs(x)
-    nonzero = size != 0.0  # NaN too, and NaN fails every test below
-    lo, hi = _FAMILY_RANGE
-    with np.errstate(over="ignore"):
-        for e in es:
-            scaled = np.ldexp(size, e * d)
-            least = scaled.min(initial=np.inf, where=nonzero)
-            if not (least >= lo and scaled.max(initial=0.0) <= hi):
-                return False
-    return True
+    for n in sorted({len(start) for _, _, start, _ in distinct.values()}):
+        group = [key for key, (_, _, start, _) in distinct.items() if len(start) == n]
+        tracks.update(zip(group, covariance_prefixes(*zip(*(distinct[key] for key in group)))))
+    last = {key: c for c, key in enumerate(keys)}
+    for c, key in enumerate(keys):
+        # The first pass fills the prefix to the longest mesh; the others cut it.
+        tm, R, _, steps = distinct[key]
+        tracks[key] = covariance_track(tm, R, tracks[key], steps)
+        yield tracks[key] if last[key] > c else tracks.pop(key)
 
 
 def predict_covariance(P: np.ndarray, tm: TransitionModel) -> np.ndarray:

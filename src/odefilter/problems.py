@@ -72,16 +72,19 @@ class IVProblem:
 def _horner(poly: Polynomial) -> Callable[[np.ndarray], np.ndarray]:
     """``poly`` as a pointwise map on arrays, equal bit for bit to ``poly(x)``.
 
-    Runs the operations of ``Polynomial.__call__`` (the domain map
-    ``off + scl * x``, then numpy's Horner loop ``c0 = c[-1] + x * 0``,
-    ``c0 = c[i] + c0 * x``) without its per-call array set-up.
+    Runs numpy's Horner loop ``c0 = c[-1] + x * 0``, ``c0 = c[i] + c0 * x``
+    of ``Polynomial.__call__`` without its per-call array set-up or its
+    domain map ``0 + 1 x``, which changes only the sign of a zero x: then
+    each ``c[i] + c0 * x`` adds a zero to c[i], the same bits for either
+    sign unless c[i] is -0.0.
     """
-    off, scl = (float(a) for a in poly.mapparms())
+    if poly.mapparms() != (0.0, 1.0) or np.signbit(poly.coef[poly.coef == 0.0]).any():
+        raise ValueError("a polynomial map needs the identity domain and no -0.0 coefficient")
     *rest, last = poly.coef.tolist()
     rest.reverse()
 
     def g(x):
-        v = off + scl * np.asarray(x, dtype=float)
+        v = np.asarray(x, dtype=float)
         c0 = last + v * 0
         for c in rest:
             c0 = c + c0 * v

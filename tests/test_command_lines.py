@@ -95,9 +95,9 @@ def test_readme_examples_parse():
 
 def test_output_matrix_argvs_parse(monkeypatch, tmp_path, capsys):
     argvs = recorded_argvs("output_matrix.py", monkeypatch, tmp_path)
-    # 5 presets x 3 starts, 4 README examples, 8 error runs, 2 sweeps without
-    # families, 1 diverging solve, 28 steady runs.
-    assert len(argvs) == 15 + 4 + 8 + 2 + 1 + 28
+    # 5 presets x 3 starts, 4 README examples, 8 error runs, 4 more sweeps,
+    # 1 diverging solve, 28 steady runs.
+    assert len(argvs) == 15 + 4 + 8 + 4 + 1 + 28
     for argv in argvs:
         check_parses(argv)
 

@@ -22,7 +22,7 @@ from odefilter.filtering import (
     solve,
 )
 from odefilter.noise import PowerLawNoise, parse_noise
-from odefilter.priors import PriorSpec, ibm_transition
+from odefilter.priors import PriorSpec, TransitionModel, ibm_transition
 from odefilter.problems import IVProblem, MissingDerivative, get_problem, logistic, riccati
 from odefilter.steady_state import order_bound_prefixes
 import oracles
@@ -741,6 +741,42 @@ def preset_groups(preset, grid, mode):
     return [(get_problem(name), *stack) for (name, _), stack in groups.items()]
 
 
+def filled_pass(prior, h, R, k0, n):
+    """A pass (transition, R, start, mesh) whose prefix ends on a repeat before its mesh."""
+    return lambda: (prior.transition(h), R, initial_covariance(prior.q, h, PerturbedInit(k0)), n)
+
+
+def overflowing_pass():
+    """q = 1, h = 1e154 and sigma^2 = 1e-156, from P = 0: the closed block repeats with
+    period 2 at step 2, and P_00 grows by about 8e304 a step until it overflows."""
+    h, s = 1e154, 0.01  # s = sigma^2 h; h^3 itself overflows
+    A, Q = np.array([[1.0, h], [0.0, 1.0]]), np.array([[s * h * h / 3, s * h / 2], [s * h / 2, s]])
+    return TransitionModel(h, A, Q), 0.0, np.zeros((2, 2)), 20_000
+
+
+#: Passes whose prefix ends on a repeat: from a perturbed start, q = 1..5;
+#: fig2's R = 5000 h (a 2,369-step prefix of period 1 at every power-of-two
+#: h), and the exact start (period 2 at R = 0), over 12,800 steps, where the
+#: fill's blocks grow and P_00 crosses 25 and 15 binades; a start of
+#: ``perturbed:1e300``, whose prefix ends at a NaN fixed point and is not
+#: filled; and a pass whose P_00 overflows in the fill, after 33 blocks.
+FILLED = {
+    **{
+        f"q{q}-{kind}": filled_pass(prior, 0.0125, R, 1.0, 800)
+        for q in (1, 2, 3, 4)
+        for kind, prior, R in (
+            ("ibm", PriorSpec(q), 0.0),
+            ("ioup", PriorSpec(q, "ioup", theta=1.0), 0.0125**q),
+        )
+    },
+    "q5-fig2-R": filled_pass(PriorSpec(5), 0.1, 5000.0 * 0.1, 0.0, 12_800),
+    "fig2-R": filled_pass(PriorSpec(1), 0.1 / 128, 5000.0 * (0.1 / 128), 0.0, 12_800),
+    "exact-start": filled_pass(PriorSpec(1), 0.1 / 128, 0.0, 0.0, 12_800),
+    "perturbed-1e300": filled_pass(PriorSpec(1), 0.1 / 128, 0.0, 1e300, 12_800),
+    "overflow": overflowing_pass,
+}
+
+
 class TestSharedTracks:
     """A sweep fills each shared covariance pass once; each cell takes a cut of it."""
 
@@ -770,23 +806,31 @@ class TestSharedTracks:
                     assert a.tobytes() == b.tobytes()
         assert longer == 16  # every logistic cell's track is its linear twin's
 
-    @pytest.mark.parametrize("q", [1, 2, 3])
-    def test_a_filled_track_and_its_cuts_give_the_full_pass_steps(self, q):
-        # A prefix that ends on a repeat is filled once, to the mesh; each cut
-        # of the filled track must give the full pass's first steps.
-        h, n = 0.0125, 800
-        for prior, R in ((PriorSpec(q), 0.0), (PriorSpec(q, "ioup", theta=1.0), h**q)):
-            tm, start = prior.transition(h), initial_covariance(q, h, PerturbedInit(1.0))
-            expected = list(itertools.islice(covariance_pass(tm, R, start), n))
-            (prefix,) = covariance_prefixes([tm], [R], [start], [n])
-            assert prefix.first is not None and len(prefix.rows) < n
-            full = filtering.covariance_track(tm, R, prefix, n)
-            assert len(full.rows) == n and not full.singular
-            for bound in (1, 2, 7, 300, n):
-                cut = filtering.covariance_track(tm, R, full, bound)
-                assert len(cut.rows) == bound
-                for got, column in zip(cut.steps(bound), zip(*expected[:bound])):
-                    assert got.tobytes() == np.array(column).tobytes()
+    @pytest.mark.parametrize("case", list(FILLED), ids=list(FILLED))
+    def test_a_filled_track_and_its_cuts_give_the_full_pass_steps(self, case):
+        # A prefix that ends on a repeat is filled once, to the mesh or to the
+        # first step whose previous P_00 is not finite; each cut of the filled
+        # track must give the full pass's first steps.
+        tm, R, start, n = FILLED[case]()
+        (prefix,) = covariance_prefixes([tm], [R], [start], [n])
+        assert prefix.first is not None and len(prefix.rows) < n
+        full = filtering.covariance_track(tm, R, prefix, n)
+        filled = len(full.rows)
+        assert not full.singular
+        # Only a non-finite previous P_00 ends a fill before the mesh.
+        assert (filled < n) == (case in ("perturbed-1e300", "overflow"))
+        if filled < n:
+            assert not np.isfinite(full.P00[-1, 1])
+        if case == "overflow":
+            # More than one block in, at the first non-finite P_00.
+            assert filled > len(prefix.rows) + 16 and np.isfinite(full.P00[:-1, 1]).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = list(itertools.islice(covariance_pass(tm, R, start), filled))
+        for bound in [bound for bound in (1, 2, 7, 300) if bound < filled] + [filled]:
+            cut = filtering.covariance_track(tm, R, full, bound)
+            assert len(cut.rows) == bound
+            for got, column in zip(cut.steps(bound), zip(*expected[:bound])):
+                assert got.tobytes() == np.array(column).tobytes()
 
     def test_a_cut_that_ends_before_a_singular_step_does_not_raise(self):
         tm, R, P0, _ = crafted_singular_cell(1)
@@ -841,44 +885,41 @@ def grid_specs(problem, priors, noises, grid):
     ]
 
 
-class TestPassFamilies:
-    """A pass at step 2^e h reads its family's track rescaled; it must equal its own pass."""
+class TestSweepPasses:
+    """A sweep runs each distinct covariance pass once; every track must equal its own pass."""
 
     EXACT, PERTURBED = PerturbedInit(0.0), PerturbedInit(1.0, seed=3)
 
-    # fig2: one family per noise.  fig1 (logistic sigma = 50, linear sigma = 1):
-    # q = 1 both noises, q = 2..4 zero noise, and each R = h^q pass of q >= 2
-    # alone, so 2 x (2 + 3 + 3 x 8) passes.  figC: one family per q.
+    # Each distinct pass runs in one stacked pass per q: fig2, 8 step sizes
+    # by 2 noises; fig1, per q, 8 step sizes by 2 noises by 2 sigmas (its
+    # logistic and linear cells); figC, 8 per q.
     @pytest.mark.parametrize(
-        "preset, grid, mode, heads",
+        "preset, grid, mode, passes",
         [
-            ("fig2", (0.1, 2.0, 8), EXACT, 2),
-            ("fig2", (0.1, 2.0, 8), PERTURBED, 2),
-            ("fig1", (0.1, 2.0, 8), EXACT, 58),
-            ("figC", (0.1, 2.0, 8), EXACT, 4),
+            ("fig2", (0.1, 2.0, 8), EXACT, [16]),
+            ("fig2", (0.1, 2.0, 8), PERTURBED, [16]),
+            ("fig1", (0.1, 2.0, 8), EXACT, [32, 32, 32, 32]),
+            ("figC", (0.1, 2.0, 8), EXACT, [8, 8, 8, 8]),
         ],
     )
-    def test_every_preset_track_is_its_family_pass_rescaled(
-        self, monkeypatch, preset, grid, mode, heads
-    ):
-        tracks, passes = sweep_tracks(preset_specs(preset, grid), mode, monkeypatch)
-        assert sum(passes) == heads < assert_own_passes(tracks, mode)
+    def test_every_preset_track_is_its_own_pass(self, monkeypatch, preset, grid, mode, passes):
+        tracks, run = sweep_tracks(preset_specs(preset, grid), mode, monkeypatch)
+        assert run == passes and assert_own_passes(tracks, mode) == sum(passes)
 
     @pytest.mark.parametrize("mode", [EXACT, PERTURBED], ids=["exact", "perturbed"])
-    def test_zero_noise_and_R_of_degree_2q_minus_1_form_one_family_per_q(self, monkeypatch, mode):
+    def test_zero_noise_and_R_of_degree_2q_minus_1_run_each_pass_once(self, monkeypatch, mode):
         for q in (1, 2, 3, 4):
             noise = f"power:{2 * q - 1}:1"
             specs = grid_specs("linear", [PriorSpec(q)], ["zero", noise], (0.1, 2.0, 8))
             tracks, passes = sweep_tracks(specs, mode, monkeypatch)
-            assert passes == [2]
+            assert passes == [16]
             assert assert_own_passes(tracks, mode) == 16
 
     LOGISTIC, FIG2 = ("logistic",), ("logistic", "linear")
 
-    # The fig2 cases' logistic passes equal their linear twins', and share
-    # their tracks before any family forms: as e = 0 family members they
-    # took 30 passes at perturbed:1e300.
-    REFUSED = {
+    # Sweeps whose passes earlier rules ran one by one.  The fig2 cases'
+    # logistic passes equal their linear twins' and share their tracks.
+    OWN = {
         "ioup": ([PriorSpec(2, "ioup", theta=1.0)], ["zero"], (0.1, 2.0, 4), EXACT, LOGISTIC),
         "power-q-1": ([PriorSpec(2)], ["power:2:1"], (0.1, 2.0, 4), EXACT, LOGISTIC),
         "factor-3": ([PriorSpec(1)], ["zero"], (0.1, 3.0, 4), EXACT, LOGISTIC),
@@ -892,40 +933,16 @@ class TestPassFamilies:
         ),
     }
 
-    @pytest.mark.parametrize("case", list(REFUSED), ids=list(REFUSED))
-    def test_a_refused_pass_runs_on_its_own(self, monkeypatch, case):
-        priors, noises, grid, mode, problems = self.REFUSED[case]
+    @pytest.mark.parametrize("case", list(OWN), ids=list(OWN))
+    def test_each_distinct_pass_runs_in_one_stacked_pass(self, monkeypatch, case):
+        priors, noises, grid, mode, problems = self.OWN[case]
         specs = [spec for name in problems for spec in grid_specs(name, priors, noises, grid)]
         tracks, passes = sweep_tracks(specs, mode, monkeypatch)
         count = grid[2]
-        # The singular family's pass runs, and refuses its members one by one.
-        assert passes == ([1] * count if case.endswith("singular") else [count])
+        assert passes == [count]
         assert assert_own_passes(tracks, mode) == count
 
-    def test_the_family_rule_refuses_a_number_out_of_range(self):
-        start = np.zeros((2, 2))
-        fine, coarse = ibm_transition(1, 1.0, 0.05), ibm_transition(1, 1.0, 0.1)
-        # R = K h is of degree 2q - 1 = 1; at K = 2^-600 it is out of range.
-        for K, family in ((2.0**-10, [(0, 0), (0, 1)]), (2.0**-600, [(0, 0), (1, 0)])):
-            passes = [(fine, K * 0.05, start, 20), (coarse, K * 0.1, start, 10)]
-            assert filtering._pass_families(passes) == family
-        # R = 0.1 at h = 0.1 is not R = 0 rescaled.
-        assert filtering._pass_families([(fine, 0.0, start, 20), (coarse, 0.1, start, 10)]) == [
-            (0, 0),
-            (1, 0),
-        ]
-        (prefix,) = covariance_prefixes([coarse], [0.0], [start], [50])
-        track = filtering.covariance_track(coarse, 0.0, prefix, 50)
-        (same,) = filtering._rescaled_tracks(track, [(0, 50)])
-        assert same is track
-        assert filtering._rescaled_tracks(track, [(-10, 50), (0, 50)]) is not None
-        # P_00, of degree 3, leaves the range long before 2^(3e) underflows;
-        # one member out of range refuses the whole family.
-        assert filtering._rescaled_tracks(track, [(-200, 50), (0, 50)]) is None
-        assert filtering._rescaled_tracks(track, [(200, 50), (1, 25)]) is None
-
-    #: (noise, sigma) of steady grids.  R = 0 and R = K h would form families;
-    #: at sigma = 1e-170 Q underflows to 0, so P stays 0 for R > 0 and every
+    #: (noise, sigma) of steady grids, R = 0 and R = K h among them; at sigma = 1e-170 Q underflows to 0, so P stays 0 for R > 0 and every
     #: zero-noise orbit is singular.
     STEADY_PASSES = [
         ("power:1:1", 1.0),
@@ -958,14 +975,15 @@ class TestPassFamilies:
                 assert getattr(orbit, name).tobytes() == getattr(own, name).tobytes()
 
     def test_fig2_and_steady_work_at_seed_0(self, monkeypatch, tmp_path):
-        # Before one pass per family: 40,769 P_00 fill steps, 16 cells in the
-        # stacked prefix pass and exact on 58,682 points.  Steady runs each
-        # grid as one stacked pass over its longest mesh, with no families:
+        # fig2 runs its 16 distinct passes in one stacked pass, each once to
+        # its longest mesh, fills 40,769 P_00 steps in 341 blocks (the pin
+        # allows 10% more) and evaluates exact on at most 14,722 points.
+        # Steady runs each grid as one stacked pass over its longest mesh:
         # 68 kernel calls, where bounding each orbit by its own mesh took 137.
-        work = collections.Counter()
+        work, passes = collections.Counter(), []
         original = {
             name: getattr(filtering, name)
-            for name in ("_fill_period", "covariance_prefixes", "predict_covariance")
+            for name in ("_fill_period", "_p00_steps", "covariance_prefixes", "predict_covariance")
         }
 
         def fill(*args):
@@ -973,8 +991,12 @@ class TestPassFamilies:
             work["fill"] += filled
             return filled
 
+        def block(*args):
+            work["blocks"] += 1
+            return original["_p00_steps"](*args)
+
         def prefixes(tms, *args):
-            work["passes"] += len(tms)
+            passes.append(len(tms))
             return original["covariance_prefixes"](tms, *args)
 
         def predict(*args):
@@ -994,10 +1016,12 @@ class TestPassFamilies:
 
         monkeypatch.setattr(cli, "get_problem", counted_problem)
         monkeypatch.setattr(filtering, "_fill_period", fill)
+        monkeypatch.setattr(filtering, "_p00_steps", block)
         monkeypatch.setattr(filtering, "covariance_prefixes", prefixes)
         monkeypatch.setattr(filtering, "predict_covariance", predict)
         assert cli.main(["wpd", "--preset", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
-        assert work["fill"] <= 23_228 and work["passes"] == 2 and work["exact"] <= 14_722
+        assert work["fill"] == 40_769 and work["blocks"] <= 375 and passes == [16]
+        assert work["exact"] <= 14_722
         work.clear()
         for noise in ("power:1:1", "power:2:1", "power:3:1", "zero"):
             argv = ["steady", "--sigma", "1", "--noise", noise, "--h-grid", "0.1:2:12"]
