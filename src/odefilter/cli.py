@@ -188,8 +188,9 @@ def _execute(spec: RunSpec, problem, mode: PerturbedInit, stack, exact) -> dict:
         widths = diagnostics.credible_width(traj).widths
         row["final_error"] = float(errs.eps0_norms()[-1])
         row["max_error"] = errs.max_eps0
-        row["final_std"] = float(np.linalg.norm(widths, axis=1)[-1])
-        row["delta1_final"] = float(diagnostics.misalignment(traj, problem, 1)[-1])
+        row["final_std"] = float(np.linalg.norm(widths[-1:], axis=1)[0])
+        at_T = diagnostics.misalignment(traj, problem, 1, at=slice(-1, None))
+        row["delta1_final"] = float(at_T[0])
     return row
 
 
@@ -313,11 +314,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     header += [f"m{i}_d{j}" for j in range(d) for i in range(q + 1)]
     header += [f"sqrt_P00_d{j}" for j in range(d)]
     header += ["residual_norm"]
-    std = np.sqrt(np.maximum(traj.P_post[:, 0, 0], 0.0))
+    std = np.sqrt(np.maximum(traj.P00_post, 0.0))
     table = np.column_stack(
         (
             traj.times()[1:],
-            traj.m_post.transpose(0, 2, 1).reshape(len(traj.y), d * (q + 1)),
+            traj.m_post.transpose(0, 2, 1).reshape(len(traj.m_post), d * (q + 1)),
             np.repeat(std[:, None], d, axis=1),
             traj.residual_norms(),
         )
@@ -325,7 +326,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     _write_csv(cfg.out, header, table.tolist())
     if not traj.diverged:
         return 0
-    n, steps, t = len(traj.y), round(problem.T / cfg.h), traj.times()[-1]
+    n, steps, t = len(traj.m_post), round(problem.T / cfg.h), traj.times()[-1]
     print(f"odefilter: solve diverged after {n} of {steps} steps (t = {t:g})", file=sys.stderr)
     return 2
 

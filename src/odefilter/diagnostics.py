@@ -9,6 +9,7 @@ commensurable (each derivative estimate is one order of h worse).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Optional
 
 import numpy as np
@@ -32,15 +33,32 @@ class MissingExact(ValueError):
 
 @dataclasses.dataclass
 class ErrorSeries:
-    """Per-mesh-point truncation errors over all modeled derivatives."""
+    """Per-mesh-point truncation errors over all modeled derivatives.
+
+    ``eps`` (N+1, q+1, d), m^(i)(t) - x^(i)(t), and ``h_norm_series`` are
+    built on first read from ``source``, the (trajectory, problem, exact
+    values) of ``global_error``; ``norms0`` holds ||eps[:, 0]|| per point.
+    """
 
     times: np.ndarray
-    eps: np.ndarray  # (N+1, q+1, d): m^(i)(t) - x^(i)(t)
     max_eps0: float
-    h_norm_series: np.ndarray
+    norms0: np.ndarray
+    source: Optional[tuple] = dataclasses.field(default=None, repr=False)
 
     def eps0_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.eps[:, 0, :], axis=1)
+        return self.norms0
+
+    @functools.cached_property
+    def eps(self) -> np.ndarray:
+        traj, problem, x = self.source
+        truth = [problem.derivative(i)(x) for i in range(traj.q + 1)]
+        return traj.means() - np.stack(truth, axis=1)
+
+    @functools.cached_property
+    def h_norm_series(self) -> np.ndarray:
+        traj = self.source[0]
+        weights = traj.h ** np.arange(traj.q + 1, dtype=float)
+        return np.sum(weights * np.linalg.norm(self.eps, axis=2), axis=1)
 
 
 def global_error(
@@ -49,31 +67,26 @@ def global_error(
     """Errors m^(i)(nh) - x^(i)(nh) along the whole mesh, t = 0 included.
 
     ``x``, the exact solution at ``traj.times()``, is evaluated here unless
-    the caller has it.
+    the caller has it.  Only the value errors' norms are computed here.
     """
     if problem.exact is None:
         raise MissingExact(f"problem {problem.name!r} has no exact solution")
-    q = traj.q
     times = traj.times()
     if x is None:
         x = problem.exact(times)
-    eps = traj.means() - np.stack([problem.derivative(i)(x) for i in range(q + 1)], axis=1)
-    eps0 = np.linalg.norm(eps[:, 0, :], axis=1)
-    weights = traj.h ** np.arange(q + 1, dtype=float)
-    h_norms = np.sum(weights * np.linalg.norm(eps, axis=2), axis=1)
-    return ErrorSeries(
-        times=times, eps=eps, max_eps0=float(eps0.max()), h_norm_series=h_norms
-    )
+    norms = np.linalg.norm(traj.means()[:, 0] - problem.derivative(0)(x), axis=1)
+    return ErrorSeries(times, float(norms.max()), norms, (traj, problem, x))
 
 
-def misalignment(traj: Trajectory, problem: IVProblem, i: int) -> np.ndarray:
-    """||m^(i)(nh) - g_i(m^(0)(nh))|| along the mesh.
+def misalignment(traj: Trajectory, problem: IVProblem, i: int, at=slice(None)) -> np.ndarray:
+    """||m^(i)(nh) - g_i(m^(0)(nh))|| at the mesh points the slice ``at`` selects, all by default.
 
     The i-th state misalignment: how far the filter's derivative estimate
     sits from the derivative the ODE implies at the current solution
-    estimate.  Identically zero for i = 0.
+    estimate.  Identically zero for i = 0.  A point's value is the same bits
+    for every ``at``.
     """
-    means = traj.means()
+    means = traj.means()[at]
     return _row_norms(means[:, i] - problem.derivative(i)(means[:, 0]))
 
 
@@ -98,7 +111,8 @@ def credible_width(traj: Trajectory, problem: Optional[IVProblem] = None) -> Cre
     covariance, so sqrt(P00) is taken once per mesh point and repeated.
     """
     times = traj.times()
-    widths = np.repeat(np.sqrt(traj.covariances()[:, 0, 0])[:, None], traj.d, axis=1)
+    P00 = np.concatenate((traj.initial.P[:1, 0], traj.P00_post))
+    widths = np.repeat(np.sqrt(P00)[:, None], traj.d, axis=1)
     ratios = None
     if problem is not None:
         if problem.exact is None:

@@ -24,9 +24,9 @@ once), then one mean loop steps all the cells side by side, with one stacked
 ``A m``, one call of ``f`` on the ``(cells, d)`` stack of predicted values
 (``f`` is pointwise on stacks) and one update per step, writing the means
 and data (per dimension) into step-major arrays.  ``solve`` is
-``solve_cells`` on a stack of one, or hands out one cell of a stack.
-Diagnostics read predictive quantities, gains, residuals and posteriors
-from each cell's arrays.
+``solve_cells`` on a stack of one, or hands out one cell of a stack.  A
+``Trajectory`` keeps its posterior means and P_00 and builds the rest on
+first read, which a sweep row never does.
 
 The covariance track.  A is upper triangular and the data is on x_1, so
 the gain and every entry of P_pred and P_post but [0, 0] are computed from
@@ -51,6 +51,7 @@ distinct pass of a sweep once.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Iterator, Optional, Sequence
@@ -133,19 +134,19 @@ class Trajectory:
         m_pred (N, q+1, d)    P_pred (N, q+1, q+1)    y    (N, d)
         m_post (N, q+1, d)    P_post (N, q+1, q+1)    beta (N, q+1)
 
-    N is ``n_steps``, or the number of steps completed when the run
-    diverged.  The arrays are read-only.
+    and the posterior P_00 of each step, ``P00_post`` (N,).  N is ``n_steps``,
+    or the number of steps completed when the run diverged.  A solve keeps
+    m_post, P00_post and ``source``, its cell's (A, f, ``CovarianceTrack``),
+    and builds the other arrays on first read, bit for bit as the run did
+    (y as f(m_pred[:, 0]): f is pointwise on stacks).  All are read-only.
     """
 
     h: float
     initial: Belief
-    m_pred: np.ndarray
-    y: np.ndarray
-    P_pred: np.ndarray
-    P_post: np.ndarray
-    beta: np.ndarray
     m_post: np.ndarray
+    P00_post: np.ndarray
     diverged: bool = False
+    source: Optional[tuple] = dataclasses.field(default=None, repr=False)
 
     @property
     def q(self) -> int:
@@ -155,8 +156,32 @@ class Trajectory:
     def d(self) -> int:
         return self.initial.d
 
+    @functools.cached_property
+    def m_pred(self) -> np.ndarray:
+        return _read_only(np.matmul(self.source[0], self.means()[:-1]))
+
+    @functools.cached_property
+    def y(self) -> np.ndarray:
+        x = self.m_pred[:, 0]
+        y = np.empty(x.shape)
+        y[...] = self.source[1](x)  # as the mean loop stores it
+        return _read_only(y)
+
+    @functools.cached_property
+    def P_pred(self) -> np.ndarray:
+        return _read_only(self.source[2].covariances(len(self.m_post), 0))
+
+    @functools.cached_property
+    def P_post(self) -> np.ndarray:
+        return _read_only(self.source[2].covariances(len(self.m_post), 1))
+
+    @functools.cached_property
+    def beta(self) -> np.ndarray:
+        track = self.source[2]
+        return _read_only(track.beta[track.rows[: len(self.m_post)]])
+
     def times(self) -> np.ndarray:
-        steps = np.arange(1, len(self.y) + 1)
+        steps = np.arange(1, len(self.m_post) + 1)
         return np.concatenate(([self.initial.t], steps * self.h))
 
     def means(self) -> np.ndarray:
@@ -256,8 +281,9 @@ def solve_cells(
     and one update per step, stored step-major without padding.  A cell
     whose predicted mean or data is not finite leaves with the steps it
     completed; its slot is zeroed, with gain 0, so the stack stays finite.
-    A cell's arrays are gathered when it is yielded, and a cell whose loop
-    reached its singular innovation raises ``SingularInnovation`` there.
+    A cell's means are gathered when it is yielded (its other arrays are
+    built on first read, ``Trajectory``), and a cell whose loop reached its
+    singular innovation raises ``SingularInnovation`` there.
     """
     runs = [_setup(problem, *cell) for cell in cells]
     if len({initial.m.shape for _, _, initial, _ in runs}) > 1:
@@ -281,27 +307,23 @@ def solve_cells(
         A = np.array([runs[c][0].A for c in order])
         m = np.array([runs[c][2].m for c in order])
         reached = _mean_loop(problem.f, A, m, starts, lengths, y, gains, m_post)
-    del gains
+    del gains, y
     slot = {c: j for j, c in enumerate(order)}
     for c, run in enumerate(runs):
-        # Each track is freed once its cell is gathered, and no array of a
-        # cell is held here once it is yielded.
+        # A track is held by its cell's trajectory alone once it is gathered.
         track, tracks[c] = tracks[c], None
-        yield _gather(cells[c][1], run, track, starts, slot[c], reached[slot[c]], y, m_post)
+        rows = starts[: reached[slot[c]]] + slot[c]
+        yield _gather(cells[c][1], run, problem.f, track, rows, m_post)
 
 
-def _gather(h, run, track, starts, j, n, y, m_post) -> Trajectory:
-    """The trajectory of the cell in slot j of a stacked mean pass, n steps completed."""
+def _gather(h, run, f, track, rows, m_post) -> Trajectory:
+    """The trajectory of a cell of a stacked mean pass whose steps are ``rows`` of ``m_post``."""
     tm, _, initial, n_steps = run
+    n = len(rows)
     if track.singular and n == len(track.rows):
         raise SingularInnovation("singular innovation: P_pred[1, 1] + R = 0")
-    rows = starts[:n] + j
-    means = np.concatenate((initial.m[None], m_post[rows]))
-    # m_pred again from the same stacked product the loop ran.
-    arrays = [np.matmul(tm.A, means[:n]), y[rows], *track.steps(n), means[1:]]
-    for a in arrays:
-        a.setflags(write=False)
-    return Trajectory(h, initial, *arrays, diverged=n < n_steps)
+    mine, P00 = _read_only(m_post[rows]), _read_only(track.P00[:n, 1])
+    return Trajectory(h, initial, mine, P00, n < n_steps, (tm.A, f, track))
 
 
 def _setup(problem: IVProblem, prior: PriorSpec, h: float, noise: PowerLawNoise, mode):
@@ -326,10 +348,11 @@ def _mean_loop(f, A, m, starts, lengths, y, gains, m_post) -> list:
     the mean it updates, and so the next predicted mean, not finite (A_00 = 1).
     So a cell whose data at step n - 1 is not finite is found at step n, or
     when its track ends, and leaves at step n - 1, as if checked then; ``f``
-    only ever sees a finite stack.
+    only ever sees a finite stack.  The steps run in stretches of one stack
+    size k, each stepping through (steps, k, ...) views of the three arrays.
     """
-    bounds, reached = starts.tolist(), lengths.tolist()
-    stop = max(reached, default=0)
+    bounds, ends = starts.tolist(), lengths.tolist()
+    reached, stop = list(ends), max(ends, default=0)
     predicted, residual = np.empty_like(m), np.empty((len(m), 1, m.shape[2]))
 
     def leave(n, bad, *rows):
@@ -351,33 +374,32 @@ def _mean_loop(f, A, m, starts, lengths, y, gains, m_post) -> list:
         if np.count_nonzero(np.isfinite(yn)) != yn.size:
             leave(n, ~np.isfinite(yn).all(axis=1), yn, m_post[bounds[n] : bounds[n + 1]])
 
-    n, k = 0, 0
-    while n < stop:
-        lo, hi = bounds[n], bounds[n + 1]
-        if hi - lo != k:  # the views change only when a track ends
-            if n:
-                check_data(n - 1)  # for the cells that end
+    n = 0
+    for k in range(len(ends), 0, -1):
+        end = ends[k - 1]  # steps n .. end - 1 run the first k cells
+        if end <= n:
+            continue
+        rows = slice(bounds[n], bounds[end])
+        stretch = [a[rows].reshape(end - n, k, *a.shape[1:]) for a in (gains, y, m_post)]
+        Ak, mp, r, m = A[:k], predicted[:k], residual[:k], m[:k]
+        x, dx, r0 = mp[:, 0], mp[:, 1], r[:, 0]
+        for g, yn, mn in zip(*stretch):
+            np.matmul(Ak, m, out=mp)
+            if np.count_nonzero(np.isfinite(mp)) != mp.size:
+                if n:
+                    check_data(n - 1)
+                leave(n, ~np.isfinite(mp).all(axis=(1, 2)), mp)
                 if n >= stop:
-                    break
-            k = hi - lo
-            Ak, mp, r, m = A[:k], predicted[:k], residual[:k], m[:k]
-            x, dx, r0 = mp[:, 0], mp[:, 1], r[:, 0]
-        np.matmul(Ak, m, out=mp)
-        if np.count_nonzero(np.isfinite(mp)) != mp.size:
-            if n:
-                check_data(n - 1)
-            leave(n, ~np.isfinite(mp).all(axis=(1, 2)), mp)
-            if n >= stop:
-                break
-        yn = y[lo:hi]
-        yn[...] = f(x)
-        np.subtract(yn, dx, out=r0)
-        m = m_post[lo:hi]
-        np.multiply(gains[lo:hi], r, out=m)
-        np.add(mp, m, out=m)
-        n += 1
-    if n:
-        check_data(n - 1)
+                    return reached
+            yn[...] = f(x)
+            np.subtract(yn, dx, out=r0)
+            np.multiply(g, r, out=mn)
+            np.add(mp, mn, out=mn)
+            m = mn
+            n += 1
+        check_data(n - 1)  # for the cells that end
+        if n >= stop:
+            break
     return reached
 
 
@@ -403,10 +425,13 @@ class CovarianceTrack:
 
     def steps(self, n: int) -> tuple:
         """(P_pred, P_post, beta) of the first n steps, one row per step."""
-        rows = self.rows[:n]
-        P_pred, P_post = self.P_pred[rows], self.P_post[rows]
-        P_pred[:, 0, 0], P_post[:, 0, 0] = self.P00[:n].T
-        return P_pred, P_post, self.beta[rows]
+        return self.covariances(n, 0), self.covariances(n, 1), self.beta[self.rows[:n]]
+
+    def covariances(self, n: int, k: int) -> np.ndarray:
+        """The predicted (k = 0) or updated (k = 1) covariance of each of the first n steps."""
+        P = (self.P_pred, self.P_post)[k][self.rows[:n]]
+        P[:, 0, 0] = self.P00[:n, k]
+        return P
 
 
 def covariance_prefixes(
@@ -422,8 +447,9 @@ def covariance_prefixes(
     non-finite step that repeats the step before it in full (a fixed point:
     every later step repeats it too), whichever comes first; ``first`` is the
     repeated step.  A cell whose innovation is singular leaves before that
-    step's update, flagged ``singular``.  ``covariance_track`` fills a longer
-    mesh from a prefix that ends on a repeat.
+    step's update, which then runs again without it, flagged ``singular``.
+    ``covariance_track`` fills a longer mesh from a prefix that ends on a
+    repeat.
 
     The cells run side by side: a step calls each kernel once on the stack
     of cells still running.  The stacked steps are split into each cell's
@@ -465,14 +491,16 @@ def covariance_prefixes(
                     break
                 tm, end = TransitionModel(h, A, Q), bounds[cells].min()
             P_pred = predict_covariance(P, tm)
-            stay = _innovation_variance(P_pred, R) != 0.0
-            if not stay.all():
+            try:
+                previous, (P, beta) = P, update_covariance(P_pred, R)
+            except SingularInnovation:
+                stay = _innovation_variance(P_pred, R) != 0.0
                 leave(stay, singular=True)
                 cells, h, A, Q, R, P, P_pred = (a[stay] for a in (cells, h, A, Q, R, P, P_pred))
                 if not len(cells):
                     break
                 tm = TransitionModel(h, A, Q)
-            previous, (P, beta) = P, update_covariance(P_pred, R)
+                previous, (P, beta) = P, update_covariance(P_pred, R)
             block.append((P_pred, P, beta))
             keys = P[:, :, 1:].tobytes()
             for k, c in enumerate(cells.tolist()):
@@ -489,9 +517,7 @@ def covariance_prefixes(
 
 def _prefix(pieces: list, first: Optional[int], singular: bool) -> CovarianceTrack:
     """A cell's prefix from its pieces, each a (P_pred, P_post, beta) run of its steps."""
-    P_pred, P_post, beta = (np.concatenate(column) for column in zip(*pieces))
-    for a in (P_pred, P_post, beta):
-        a.setflags(write=False)
+    P_pred, P_post, beta = (_read_only(np.concatenate(column)) for column in zip(*pieces))
     P00 = np.stack((P_pred[:, 0, 0], P_post[:, 0, 0]), axis=1)
     return CovarianceTrack(P_pred, P_post, beta, np.arange(len(beta)), P00, first, singular)
 
@@ -528,11 +554,14 @@ def _fill_period(tm, R, track: CovarianceTrack, period, P00) -> int:
     Step n + 1 + m (n the prefix's last step) repeats row ``period[m]`` but
     for P_00.  Returns the steps filled: all, or up to the first whose
     previous P_00 is not finite.  A block of steps guesses each previous
-    P_00 (the last exact one plus the increments one period back, exact
-    within a binade), runs at once (``_p00_steps``) and keeps its steps up
-    to the first wrong guess, bits compared, each of which read the exact
-    output of the step before.  Blocks hold 16 steps, twice as many (at
-    most 4,096) after a block kept whole, max(16, 2j) after one that kept j.
+    P_00 (the last exact one plus the increments one period back), runs at
+    once (``_p00_steps``) and keeps its steps up to the first wrong guess,
+    bits compared, each of which read the exact output of the step before.
+    A guess is wrong where a step's increment rounds differently from the
+    one a period earlier, mostly by one ulp of P_00 within a binade; a
+    crossing into the next binade is a rarer cause.  Blocks hold 16 steps,
+    twice as many (at most 4,096) after a block kept whole, max(16, 2j)
+    after one that kept j.
     """
     n, p = len(track.rows) - 1, len(track.rows) - 1 - track.first
     reads = np.concatenate(([n], period[:-1]))  # the row of each step's previous posterior
@@ -620,6 +649,11 @@ def update_covariance(P_pred: np.ndarray, R):
 def _innovation_variance(P_pred: np.ndarray, R):
     """P_pred[1, 1] + R, per cell of a stack."""
     return P_pred[..., 1, 1] + R
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

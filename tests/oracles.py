@@ -227,7 +227,11 @@ def full_pass_solve(
     arrays = [a[:reached] for a in (m_pred, y, P_pred, P_post, beta, m_post)]
     for a in arrays:
         a.setflags(write=False)
-    return Trajectory(h, initial, *arrays, diverged=reached < n_steps)
+    m_pred, y, P_pred, P_post, beta, m_post = arrays
+    traj = Trajectory(h, initial, m_post, P_post[:, 0, 0], diverged=reached < n_steps)
+    # The full pass's own arrays, in place of those a solve builds on first read.
+    vars(traj).update(m_pred=m_pred, y=y, P_pred=P_pred, P_post=P_post, beta=beta)
+    return traj
 
 
 def full_pass_cells(problem: IVProblem, cells, prefixes=None):
@@ -348,9 +352,10 @@ def global_error_loop(traj: Trajectory, problem: IVProblem) -> ErrorSeries:
     eps0 = np.linalg.norm(eps[:, 0, :], axis=1)
     weights = traj.h ** np.arange(q + 1, dtype=float)
     h_norms = np.sum(weights * np.linalg.norm(eps, axis=2), axis=1)
-    return ErrorSeries(
-        times=times, eps=eps, max_eps0=float(eps0.max()), h_norm_series=h_norms
-    )
+    series = ErrorSeries(times, float(eps0.max()), eps0)
+    # Its own arrays, in place of those global_error builds on first read.
+    vars(series).update(eps=eps, h_norm_series=h_norms)
+    return series
 
 
 def misalignment_loop(traj: Trajectory, problem: IVProblem, i: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import functools
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -535,6 +536,20 @@ def test_preset_csv_equals_the_full_pass(argv, tmp_path, monkeypatch):
     expected = tmp_path / "full.csv"
     assert main(argv + ["--out", str(expected)]) == 0
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_fig2_traced_peak_is_under_7_mb(tmp_path):
+    """A fig2 sweep's traced allocations peak under 7.0 MB (about 6.1 MB; the test takes ~2 s).
+
+    Gathering every cell's per-step arrays, which no row reads, peaked at 8.9 MB.
+    """
+    tracemalloc.start()
+    try:
+        assert main(["wpd", "--preset", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.0e6
 
 
 #: The settings each subcommand reads, besides --config.

@@ -209,11 +209,15 @@ class TestMatchesPerPointLoops:
         assert series.eps.tobytes() == oracle.eps.tobytes()
         assert series.h_norm_series.tobytes() == oracle.h_norm_series.tobytes()
         assert np.float64(series.max_eps0).tobytes() == np.float64(oracle.max_eps0).tobytes()
+        assert series.eps0_norms().tobytes() == oracle.eps0_norms().tobytes()
         for i in range(q + 1):
             delta = misalignment(traj, problem, i)
             assert delta.tobytes() == misalignment_loop(traj, pointwise, i).tobytes()
-        ratios = credible_width(traj, problem).ratios
-        assert ratios.tobytes() == credible_width_loop(traj, pointwise).ratios.tobytes()
+            at_T = misalignment(traj, problem, i, at=slice(-1, None))
+            assert at_T.tobytes() == delta[-1:].tobytes()
+        widths, expected = credible_width(traj, problem), credible_width_loop(traj, pointwise)
+        assert widths.widths.tobytes() == expected.widths.tobytes()
+        assert widths.ratios.tobytes() == expected.ratios.tobytes()
 
 
 class TestWorkBound:
@@ -221,10 +225,11 @@ class TestWorkBound:
     @pytest.mark.parametrize("name", ["logistic", "linear"])
     def test_wpd_cell_calls_each_map_once(self, name, q, monkeypatch, tmp_path):
         # One Counter per cell, counting the map calls made after its solve
-        # (initialize's are not counted): global_error and misalignment(1);
-        # credible_width is called without the problem.  The counts must not
-        # grow with the mesh.  exact runs once, on the finest mesh, in the
-        # first cell; the other cells' meshes nest in it.
+        # (initialize's are not counted): global_error's g_0 for the value
+        # errors (a row reads no higher derivative error) and misalignment's
+        # g_1 at T; credible_width is called without the problem.  The counts
+        # must not grow with q or the mesh.  exact runs once, on the finest
+        # mesh, in the first cell; the other cells' meshes nest in it.
         cells = []
         problem = get_problem(name)
 
@@ -256,5 +261,5 @@ class TestWorkBound:
         monkeypatch.setattr(cli, "solve_cells", solve_then_count)
         argv = f"wpd --problem {name} --q {q} --noise zero,power:{q}:1 --h-grid 0.1:2:4"
         assert cli.main(argv.split() + ["--out", str(tmp_path / "wpd.csv")]) == 0
-        assert [cell["derivative"] for cell in cells] == [q + 2] * 8
+        assert [cell["derivative"] for cell in cells] == [2] * 8
         assert [cell["exact"] for cell in cells] == [1] + [0] * 7

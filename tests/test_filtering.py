@@ -457,6 +457,9 @@ class TestOneKernelReplay:
 
 TRAJECTORY_ARRAYS = ("m_pred", "y", "P_pred", "P_post", "beta", "m_post")
 
+#: The arrays a solve's trajectory builds on first read.
+BUILT_ON_READ = ("m_pred", "y", "P_pred", "P_post", "beta")
+
 
 def assert_same_bytes(traj, expected):
     """Every Trajectory array equal as bytes (so -0.0 and 0.0 differ, and NaNs compare)."""
@@ -1155,6 +1158,32 @@ class TestStackedMeanPass:
         assert len(calls) == 14_720
         assert sum(calls) == 58_650  # one row per cell step
         assert len(handed) == 32  # each cell's trajectory is handed out by solve
+
+    def test_a_sweep_row_builds_no_array_it_does_not_read(self, monkeypatch, tmp_path):
+        # A row reads m_post and P00_post alone; the other arrays are built
+        # on first read.
+        handed = []
+
+        def solve_and_keep(*args, **kwargs):
+            handed.append(solve(*args, **kwargs))
+            return handed[-1]
+
+        monkeypatch.setattr(cli, "solve", solve_and_keep)
+        assert cli.main(["wpd", "--preset", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
+        assert len(handed) == 32
+        assert not [name for traj in handed for name in BUILT_ON_READ if name in vars(traj)]
+
+    def test_arrays_built_on_read_equal_the_full_pass(self):
+        # A converging cell and a perturbed:1e300 cell, which diverges after a
+        # few steps, of one stack.
+        problem, noise = get_problem("linear"), parse_noise("power:1:5000.0")
+        cells = [(PriorSpec(1), 0.1 / 8, noise, PerturbedInit(k0)) for k0 in (0.0, 1e300)]
+        trajs = list(filtering.solve_cells(problem, cells))
+        assert not [name for traj in trajs for name in BUILT_ON_READ if name in vars(traj)]
+        assert not trajs[0].diverged and trajs[1].diverged and len(trajs[1].m_post) > 0
+        for traj, cell in zip(trajs, cells):
+            assert_same_bytes(traj, full_pass_solve(problem, *cell))
+            assert set(BUILT_ON_READ) <= set(vars(traj))
 
     def test_solve_hands_out_the_next_cell_of_a_stack(self):
         problem = get_problem("logistic")
