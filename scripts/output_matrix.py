@@ -18,7 +18,8 @@ The set, each run's CSV (and SVG) plus its stderr and exit code:
   with q = 0;
 * more sweeps: fig2 on a factor-3 grid, whose meshes do not nest, an
   IOUP prior, and q = 5, the largest supported matrix size (linear with
-  zero noise, and logistic with an IOUP prior);
+  zero noise, and logistic with an IOUP prior), and a sweep that lists one
+  noise model twice, so that identical passes share one stack, over two q;
 * a per-step ``solve`` from ``perturbed:1e300``, whose covariance pass
   turns NaN and ends at a fixed point.
 
@@ -81,6 +82,10 @@ SWEEPS = {
     "wpd-ioup-q5": (
         "wpd --problem logistic --q 5 --sigma 50 --prior ioup --theta 1 "
         "--noise zero,power:5:1 --h-grid 0.1:2:5",
+        False,
+    ),
+    "wpd-repeated-pass": (
+        "wpd --problem logistic --q 1,2 --noise zero,zero,power:1:1 --h-grid 0.1:2:4",
         False,
     ),
 }

@@ -22,10 +22,9 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import itertools
 import math
 import sys
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -156,11 +155,8 @@ class RunSpec:
         return (self.problem, self.prior.q, -self.noise.p, self.noise.K_R, -self.h)
 
 
-def _execute(spec: RunSpec, problem, mode: PerturbedInit, stack, exact) -> dict:
-    """The CSV row of one sweep cell; ``stack`` is the ``solve_cells`` run of its group.
-
-    ``exact`` maps a trajectory to the exact solution at its times (``_mesh_exact``).
-    """
+def _execute(spec: RunSpec, problem, mode: PerturbedInit, stack) -> dict:
+    """The CSV row of one sweep cell; ``stack`` is the sweep's ``solve_cells`` run."""
     try:
         traj = solve(problem, spec.prior, spec.h, spec.noise, mode, stack=stack)
     except filtering.SingularInnovation as exc:
@@ -184,58 +180,14 @@ def _execute(spec: RunSpec, problem, mode: PerturbedInit, stack, exact) -> dict:
         "delta1_final": math.nan,
     }
     if not traj.diverged:
-        errs = diagnostics.global_error(traj, problem, exact(traj))
+        errs = diagnostics.global_error(traj, problem)
         widths = diagnostics.credible_width(traj).widths
-        row["final_error"] = float(errs.eps0_norms()[-1])
+        row["final_error"] = float(errs.norms0[-1])
         row["max_error"] = errs.max_eps0
         row["final_std"] = float(np.linalg.norm(widths[-1:], axis=1)[0])
         at_T = diagnostics.misalignment(traj, problem, 1, at=slice(-1, None))
         row["delta1_final"] = float(at_T[0])
     return row
-
-
-def _mesh_exact(problem, h: float):
-    """``problem.exact`` at a trajectory's times, from one evaluation on the mesh of step h.
-
-    The mesh is evaluated at first use.  A trajectory whose times equal every
-    s-th mesh time, bit for bit, reads that slice (``exact`` is pointwise);
-    any other is evaluated on its own.
-    """
-    mesh = []
-
-    def exact(traj) -> np.ndarray:
-        times = traj.times()
-        if not mesh:
-            fine = np.concatenate(([0.0], np.arange(1, round(problem.T / h) + 1) * h))
-            mesh.extend((fine, problem.exact(fine)))
-        fine, values = mesh
-        s = max(round(traj.h / h), 1)
-        if fine[::s][: len(times)].tobytes() == times.tobytes():
-            return values[::s][: len(times)]
-        return problem.exact(times)
-
-    return exact
-
-
-def _covariance_tracks(specs: Sequence[RunSpec], mode: PerturbedInit) -> Iterator:
-    """Each cell's ``filtering.CovarianceTrack`` in turn (``filtering.shared_tracks``).
-
-    A cell's pass runs its prior's transition at h, its R and its start
-    covariance over its problem's mesh; cells whose passes are identical
-    share one track.
-    """
-    horizons = {name: get_problem(name).T for name in {spec.problem for spec in specs}}
-    transition = functools.cache(PriorSpec.transition)
-    passes = [
-        (
-            transition(spec.prior, spec.h),
-            spec.noise.evaluate(spec.h),
-            filtering.initial_covariance(spec.prior.q, spec.h, mode),
-            round(horizons[spec.problem] / spec.h),
-        )
-        for spec in specs
-    ]
-    return filtering.shared_tracks(passes)
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +319,12 @@ def cmd_sweep(command: str, cfg: RunConfig) -> int:
         specs += [RunSpec(problem, prior, model, h) for h in grid]
     specs.sort(key=RunSpec.sort_key)
     mode = cfg.init_mode()
-    cells = zip(specs, _covariance_tracks(specs, mode))
-    rows = []
-    # One stacked mean pass per (problem, q), whose cells solve hands out in
-    # turn; the sort keeps each group's cells together, and its arrays are
-    # freed once its rows are made.  The problem's exact solution on the
-    # finest mesh is freed after its last group.
-    for name, by_problem in itertools.groupby(cells, key=lambda c: c[0].problem):
-        problem = get_problem(name)
-        exact = _mesh_exact(problem, min(grid))
-        for _, group in itertools.groupby(by_problem, key=lambda c: c[0].prior.q):
-            group = list(group)
-            runs = [(spec.prior, spec.h, spec.noise, mode) for spec, _ in group]
-            stack = solve_cells(problem, runs, [track for _, track in group])
-            rows += [_execute(spec, problem, mode, stack, exact) for spec, _ in group]
+    problems = {name: get_problem(name) for name in {s.problem for s in specs}}
+    # One solve_cells run for the whole sweep, whose cells solve hands out in
+    # turn; the sort keeps each (problem, q) stack's cells together, and a
+    # stack's arrays are freed once its rows are made.
+    stack = solve_cells([(problems[s.problem], s.prior, s.h, s.noise, mode) for s in specs])
+    rows = [_execute(spec, problems[spec.problem], mode, stack) for spec in specs]
     _write_csv(cfg.out, columns, [[row[c] for c in columns] for row in rows])
     if cfg.svg:
         _render_wpd_svg(cfg.svg, rows, value_key, ylabel)

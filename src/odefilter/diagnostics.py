@@ -45,9 +45,6 @@ class ErrorSeries:
     norms0: np.ndarray
     source: Optional[tuple] = dataclasses.field(default=None, repr=False)
 
-    def eps0_norms(self) -> np.ndarray:
-        return self.norms0
-
     @functools.cached_property
     def eps(self) -> np.ndarray:
         traj, problem, x = self.source
@@ -61,19 +58,16 @@ class ErrorSeries:
         return np.sum(weights * np.linalg.norm(self.eps, axis=2), axis=1)
 
 
-def global_error(
-    traj: Trajectory, problem: IVProblem, x: Optional[np.ndarray] = None
-) -> ErrorSeries:
+def global_error(traj: Trajectory, problem: IVProblem) -> ErrorSeries:
     """Errors m^(i)(nh) - x^(i)(nh) along the whole mesh, t = 0 included.
 
-    ``x``, the exact solution at ``traj.times()``, is evaluated here unless
-    the caller has it.  Only the value errors' norms are computed here.
+    The exact solution is evaluated once, at ``traj.times()``.  Only the
+    value errors' norms are computed here.
     """
     if problem.exact is None:
         raise MissingExact(f"problem {problem.name!r} has no exact solution")
     times = traj.times()
-    if x is None:
-        x = problem.exact(times)
+    x = problem.exact(times)
     norms = np.linalg.norm(traj.means()[:, 0] - problem.derivative(0)(x), axis=1)
     return ErrorSeries(times, float(norms.max()), norms, (traj, problem, x))
 
@@ -97,9 +91,6 @@ class CredibleWidth:
     times: np.ndarray
     widths: np.ndarray  # (N+1, d)
     ratios: Optional[np.ndarray]  # (N+1, d): |eps0| / width, 0/0 -> 1
-
-    def max_width(self) -> float:
-        return float(np.linalg.norm(self.widths, axis=1).max())
 
 
 def credible_width(traj: Trajectory, problem: Optional[IVProblem] = None) -> CredibleWidth:

@@ -17,16 +17,17 @@ measurement variance R, and the covariance recursion never sees the data.
 Both covariance updates end in a plain symmetrization 0.5 (P + P^T): for
 q <= 5 and h >= 1e-4 this float64 recursion matches the exact one to
 about 1e-13 (gains relative, P_pred relative to sqrt(P_ii P_jj)).
-``solve_cells``, the only code that advances a mean, solves a stack of
-cells that share a problem and q in two passes: each cell's covariances
-and gains over its mesh (``covariance_track``, each distinct step stored
-once), then one mean loop steps all the cells side by side, with one stacked
-``A m``, one call of ``f`` on the ``(cells, d)`` stack of predicted values
-(``f`` is pointwise on stacks) and one update per step, writing the means
-and data (per dimension) into step-major arrays.  ``solve`` is
-``solve_cells`` on a stack of one, or hands out one cell of a stack.  A
-``Trajectory`` keeps its posterior means and P_00 and builds the rest on
-first read, which a sweep row never does.
+``solve_cells``, the only code that advances a mean, solves a sweep of
+cells of any problems and q in two passes: each distinct covariance pass
+once, its covariances and gains over its longest mesh (a
+``CovarianceTrack``, each distinct step stored once), then, for each run of
+consecutive cells of one problem and q, one mean loop that steps the cells
+side by side, with one stacked ``A m``, one call of ``f`` on the
+``(cells, d)`` stack of predicted values (``f`` is pointwise on stacks) and
+one update per step, writing the means and data (per dimension) into
+step-major arrays.  ``solve`` is ``solve_cells`` on a sweep of one, or
+hands out one cell of a sweep.  A ``Trajectory`` keeps its posterior means
+and P_00 and builds the rest on first read, which a sweep row never does.
 
 The covariance track.  A is upper triangular and the data is on x_1, so
 the gain and every entry of P_pred and P_post but [0, 0] are computed from
@@ -44,8 +45,7 @@ recomputed with the kernel's own arithmetic in verified blocks
 (``_fill_period``), up to the first non-finite P_00 (the next step would be
 NaN, 0 * inf).  A track that ends before the mesh ends the run there,
 diverged; a singular innovation ends the track, and ``solve`` raises it
-only if its mean loop reaches that step.  ``shared_tracks`` runs each
-distinct pass of a sweep once.
+only if its mean loop reaches that step.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ __all__ = [
     "gain",
     "initial_covariance",
     "initialize",
-    "shared_tracks",
     "solve",
     "solve_cells",
 ]
@@ -244,7 +243,7 @@ def solve(
     mode: PerturbedInit = PerturbedInit(0.0),
     stack: Optional[Iterator[Trajectory]] = None,
 ) -> Trajectory:
-    """Run the filter over the uniform mesh {h, 2h, ..., T}: ``solve_cells`` on a stack of one.
+    """Run the filter over the uniform mesh {h, 2h, ..., T}: ``solve_cells`` on a sweep of one.
 
     A non-finite predicted mean or vector-field value, or a covariance
     track that a non-finite P_00 ends (``covariance_track``), ends the run;
@@ -252,45 +251,73 @@ def solve(
     singular innovation raises ``SingularInnovation`` when the mean loop
     reaches it.  ``stack``, a ``solve_cells`` run whose next cell is this
     one, hands out that cell's trajectory in place of a run of its own
-    (a sweep solves each (problem, q) group so).
+    (a sweep solves all its cells so).
     """
     if stack is None:
-        stack = solve_cells(problem, [(prior, h, noise, mode)])
+        stack = solve_cells([(problem, prior, h, noise, mode)])
     traj = next(stack)
     if traj.h != h or traj.q != prior.q:
         raise ValueError("the stack's next cell is not this one")
     return traj
 
 
-def solve_cells(
-    problem: IVProblem, cells: Sequence[tuple], tracks: Optional[Sequence] = None
-) -> Iterator[Trajectory]:
-    """``solve`` of each (prior, h, noise, mode) cell, all of one q, with one mean loop for all.
+def solve_cells(cells: Sequence[tuple]) -> Iterator[Trajectory]:
+    """``solve`` of each (problem, prior, h, noise, mode) cell of a sweep, in order.
 
     Yields the cells' trajectories in order, each equal bit for bit to the
-    cell's own run.  ``tracks[c]`` is a ``CovarianceTrack`` of cell c's
-    recursion from the prior's transition at h, R and ``initial_covariance``
-    (a sweep fills each shared pass once); without them the cells share one
-    stacked pass.  Each track is cut or filled to its cell's mesh
-    (``covariance_track``) before the first call to ``f``; a cell whose
-    track ends sooner, at a non-finite covariance, ends there, diverged.
+    cell's own run.  Cells whose passes are identical (A, Q, R and start
+    covariance, byte for byte) share one track over their longest mesh; the
+    distinct passes run in one stacked ``covariance_prefixes`` call per
+    matrix size, and each track is filled at its first cell and let go
+    after its last.  Each run of consecutive cells of one problem (the same
+    object) and one q is one stack of the mean loop, run when its first
+    cell is asked for, so a stack's arrays are freed once its cells are.
 
-    The mean loop then steps the cells side by side, longest track first,
-    so the cells still running at step n are a leading slice of the stack:
-    one stacked ``A m``, one call of ``f`` on the stack of predicted values
-    and one update per step, stored step-major without padding.  A cell
-    whose predicted mean or data is not finite leaves with the steps it
+    Each cell's track is cut or filled to its mesh (``covariance_track``)
+    before the stack's first call to ``f``; a cell whose track ends sooner,
+    at a non-finite covariance, ends there, diverged.  The mean loop then
+    steps the stack's cells side by side, longest track first, so the cells
+    still running at step n are a leading slice of the stack: one stacked
+    ``A m``, one call of ``f`` on the stack of predicted values and one
+    update per step, stored step-major without padding.  A cell whose
+    predicted mean or data is not finite leaves with the steps it
     completed; its slot is zeroed, with gain 0, so the stack stays finite.
     A cell's means are gathered when it is yielded (its other arrays are
     built on first read, ``Trajectory``), and a cell whose loop reached its
     singular innovation raises ``SingularInnovation`` there.
     """
-    runs = [_setup(problem, *cell) for cell in cells]
-    if len({initial.m.shape for _, _, initial, _ in runs}) > 1:
-        raise ValueError("the cells of one stack must share q")
-    if tracks is None:
-        tracks = covariance_prefixes(*zip(*((tm, R, init.P, n) for tm, R, init, n in runs)))
-    tracks = [covariance_track(tm, R, track, n) for (tm, R, _, n), track in zip(runs, tracks)]
+    runs = [_setup(*cell) for cell in cells]
+    tracks = _shared_tracks([(tm, R, initial.P, n) for tm, R, initial, n in runs])
+    stacks = itertools.groupby(zip(cells, runs), key=lambda c: (id(c[0][0]), c[0][1].q))
+    for _, stack in stacks:
+        stack_cells, stack_runs = zip(*stack)
+        f = stack_cells[0][0].f
+        yield from _mean_pass(f, stack_runs, [next(tracks) for _ in stack_runs])
+
+
+def _shared_tracks(passes: Sequence[tuple]) -> Iterator[CovarianceTrack]:
+    """Each (transition, R, start, steps) pass's track in turn, over the longest mesh of its kind."""
+    distinct, keys = {}, []
+    for tm, R, start, steps in passes:
+        key = (tm.A.tobytes(), tm.Q.tobytes(), np.float64(R).tobytes(), start.tobytes())
+        longest = max(steps, distinct[key][3]) if key in distinct else steps
+        distinct[key] = (tm, R, start, longest)
+        keys.append(key)
+    tracks = {}
+    for n in sorted({len(start) for _, _, start, _ in distinct.values()}):
+        group = [key for key, (_, _, start, _) in distinct.items() if len(start) == n]
+        tracks.update(zip(group, covariance_prefixes(*zip(*(distinct[key] for key in group)))))
+    last = {key: c for c, key in enumerate(keys)}
+    for c, key in enumerate(keys):
+        # The first pass fills the prefix to the longest mesh; the others cut it.
+        tm, R, _, steps = distinct[key]
+        tracks[key] = covariance_track(tm, R, tracks[key], steps)
+        yield tracks[key] if last[key] > c else tracks.pop(key)
+
+
+def _mean_pass(f, runs: Sequence[tuple], shared: list) -> Iterator[Trajectory]:
+    """The trajectories of a stack of cells of one problem and q, given their shared tracks."""
+    tracks = [covariance_track(tm, R, track, n) for (tm, R, _, n), track in zip(runs, shared)]
     with np.errstate(over="ignore", invalid="ignore"):
         order = sorted(range(len(runs)), key=lambda c: -len(tracks[c].rows))
         lengths = np.array([len(tracks[c].rows) for c in order], dtype=np.intp)
@@ -306,24 +333,24 @@ def solve_cells(
             gains[starts[: lengths[j]] + j, :, 0] = tracks[c].beta[tracks[c].rows]
         A = np.array([runs[c][0].A for c in order])
         m = np.array([runs[c][2].m for c in order])
-        reached = _mean_loop(problem.f, A, m, starts, lengths, y, gains, m_post)
+        reached = _mean_loop(f, A, m, starts, lengths, y, gains, m_post)
     del gains, y
     slot = {c: j for j, c in enumerate(order)}
     for c, run in enumerate(runs):
         # A track is held by its cell's trajectory alone once it is gathered.
         track, tracks[c] = tracks[c], None
         rows = starts[: reached[slot[c]]] + slot[c]
-        yield _gather(cells[c][1], run, problem.f, track, rows, m_post)
+        yield _gather(run, f, track, rows, m_post)
 
 
-def _gather(h, run, f, track, rows, m_post) -> Trajectory:
+def _gather(run, f, track, rows, m_post) -> Trajectory:
     """The trajectory of a cell of a stacked mean pass whose steps are ``rows`` of ``m_post``."""
     tm, _, initial, n_steps = run
     n = len(rows)
     if track.singular and n == len(track.rows):
         raise SingularInnovation("singular innovation: P_pred[1, 1] + R = 0")
     mine, P00 = _read_only(m_post[rows]), _read_only(track.P00[:n, 1])
-    return Trajectory(h, initial, mine, P00, n < n_steps, (tm.A, f, track))
+    return Trajectory(tm.h, initial, mine, P00, n < n_steps, (tm.A, f, track))
 
 
 def _setup(problem: IVProblem, prior: PriorSpec, h: float, noise: PowerLawNoise, mode):
@@ -422,10 +449,6 @@ class CovarianceTrack:
     P00: np.ndarray
     first: Optional[int]
     singular: bool
-
-    def steps(self, n: int) -> tuple:
-        """(P_pred, P_post, beta) of the first n steps, one row per step."""
-        return self.covariances(n, 0), self.covariances(n, 1), self.beta[self.rows[:n]]
 
     def covariances(self, n: int, k: int) -> np.ndarray:
         """The predicted (k = 0) or updated (k = 1) covariance of each of the first n steps."""
@@ -602,33 +625,6 @@ def _p00_steps(tm, P, previous, drops) -> tuple:
     v = 0.5 * (v + v)
     u = v - drops
     return v, 0.5 * (u + u)
-
-
-def shared_tracks(passes: Sequence[tuple]) -> Iterator[CovarianceTrack]:
-    """Each pass's ``CovarianceTrack`` over its mesh in turn, each distinct pass run once.
-
-    ``passes`` are (transition, R, start covariance, steps).  Passes with
-    the same A, Q, R and start, byte for byte, share one track over their
-    longest mesh.  The distinct passes run in one stacked prefix pass per
-    matrix size; each track is filled at its first pass and let go after
-    its last.  Raises ValueError for q = 0.
-    """
-    distinct, keys = {}, []
-    for tm, R, start, steps in passes:
-        key = (tm.A.tobytes(), tm.Q.tobytes(), np.float64(R).tobytes(), start.tobytes())
-        longest = max(steps, distinct[key][3]) if key in distinct else steps
-        distinct[key] = (tm, R, start, longest)
-        keys.append(key)
-    tracks = {}
-    for n in sorted({len(start) for _, _, start, _ in distinct.values()}):
-        group = [key for key, (_, _, start, _) in distinct.items() if len(start) == n]
-        tracks.update(zip(group, covariance_prefixes(*zip(*(distinct[key] for key in group)))))
-    last = {key: c for c, key in enumerate(keys)}
-    for c, key in enumerate(keys):
-        # The first pass fills the prefix to the longest mesh; the others cut it.
-        tm, R, _, steps = distinct[key]
-        tracks[key] = covariance_track(tm, R, tracks[key], steps)
-        yield tracks[key] if last[key] > c else tracks.pop(key)
 
 
 def predict_covariance(P: np.ndarray, tm: TransitionModel) -> np.ndarray:

@@ -9,8 +9,9 @@ compared.  ``covariance_pass``, the covariance recursion one 2-D kernel
 step at a time.  ``full_pass_solve``, ``solve`` with that full kernel at
 every step, run in lockstep with the mean loop, which ``solve`` and each
 cell of ``solve_cells`` (the whole covariance track first, then one mean
-loop for the stack) must match byte for byte, errors included, and
-``full_pass_cells``, the same per cell in place of ``solve_cells``.
+loop per stack) must match byte for byte, errors included, and
+``full_pass_cells``, the same per cell in place of ``solve_cells``;
+``track_steps``, the per-step arrays of a ``CovarianceTrack``.
 ``two_check_mean_loop``, the stacked mean loop that checks both the
 predicted means and the data of every step, which the one-check
 ``filtering._mean_loop`` must match byte for byte.  The
@@ -18,9 +19,10 @@ per-point diagnostics
 (``global_error_loop``, ``misalignment_loop``, ``credible_width_loop``),
 run on problems with one-time closed forms (``SCALAR_EXACT``,
 ``pointwise_problem``), which the whole-mesh diagnostics must match byte
-for byte.  A quadrature ``(A, Q)`` straight from the SDE definition,
-Kronecker coupling of output dimensions (to check that identity factors
-reduce to the scalar model the solver uses), the IBM covariance
+for byte, and ``max_width``, a width series' largest norm.  A quadrature
+``(A, Q)`` straight from the SDE definition, Kronecker coupling of output
+dimensions (to check that identity factors reduce to the scalar model the
+solver uses), the IBM covariance
 recursion in ``mpmath`` arithmetic, the full-mesh order-bound tracks of
 the q = 1 covariance pass, the finite-difference check of a problem's
 closed form and derivative chain (``validate_problem``), a
@@ -234,13 +236,18 @@ def full_pass_solve(
     return traj
 
 
-def full_pass_cells(problem: IVProblem, cells, prefixes=None):
+def full_pass_cells(cells):
     """``solve_cells`` as step-by-step runs: ``full_pass_solve`` of each cell in turn.
 
-    Each cell is (prior, h, noise, mode); ``prefixes`` is ignored.
+    Each cell is (problem, prior, h, noise, mode).
     """
-    for prior, h, noise, mode in cells:
-        yield full_pass_solve(problem, prior, h, noise, mode)
+    for cell in cells:
+        yield full_pass_solve(*cell)
+
+
+def track_steps(track: filtering.CovarianceTrack, n: int) -> tuple:
+    """(P_pred, P_post, beta) of a track's first n steps, one row per step."""
+    return track.covariances(n, 0), track.covariances(n, 1), track.beta[track.rows[:n]]
 
 
 def two_check_mean_loop(f, A, m, starts, lengths, y, gains, m_post) -> list:
@@ -384,6 +391,11 @@ def credible_width_loop(traj: Trajectory, problem: Optional[IVProblem] = None) -
             ratios = abs_eps0 / widths
         ratios[(abs_eps0 == 0.0) & (widths == 0.0)] = 1.0
     return CredibleWidth(times=times, widths=widths, ratios=ratios)
+
+
+def max_width(widths: CredibleWidth) -> float:
+    """The largest norm over the mesh points of a width series."""
+    return float(np.linalg.norm(widths.widths, axis=1).max())
 
 
 @dataclasses.dataclass(frozen=True)

@@ -17,7 +17,7 @@ from odefilter.noise import PowerLawNoise, parse_noise
 from odefilter.priors import PriorSpec, ibm_transition
 from odefilter.problems import IVProblem, get_problem, riccati
 from odefilter.steady_state import closed_form, verify_order_bounds
-from oracles import covariance_pass, kron_extend, loglog_slope, transition_oracle
+from oracles import covariance_pass, kron_extend, loglog_slope, max_width, transition_oracle
 
 SQRT10 = math.sqrt(10.0)
 H_GRID = [0.1 * 2.0**-k for k in range(6)]  # 0.1 .. 0.003125
@@ -34,7 +34,7 @@ def final_errors(problem, prior, noise_for_h, hs=H_GRID, **kwargs):
     for h in hs:
         traj = solve(problem, prior, h, noise_for_h(h), **kwargs)
         assert not traj.diverged
-        errors.append(float(global_error(traj, problem).eps0_norms()[-1]))
+        errors.append(float(global_error(traj, problem).norms0[-1]))
     return errors
 
 
@@ -218,7 +218,7 @@ def test_criterion_07_credible_interval_contraction():
         widths, errors = [], []
         for h in H_GRID:
             traj = solve(problem, prior, h, noise_for_h(h))
-            widths.append(credible_width(traj).max_width())
+            widths.append(max_width(credible_width(traj)))
             errors.append(global_error(traj, problem).max_eps0)
         width_slope = loglog_slope(H_GRID[1:], widths[1:])
         error_slope = loglog_slope(H_GRID[1:], errors[1:])
@@ -240,7 +240,7 @@ def test_criterion_08_impermissible_noise_degradation():
         for h in H_GRID:
             traj = solve(problem, prior, h, PowerLawNoise(K_R=K_R, p=0.5))
             assert not traj.diverged
-            errors.append(float(global_error(traj, problem).eps0_norms()[-1]))
+            errors.append(float(global_error(traj, problem).norms0[-1]))
             stds.append(float(np.linalg.norm(credible_width(traj).widths[-1])))
         slopes[K_R] = (
             loglog_slope(H_GRID[1:], errors[1:]),

@@ -211,15 +211,11 @@ def test_exact_start_and_a_zero_width_perturbed_start_write_the_same_csv(tmp_pat
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-@pytest.mark.parametrize("factor, nested", [(2.0, True), (3.0, False)])
-def test_exact_is_read_from_the_finest_mesh_where_the_meshes_nest(
-    monkeypatch, tmp_path, factor, nested
-):
-    # A factor-2 grid's meshes are every 2^k-th point of the finest one, bit
-    # for bit, and read its exact values.  On the factor-3 grid only h = 0.1/9
-    # is every third point of h = 0.1/27 (0.1/9 * n rounds as 0.1/27 * 3n);
-    # h = 0.1 and 0.1/3 evaluate exact on their own times.  Either way the
-    # CSV is the one that evaluating exact per cell writes.
+@pytest.mark.parametrize("factor", [2.0, 3.0])
+def test_exact_is_evaluated_once_per_cell_on_its_own_mesh(monkeypatch, tmp_path, factor):
+    # Whether or not the meshes nest (a factor-2 grid's do; a factor-3
+    # grid's mostly do not), each cell's error reads exact at its own times,
+    # once: 2 problems x 2 noises x 4 step sizes.
     handed = []
     original = cli.get_problem
 
@@ -234,19 +230,11 @@ def test_exact_is_read_from_the_finest_mesh_where_the_meshes_nest(
 
     monkeypatch.setattr(cli, "get_problem", counted)
     argv = ["wpd", "--preset", "fig2", "--h-grid", f"0.1:{factor}:4"]
-    assert main(argv + ["--out", str(tmp_path / "shared.csv")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "fig2.csv")]) == 0
     hs = cli._h_values((0.1, factor, 4))
-    expected = []
-    for name, T in (("logistic", 1.5), ("linear", 10.0)):
-        expected.append((name, round(T / hs[-1]) + 1))  # the finest mesh
-        if not nested:  # each noise's 2 coarsest meshes
-            expected += [(name, round(T / h) + 1) for h in hs[:2]] * 2
+    expected = [(name, round(T / h) + 1) for name, T in (("logistic", 1.5), ("linear", 10.0))
+                for h in hs] * 2
     assert sorted(handed) == sorted(expected)
-    monkeypatch.setattr(
-        cli, "_mesh_exact", lambda problem, h: lambda traj: problem.exact(traj.times())
-    )
-    assert main(argv + ["--out", str(tmp_path / "per_cell.csv")]) == 0
-    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
 
 
 class TestWpdCommand:

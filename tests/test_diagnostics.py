@@ -16,6 +16,7 @@ from oracles import (
     global_error_loop,
     h_norm,
     loglog_slope,
+    max_width,
     misalignment_loop,
     pointwise_problem,
 )
@@ -155,7 +156,7 @@ class TestCredibleWidth:
         maxima = []
         for h in hs:
             traj = solve(problem, PriorSpec(1, sigma=1.0), h, PowerLawNoise(K_R=1.0, p=1.0))
-            maxima.append(credible_width(traj).max_width())
+            maxima.append(max_width(credible_width(traj)))
         assert loglog_slope(hs[1:], maxima[1:]) == pytest.approx(1.0, abs=0.1)
 
     def test_width_scales_linearly_with_sigma(self):
@@ -209,7 +210,7 @@ class TestMatchesPerPointLoops:
         assert series.eps.tobytes() == oracle.eps.tobytes()
         assert series.h_norm_series.tobytes() == oracle.h_norm_series.tobytes()
         assert np.float64(series.max_eps0).tobytes() == np.float64(oracle.max_eps0).tobytes()
-        assert series.eps0_norms().tobytes() == oracle.eps0_norms().tobytes()
+        assert series.norms0.tobytes() == oracle.norms0.tobytes()
         for i in range(q + 1):
             delta = misalignment(traj, problem, i)
             assert delta.tobytes() == misalignment_loop(traj, pointwise, i).tobytes()
@@ -228,8 +229,8 @@ class TestWorkBound:
         # (initialize's are not counted): global_error's g_0 for the value
         # errors (a row reads no higher derivative error) and misalignment's
         # g_1 at T; credible_width is called without the problem.  The counts
-        # must not grow with q or the mesh.  exact runs once, on the finest
-        # mesh, in the first cell; the other cells' meshes nest in it.
+        # must not grow with q or the mesh.  exact runs once per cell, on its
+        # own mesh.
         cells = []
         problem = get_problem(name)
 
@@ -262,4 +263,4 @@ class TestWorkBound:
         argv = f"wpd --problem {name} --q {q} --noise zero,power:{q}:1 --h-grid 0.1:2:4"
         assert cli.main(argv.split() + ["--out", str(tmp_path / "wpd.csv")]) == 0
         assert [cell["derivative"] for cell in cells] == [2] * 8
-        assert [cell["exact"] for cell in cells] == [1] + [0] * 7
+        assert [cell["exact"] for cell in cells] == [1] * 8

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -33,6 +34,7 @@ from oracles import (
     full_pass_solve,
     ibm_covariance_pass_mp,
     predict,
+    track_steps,
     update,
     validate_belief,
 )
@@ -689,7 +691,7 @@ def preset_specs(preset, grid):
 
 
 class TestSolveWithPrefix:
-    """solve_cells given its cells' tracks from a sweep's shared passes equals solve alone."""
+    """solve_cells over a whole sweep, its passes shared, equals solve of each cell alone."""
 
     @pytest.mark.parametrize(
         "preset, grid, mode, diverged",
@@ -703,10 +705,10 @@ class TestSolveWithPrefix:
         ],
     )
     def test_every_preset_cell(self, preset, grid, mode, diverged):
-        for problem, cells, tracks in preset_groups(preset, grid, mode):
-            for cell, traj in zip(cells, filtering.solve_cells(problem, cells, tracks)):
-                assert_same_bytes(traj, solve(problem, *cell))
-                assert traj.diverged == diverged
+        cells = preset_cells(preset, grid, mode)
+        for cell, traj in zip(cells, filtering.solve_cells(cells)):
+            assert_same_bytes(traj, solve(*cell))
+            assert traj.diverged == diverged
 
     @pytest.mark.parametrize("m0, raises", [(0.5, True), (math.inf, False)])
     def test_singular_innovation(self, monkeypatch, m0, raises):
@@ -720,7 +722,7 @@ class TestSolveWithPrefix:
         cell = (PriorSpec(1, sigma=1e-170), 0.1, parse_noise("zero"))
         (prefix,) = covariance_prefixes([tm], [R], [P0], [15])
         assert prefix.singular and len(prefix.beta) == 1
-        trajs = filtering.solve_cells(problem, [cell + (PerturbedInit(0.0),)], [prefix])
+        trajs = filtering.solve_cells([(problem, *cell, PerturbedInit(0.0))])
         if raises:
             with pytest.raises(SingularInnovation):
                 next(trajs)
@@ -732,16 +734,10 @@ class TestSolveWithPrefix:
             assert_same_bytes(traj, solve(problem, *cell))
 
 
-def preset_groups(preset, grid, mode):
-    """The CLI's stacks for a preset: (problem, cells, tracks) per (problem, q), in CSV order."""
+def preset_cells(preset, grid, mode):
+    """The CLI's sweep for a preset: its (problem, prior, h, noise, mode) cells in CSV order."""
     specs = sorted(preset_specs(preset, grid), key=cli.RunSpec.sort_key)
-    tracks = cli._covariance_tracks(specs, mode)
-    groups = {}
-    for spec, track in zip(specs, tracks):
-        cells, kept = groups.setdefault((spec.problem, spec.prior.q), ([], []))
-        cells.append((spec.prior, spec.h, spec.noise, mode))
-        kept.append(track)
-    return [(get_problem(name), *stack) for (name, _), stack in groups.items()]
+    return [(get_problem(s.problem), s.prior, s.h, s.noise, mode) for s in specs]
 
 
 def filled_pass(prior, h, R, k0, n):
@@ -792,19 +788,20 @@ class TestSharedTracks:
         assert cli.main(["wpd", "--preset", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
         assert 0 < len(calls) <= 11
 
-    def test_each_logistic_cell_equals_the_track_of_its_own_prefix(self):
+    def test_each_logistic_cell_equals_the_track_of_its_own_prefix(self, monkeypatch):
         mode = PerturbedInit(0.0)
-        specs = sorted(preset_specs("fig2", (0.1, 2.0, 8)), key=cli.RunSpec.sort_key)
+        tracks, _ = sweep_tracks(preset_specs("fig2", (0.1, 2.0, 8)), mode, monkeypatch)
         longer = 0
-        for spec, track in zip(specs, cli._covariance_tracks(specs, mode)):
+        for spec, track in tracks:
             if spec.problem != "logistic":
                 continue
             n = round(1.5 / spec.h)
             tm, R = spec.prior.transition(spec.h), spec.noise.evaluate(spec.h)
             (prefix,) = covariance_prefixes([tm], [R], [initial_covariance(1, spec.h, mode)], [n])
-            own = filtering.covariance_track(tm, R, prefix, n).steps(n)
+            own = track_steps(filtering.covariance_track(tm, R, prefix, n), n)
             longer += len(track.rows) == round(10.0 / spec.h)
-            for got in (track.steps(n), filtering.covariance_track(tm, R, track, n).steps(n)):
+            cut = filtering.covariance_track(tm, R, track, n)
+            for got in (track_steps(track, n), track_steps(cut, n)):
                 for a, b in zip(got, own):
                     assert a.tobytes() == b.tobytes()
         assert longer == 16  # every logistic cell's track is its linear twin's
@@ -832,7 +829,7 @@ class TestSharedTracks:
         for bound in [bound for bound in (1, 2, 7, 300) if bound < filled] + [filled]:
             cut = filtering.covariance_track(tm, R, full, bound)
             assert len(cut.rows) == bound
-            for got, column in zip(cut.steps(bound), zip(*expected[:bound])):
+            for got, column in zip(track_steps(cut, bound), zip(*expected[:bound])):
                 assert got.tobytes() == np.array(column).tobytes()
 
     def test_a_cut_that_ends_before_a_singular_step_does_not_raise(self):
@@ -844,18 +841,25 @@ class TestSharedTracks:
 
 
 def sweep_tracks(specs, mode, monkeypatch):
-    """Each cell's track from ``cli._covariance_tracks``, and the cells of each covariance pass run."""
-    passes, original = [], filtering.covariance_prefixes
+    """Each cell's shared track in a sweep's ``solve_cells`` run, and the cells of each
+    covariance pass run; the mean loops are left out."""
+    passes, tracks, original = [], [], filtering.covariance_prefixes
 
     def counted(tms, *args):
         passes.append(len(tms))
         return original(tms, *args)
 
+    def tracks_alone(f, runs, shared):
+        tracks.extend(shared)
+        return iter(())
+
     monkeypatch.setattr(filtering, "covariance_prefixes", counted)
+    monkeypatch.setattr(filtering, "_mean_pass", tracks_alone)
     specs = sorted(specs, key=cli.RunSpec.sort_key)
-    tracks = list(zip(specs, cli._covariance_tracks(specs, mode)))
+    cells = [(get_problem(s.problem), s.prior, s.h, s.noise, mode) for s in specs]
+    assert list(filtering.solve_cells(cells)) == []
     monkeypatch.undo()
-    return tracks, passes
+    return list(zip(specs, tracks, strict=True)), passes
 
 
 def assert_own_passes(tracks, mode):
@@ -873,7 +877,7 @@ def assert_own_passes(tracks, mode):
         expected = own[spec.prior, spec.h, spec.noise.evaluate(spec.h)]
         n = round(get_problem(spec.problem).T / spec.h)
         assert track.singular == expected.singular
-        for got, column in zip(track.steps(n), expected.steps(n)):
+        for got, column in zip(track_steps(track, n), track_steps(expected, n)):
             assert got.tobytes() == column.tobytes()
     return len(own)
 
@@ -980,7 +984,8 @@ class TestSweepPasses:
     def test_fig2_and_steady_work_at_seed_0(self, monkeypatch, tmp_path):
         # fig2 runs its 16 distinct passes in one stacked pass, each once to
         # its longest mesh, fills 40,769 P_00 steps in 341 blocks (the pin
-        # allows 10% more) and evaluates exact on at most 14,722 points.
+        # allows 10% more) and evaluates exact once per cell, on the cell's
+        # own mesh: 58,682 points.
         # Steady runs each grid as one stacked pass over its longest mesh:
         # 68 kernel calls, where bounding each orbit by its own mesh took 137.
         work, passes = collections.Counter(), []
@@ -1024,7 +1029,7 @@ class TestSweepPasses:
         monkeypatch.setattr(filtering, "predict_covariance", predict)
         assert cli.main(["wpd", "--preset", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
         assert work["fill"] == 40_769 and work["blocks"] <= 375 and passes == [16]
-        assert work["exact"] <= 14_722
+        assert work["exact"] == 58_682
         work.clear()
         for noise in ("power:1:1", "power:2:1", "power:3:1", "zero"):
             argv = ["steady", "--sigma", "1", "--noise", noise, "--h-grid", "0.1:2:12"]
@@ -1057,11 +1062,11 @@ class TestStackedMeanPass:
     )
     @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3", "figC"])
     def test_every_preset_cell_equals_the_full_pass(self, preset, mode):
-        for problem, cells, tracks in preset_groups(preset, (0.1, 2.0, 4), mode):
-            trajs = list(filtering.solve_cells(problem, cells, tracks))
-            assert len(trajs) == len(cells)
-            for traj, (prior, h, noise, cell_mode) in zip(trajs, cells):
-                assert_same_bytes(traj, full_pass_solve(problem, prior, h, noise, cell_mode))
+        cells = preset_cells(preset, (0.1, 2.0, 4), mode)
+        trajs = list(filtering.solve_cells(cells))
+        assert len(trajs) == len(cells)
+        for traj, cell in zip(trajs, cells):
+            assert_same_bytes(traj, full_pass_solve(*cell))
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
     def test_mixed_stack_equals_the_full_pass(self, q):
@@ -1078,7 +1083,7 @@ class TestStackedMeanPass:
                 for mode in (PerturbedInit(0.0), PerturbedInit(1.0, seed=q), PerturbedInit(1e300)):
                     cells.append((PriorSpec(q, kind, theta=theta, sigma=sigma), h, noise, mode))
         cells = [cells[i] for i in rng.permutation(len(cells))]
-        trajs = list(filtering.solve_cells(problem, cells))
+        trajs = list(filtering.solve_cells([(problem, *cell) for cell in cells]))
         for traj, (prior, h, noise, mode) in zip(trajs, cells):
             assert_same_bytes(traj, full_pass_solve(problem, prior, h, noise, mode))
             assert traj.diverged == (mode == PerturbedInit(1e300))
@@ -1092,7 +1097,7 @@ class TestStackedMeanPass:
             for noise in (parse_noise("zero"), parse_noise("const:0.5"))
             for mode in (PerturbedInit(0.0), *(PerturbedInit(k0) for k0 in (1e10, 1e60, 1e300)))
         ]
-        trajs = list(filtering.solve_cells(problem, cells))
+        trajs = list(filtering.solve_cells([(problem, *cell) for cell in cells]))
         overflowed = set()
         for traj, (prior, h, noise, mode) in zip(trajs, cells):
             assert_same_bytes(traj, full_pass_solve(problem, prior, h, noise, mode))
@@ -1119,7 +1124,7 @@ class TestStackedMeanPass:
         regular = [(PriorSpec(1), h, zero, exact) for h in (0.1, 0.05, 0.025)]
         cells = regular[:2] + [(PriorSpec(1, sigma=1e-170), 0.1, zero, exact)]
         cells += regular[2:]
-        trajs = filtering.solve_cells(problem, cells)
+        trajs = filtering.solve_cells([(problem, *cell) for cell in cells])
         for cell, traj in zip(cells[:2], trajs):  # cells first: zip stops before a third
             assert_same_bytes(traj, full_pass_solve(problem, *cell))
         if raises:
@@ -1131,10 +1136,36 @@ class TestStackedMeanPass:
             for traj, cell in zip(rest, cells[2:]):
                 assert_same_bytes(traj, full_pass_solve(problem, *cell))
 
-    def test_cells_of_one_stack_share_q(self):
-        cells = [(PriorSpec(q), 0.1, parse_noise("zero"), PerturbedInit(0.0)) for q in (1, 2)]
-        with pytest.raises(ValueError, match="share q"):
-            list(filtering.solve_cells(get_problem("logistic"), cells))
+    def test_a_sweep_of_any_problems_and_q_runs_one_pass_per_matrix_size(self, monkeypatch):
+        # Logistic and linear cells at q = 1 and 2, interleaved, so that one
+        # problem and q comes back after other cells.  The first two cells'
+        # passes are identical (the same prior, h, R and start), and so are
+        # the fifth and the seventh cell's.
+        logistic, linear = get_problem("logistic"), get_problem("linear")
+        exact = PerturbedInit(0.0)
+        cells = [
+            (logistic, PriorSpec(1), 0.1, parse_noise("zero"), exact),
+            (linear, PriorSpec(1), 0.1, parse_noise("zero"), exact),
+            (logistic, PriorSpec(2), 0.05, parse_noise("power:2:1"), PerturbedInit(1.0, seed=3)),
+            (logistic, PriorSpec(1), 0.05, parse_noise("power:1:1"), exact),
+            (linear, PriorSpec(2), 0.1, parse_noise("zero"), exact),
+            (linear, PriorSpec(1), 0.025, parse_noise("const:0.5"), exact),
+            (logistic, PriorSpec(2), 0.1, parse_noise("zero"), exact),
+        ]
+        passes, original = [], filtering.covariance_prefixes
+
+        def counted(tms, Rs, Ps, bounds):
+            passes.append((len(Ps[0]), len(tms)))
+            return original(tms, Rs, Ps, bounds)
+
+        monkeypatch.setattr(filtering, "covariance_prefixes", counted)
+        trajs = list(filtering.solve_cells(cells))
+        monkeypatch.undo()
+        # q = 1: three distinct passes of four cells; q = 2: two of three.
+        assert sorted(passes) == [(2, 3), (3, 2)]
+        assert len(trajs) == len(cells)
+        for traj, cell in zip(trajs, cells):
+            assert_same_bytes(traj, solve(*cell))
 
     def test_fig2_calls_f_once_per_step_of_each_stack(self, monkeypatch, tmp_path):
         # The stacks are (logistic, 1) and (linear, 1): their longest meshes
@@ -1178,7 +1209,7 @@ class TestStackedMeanPass:
         # few steps, of one stack.
         problem, noise = get_problem("linear"), parse_noise("power:1:5000.0")
         cells = [(PriorSpec(1), 0.1 / 8, noise, PerturbedInit(k0)) for k0 in (0.0, 1e300)]
-        trajs = list(filtering.solve_cells(problem, cells))
+        trajs = list(filtering.solve_cells([(problem, *cell) for cell in cells]))
         assert not [name for traj in trajs for name in BUILT_ON_READ if name in vars(traj)]
         assert not trajs[0].diverged and trajs[1].diverged and len(trajs[1].m_post) > 0
         for traj, cell in zip(trajs, cells):
@@ -1188,10 +1219,57 @@ class TestStackedMeanPass:
     def test_solve_hands_out_the_next_cell_of_a_stack(self):
         problem = get_problem("logistic")
         cells = [(PriorSpec(1), h, parse_noise("zero"), PerturbedInit(0.0)) for h in (0.1, 0.05)]
-        stack = filtering.solve_cells(problem, cells)
+        stack = filtering.solve_cells([(problem, *cell) for cell in cells])
         assert_same_bytes(solve(problem, *cells[0], stack=stack), solve(problem, *cells[0]))
         with pytest.raises(ValueError, match="not this one"):
             solve(problem, *cells[0], stack=stack)
+
+    def test_each_stack_runs_when_its_first_cell_is_asked_for(self, monkeypatch):
+        # Three stacks: (logistic, 1) of two cells, (linear, 1), and
+        # (logistic, 1) again, since a stack is a run of consecutive cells.
+        logistic, linear = get_problem("logistic"), get_problem("linear")
+        zero, exact = parse_noise("zero"), PerturbedInit(0.0)
+        cells = [
+            (logistic, PriorSpec(1), 0.1, zero, exact),
+            (logistic, PriorSpec(1), 0.05, zero, exact),
+            (linear, PriorSpec(1), 0.1, zero, exact),
+            (logistic, PriorSpec(1), 0.025, zero, exact),
+        ]
+        own = [solve(*cell) for cell in cells]
+        loops, original = [], filtering._mean_loop
+
+        def counted(f, A, *args):
+            loops.append(len(A))
+            return original(f, A, *args)
+
+        monkeypatch.setattr(filtering, "_mean_loop", counted)
+        trajs = filtering.solve_cells(cells)
+        assert loops == []
+        seen = []
+        for traj in own:
+            assert_same_bytes(next(trajs), traj)
+            seen.append(list(loops))
+        assert seen == [[2], [2], [2, 1], [2, 1, 1]]
+        assert next(trajs, None) is None
+
+    def test_a_shared_track_is_let_go_after_its_last_cell(self):
+        # The first two cells, of two stacks, share a pass that no later cell
+        # uses: once their trajectories are dropped and the next stack has
+        # started, no one holds that track's arrays.
+        logistic, linear = get_problem("logistic"), get_problem("linear")
+        zero, exact = parse_noise("zero"), PerturbedInit(0.0)
+        cells = [
+            (logistic, PriorSpec(1), 0.1, zero, exact),
+            (linear, PriorSpec(1), 0.1, zero, exact),
+            (linear, PriorSpec(2), 0.1, zero, exact),
+        ]
+        trajs = filtering.solve_cells(cells)
+        first, second = next(trajs), next(trajs)
+        assert first.source[2].P_pred is second.source[2].P_pred
+        gone = weakref.ref(second.source[2].P_pred)
+        del first, second
+        assert_same_bytes(next(trajs), solve(*cells[2]))
+        assert gone() is None
 
 
 class TestOneCheckMeanLoop:
@@ -1300,5 +1378,5 @@ class TestNonFiniteFixedPoint:
         assert len(track.rows) == n and not track.singular
         with np.errstate(over="ignore", invalid="ignore"):
             expected = list(itertools.islice(covariance_pass(tm, 0.0, start), n))
-        for got, column in zip(track.steps(n), zip(*expected)):
+        for got, column in zip(track_steps(track, n), zip(*expected)):
             assert got.tobytes() == np.array(column).tobytes()
