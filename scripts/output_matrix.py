@@ -2,6 +2,14 @@
 """Write one fixed set of odefilter outputs, so two checkouts can be compared with diff -r.
 
     PYTHONPATH=src python scripts/output_matrix.py OUT_DIR
+    PYTHONPATH=src python scripts/output_matrix.py --against PARENT_SRC OUT_DIR
+
+With ``--against``, the set is written twice, each time by a subprocess
+that imports odefilter from one source: PARENT_SRC, a ``src`` directory
+holding the other checkout's package, into OUT_DIR/parent, and this
+checkout's ``src`` into OUT_DIR/change.  The two trees are then compared
+file by file; the script lists each file that differs or is on one side
+only, and exits 1 if there is any.
 
 The set, each run's CSV (and SVG) plus its stderr and exit code:
 
@@ -28,7 +36,9 @@ About 9 s on a 2-vCPU Xeon VM with OPENBLAS_NUM_THREADS=1.
 
 import contextlib
 import io
+import os
 import pathlib
+import subprocess
 import sys
 
 from odefilter.cli import main as odefilter_main
@@ -128,7 +138,33 @@ def run(out_dir: pathlib.Path) -> int:
     return 0
 
 
+def differences(a: pathlib.Path, b: pathlib.Path) -> list:
+    """The relative paths of the files that differ in bytes, or exist under one tree only."""
+    files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in (a, b)]
+    return sorted(
+        str(path)
+        for path in files[0] | files[1]
+        if path not in files[0] & files[1] or (a / path).read_bytes() != (b / path).read_bytes()
+    )
+
+
+def against(parent_src: pathlib.Path, out_dir: pathlib.Path) -> int:
+    """Write the set from ``parent_src`` and from this checkout's src, and compare the two."""
+    sides = {"parent": parent_src, "change": pathlib.Path(__file__).resolve().parents[1] / "src"}
+    for side, src in sides.items():
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(src).resolve())}
+        argv = [sys.executable, __file__, str(out_dir / side)]
+        subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
+    differ = differences(out_dir / "parent", out_dir / "change")
+    for path in differ:
+        print(f"differs: {path}")
+    print(f"{len(differ)} of the files differ")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--against":
+        sys.exit(against(pathlib.Path(sys.argv[2]), pathlib.Path(sys.argv[3])))
     if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUT_DIR")
+        sys.exit(f"usage: {sys.argv[0]} [--against PARENT_SRC] OUT_DIR")
     sys.exit(run(pathlib.Path(sys.argv[1])))

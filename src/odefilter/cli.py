@@ -181,12 +181,12 @@ def _execute(spec: RunSpec, problem, mode: PerturbedInit, stack) -> dict:
     }
     if not traj.diverged:
         errs = diagnostics.global_error(traj, problem)
-        widths = diagnostics.credible_width(traj).widths
+        at_T = slice(-1, None)
+        width = diagnostics.credible_width(traj, at=at_T).widths
         row["final_error"] = float(errs.norms0[-1])
         row["max_error"] = errs.max_eps0
-        row["final_std"] = float(np.linalg.norm(widths[-1:], axis=1)[0])
-        at_T = diagnostics.misalignment(traj, problem, 1, at=slice(-1, None))
-        row["delta1_final"] = float(at_T[0])
+        row["final_std"] = float(np.linalg.norm(width, axis=1)[0])
+        row["delta1_final"] = float(diagnostics.misalignment(traj, problem, 1, at=at_T)[0])
     return row
 
 
@@ -231,16 +231,21 @@ _FORMAT = {
 }
 
 
-@functools.cache
-def _formatter(kind: type):
-    """The ``_FORMAT`` entry of a value type."""
-    return next(_FORMAT[base] for base in kind.__mro__ if base in _FORMAT)
+class _Formatters(dict):
+    """The ``_FORMAT`` entry of each value type, looked up in its MRO once."""
+
+    def __missing__(self, kind: type):
+        self[kind] = found = next(_FORMAT[base] for base in kind.__mro__ if base in _FORMAT)
+        return found
+
+
+_FORMATTERS = _Formatters()
 
 
 def _write_csv(path: Optional[str], header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    text = ",".join(header) + "\n"
-    for row in rows:
-        text += ",".join(_formatter(type(v))(v) for v in row) + "\n"
+    lines = [",".join(header)]
+    lines += [",".join([_FORMATTERS[type(v)](v) for v in row]) for row in rows]
+    text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

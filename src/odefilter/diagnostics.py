@@ -68,7 +68,8 @@ def global_error(traj: Trajectory, problem: IVProblem) -> ErrorSeries:
         raise MissingExact(f"problem {problem.name!r} has no exact solution")
     times = traj.times()
     x = problem.exact(times)
-    norms = np.linalg.norm(traj.means()[:, 0] - problem.derivative(0)(x), axis=1)
+    values = np.concatenate((traj.initial.m[None, 0], traj.m_post[:, 0]))
+    norms = np.linalg.norm(values - problem.derivative(0)(x), axis=1)
     return ErrorSeries(times, float(norms.max()), norms, (traj, problem, x))
 
 
@@ -80,36 +81,48 @@ def misalignment(traj: Trajectory, problem: IVProblem, i: int, at=slice(None)) -
     estimate.  Identically zero for i = 0.  A point's value is the same bits
     for every ``at``.
     """
-    means = traj.means()[at]
+    means = _at(traj.initial.m, traj.m_post, at)
     return _row_norms(means[:, i] - problem.derivative(i)(means[:, 0]))
 
 
 @dataclasses.dataclass
 class CredibleWidth:
-    """Posterior standard deviations sqrt(P00) and calibration ratios."""
+    """Posterior standard deviations sqrt(P00) and calibration ratios, one row per mesh point."""
 
     times: np.ndarray
-    widths: np.ndarray  # (N+1, d)
-    ratios: Optional[np.ndarray]  # (N+1, d): |eps0| / width, 0/0 -> 1
+    widths: np.ndarray  # (points, d)
+    ratios: Optional[np.ndarray]  # (points, d): |eps0| / width, 0/0 -> 1
 
 
-def credible_width(traj: Trajectory, problem: Optional[IVProblem] = None) -> CredibleWidth:
-    """Width series of the posterior on the solution value.
+def credible_width(
+    traj: Trajectory, problem: Optional[IVProblem] = None, at=slice(None)
+) -> CredibleWidth:
+    """Width series of the posterior on the solution value, at the mesh points ``at`` selects.
 
     Ratios |eps0| / sqrt(P00) per dimension are included when a problem
     with an exact solution is supplied (0/0 counts as 1, the calibrated
     value of an exactly pinned state).  Every dimension shares the
-    covariance, so sqrt(P00) is taken once per mesh point and repeated.
+    covariance, so sqrt(P00) is taken once per mesh point and repeated.  A
+    point's values are the same bits for every ``at``.
     """
-    times = traj.times()
-    P00 = np.concatenate((traj.initial.P[:1, 0], traj.P00_post))
+    times = traj.times()[at]
+    P00 = _at(traj.initial.P[0, 0], traj.P00_post, at)
     widths = np.repeat(np.sqrt(P00)[:, None], traj.d, axis=1)
     ratios = None
     if problem is not None:
         if problem.exact is None:
             raise MissingExact(f"problem {problem.name!r} has no exact solution")
-        abs_eps0 = np.abs(traj.means()[:, 0, :] - problem.exact(times))
+        abs_eps0 = np.abs(_at(traj.initial.m[0], traj.m_post[:, 0], at) - problem.exact(times))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = abs_eps0 / widths
         ratios[(abs_eps0 == 0.0) & (widths == 0.0)] = 1.0
     return CredibleWidth(times=times, widths=widths, ratios=ratios)
+
+
+def _at(start: np.ndarray, steps: np.ndarray, at) -> np.ndarray:
+    """The rows of ``start`` (t = 0) then ``steps`` that the slice ``at`` selects, and no others."""
+    points = np.arange(len(steps) + 1)[at]
+    rows = np.empty((len(points), *steps.shape[1:]))
+    rows[points == 0] = start
+    rows[points > 0] = steps[points[points > 0] - 1]
+    return rows

@@ -24,9 +24,10 @@ once, its covariances and gains over its longest mesh (a
 consecutive cells of one problem and q, one mean loop that steps the cells
 side by side, with one stacked ``A m``, one call of ``f`` on the
 ``(cells, d)`` stack of predicted values (``f`` is pointwise on stacks) and
-one update per step, writing the means and data (per dimension) into
-step-major arrays.  ``solve`` is ``solve_cells`` on a sweep of one, or
-hands out one cell of a sweep.  A ``Trajectory`` keeps its posterior means
+one update per step, writing each cell's means (per dimension) into its
+own array, one stretch of steps at a time; only the last step's data is
+kept.  ``solve`` is ``solve_cells`` on a sweep of one, or hands out one
+cell of a sweep.  A ``Trajectory`` keeps its posterior means
 and P_00 and builds the rest on first read, which a sweep row never does.
 
 The covariance track.  A is upper triangular and the data is on x_1, so
@@ -226,10 +227,7 @@ def initial_covariance(q: int, h: float, mode: PerturbedInit = PerturbedInit(0.0
 
 def gain(P_pred: np.ndarray, R) -> np.ndarray:
     """Kalman gain vector beta_i = P_pred[i, 1] / (P_pred[1, 1] + R), per cell of a stack."""
-    denom = _innovation_variance(P_pred, R)
-    if np.count_nonzero(denom) != denom.size:
-        raise SingularInnovation("singular innovation: P_pred[1, 1] + R = 0")
-    return P_pred[..., :, 1] / denom[..., None]
+    return P_pred[..., :, 1] / _innovation_variance(P_pred, R)[..., None]
 
 
 _Q_AT_LEAST_1 = "the solver requires q >= 1 (q = 0 models no derivative)"
@@ -279,12 +277,13 @@ def solve_cells(cells: Sequence[tuple]) -> Iterator[Trajectory]:
     steps the stack's cells side by side, longest track first, so the cells
     still running at step n are a leading slice of the stack: one stacked
     ``A m``, one call of ``f`` on the stack of predicted values and one
-    update per step, stored step-major without padding.  A cell whose
-    predicted mean or data is not finite leaves with the steps it
-    completed; its slot is zeroed, with gain 0, so the stack stays finite.
-    A cell's means are gathered when it is yielded (its other arrays are
-    built on first read, ``Trajectory``), and a cell whose loop reached its
-    singular innovation raises ``SingularInnovation`` there.
+    update per step.  Each cell's means go to its own array, one stretch
+    of steps with one stack size at a time, and only the last step's data
+    is kept.  A cell whose predicted mean or data is not finite leaves with
+    the steps it completed; its slot is zeroed, with gain 0, so the stack
+    stays finite.  A cell is yielded with its means array, not a copy (its
+    other arrays are built on first read, ``Trajectory``), and a cell whose
+    loop reached its singular innovation raises ``SingularInnovation`` there.
     """
     runs = [_setup(*cell) for cell in cells]
     tracks = _shared_tracks([(tm, R, initial.P, n) for tm, R, initial, n in runs])
@@ -318,39 +317,30 @@ def _shared_tracks(passes: Sequence[tuple]) -> Iterator[CovarianceTrack]:
 def _mean_pass(f, runs: Sequence[tuple], shared: list) -> Iterator[Trajectory]:
     """The trajectories of a stack of cells of one problem and q, given their shared tracks."""
     tracks = [covariance_track(tm, R, track, n) for (tm, R, _, n), track in zip(runs, shared)]
+    order = sorted(range(len(runs)), key=lambda c: -len(tracks[c].rows))
+    q1, d = runs[0][2].m.shape
+    means = [np.empty((len(tracks[c].rows), q1, d)) for c in order]
+    A = np.array([runs[c][0].A for c in order])
+    m = np.array([runs[c][2].m for c in order])
     with np.errstate(over="ignore", invalid="ignore"):
-        order = sorted(range(len(runs)), key=lambda c: -len(tracks[c].rows))
-        lengths = np.array([len(tracks[c].rows) for c in order], dtype=np.intp)
-        # Step n holds the cells whose track is longer than n, in rows
-        # starts[n] .. starts[n + 1] - 1.
-        steps = np.arange(lengths[0])
-        starts = np.zeros(len(steps) + 1, np.intp)
-        np.cumsum(len(lengths) - np.searchsorted(lengths[::-1], steps, "right"), out=starts[1:])
-        q1, d = runs[0][2].m.shape
-        y, m_post = np.empty((starts[-1], d)), np.empty((starts[-1], q1, d))
-        gains = np.empty((starts[-1], q1, 1))
-        for j, c in enumerate(order):
-            gains[starts[: lengths[j]] + j, :, 0] = tracks[c].beta[tracks[c].rows]
-        A = np.array([runs[c][0].A for c in order])
-        m = np.array([runs[c][2].m for c in order])
-        reached = _mean_loop(f, A, m, starts, lengths, y, gains, m_post)
-    del gains, y
+        reached = _mean_loop(f, A, m, [(tracks[c].beta, tracks[c].rows) for c in order], means)
     slot = {c: j for j, c in enumerate(order)}
     for c, run in enumerate(runs):
-        # A track is held by its cell's trajectory alone once it is gathered.
+        # A cell's track and means are held by its trajectory alone once it is yielded.
+        j = slot[c]
         track, tracks[c] = tracks[c], None
-        rows = starts[: reached[slot[c]]] + slot[c]
-        yield _gather(run, f, track, rows, m_post)
+        mine, means[j] = means[j][: reached[j]], None
+        yield _gather(run, f, track, mine)
 
 
-def _gather(run, f, track, rows, m_post) -> Trajectory:
-    """The trajectory of a cell of a stacked mean pass whose steps are ``rows`` of ``m_post``."""
+def _gather(run, f, track, means) -> Trajectory:
+    """The trajectory of a cell of a stacked mean pass whose posterior means are ``means``."""
     tm, _, initial, n_steps = run
-    n = len(rows)
+    n = len(means)
     if track.singular and n == len(track.rows):
         raise SingularInnovation("singular innovation: P_pred[1, 1] + R = 0")
-    mine, P00 = _read_only(m_post[rows]), _read_only(track.P00[:n, 1])
-    return Trajectory(tm.h, initial, mine, P00, n < n_steps, (tm.A, f, track))
+    P00 = _read_only(track.P00[:n, 1])
+    return Trajectory(tm.h, initial, _read_only(means), P00, n < n_steps, (tm.A, f, track))
 
 
 def _setup(problem: IVProblem, prior: PriorSpec, h: float, noise: PowerLawNoise, mode):
@@ -366,21 +356,34 @@ def _setup(problem: IVProblem, prior: PriorSpec, h: float, noise: PowerLawNoise,
     return prior.transition(h), noise.evaluate(h), initialize(problem, prior, h, mode), n_steps
 
 
-def _mean_loop(f, A, m, starts, lengths, y, gains, m_post) -> list:
+#: Steps per block of the mean loop (see ``_mean_loop``): small enough that a
+#: block's gains and means buffer stay small next to the cells' arrays (one
+#: block per stretch raised fig2's traced peak from 4.7 to 5.2 MB), large
+#: enough that the per-block copies cost little next to the steps.
+_BLOCK = 256
+
+
+def _mean_loop(f, A, m, gains, means) -> list:
     """The mean recursion of a stack of cells, longest first; returns each cell's steps completed.
 
-    Step n reads rows starts[n] .. of ``gains`` and writes the same rows of
-    ``y`` and ``m_post``, one per cell still running; m holds the start means.
-    A step checks only its predicted means A m: data that is not finite makes
-    the mean it updates, and so the next predicted mean, not finite (A_00 = 1).
-    So a cell whose data at step n - 1 is not finite is found at step n, or
-    when its track ends, and leaves at step n - 1, as if checked then; ``f``
-    only ever sees a finite stack.  The steps run in stretches of one stack
-    size k, each stepping through (steps, k, ...) views of the three arrays.
+    Cell j's gain at step n is ``beta[rows[n]]`` of its ``gains[j] = (beta,
+    rows)``, and its posterior mean goes to ``means[j][n]``, one row per step
+    of its track; m holds the start means.  A step checks only its predicted
+    means A m: data that is not finite makes the mean it updates, and so the
+    next predicted mean, not finite (A_00 = 1).  So a cell whose data at step
+    n - 1 is not finite is found at step n, or when its track ends, and
+    leaves at step n - 1, as if checked then; only the last step's data is
+    kept, for that check, and ``f`` only ever sees a finite stack.  The
+    steps run in stretches of one stack size k, each in blocks of at most
+    ``_BLOCK`` steps: a block's (steps, k, ...) gains are read from the
+    tracks when it starts, and its means go to a block buffer that is copied
+    into each cell's array when it ends (one cell writes into its own array).
     """
-    bounds, ends = starts.tolist(), lengths.tolist()
+    ends = [len(a) for a in means]
     reached, stop = list(ends), max(ends, default=0)
-    predicted, residual = np.empty_like(m), np.empty((len(m), 1, m.shape[2]))
+    q1, d = m.shape[1:]
+    predicted, residual, data = np.empty_like(m), np.empty((len(m), 1, d)), np.empty((len(m), d))
+    n0, g = 0, None  # the block's first step and gains
 
     def leave(n, bad, *rows):
         # Cells whose step n is not finite: record the steps they completed,
@@ -388,43 +391,55 @@ def _mean_loop(f, A, m, starts, lengths, y, gains, m_post) -> list:
         nonlocal stop
         for j in np.flatnonzero(bad).tolist():
             if reached[j] > n:
-                gains[starts[n : reached[j]] + j] = 0.0
+                g[max(n - n0, 0) :, j] = 0.0
                 reached[j] = n
             for a in rows:
                 a[j] = 0.0
         stop = max(reached)
 
-    def check_data(n):
-        # The cells whose data at step n is not finite; a zeroed slot's update
-        # leaves its mean 0.
-        yn = y[bounds[n] : bounds[n + 1]]
+    def check_data(n, yn, mn):
+        # The cells whose data at step n, ``yn``, is not finite; their means
+        # ``mn`` are zeroed, as a zeroed slot's update leaves them.
         if np.count_nonzero(np.isfinite(yn)) != yn.size:
-            leave(n, ~np.isfinite(yn).all(axis=1), yn, m_post[bounds[n] : bounds[n + 1]])
+            bad = ~np.isfinite(yn).all(axis=1)
+            leave(n, bad, yn, mn)
+            for j in np.flatnonzero(bad).tolist():
+                means[j][n] = 0.0
 
     n = 0
     for k in range(len(ends), 0, -1):
         end = ends[k - 1]  # steps n .. end - 1 run the first k cells
         if end <= n:
             continue
-        rows = slice(bounds[n], bounds[end])
-        stretch = [a[rows].reshape(end - n, k, *a.shape[1:]) for a in (gains, y, m_post)]
-        Ak, mp, r, m = A[:k], predicted[:k], residual[:k], m[:k]
+        Ak, mp, r, yn, m = A[:k], predicted[:k], residual[:k], data[:k], m[:k]
         x, dx, r0 = mp[:, 0], mp[:, 1], r[:, 0]
-        for g, yn, mn in zip(*stretch):
-            np.matmul(Ak, m, out=mp)
-            if np.count_nonzero(np.isfinite(mp)) != mp.size:
-                if n:
-                    check_data(n - 1)
-                leave(n, ~np.isfinite(mp).all(axis=(1, 2)), mp)
-                if n >= stop:
-                    return reached
-            yn[...] = f(x)
-            np.subtract(yn, dx, out=r0)
-            np.multiply(g, r, out=mn)
-            np.add(mp, mn, out=mn)
-            m = mn
-            n += 1
-        check_data(n - 1)  # for the cells that end
+        while n < end:
+            n0, n1 = n, min(n + _BLOCK, end)
+            g = np.empty((n1 - n0, k, q1, 1))
+            for j, (beta, rows) in enumerate(gains[:k]):
+                g[:, j, :, 0] = beta[rows[n0:n1]]
+                g[max(reached[j] - n0, 0) :, j] = 0.0
+            out = means[0][n0:n1, None] if k == 1 else np.empty((n1 - n0, k, q1, d))
+            for gn, mn in zip(g, out):
+                np.matmul(Ak, m, out=mp)
+                if np.count_nonzero(np.isfinite(mp)) != mp.size:
+                    if n:
+                        check_data(n - 1, yn, m)
+                    leave(n, ~np.isfinite(mp).all(axis=(1, 2)), mp)
+                    if n >= stop:
+                        break
+                yn[...] = f(x)
+                np.subtract(yn, dx, out=r0)
+                np.multiply(gn, r, out=mn)
+                np.add(mp, mn, out=mn)
+                m = mn
+                n += 1
+            if k > 1:
+                for j, a in enumerate(means[:k]):
+                    a[n0:n] = out[: n - n0, j]
+            if n < n1:  # every cell has left
+                return reached
+        check_data(n - 1, yn, m)  # for the cells that end
         if n >= stop:
             break
     return reached
@@ -517,7 +532,7 @@ def covariance_prefixes(
             try:
                 previous, (P, beta) = P, update_covariance(P_pred, R)
             except SingularInnovation:
-                stay = _innovation_variance(P_pred, R) != 0.0
+                stay = P_pred[:, 1, 1] + R != 0.0
                 leave(stay, singular=True)
                 cells, h, A, Q, R, P, P_pred = (a[stay] for a in (cells, h, A, Q, R, P, P_pred))
                 if not len(cells):
@@ -541,7 +556,8 @@ def covariance_prefixes(
 def _prefix(pieces: list, first: Optional[int], singular: bool) -> CovarianceTrack:
     """A cell's prefix from its pieces, each a (P_pred, P_post, beta) run of its steps."""
     P_pred, P_post, beta = (_read_only(np.concatenate(column)) for column in zip(*pieces))
-    P00 = np.stack((P_pred[:, 0, 0], P_post[:, 0, 0]), axis=1)
+    P00 = np.empty((len(beta), 2))
+    P00[:, 0], P00[:, 1] = P_pred[:, 0, 0], P_post[:, 0, 0]
     return CovarianceTrack(P_pred, P_post, beta, np.arange(len(beta)), P00, first, singular)
 
 
@@ -635,16 +651,17 @@ def predict_covariance(P: np.ndarray, tm: TransitionModel) -> np.ndarray:
 
 def update_covariance(P_pred: np.ndarray, R):
     """Measurement update of a covariance (or a stack of them), symmetrized; returns (P, beta)."""
-    beta = gain(P_pred, R)
-    col = P_pred[..., :, 1]
-    denom = _innovation_variance(P_pred, R)[..., None, None]
-    P = P_pred - col[..., :, None] * col[..., None, :] / denom
-    return 0.5 * (P + P.mT), beta
+    col, denom = P_pred[..., :, 1], _innovation_variance(P_pred, R)[..., None]
+    P = P_pred - col[..., :, None] * col[..., None, :] / denom[..., None]
+    return 0.5 * (P + P.mT), col / denom
 
 
 def _innovation_variance(P_pred: np.ndarray, R):
-    """P_pred[1, 1] + R, per cell of a stack."""
-    return P_pred[..., 1, 1] + R
+    """P_pred[1, 1] + R, per cell of a stack; raises SingularInnovation where it is 0."""
+    denom = P_pred[..., 1, 1] + R
+    if np.count_nonzero(denom) != denom.size:
+        raise SingularInnovation("singular innovation: P_pred[1, 1] + R = 0")
+    return denom
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

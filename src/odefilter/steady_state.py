@@ -156,13 +156,15 @@ def orbit_limit(
         start = [ibm_transition(1, sigma, h)], [R], [np.zeros((2, 2))], [max_steps]
         (prefix,) = filtering.covariance_prefixes(*start)
     P_pred, P, beta = prefix.P_pred, prefix.P_post, prefix.beta
+    n = len(beta)
+    # After a repeat of step i at step n - 1, steps i + 1, ..., n - 1 over again.
+    period = 0 if prefix.first is None else n - 1 - prefix.first
     # One row per step, one column per quantity, in SteadyState order.
-    rows = np.stack(
-        [P_pred[:, 1, 1], P[:, 1, 1], P_pred[:, 0, 1], P[:, 0, 1], beta[:, 0], beta[:, 1]], axis=1
-    )
-    # After a repeat of step i at step n, steps i + 1, ..., n over again.
-    period = 0 if prefix.first is None else len(rows) - 1 - prefix.first
-    rows = np.concatenate((rows, rows[len(rows) - period :]))[:max_steps]
+    rows = np.empty((min(n + period, max_steps), 6))
+    columns = (P_pred[:, 1, 1], P[:, 1, 1], P_pred[:, 0, 1], P[:, 0, 1], beta[:, 0], beta[:, 1])
+    for column, values in enumerate(columns):
+        rows[:n, column] = values[: len(rows)]
+    rows[n:] = rows[n - period : len(rows) - period]
     with np.errstate(over="ignore", invalid="ignore"):
         # Settled when every change is below tol (a NaN change never is).
         settled = (abs(np.diff(rows, axis=0)) < tol).all(axis=1)
@@ -277,12 +279,11 @@ def verify_order_bounds(
         if prefix.singular and len(prefix.rows) < n:
             raise filtering.SingularInnovation(f"h = {h!r}: {_SINGULAR}")
         P_pred, P, beta = prefix.P_pred[:n], prefix.P_post[:n], prefix.beta[:n]
-        # One row per step, one column per ORDER_BOUND_QUANTITIES entry.
-        track = np.stack(
-            [P_pred[:, 1, 1], P[:, 1, 1], abs(P[:, 0, 1]), abs(beta[:, 0]), abs(1.0 - beta[:, 1])],
-            axis=1,
+        # One column per ORDER_BOUND_QUANTITIES entry.
+        columns = (
+            P_pred[:, 1, 1], P[:, 1, 1], abs(P[:, 0, 1]), abs(beta[:, 0]), abs(1.0 - beta[:, 1])
         )
-        maxima[row] = track.max(axis=0)
+        maxima[row] = [values.max() for values in columns]
     fits = []
     keep = slice(ORDER_BOUND_DROP_LARGEST, None)
     for col, quantity in enumerate(ORDER_BOUND_QUANTITIES):

@@ -250,46 +250,53 @@ def track_steps(track: filtering.CovarianceTrack, n: int) -> tuple:
     return track.covariances(n, 0), track.covariances(n, 1), track.beta[track.rows[:n]]
 
 
-def two_check_mean_loop(f, A, m, starts, lengths, y, gains, m_post) -> list:
+def two_check_mean_loop(f, A, m, gains, means) -> list:
     """``filtering._mean_loop`` with a finiteness check of m_pred and of y at every step.
 
-    A cell whose predicted mean or data is not finite leaves at that step:
-    its slots are zeroed, with its later gains, and the steps it completed
-    are returned, as ``_mean_loop`` returns them.
+    One step at a time, each cell's gain read from its ``(beta, rows)`` and
+    its mean written to its own array at that step.  A cell whose predicted
+    mean or data is not finite leaves at that step: its slots are zeroed,
+    its gain is 0 from then on, and the steps it completed are returned, as
+    ``_mean_loop`` returns them.
     """
-    bounds, reached = starts.tolist(), lengths.tolist()
+    reached = [len(a) for a in means]
     stop = max(reached, default=0)
-    predicted, residual = np.empty_like(m), np.empty((len(m), 1, m.shape[2]))
+    q1, d = m.shape[1:]
+    predicted, residual = np.empty_like(m), np.empty((len(m), 1, d))
 
     def leave(n, bad, *rows):
         nonlocal stop
         for j in np.flatnonzero(bad).tolist():
-            if reached[j] > n:
-                gains[starts[n : reached[j]] + j] = 0.0
-                reached[j] = n
+            reached[j] = min(reached[j], n)
             for a in rows:
                 a[j] = 0.0
         stop = max(reached)
 
     n, k = 0, 0
     while n < stop:
-        lo, hi = bounds[n], bounds[n + 1]
-        if hi - lo != k:
-            k = hi - lo
+        running = sum(len(a) > n for a in means)
+        if running != k:
+            k = running
             Ak, mp, r, m = A[:k], predicted[:k], residual[:k], m[:k]
         np.matmul(Ak, m, out=mp)
         if np.count_nonzero(np.isfinite(mp)) != mp.size:
             leave(n, ~np.isfinite(mp).all(axis=(1, 2)), mp)
             if n >= stop:
                 break
-        yn = y[lo:hi]
+        yn = np.empty((k, d))
         yn[...] = f(mp[:, 0])
         if np.count_nonzero(np.isfinite(yn)) != yn.size:
             leave(n, ~np.isfinite(yn).all(axis=1), mp, yn)
         np.subtract(yn, mp[:, 1], out=r[:, 0])
-        m = m_post[lo:hi]
-        np.multiply(gains[lo:hi], r, out=m)
+        g = np.zeros((k, q1, 1))
+        for j, (beta, rows) in enumerate(gains[:k]):
+            if n < reached[j]:
+                g[j, :, 0] = beta[rows[n]]
+        m = np.empty((k, q1, d))
+        np.multiply(g, r, out=m)
         np.add(mp, m, out=m)
+        for j in range(k):
+            means[j][n] = m[j]
         n += 1
     return reached
 

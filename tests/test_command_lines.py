@@ -111,3 +111,30 @@ def test_output_matrix_runs_the_readme_examples():
         readme.append([arg for i, arg in enumerate(argv) if i not in drop])
     runs = module.runs()
     assert [runs[name][0] for name in module.README] == readme
+
+
+def test_output_matrix_against_lists_the_files_that_differ(monkeypatch, tmp_path, capsys):
+    # Two small trees stand in for the two sides' outputs: no solver runs.
+    module = load(ROOT / "scripts" / "output_matrix.py", "script_output_matrix")
+    trees = {
+        "parent": {"same.csv": "a\n", "differ.csv": "1\n", "sub/parent-only.svg": "<svg/>"},
+        "change": {"same.csv": "a\n", "differ.csv": "2\n", "change-only.stderr": "exit 0\n"},
+    }
+
+    sources = []
+
+    def write_side(argv, env, check, stdout):
+        side = pathlib.Path(argv[2])
+        sources.append((side.name, env["PYTHONPATH"]))
+        for name, text in trees[side.name].items():
+            (side / name).parent.mkdir(parents=True, exist_ok=True)
+            (side / name).write_text(text)
+
+    monkeypatch.setattr(module.subprocess, "run", write_side)
+    assert module.against(tmp_path / "parent_src", tmp_path / "out") == 1
+    assert sources == [("parent", str(tmp_path / "parent_src")), ("change", str(ROOT / "src"))]
+    listed = ["change-only.stderr", "differ.csv", str(pathlib.Path("sub/parent-only.svg"))]
+    assert module.differences(tmp_path / "out" / "parent", tmp_path / "out" / "change") == listed
+    assert [f"differs: {path}" for path in listed] == capsys.readouterr().out.splitlines()[:3]
+    trees["change"] = trees["parent"]
+    assert module.against(tmp_path / "parent_src", tmp_path / "again") == 0

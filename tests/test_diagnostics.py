@@ -220,6 +220,16 @@ class TestMatchesPerPointLoops:
         assert widths.widths.tobytes() == expected.widths.tobytes()
         assert widths.ratios.tobytes() == expected.ratios.tobytes()
 
+    @pytest.mark.parametrize("at", [slice(-1, None), slice(0, 1), slice(None, None, 3)])
+    @pytest.mark.parametrize("name", ["logistic", "linear"])
+    def test_credible_width_at_selected_points(self, name, at):
+        # Each selected point has the bits of the whole-mesh series, the start included.
+        problem = get_problem(name)
+        traj = solve(problem, PriorSpec(1), 0.05, PowerLawNoise(K_R=1.0, p=1), PerturbedInit(1.0))
+        whole, some = credible_width(traj, problem), credible_width(traj, problem, at=at)
+        for field in ("times", "widths", "ratios"):
+            assert getattr(some, field).tobytes() == getattr(whole, field)[at].tobytes()
+
 
 class TestWorkBound:
     @pytest.mark.parametrize("q", [1, 3])

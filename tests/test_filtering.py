@@ -1279,6 +1279,9 @@ class TestOneCheckMeanLoop:
     #: (slot, from step), a field f = x^2 from start means scaled per slot so
     #: that it overflows, data made infinite at (step, slot), and f(0) = inf,
     #: which a slot zeroed after its cell left gives.  f = -x otherwise.
+    #: "lone-cell" is a stack of one, which writes into its own array;
+    #: "blocks" runs stretches of more than one block (``_BLOCK`` steps), with
+    #: data found bad in the block after its step.
     CASES = {
         "nan-gains": dict(lengths=[40, 40, 30, 12], nan_gains=[(1, 5)]),
         "f-overflows": dict(lengths=[40, 30, 30, 12], square={2: 1e60, 3: 1e150}),
@@ -1287,6 +1290,8 @@ class TestOneCheckMeanLoop:
         "every-cell-at-once": dict(lengths=[20, 20, 20], bad_data=[(7, 0), (7, 1), (7, 2)]),
         "f-of-zero": dict(lengths=[40, 30, 30], nan_gains=[(0, 3)], zero_is_bad=True),
         "nan-gains-at-the-last-step": dict(lengths=[40, 30], nan_gains=[(1, 29)]),
+        "lone-cell": dict(lengths=[30], bad_data=[(17, 0)]),
+        "blocks": dict(lengths=[600, 520, 300], bad_data=[(255, 1)], nan_gains=[(0, 511)]),
     }
 
     #: Each case's steps completed per cell.
@@ -1298,24 +1303,27 @@ class TestOneCheckMeanLoop:
         "every-cell-at-once": [7, 7, 7],
         "f-of-zero": [4, 30, 30],
         "nan-gains-at-the-last-step": [40, 30],
+        "lone-cell": [17],
+        "blocks": [512, 255, 300],
     }
 
     @staticmethod
     def run(loop, lengths, nan_gains=(), square=None, bad_data=(), zero_is_bad=False):
-        """One mean loop on a crafted stack of q = 1 cells: (reached, y, m_post, gains, f's inputs)."""
+        """One mean loop on a crafted stack of q = 1 cells: (reached, means, f's inputs)."""
         rng = np.random.default_rng(len(lengths))
         lengths = np.array(lengths)
-        steps = np.arange(lengths[0])
-        starts = np.zeros(len(steps) + 1, np.intp)
-        np.cumsum(len(lengths) - np.searchsorted(lengths[::-1], steps, "right"), out=starts[1:])
         A = np.array([ibm_transition(1, 1.0, 0.1 * 2.0**-j).A for j in range(len(lengths))])
         m = rng.uniform(0.5, 1.0, size=(len(lengths), 2, 1))
         for j, scale in (square or {}).items():
             m[j] *= scale
-        gains = rng.uniform(0.1, 0.9, size=(starts[-1], 2, 1))
+        # The gains are drawn step-major: step n's rows are the cells whose track is longer.
+        running = len(lengths) - np.searchsorted(lengths[::-1], np.arange(lengths[0]), "right")
+        stacked = rng.uniform(0.1, 0.9, size=(running.sum(), 2))
+        starts = np.concatenate(([0], np.cumsum(running)))
+        gains = [stacked[starts[:n] + j] for j, n in enumerate(lengths)]
         for j, n in nan_gains:
-            gains[starts[n : lengths[j]] + j] = math.nan
-        y, m_post = np.full((starts[-1], 1), math.nan), np.full((starts[-1], 2, 1), math.nan)
+            gains[j][n:] = math.nan
+        means = [np.full((n, 2, 1), math.nan) for n in lengths]
         seen = []
 
         def f(x):
@@ -1329,19 +1337,36 @@ class TestOneCheckMeanLoop:
             return data
 
         with np.errstate(over="ignore", invalid="ignore"):
-            reached = loop(f, A, m, starts, lengths, y, gains, m_post)
-        return reached, y, m_post, gains, seen
+            reached = loop(f, A, m, [(g, np.arange(len(g))) for g in gains], means)
+        return reached, means, seen
 
     @pytest.mark.parametrize("case", list(CASES), ids=list(CASES))
     def test_equals_the_two_check_loop(self, case):
         got = self.run(filtering._mean_loop, **self.CASES[case])
         expected = self.run(oracles.two_check_mean_loop, **self.CASES[case])
         assert got[0] == expected[0] == self.REACHED[case]
-        for a, b in zip(got[1:4], expected[1:4]):
-            assert a.tobytes() == b.tobytes()
+        # Every row of every cell, its steps past the one it reached too: a
+        # gain not zeroed when its cell left would leave NaN there.
+        assert [a.tobytes() for a in got[1]] == [a.tobytes() for a in expected[1]]
         # f sees the same stacks, all finite.
-        assert [x.tobytes() for x in got[4]] == [x.tobytes() for x in expected[4]]
-        assert all(np.isfinite(x).all() for x in got[4])
+        assert [x.tobytes() for x in got[2]] == [x.tobytes() for x in expected[2]]
+        assert all(np.isfinite(x).all() for x in got[2])
+
+    def test_a_one_cell_stretch_writes_into_its_cells_array(self):
+        # Past step 12 the first cell runs alone: each of its means is in its
+        # array by the next call of f, not in a block buffer copied later.
+        A = np.array([ibm_transition(1, 1.0, 0.1).A, ibm_transition(1, 1.0, 0.05).A])
+        means = [np.full((40, 2, 1), math.nan), np.full((12, 2, 1), math.nan)]
+        gains = [(np.full((n, 2), 0.5), np.arange(n)) for n in (40, 12)]
+        written = []
+
+        def f(x):
+            if len(x) == 1:
+                written.append(np.count_nonzero(np.isfinite(means[0][:, 0, 0])))
+            return -x
+
+        assert filtering._mean_loop(f, A, np.ones((2, 2, 1)), gains, means) == [40, 12]
+        assert written == list(range(12, 40))
 
 
 class TestNonFiniteFixedPoint:

@@ -146,7 +146,7 @@ class TestOneCovariancePass:
     def kernel_calls(self, monkeypatch):
         """Count the kernel calls, patched where covariance_pass looks them up."""
         calls = {}
-        for name in ("predict_covariance", "update_covariance", "gain"):
+        for name in ("predict_covariance", "update_covariance"):
             original = getattr(filtering, name)
 
             def counted(*args, name=name, original=original):
@@ -158,7 +158,7 @@ class TestOneCovariancePass:
 
     @staticmethod
     def once_each(n):
-        return {"predict_covariance": n, "update_covariance": n, "gain": n}
+        return {"predict_covariance": n, "update_covariance": n}
 
     def test_solve_runs_the_kernel_once_per_step_up_to_the_first_repeat(self, kernel_calls):
         traj = solve(get_problem("linear"), PriorSpec(2, sigma=1.0), 0.1, parse_noise("zero"))
