@@ -14,6 +14,9 @@ must write byte-equal CSVs on both sides, or the script exits 1.
 
 It prints each side's median pass time with its quartiles, the median of
 the per-pair ratios change/parent and the pairs the change ran faster.
+After the timed pairs, one more untimed pass per side runs under
+``tracemalloc``, and its traced peak is printed: a deterministic
+in-process check of a memory change, beside perfbench's peak RSS.
 Separate processes can time the same code further apart than the gain
 being measured: min-of-40 ``steady`` timings of two checkouts whose steady
 code differs by one ``try`` ranged 0.94-1.77x across processes, and read
@@ -30,6 +33,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
@@ -55,6 +59,16 @@ def one_pass(cli, calls, out: pathlib.Path) -> float:
         if cli.main(argv) != 0:
             raise SystemExit(f"interleave: {' '.join(call.argv)} failed")
     return time.perf_counter() - start
+
+
+def traced_peak(cli, calls, out: pathlib.Path) -> int:
+    """Bytes at the traced allocations' peak over one pass of the workload's calls."""
+    tracemalloc.start()
+    try:
+        one_pass(cli, calls, out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def quartiles(values: list) -> tuple:
@@ -101,6 +115,7 @@ def main(argv=None) -> int:
                 if not same_csvs(calls, outs):
                     print("interleave: the two sides' CSVs differ", file=sys.stderr)
                     return 1
+            peaks = {side: traced_peak(clis[side], calls, outs[side]) for side in SIDES}
         finally:
             sys.path.remove(str(tmp))
             for name in [name for name in sys.modules if name.startswith("odefilter_")]:
@@ -113,6 +128,8 @@ def main(argv=None) -> int:
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
     print(f"change/parent: median ratio {statistics.median(ratios):.3f}")
     print(f"change faster in {wins} of {args.pairs} pairs")
+    for side in SIDES:
+        print(f"{side}: traced peak {peaks[side] / 1e6:.3f} MB")
     return 0
 
 

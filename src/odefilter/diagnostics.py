@@ -37,7 +37,8 @@ class ErrorSeries:
 
     ``eps`` (N+1, q+1, d), m^(i)(t) - x^(i)(t), and ``h_norm_series`` are
     built on first read from ``source``, the (trajectory, problem, exact
-    values) of ``global_error``; ``norms0`` holds ||eps[:, 0]|| per point.
+    values) of ``global_error``, which leaves the exact values as ``exact``
+    returned them; ``norms0`` holds ||eps[:, 0]|| per point.
     """
 
     times: np.ndarray
@@ -62,14 +63,22 @@ def global_error(traj: Trajectory, problem: IVProblem) -> ErrorSeries:
     """Errors m^(i)(nh) - x^(i)(nh) along the whole mesh, t = 0 included.
 
     The exact solution is evaluated once, at ``traj.times()``.  Only the
-    value errors' norms are computed here.
+    value errors' norms are computed here, in the array g_0(x) returns (a
+    copy where that is x itself or read-only): the value means are
+    subtracted from it and it is squared in place, then summed per point.
+    These are the bits of ``np.linalg.norm(values - g_0(x), axis=1)``, with
+    no whole-mesh scratch beyond x and g_0(x).
     """
     if problem.exact is None:
         raise MissingExact(f"problem {problem.name!r} has no exact solution")
     times = traj.times()
     x = problem.exact(times)
-    values = np.concatenate((traj.initial.m[None, 0], traj.m_post[:, 0]))
-    norms = np.linalg.norm(values - problem.derivative(0)(x), axis=1)
+    err = problem.derivative(0)(x)
+    if np.may_share_memory(err, x) or not err.flags.writeable:
+        err = err.copy()
+    np.subtract(traj.initial.m[0], err[0], out=err[0])
+    np.subtract(traj.m_post[:, 0], err[1:], out=err[1:])
+    norms = np.sqrt(np.add.reduce(np.multiply(err, err, out=err), axis=1))
     return ErrorSeries(times, float(norms.max()), norms, (traj, problem, x))
 
 

@@ -39,14 +39,17 @@ k = i + 1 + (m - n - 1) mod (n - i) in all but P_00.
 ``covariance_prefixes`` runs a stack of cells side by side (numpy's stacked
 matmul runs the same BLAS product per matrix, so each cell keeps its bytes)
 up to each cell's first repeat, bound or singular innovation: its *prefix*,
-a ``CovarianceTrack`` (each distinct step stored once) whose rows are its
-own steps.  ``covariance_track`` cuts a long enough track, or fills a prefix
-that ends at a repeat once: each later step maps to its step k, and P_00 is
-recomputed with the kernel's own arithmetic in verified blocks
-(``_fill_period``), up to the first non-finite P_00 (the next step would be
-NaN, 0 * inf).  A track that ends before the mesh ends the run there,
-diverged; a singular innovation ends the track, and ``solve`` raises it
-only if its mean loop reaches that step.
+a ``CovarianceTrack`` whose rows are its own steps.  ``covariance_track``
+cuts a long enough track, or fills a prefix that ends at a repeat once:
+each later step maps to its step k, derived where a slice of steps is read
+(no row array is stored), and its updated P_00 is recomputed with the
+kernel's own arithmetic in verified blocks (``_fill_period``), up to the
+first non-finite P_00 (the next step would be NaN, 0 * inf).  So a filled
+track stores 8 bytes a step past its prefix; a predicted P_00 there is
+rebuilt on read with the same arithmetic on the same inputs.  A track that
+ends before the mesh ends the run there, diverged; a singular innovation
+ends the track, and ``solve`` raises it only if its mean loop reaches that
+step.
 """
 
 from __future__ import annotations
@@ -309,17 +312,16 @@ def _shared_tracks(passes: Sequence[tuple]) -> Iterator[CovarianceTrack]:
     last = {key: c for c, key in enumerate(keys)}
     for c, key in enumerate(keys):
         # The first pass fills the prefix to the longest mesh; the others cut it.
-        tm, R, _, steps = distinct[key]
-        tracks[key] = covariance_track(tm, R, tracks[key], steps)
+        tracks[key] = covariance_track(tracks[key], distinct[key][3])
         yield tracks[key] if last[key] > c else tracks.pop(key)
 
 
 def _mean_pass(f, runs: Sequence[tuple], shared: list) -> Iterator[Trajectory]:
     """The trajectories of a stack of cells of one problem and q, given their shared tracks."""
-    tracks = [covariance_track(tm, R, track, n) for (tm, R, _, n), track in zip(runs, shared)]
-    order = sorted(range(len(runs)), key=lambda c: -len(tracks[c].rows))
+    tracks = [covariance_track(track, run[3]) for run, track in zip(runs, shared)]
+    order = sorted(range(len(runs)), key=lambda c: -len(tracks[c].P00))
     q1, d = runs[0][2].m.shape
-    means = [np.empty((len(tracks[c].rows), q1, d)) for c in order]
+    means = [np.empty((len(tracks[c].P00), q1, d)) for c in order]
     A = np.array([runs[c][0].A for c in order])
     m = np.array([runs[c][2].m for c in order])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -337,9 +339,9 @@ def _gather(run, f, track, means) -> Trajectory:
     """The trajectory of a cell of a stacked mean pass whose posterior means are ``means``."""
     tm, _, initial, n_steps = run
     n = len(means)
-    if track.singular and n == len(track.rows):
+    if track.singular and n == len(track.P00):
         raise SingularInnovation("singular innovation: P_pred[1, 1] + R = 0")
-    P00 = _read_only(track.P00[:n, 1])
+    P00 = _read_only(track.P00[:n])
     return Trajectory(tm.h, initial, _read_only(means), P00, n < n_steps, (tm.A, f, track))
 
 
@@ -367,10 +369,11 @@ def _mean_loop(f, A, m, gains, means) -> list:
     """The mean recursion of a stack of cells, longest first; returns each cell's steps completed.
 
     Cell j's gain at step n is ``beta[rows[n]]`` of its ``gains[j] = (beta,
-    rows)``, and its posterior mean goes to ``means[j][n]``, one row per step
-    of its track; m holds the start means.  A step checks only its predicted
-    means A m: data that is not finite makes the mean it updates, and so the
-    next predicted mean, not finite (A_00 = 1).  So a cell whose data at step
+    rows)`` (``rows`` is read one block's slice at a time), and its
+    posterior mean goes to ``means[j][n]``, one row per step of its track;
+    m holds the start means.  A step checks only its predicted means A m:
+    data that is not finite makes the mean it updates, and so the next
+    predicted mean, not finite (A_00 = 1).  So a cell whose data at step
     n - 1 is not finite is found at step n, or when its track ends, and
     leaves at step n - 1, as if checked then; only the last step's data is
     kept, for that check, and ``f`` only ever sees a finite stack.  The
@@ -449,27 +452,74 @@ def _mean_loop(f, A, m, gains, means) -> list:
 class CovarianceTrack:
     """One cell's covariances and gains over its first steps, each distinct step stored once.
 
-    Step n is row ``rows[n]`` of P_pred, P_post and beta, but for its two
-    P_00 entries, which are ``P00[n]`` (predicted, updated).  ``first`` is
-    the earlier step whose closed block the last step repeats (in full, at
-    a non-finite fixed point), or None; ``singular`` says that the step
-    after the last one has a singular innovation.  A prefix
-    (``covariance_prefixes``, read-only) is a track whose rows are its steps.
+    ``P_pred``, ``P_post`` and ``beta`` hold the steps of a prefix (see
+    ``covariance_prefixes``), read-only; step s is their row ``rows[s]``
+    but for its two P_00 entries.  ``P00`` holds the posterior P_00 of each
+    step, 8 bytes a step; a predicted P_00 past the prefix is rebuilt on
+    read from the step before (``covariances``).  ``first`` is the earlier
+    step whose closed block the prefix's last step repeats (in full, at a
+    non-finite fixed point), or None; ``singular`` says that the step after
+    the last one has a singular innovation.  ``tm`` and ``R`` are the
+    pass's transition and measurement variance.
     """
 
+    tm: TransitionModel
+    R: float
     P_pred: np.ndarray
     P_post: np.ndarray
     beta: np.ndarray
-    rows: np.ndarray
     P00: np.ndarray
     first: Optional[int]
     singular: bool
 
+    @property
+    def rows(self) -> _Rows:
+        """The row of P_pred, P_post and beta of each step, derived where a slice is read."""
+        return _Rows(len(self.P00), len(self.beta) - 1, self.first)
+
     def covariances(self, n: int, k: int) -> np.ndarray:
         """The predicted (k = 0) or updated (k = 1) covariance of each of the first n steps."""
-        P = (self.P_pred, self.P_post)[k][self.rows[:n]]
-        P[:, 0, 0] = self.P00[:n, k]
+        rows = self.rows[:n]
+        P = (self.P_pred, self.P_post)[k][rows]
+        prefix = len(self.beta)
+        if k:
+            P[:, 0, 0] = self.P00[:n]
+        elif n > prefix:
+            # The fill's own arithmetic (``_fill_period``) on the same inputs: the same bits.
+            previous = self.P_post[rows[prefix - 1 : n - 1]]
+            with np.errstate(over="ignore", invalid="ignore"):
+                P[prefix:, 0, 0] = _p00_predicted(self.tm, previous, self.P00[prefix - 1 : n - 1])
         return P
+
+
+@dataclasses.dataclass(frozen=True)
+class _Rows:
+    """The row of each of a track's ``steps``: a slice of them is built when it is read.
+
+    Step s is row s up to the prefix's last step n, and
+    first + 1 + (s - n - 1) mod (n - first) after it.
+    """
+
+    steps: int
+    n: int
+    first: Optional[int]
+
+    def __len__(self) -> int:
+        return self.steps
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        """The rows of the consecutive steps ``key`` selects (its step must be 1)."""
+        start, stop, step = key.indices(self.steps)
+        if step != 1:
+            raise ValueError("track rows are read in slices of consecutive steps")
+        s = np.arange(start, stop)
+        past = s[max(self.n + 1 - start, 0) :]  # a view: the steps after the prefix
+        if len(past):
+            n, i = self.n, self.first
+            past -= n + 1
+            past %= n - i
+            past += i + 1
+        return s
 
 
 def covariance_prefixes(
@@ -515,7 +565,7 @@ def covariance_prefixes(
             for j, c in enumerate(cells.tolist()):
                 pieces[c].append([a[:, j] for a in stacked])
         for c in cells[~stay].tolist():
-            prefixes[c] = _prefix(pieces[c], first.pop(c, None), singular)
+            prefixes[c] = _prefix(tms[c], Rs[c], pieces[c], first.pop(c, None), singular)
             pieces[c] = None
 
     end = 0
@@ -553,94 +603,95 @@ def covariance_prefixes(
     return prefixes
 
 
-def _prefix(pieces: list, first: Optional[int], singular: bool) -> CovarianceTrack:
+def _prefix(tm, R, pieces: list, first: Optional[int], singular: bool) -> CovarianceTrack:
     """A cell's prefix from its pieces, each a (P_pred, P_post, beta) run of its steps."""
     P_pred, P_post, beta = (_read_only(np.concatenate(column)) for column in zip(*pieces))
-    P00 = np.empty((len(beta), 2))
-    P00[:, 0], P00[:, 1] = P_pred[:, 0, 0], P_post[:, 0, 0]
-    return CovarianceTrack(P_pred, P_post, beta, np.arange(len(beta)), P00, first, singular)
+    return CovarianceTrack(tm, R, P_pred, P_post, beta, P_post[:, 0, 0], first, singular)
 
 
-def covariance_track(
-    tm: TransitionModel, R: float, track: CovarianceTrack, n_steps: int
-) -> CovarianceTrack:
+def covariance_track(track: CovarianceTrack, n_steps: int) -> CovarianceTrack:
     """The first n_steps steps of the recursion that ``track`` begins, bit for bit, or fewer.
 
     A track at least that long is cut, and shares its arrays.  A shorter
-    one with no repeat, which ends at a singular innovation or at a
-    non-finite P_00, is returned as it is.  A prefix that ends at a repeat
-    is filled once, sharing its arrays (``_fill_period``), up to the mesh
-    or to the first step whose previous P_00 is not finite, where the
-    track, and so the run, ends.
+    one that is not a whole prefix ending at a repeat (it ends at a
+    singular innovation or at a non-finite P_00, or was cut or filled
+    before) is returned as it is.  A prefix that ends at a repeat is
+    filled, sharing its arrays (``_fill_period``), up to the mesh or to the
+    first step whose previous P_00 is not finite, where the track, and so
+    the run, ends.
     """
-    if len(track.rows) >= n_steps:
-        cut = (track.rows[:n_steps], track.P00[:n_steps], None, False)
-        return CovarianceTrack(track.P_pred, track.P_post, track.beta, *cut)
-    if track.first is None:
+    if len(track.P00) >= n_steps:
+        return dataclasses.replace(track, P00=track.P00[:n_steps], singular=False)
+    if track.first is None or len(track.P00) != len(track.beta):
         return track
-    i, n = track.first, len(track.rows) - 1
-    period = i + 1 + np.arange(n_steps - n - 1) % (n - i)
-    P00 = np.concatenate((track.P00, np.empty((len(period), 2))))
+    P00 = np.empty(n_steps)
+    P00[: len(track.P00)] = track.P00
     with np.errstate(over="ignore", invalid="ignore"):
-        filled = n + 1 + _fill_period(tm, R, track, period, P00)
-    rows = np.concatenate((track.rows, period))[:filled]
-    return CovarianceTrack(track.P_pred, track.P_post, track.beta, rows, P00[:filled], None, False)
+        filled = len(track.P00) + _fill_period(track, P00)
+    return dataclasses.replace(track, P00=P00[:filled])
 
 
-def _fill_period(tm, R, track: CovarianceTrack, period, P00) -> int:
-    """Write the (predicted, updated) P_00 of each step after the prefix ``track`` into ``P00``.
+def _fill_period(track: CovarianceTrack, P00) -> int:
+    """Write the updated P_00 of each step after the prefix ``track`` into ``P00``.
 
-    Step n + 1 + m (n the prefix's last step) repeats row ``period[m]`` but
-    for P_00.  Returns the steps filled: all, or up to the first whose
-    previous P_00 is not finite.  A block of steps guesses each previous
-    P_00 (the last exact one plus the increments one period back), runs at
-    once (``_p00_steps``) and keeps its steps up to the first wrong guess,
-    bits compared, each of which read the exact output of the step before.
-    A guess is wrong where a step's increment rounds differently from the
-    one a period earlier, mostly by one ulp of P_00 within a binade; a
-    crossing into the next binade is a rarer cause.  Blocks hold 16 steps,
-    twice as many (at most 4,096) after a block kept whole, max(16, 2j)
-    after one that kept j.
+    Step n + 1 + m (n the prefix's last step) repeats a row of the prefix
+    (``CovarianceTrack.rows``) but for P_00.  Returns the steps filled:
+    all of ``P00``, or up to the first whose previous P_00 is not finite.
+    A block of steps guesses each previous P_00 (the last exact one plus
+    the increments one period back), runs at once (``_p00_steps``) and
+    keeps its steps up to the first wrong guess, bits compared, each of
+    which read the exact output of the step before.  A guess is wrong
+    where a step's increment rounds differently from the one a period
+    earlier, mostly by one ulp of P_00 within a binade; a crossing into the
+    next binade is a rarer cause.  Blocks hold 16 steps, twice as many (at
+    most 4,096) after a block kept whole, max(16, 2j) after one that kept j.
     """
-    n, p = len(track.rows) - 1, len(track.rows) - 1 - track.first
-    reads = np.concatenate(([n], period[:-1]))  # the row of each step's previous posterior
+    n, p = len(track.beta) - 1, len(track.beta) - 1 - track.first
+    rows = _Rows(len(P00), n, track.first)
     # drop is what the update subtracts from P_pred_00; it repeats with the period.
     P01, P11 = track.P_pred[:, 0, 1], track.P_pred[:, 1, 1]
-    drops = P01 * P01 / (P11 + R)
-    updated, cycle = P00[:, 1], np.arange(4096) % p
+    drops = P01 * P01 / (P11 + track.R)
+    cycle = np.arange(4096) % p
     done, size = 0, 16
-    while done < len(period):
+    while n + 1 + done < len(P00):
         last = n + done  # the last step filled, and so exact
-        if not math.isfinite(updated[last]):
+        if not math.isfinite(P00[last]):
             return done
-        b = min(size, len(period) - done)
-        block = slice(done, done + b)
-        increments = updated[last - p + 1 : last + 1] - updated[last - p : last]
-        guesses = np.concatenate((updated[last : last + 1], increments[cycle[: b - 1]])).cumsum()
-        predicted, post = _p00_steps(tm, track.P_post[reads[block]], guesses, drops[period[block]])
+        b = min(size, len(P00) - 1 - last)
+        block = rows[last : last + b + 1]  # the row of each step's previous posterior, then its own
+        increments = P00[last - p + 1 : last + 1] - P00[last - p : last]
+        guesses = np.concatenate((P00[last : last + 1], increments[cycle[: b - 1]])).cumsum()
+        post = _p00_steps(track.tm, track.P_post[block[:-1]], guesses, drops[block[1:]])
         # A wrong guess, or a non-finite P_00 that the next step must not read, ends the steps kept.
         bad = (guesses[1:].view(np.int64) != post[:-1].view(np.int64)) | ~np.isfinite(post[:-1])
         wrong = np.flatnonzero(bad)
         kept = int(wrong[0]) + 1 if len(wrong) else b
-        P00[n + 1 + done : n + 1 + done + kept, 0] = predicted[:kept]
-        P00[n + 1 + done : n + 1 + done + kept, 1] = post[:kept]
+        P00[last + 1 : last + 1 + kept] = post[:kept]
         size = min(2 * size, 4096) if kept == size else max(16, 2 * kept)
         done += kept
     return done
 
 
-def _p00_steps(tm, P, previous, drops) -> tuple:
-    """The (predicted, updated) P_00 of the steps from the posteriors P with P_00 ``previous``.
+def _p00_steps(tm, P, previous, drops) -> np.ndarray:
+    """The updated P_00 of the steps from the posteriors P with P_00 ``previous``.
+
+    The predicted P_00 (``_p00_predicted``), then the update's - drop and
+    symmetrize.
+    """
+    u = _p00_predicted(tm, P, previous) - drops
+    return 0.5 * (u + u)
+
+
+def _p00_predicted(tm, P, previous) -> np.ndarray:
+    """The predicted P_00 of the steps from the posteriors P with P_00 ``previous``.
 
     The kernel's own arithmetic: the full A P A^T of ``predict_covariance``
     (the same BLAS product per matrix; A[:1] P A[:1]^T rounds differently),
-    + Q_00 and its symmetrize, then the update's - drop and symmetrize.
+    + Q_00 and its symmetrize.  P is overwritten.
     """
     P[:, 0, 0] = previous
     v = (tm.A @ P @ tm.A.T)[:, 0, 0] + tm.Q[0, 0]
-    v = 0.5 * (v + v)
-    u = v - drops
-    return v, 0.5 * (u + u)
+    return 0.5 * (v + v)
 
 
 def predict_covariance(P: np.ndarray, tm: TransitionModel) -> np.ndarray:

@@ -5,15 +5,18 @@ closed-form solution, and analytic total derivatives of the solution map:
 ``derivatives[0]`` is the identity, ``derivatives[1]`` the vector field f,
 and ``derivatives[i]`` the i-th total derivative obtained by the chain
 rule along the flow.  The scalar problems have polynomial vector fields,
-so the whole derivative chain is generated exactly by polynomial algebra;
-the linear system uses matrix powers.
+so the whole derivative chain is generated exactly from coefficient arrays
+(g_i = g_{i-1}' f: a derivative's coefficients, then a convolution); the
+linear system uses matrix powers.
 
 ``f`` and each derivative map take a stack of states ``(..., d)`` to the same
 shape, pointwise (each packaged problem's ``f`` is its ``derivatives[1]``), so
 a sweep evaluates the field of all its cells in one call; ``exact`` maps times
 ``(N,)`` to ``(N, d)``.  ``exact`` maps ``math`` over each column: numpy's
 vectorized transcendentals may round differently, while a product or sum it
-forms on the way is the same float64 operation as Python's.
+forms on the way is the same float64 operation as Python's.  It runs in
+chunks of ``_CHUNK`` points, so that the Python floats it makes never span
+the whole mesh.
 
 The tests check each closed-form solution against the ODE by finite
 differences, and against an independent RK4 oracle (``tests/oracles.py``).
@@ -27,7 +30,6 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 __all__ = [
     "IVProblem",
@@ -41,6 +43,9 @@ __all__ = [
 
 #: Highest total derivative generated for the packaged problems (supports q <= 5).
 DERIVATIVE_DEPTH = 6
+
+#: Points per chunk of a packaged ``exact`` map.
+_CHUNK = 1024
 
 
 class MissingDerivative(LookupError):
@@ -69,18 +74,18 @@ class IVProblem:
         return self.derivatives[i]
 
 
-def _horner(poly: Polynomial) -> Callable[[np.ndarray], np.ndarray]:
-    """``poly`` as a pointwise map on arrays, equal bit for bit to ``poly(x)``.
+def _horner(coef: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The polynomial with coefficients ``coef`` (lowest first) as a pointwise map on arrays.
 
     Runs numpy's Horner loop ``c0 = c[-1] + x * 0``, ``c0 = c[i] + c0 * x``
-    of ``Polynomial.__call__`` without its per-call array set-up or its
-    domain map ``0 + 1 x``, which changes only the sign of a zero x: then
-    each ``c[i] + c0 * x`` adds a zero to c[i], the same bits for either
-    sign unless c[i] is -0.0.
+    of ``Polynomial.__call__``, bit for bit, without its per-call array
+    set-up or its domain map ``0 + 1 x``, which changes only the sign of a
+    zero x: then each ``c[i] + c0 * x`` adds a zero to c[i], the same bits
+    for either sign unless c[i] is -0.0.
     """
-    if poly.mapparms() != (0.0, 1.0) or np.signbit(poly.coef[poly.coef == 0.0]).any():
-        raise ValueError("a polynomial map needs the identity domain and no -0.0 coefficient")
-    *rest, last = poly.coef.tolist()
+    if np.signbit(coef[coef == 0.0]).any():
+        raise ValueError("a polynomial map needs no -0.0 coefficient")
+    *rest, last = coef.tolist()
     rest.reverse()
 
     def g(x):
@@ -93,19 +98,37 @@ def _horner(poly: Polynomial) -> Callable[[np.ndarray], np.ndarray]:
     return g
 
 
+def _trim(coef: np.ndarray) -> np.ndarray:
+    """``coef`` without its trailing zeros, one coefficient kept at least."""
+    nonzero = np.flatnonzero(coef)
+    return coef[: nonzero[-1] + 1] if len(nonzero) else coef[:1]
+
+
+def _derivative_chain(f: np.ndarray, depth: int) -> list:
+    """The coefficients of g_0 = x, g_1 = f, ..., g_depth, where g_i = g_{i-1}' f.
+
+    Each step is ``Polynomial.deriv`` then ``*`` on the coefficients
+    (``polyder``'s ``j c[j]``, then ``polymul``'s ``np.convolve`` and trim),
+    so for an f whose last coefficient is nonzero the chain equals
+    ``Polynomial``'s bit for bit.
+    """
+    chain = [np.array([0.0, 1.0]), f]
+    for _ in range(2, depth + 1):
+        c = chain[-1]
+        chain.append(_trim(np.convolve(c[1:] * np.arange(1, len(c)), f)))
+    return chain
+
+
 def _polynomial_problem(
     name: str,
-    f_poly: Polynomial,
+    f_coef: list,
     x0: float,
     T: float,
     exact: Callable[[np.ndarray], np.ndarray],
     depth: int = DERIVATIVE_DEPTH,
 ) -> IVProblem:
-    """Scalar problem with a polynomial field; derivative chain is exact."""
-    chain = [Polynomial([0.0, 1.0]), f_poly]
-    for _ in range(2, depth + 1):
-        chain.append(chain[-1].deriv() * f_poly)
-    derivatives = tuple(_horner(p) for p in chain)
+    """Scalar problem with a polynomial field (coefficients lowest first); its chain is exact."""
+    derivatives = tuple(_horner(c) for c in _derivative_chain(np.array(f_coef), depth))
     return IVProblem(
         name=name,
         d=1,
@@ -117,6 +140,18 @@ def _polynomial_problem(
     )
 
 
+def _in_chunks(d: int, exact_chunk: Callable[[np.ndarray], np.ndarray]):
+    """The ``exact`` map, times (N,) to (N, d), that calls ``exact_chunk`` on ``_CHUNK`` times."""
+
+    def exact(ts: np.ndarray) -> np.ndarray:
+        out = np.empty((len(ts), d))
+        for start in range(0, len(ts), _CHUNK):
+            out[start : start + _CHUNK] = exact_chunk(ts[start : start + _CHUNK])
+        return out
+
+    return exact
+
+
 def logistic() -> IVProblem:
     """Logistic growth x' = 3 x (1 - x), x(0) = 0.1, on [0, 1.5]."""
     lam0, lam1, x0 = 3.0, 1.0, 0.1
@@ -126,7 +161,7 @@ def logistic() -> IVProblem:
         return lam1 * x0 * e / (lam1 + x0 * (e - 1.0))
 
     return _polynomial_problem(
-        "logistic", Polynomial([0.0, lam0, -lam0 / lam1]), x0, 1.5, exact
+        "logistic", [0.0, lam0, -lam0 / lam1], x0, 1.5, _in_chunks(1, exact)
     )
 
 
@@ -136,7 +171,7 @@ def riccati() -> IVProblem:
     def exact(ts: np.ndarray) -> np.ndarray:
         return np.array([(t + 1.0) ** -0.5 for t in ts.tolist()])[:, None]
 
-    return _polynomial_problem("riccati", Polynomial([0.0, 0.0, 0.0, -0.5]), 1.0, 1.0, exact)
+    return _polynomial_problem("riccati", [0.0, 0.0, 0.0, -0.5], 1.0, 1.0, _in_chunks(1, exact))
 
 
 def linear_rotation() -> IVProblem:
@@ -161,7 +196,7 @@ def linear_rotation() -> IVProblem:
         derivatives=derivatives,
         x0=np.array([0.0, 1.0]),
         T=10.0,
-        exact=exact,
+        exact=_in_chunks(2, exact),
     )
 
 

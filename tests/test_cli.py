@@ -526,12 +526,14 @@ def test_preset_csv_equals_the_full_pass(argv, tmp_path, monkeypatch):
     assert out.read_bytes() == expected.read_bytes()
 
 
-def test_fig2_traced_peak_is_under_5_5_mb(tmp_path):
-    """A fig2 sweep's traced allocations peak under 5.5 MB (about 4.7 MB; the test takes ~2 s).
+def test_fig2_traced_peak_is_under_4_mb(tmp_path):
+    """A fig2 sweep's traced allocations peak under 4.0 MB (about 3.5 MB; the test takes ~2 s).
 
     Gathering every cell's per-step arrays, which no row reads, peaked at
     8.9 MB; step-major mean-pass arrays (data, gains, means) and a gathered
-    copy of each cell's means peaked at 6.1-6.4 MB.
+    copy of each cell's means peaked at 6.1-6.4 MB; a row index and two
+    P_00 per filled track step, with whole-mesh scratch in ``global_error``,
+    at 4.7 MB.
     """
     tracemalloc.start()
     try:
@@ -539,7 +541,7 @@ def test_fig2_traced_peak_is_under_5_5_mb(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.5e6
+    assert peak < 4.0e6
 
 
 #: The settings each subcommand reads, besides --config.

@@ -46,6 +46,41 @@ class TestGlobalError:
         assert np.all(series.eps == 0.0)
         assert np.all(series.h_norm_series == 0.0)
 
+    @pytest.mark.parametrize("kind", ["identity", "read-only"])
+    @pytest.mark.parametrize("name", ["logistic", "linear"])
+    def test_g0_output_that_is_x_or_read_only_is_left_alone(self, name, kind):
+        # global_error subtracts and squares in the array g_0 returns; where
+        # that is x itself, or read-only, it must work on a copy.
+        packaged, arrays = get_problem(name), []
+
+        def keep(a):
+            arrays.append((a, a.copy()))
+            return a
+
+        def g0(x):
+            if kind == "identity":
+                return x
+            value = np.array(x)
+            value.setflags(write=False)
+            return keep(value)
+
+        problem = dataclasses.replace(
+            packaged,
+            exact=lambda ts: keep(packaged.exact(ts)),
+            derivatives=(g0, *packaged.derivatives[1:]),
+        )
+        traj = solve(problem, PriorSpec(2), 0.05, PowerLawNoise(K_R=1.0, p=2), PerturbedInit(1.0))
+        arrays.clear()
+        series = global_error(traj, problem)
+        assert len(arrays) == (1 if kind == "identity" else 2)
+        assert all(a.tobytes() == before.tobytes() for a, before in arrays)
+        assert series.source[2] is arrays[0][0]
+        oracle = global_error_loop(traj, pointwise_problem(packaged))
+        assert series.norms0.tobytes() == oracle.norms0.tobytes()
+        assert np.float64(series.max_eps0).tobytes() == np.float64(oracle.max_eps0).tobytes()
+        assert series.eps.tobytes() == oracle.eps.tobytes()
+        assert series.h_norm_series.tobytes() == oracle.h_norm_series.tobytes()
+
     def test_riccati_one_step_value(self):
         # Oracle: subtract the closed-form solution from the worked-example
         # posterior mean, 305141/320000 - (1.1)^(-1/2).

@@ -798,9 +798,9 @@ class TestSharedTracks:
             n = round(1.5 / spec.h)
             tm, R = spec.prior.transition(spec.h), spec.noise.evaluate(spec.h)
             (prefix,) = covariance_prefixes([tm], [R], [initial_covariance(1, spec.h, mode)], [n])
-            own = track_steps(filtering.covariance_track(tm, R, prefix, n), n)
+            own = track_steps(filtering.covariance_track(prefix, n), n)
             longer += len(track.rows) == round(10.0 / spec.h)
-            cut = filtering.covariance_track(tm, R, track, n)
+            cut = filtering.covariance_track(track, n)
             for got in (track_steps(track, n), track_steps(cut, n)):
                 for a, b in zip(got, own):
                     assert a.tobytes() == b.tobytes()
@@ -814,20 +814,20 @@ class TestSharedTracks:
         tm, R, start, n = FILLED[case]()
         (prefix,) = covariance_prefixes([tm], [R], [start], [n])
         assert prefix.first is not None and len(prefix.rows) < n
-        full = filtering.covariance_track(tm, R, prefix, n)
+        full = filtering.covariance_track(prefix, n)
         filled = len(full.rows)
         assert not full.singular
         # Only a non-finite previous P_00 ends a fill before the mesh.
         assert (filled < n) == (case in ("perturbed-1e300", "overflow"))
         if filled < n:
-            assert not np.isfinite(full.P00[-1, 1])
+            assert not np.isfinite(full.P00[-1])
         if case == "overflow":
             # More than one block in, at the first non-finite P_00.
-            assert filled > len(prefix.rows) + 16 and np.isfinite(full.P00[:-1, 1]).all()
+            assert filled > len(prefix.rows) + 16 and np.isfinite(full.P00[:-1]).all()
         with np.errstate(over="ignore", invalid="ignore"):
             expected = list(itertools.islice(covariance_pass(tm, R, start), filled))
         for bound in [bound for bound in (1, 2, 7, 300) if bound < filled] + [filled]:
-            cut = filtering.covariance_track(tm, R, full, bound)
+            cut = filtering.covariance_track(full, bound)
             assert len(cut.rows) == bound
             for got, column in zip(track_steps(cut, bound), zip(*expected[:bound])):
                 assert got.tobytes() == np.array(column).tobytes()
@@ -836,8 +836,8 @@ class TestSharedTracks:
         tm, R, P0, _ = crafted_singular_cell(1)
         (prefix,) = covariance_prefixes([tm], [R], [P0], [15])
         assert prefix.singular and len(prefix.rows) == 1
-        assert not filtering.covariance_track(tm, R, prefix, 1).singular
-        assert filtering.covariance_track(tm, R, prefix, 5).singular
+        assert not filtering.covariance_track(prefix, 1).singular
+        assert filtering.covariance_track(prefix, 5).singular
 
 
 def sweep_tracks(specs, mode, monkeypatch):
@@ -872,7 +872,7 @@ def assert_own_passes(tracks, mode):
     for (prior, h, R), n in meshes.items():
         tm, start = prior.transition(h), initial_covariance(prior.q, h, mode)
         (prefix,) = covariance_prefixes([tm], [R], [start], [n])
-        own[prior, h, R] = filtering.covariance_track(tm, R, prefix, n)
+        own[prior, h, R] = filtering.covariance_track(prefix, n)
     for spec, track in tracks:
         expected = own[spec.prior, spec.h, spec.noise.evaluate(spec.h)]
         n = round(get_problem(spec.problem).T / spec.h)
@@ -912,6 +912,32 @@ class TestSweepPasses:
     def test_every_preset_track_is_its_own_pass(self, monkeypatch, preset, grid, mode, passes):
         tracks, run = sweep_tracks(preset_specs(preset, grid), mode, monkeypatch)
         assert run == passes and assert_own_passes(tracks, mode) == sum(passes)
+
+    @pytest.mark.parametrize("mode", [EXACT, PERTURBED], ids=["exact", "perturbed"])
+    @pytest.mark.parametrize("preset", ["fig1", "fig2", "figC"])
+    def test_every_preset_tracks_rows_are_the_prefix_then_its_period(
+        self, monkeypatch, preset, mode
+    ):
+        # A track stores no rows: each slice read is derived from the prefix's
+        # last step n and its repeat ``first``.  It must equal the row array
+        # a fill once stored, ``concatenate((arange(n + 1), period))``.
+        tracks, _ = sweep_tracks(preset_specs(preset, (0.1, 2.0, 8)), mode, monkeypatch)
+        filled = 0
+        for spec, shared in tracks:
+            cut = filtering.covariance_track(shared, round(get_problem(spec.problem).T / spec.h))
+            for track in (shared, cut):
+                n, i, steps = len(track.beta) - 1, track.first, len(track.P00)
+                stored = np.arange(n + 1)
+                if steps > n + 1:
+                    period = i + 1 + np.arange(steps - n - 1) % (n - i)
+                    stored = np.concatenate((stored, period))
+                    filled += 1
+                stored = stored[:steps]
+                assert len(track.rows) == steps
+                assert track.rows[:].tobytes() == stored.tobytes()
+                for start in range(0, steps, 1000):
+                    assert (track.rows[start : start + 256] == stored[start : start + 256]).all()
+        assert filled > 0
 
     @pytest.mark.parametrize("mode", [EXACT, PERTURBED], ids=["exact", "perturbed"])
     def test_zero_noise_and_R_of_degree_2q_minus_1_run_each_pass_once(self, monkeypatch, mode):
@@ -978,7 +1004,7 @@ class TestSweepPasses:
             tm, R = ibm_transition(1, sigma, h), noise.evaluate(h)
             (own,) = covariance_prefixes([tm], [R], [np.zeros((2, 2))], [round(1.0 / grid[-1])])
             assert (orbit.first, orbit.singular) == (own.first, own.singular)
-            for name in ("P_pred", "P_post", "beta", "rows", "P00"):
+            for name in ("P_pred", "P_post", "beta", "P00"):
                 assert getattr(orbit, name).tobytes() == getattr(own, name).tobytes()
 
     def test_fig2_and_steady_work_at_seed_0(self, monkeypatch, tmp_path):
@@ -1216,6 +1242,19 @@ class TestStackedMeanPass:
             assert_same_bytes(traj, full_pass_solve(problem, *cell))
             assert set(BUILT_ON_READ) <= set(vars(traj))
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_arrays_built_on_read_past_a_filled_prefix_equal_the_full_pass(self, q):
+        # A perturbed start at R = 0: the prefix ends on a repeat long before
+        # the 800-step mesh, so the track stores 8 bytes a step past it, and
+        # P_pred's P_00 there is rebuilt on read from the previous posterior.
+        problem, cell = get_problem("linear"), (PriorSpec(q), 0.0125, parse_noise("zero"))
+        cell += (PerturbedInit(1.0),)
+        (traj,) = filtering.solve_cells([(problem, *cell)])
+        track = traj.source[2]
+        assert len(track.beta) < len(traj.m_post) == len(track.P00) == 800
+        assert track.P00.shape == (800,) and not traj.diverged
+        assert_same_bytes(traj, full_pass_solve(problem, *cell))
+
     def test_solve_hands_out_the_next_cell_of_a_stack(self):
         problem = get_problem("logistic")
         cells = [(PriorSpec(1), h, parse_noise("zero"), PerturbedInit(0.0)) for h in (0.1, 0.05)]
@@ -1399,7 +1438,7 @@ class TestNonFiniteFixedPoint:
         (prefix,) = covariance_prefixes([tm], [0.0], [start], [800])
         n = len(prefix.rows)
         assert prefix.first == n - 2 and np.isnan(prefix.P_post[-1]).all()
-        track = filtering.covariance_track(tm, 0.0, prefix, 800)
+        track = filtering.covariance_track(prefix, 800)
         assert len(track.rows) == n and not track.singular
         with np.errstate(over="ignore", invalid="ignore"):
             expected = list(itertools.islice(covariance_pass(tm, 0.0, start), n))

@@ -26,6 +26,13 @@ def test_one_src_against_itself(capsys):
     assert lines[0] == "steady, seed 0: 2 pairs, CSVs byte-equal"
     assert [line.split(":")[0] for line in lines[1:4]] == ["parent", "change", "change/parent"]
     assert lines[4].startswith("change faster in ") and lines[4].endswith(" of 2 pairs")
+    # One untimed pass per side under tracemalloc: the same code peaks alike
+    # (within the few kB that the process's own caches may differ by).
+    peaks = [line.split(": traced peak ") for line in lines[5:]]
+    assert [side for side, _ in peaks] == ["parent", "change"]
+    assert all(peak.endswith(" MB") for _, peak in peaks)
+    parent, change = (float(peak[:-3]) for _, peak in peaks)
+    assert parent > 0.0 and abs(change - parent) <= 0.1 * parent
     assert not [name for name in sys.modules if name.startswith("odefilter_")]
 
 

@@ -1,10 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from odefilter import problems
 from odefilter.problems import (
     IVProblem,
     MissingDerivative,
@@ -125,6 +129,38 @@ class TestScalarField:
                 assert value.shape == expected.shape == states.shape
                 assert value.tobytes() == expected.tobytes(), i
             assert p.f is p.derivative(1)
+
+
+class TestCoefficientChain:
+    """The scalar chains are built from coefficient arrays; ``Polynomial`` is their oracle."""
+
+    @pytest.mark.parametrize("name", ["logistic", "riccati"])
+    def test_each_coefficient_array_equals_the_polynomials(self, name):
+        f = FIELDS[name]
+        chain = [Polynomial([0.0, 1.0]), f]
+        while len(chain) <= problems.DERIVATIVE_DEPTH:
+            chain.append(chain[-1].deriv() * f)
+        got = problems._derivative_chain(f.coef, problems.DERIVATIVE_DEPTH)
+        assert len(got) == len(chain) == problems.DERIVATIVE_DEPTH + 1
+        for coef, poly in zip(got, chain):
+            assert coef.dtype == poly.coef.dtype and coef.tobytes() == poly.coef.tobytes()
+
+    def test_horner_refuses_a_negative_zero_coefficient(self):
+        # Horner's c[i] + c0 * x keeps -0.0 + -0.0 = -0.0 where the domain map
+        # it skips would give +0.0.
+        with pytest.raises(ValueError, match="-0.0"):
+            problems._horner(np.array([1.0, -0.0, 2.0]))
+        assert problems._horner(np.array([1.0, 0.0, 2.0]))(np.array([2.0])).tolist() == [9.0]
+
+    def test_importing_the_cli_leaves_numpy_polynomial_out(self):
+        code = (
+            "import sys, odefilter.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 class TestLinearField:

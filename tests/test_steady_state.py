@@ -421,9 +421,10 @@ class TestVerifyOrderBounds:
         prefixes = order_bound_prefixes(grid, 1.0, noise.p, noise.K_R)
         expected = verify_order_bounds(grid, 1.0, noise.p, noise.K_R, prefixes=prefixes)
         coarse = prefixes[0]
-        arrays = (coarse.P_pred, coarse.P_post, coarse.beta, coarse.rows, coarse.P00)
+        arrays = (coarse.P_pred, coarse.P_post, coarse.beta, coarse.P00)
         for n, raises in ((10, False), (9, True)):
-            track = filtering.CovarianceTrack(*(a[:n] for a in arrays), None, True)
+            cut = (a[:n] for a in arrays)
+            track = filtering.CovarianceTrack(coarse.tm, coarse.R, *cut, None, True)
             args = (grid, 1.0, noise.p, noise.K_R, [track, *prefixes[1:]])
             if raises:
                 with pytest.raises(filtering.SingularInnovation, match="h = 0.1: "):
